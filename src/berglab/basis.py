@@ -19,7 +19,9 @@ from .geometry import as_point, inner
 from .quadrature import QuadratureRule
 
 __all__ = ["multi_indices", "monomial_norm", "TruncatedBasis", "Expansion",
-           "kernel", "kernel_expansion", "project"]
+           "kernel", "kernel_expansion", "weighted_gram", "project"]
+
+_BLOCK = 1 << 20  # complex entries per gathered (rows, B, slices) block
 
 
 def multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -151,11 +153,53 @@ def kernel_expansion(z, basis: TruncatedBasis) -> Expansion:
     return Expansion(basis=basis, coeffs=coeffs)
 
 
+def weighted_gram(basis: TruncatedBasis, rule: QuadratureRule,
+                  values: np.ndarray) -> np.ndarray:
+    """G[beta, alpha] = sum_i w_i values_i e_alpha(x_i) conj(e_beta(x_i)).
+
+    On a rule with a torus layout (``rule.torus``), node (p, k) has
+    e_alpha = rho_alpha(p) exp(i alpha.theta_k) with rho_alpha(p) real, so
+
+        G[beta, alpha] = sum_p rho_beta(p) rho_alpha(p) F_p[beta - alpha]
+
+    with beta - alpha taken mod A = ``angular`` in each coordinate, where
+    F_p is the n-dimensional DFT of w * values over the angles of slice p.
+    This is the same finite sum reordered, exact even when the angles
+    alias 2 * degree.  It costs one FFT of the N values plus
+    O(P B^2) for P slices and B basis elements, in O(N + P B) memory.
+    Other rules take the dense product E^H diag(w * values) E, in O(N B)
+    memory.
+    """
+    weighted = rule.weights * values
+    layout = rule.torus
+    if layout is None:
+        emat = basis.eval(rule.nodes)
+        return emat.conj().T @ (weighted[:, None] * emat)
+    n, size, slices = basis.n, len(basis), len(layout.moduli)
+    spec = np.fft.fftn(layout.grid(weighted), axes=tuple(range(1, n + 1)))
+    # frequency-major, so a gather reads whole rows of P slice values
+    spec = np.ascontiguousarray(spec.reshape(slices, -1).T)
+    rho = basis.eval(layout.moduli).real.T  # (B, P) at the angle-zero nodes
+    idx = np.asarray(basis.indices)
+    diff = (idx[:, None, :] - idx[None, :, :]) % layout.angular
+    freq = np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)),
+                                (layout.angular,) * n)
+    out = np.empty((size, size), dtype=complex)
+    rows = max(1, _BLOCK // (slices * size))
+    for start in range(0, size, rows):
+        r = slice(start, start + rows)
+        block = spec[freq[r]]  # (rows, B, P): F_p[beta - alpha]
+        block *= rho[None]
+        out[r] = np.matmul(block, rho[r, :, None])[..., 0]
+    return out
+
+
 def project(f, basis: TruncatedBasis, rule: QuadratureRule) -> Expansion:
     """Orthogonal projection onto the truncated basis by quadrature.
 
     ``f`` maps an (N, n) array of points to (N,) values; the coefficient
-    at alpha is the rule's value of <f, e_alpha>.
+    at alpha is the rule's value of <f, e_alpha>, the alpha-th entry of
+    the weighted Gram column at e_0 = 1.
     """
     if rule.n != basis.n:
         raise ValueError("rule and basis dimensions differ")
@@ -163,6 +207,5 @@ def project(f, basis: TruncatedBasis, rule: QuadratureRule) -> Expansion:
     if not np.all(np.isfinite(values)):
         i = int(np.argmax(~np.isfinite(values)))
         raise ValueError(f"integrand is not finite at node {i}")
-    emat = basis.eval(rule.nodes)
-    coeffs = emat.conj().T @ (rule.weights * values)
+    coeffs = weighted_gram(basis, rule, values)[:, 0]
     return Expansion(basis=basis, coeffs=coeffs)

@@ -17,19 +17,29 @@ Constructions:
 Radial break points split the t-interval into panels so that piecewise
 polynomial radial factors (compactly supported symbol profiles) are
 integrated exactly.
+
+Node order is part of the contract of ``build_rule``.  For n <= 2 the
+nodes run over radial slices (t, then for n = 2 the Hopf latitude x)
+and, within a slice, over the angle grid theta_j = 2 pi k_j / angular
+with the last coordinate's angle fastest; the angle-zero node of a slice
+is real and carries the slice's moduli |z_j|.  ``QuadratureRule.torus``
+exposes that layout, after checking it against the nodes, so sums over
+the angles can be taken by FFT.  Rules without it (n >= 3, or nodes in
+another order) have ``torus = None``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-__all__ = ["QuadratureRule", "build_rule", "rule_for_basis", "integrate",
-           "panel_gauss_legendre"]
+__all__ = ["QuadratureRule", "TorusLayout", "build_rule", "rule_for_basis",
+           "integrate", "panel_gauss_legendre"]
 
 _CHUNK = 4096  # fixed reduction block; keeps sums independent of job count
 _NEWTON_STEPS = 2  # the starting nodes are already within a few ulp
@@ -84,6 +94,43 @@ def panel_gauss_legendre(points_per_panel: int,
 
 
 @dataclass(frozen=True)
+class TorusLayout:
+    """Nodes on P radial slices times a uniform angle grid per coordinate.
+
+    Node (p, k) is moduli[p] * exp(2 pi i k / angular) coordinatewise,
+    k ranging over the angular**n grid points of slice p.
+    """
+
+    moduli: np.ndarray  # (P, n) real, the slice's |z_j|
+    angular: int
+
+    def grid(self, values: np.ndarray) -> np.ndarray:
+        """Per-node values as a (P, angular, ..., angular) array."""
+        n = self.moduli.shape[1]
+        return values.reshape((len(self.moduli),) + (self.angular,) * n)
+
+
+def _torus_layout(n: int, nodes: np.ndarray,
+                  angular: int) -> TorusLayout | None:
+    """The torus layout of ``nodes`` if they have it, else None."""
+    per_slice = angular ** n
+    if angular < 1 or len(nodes) % per_slice:
+        return None
+    grid = nodes.reshape(-1, per_slice, n)
+    base = grid[:, 0, :]
+    if np.any(base.imag != 0.0) or np.any(base.real < 0.0):
+        return None
+    phase = np.exp(2j * np.pi * np.arange(angular) / angular)
+    ks = np.indices((angular,) * n).reshape(n, -1)
+    tol = 8 * np.finfo(float).eps
+    for j in range(n):  # one coordinate at a time keeps temporaries at O(N)
+        expected = base[:, j].real[:, None] * phase[ks[j]][None, :]
+        if np.max(np.abs(grid[:, :, j] - expected)) > tol:
+            return None
+    return TorusLayout(moduli=base.real.copy(), angular=angular)
+
+
+@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and positive weights on the ball, with exactness metadata.
 
@@ -102,6 +149,18 @@ class QuadratureRule:
     seed: int | None = None
     stochastic_sphere: bool = False
     radial_breaks: tuple[float, ...] = field(default=())
+
+    @cached_property
+    def torus(self) -> TorusLayout | None:
+        """The torus layout of the nodes, or None where they lack it.
+
+        Checked against the nodes themselves on first use, so a rule
+        rebuilt with its nodes in another order (dataclasses.replace)
+        cannot claim it.
+        """
+        if self.stochastic_sphere or self.n > 2:
+            return None
+        return _torus_layout(self.n, self.nodes, self.angular)
 
     def __len__(self) -> int:
         return len(self.weights)

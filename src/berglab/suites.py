@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import Expansion, TruncatedBasis, kernel, kernel_expansion, project
+from .basis import (Expansion, TruncatedBasis, kernel, kernel_expansion,
+                    project, weighted_gram)
 from .config import ExperimentConfig
 from .geometry import (delta_for, disjoint_threshold, ellipsoid_params,
                        in_ellipsoid, in_metric_ball, metric_combined_bound,
@@ -243,8 +244,7 @@ def run_basis(cfg: ExperimentConfig) -> dict:
 
     basis1 = TruncatedBasis.create(1, 12)
     rule1 = rule_for_basis(1, 12, seed=cfg.seed)
-    emat = basis1.eval(rule1.nodes)
-    gram = emat.conj().T @ (rule1.weights[:, None] * emat)
+    gram = weighted_gram(basis1, rule1, np.ones(len(rule1)))
     defect1 = float(np.max(np.abs(gram - np.eye(len(basis1)))))
     checks.append(check("gram_identity_n1_d12",
                         defect1 <= cfg.tol("gram_defect_n1"), defect1,
@@ -252,8 +252,7 @@ def run_basis(cfg: ExperimentConfig) -> dict:
 
     basis2 = TruncatedBasis.create(2, 8)
     rule2 = rule_for_basis(2, 8, seed=cfg.seed)
-    emat2 = basis2.eval(rule2.nodes)
-    gram2 = emat2.conj().T @ (rule2.weights[:, None] * emat2)
+    gram2 = weighted_gram(basis2, rule2, np.ones(len(rule2)))
     defect2 = float(np.max(np.abs(gram2 - np.eye(len(basis2)))))
     checks.append(check("gram_identity_n2_d8",
                         defect2 <= cfg.tol("gram_defect_n2"), defect2,

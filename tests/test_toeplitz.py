@@ -1,10 +1,13 @@
 """Tests for Toeplitz matrices, fast paths, commutators, operator norms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from berglab.basis import TruncatedBasis
-from berglab.quadrature import rule_for_basis
+from berglab.basis import TruncatedBasis, project
+from berglab.geometry import moebius
+from berglab.quadrature import build_rule, rule_for_basis
 from berglab.toeplitz import (OperatorMatrix, Symbol, commutator,
                               matrix_to_csv, matrix_to_json, op_norm,
                               toeplitz_matrix, toeplitz_monomial_radial,
@@ -187,3 +190,84 @@ class TestSymbolSemantics:
         weak = build_rule(1, 6, angular=16)
         with pytest.warns(UserWarning, match="exactness"):
             toeplitz_matrix(Symbol.constant(1.0), basis, weak)
+
+
+def _mixed_symbol(n: int) -> Symbol:
+    """Non-radial, with anti-holomorphic and Moebius-composed parts."""
+    z = np.array([0.3 + 0.2j] + [0.1j] * (n - 1))
+
+    def fn(pts):
+        return (np.exp(np.conj(pts[:, 0])) * (1.0 + pts[:, -1] ** 2)
+                + np.abs(moebius(z, pts)[:, 0]) ** 3)
+    return Symbol.sampled(fn, 6.0, label="mixed")
+
+
+def _dense_reference(f: Symbol, basis, rule) -> np.ndarray:
+    """E^H diag(w f) E straight from the basis values at every node."""
+    emat = basis.eval(rule.nodes)
+    return emat.conj().T @ ((rule.weights * f(rule.nodes))[:, None] * emat)
+
+
+def _max_diff(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+class TestTorusAssembly:
+    """The FFT route over the torus angles is the dense sum reordered."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("degree", [0, 3, 8])
+    @pytest.mark.parametrize("breaks", [(), (0.36,)])
+    def test_matches_dense_reference(self, n, degree, breaks):
+        basis = TruncatedBasis.create(n, degree)
+        rule = rule_for_basis(n, degree, radial_breaks=breaks)
+        assert rule.torus is not None
+        f = _mixed_symbol(n)
+        got = toeplitz_matrix(f, basis, rule).mat
+        assert _max_diff(got, _dense_reference(f, basis, rule)) <= 1e-14
+
+    @pytest.mark.parametrize("n, angular", [(1, 9), (2, 11)])
+    def test_aliased_angles_match_dense_reference(self, n, angular):
+        # angular <= 2d: frequencies beta - alpha wrap around the grid
+        basis = TruncatedBasis.create(n, 8)
+        rule = build_rule(n, 10, angular=angular)
+        assert rule.torus is not None
+        f = _mixed_symbol(n)
+        with pytest.warns(UserWarning, match="exactness"):
+            got = toeplitz_matrix(f, basis, rule).mat
+        assert _max_diff(got, _dense_reference(f, basis, rule)) <= 1e-14
+
+    def test_stochastic_rule_uses_dense_product(self):
+        basis = TruncatedBasis.create(3, 3)
+        rule = build_rule(3, 4, angular=256, seed=5)
+        assert rule.torus is None
+        f = _mixed_symbol(3)
+        got = toeplitz_matrix(f, basis, rule).mat
+        assert _max_diff(got, _dense_reference(f, basis, rule)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("keep_angle_zero", [False, True])
+    def test_reordered_nodes_lose_the_layout(self, n, keep_angle_zero):
+        basis = TruncatedBasis.create(n, 3)
+        rule = rule_for_basis(n, 3, radial_breaks=(0.36,))
+        rng = np.random.default_rng(7)
+        if keep_angle_zero:  # shuffle each slice's angles past its head
+            perm = np.arange(len(rule)).reshape(-1, rule.angular ** n)
+            perm[:, 1:] = rng.permuted(perm[:, 1:], axis=1)
+            perm = perm.ravel()
+        else:
+            perm = rng.permutation(len(rule))
+        shuffled = dataclasses.replace(rule, nodes=rule.nodes[perm],
+                                       weights=rule.weights[perm])
+        assert shuffled.torus is None
+        f = _mixed_symbol(n)
+        got = toeplitz_matrix(f, basis, shuffled).mat
+        assert _max_diff(got, _dense_reference(f, basis, rule)) <= 1e-14
+
+    def test_projection_is_the_constant_column(self):
+        basis = TruncatedBasis.create(2, 6)
+        rule = rule_for_basis(2, 6)
+        f = _mixed_symbol(2)
+        emat = basis.eval(rule.nodes)
+        ref = emat.conj().T @ (rule.weights * f(rule.nodes))
+        assert _max_diff(project(f, basis, rule).coeffs, ref) <= 1e-14
