@@ -6,9 +6,9 @@ the compression P U_z P, obtained two ways:
 
   * quadrature of the integrand e_alpha(phi_z(w)) k_z(w) conj(e_beta(w)),
     adequate while the rule resolves the kernel peak at w ~ z;
-  * exact entries by expanding (z - w)^k (1 - conj(z) w)^(-k-2) (and its
-    several-variable analogue along a coordinate ray), needed once
-    1 - |z| falls below what any desk-scale rule can resolve.
+  * exact entries (every z when n = 1, coordinate rays when n >= 2),
+    needed once 1 - |z| falls below what any desk-scale rule can
+    resolve: Jacobi polynomials in 1 - 2|z|^2, at roundoff at any degree.
 
 ``unitary_matrix`` picks the route automatically: exact whenever it is
 available, quadrature otherwise; ``method=`` forces a choice.  Both
@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .basis import TruncatedBasis, kernel
+from .basis import TruncatedBasis, kernel, kernel_expansion
 from .geometry import as_point, inner, moebius
 from .quadrature import QuadratureRule
 from .toeplitz import OperatorMatrix, Symbol, toeplitz_matrix
@@ -37,6 +37,8 @@ __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
 
 # above this gap the quadrature route resolves the kernel peak comfortably
 _EXACT_GAP = 0.05
+# invariant guards on exact compressions, which the recurrence meets to ~1e-15
+_GUARD_TOL = 1e-10
 
 
 def unitary_matrix_quadrature(z, basis: TruncatedBasis,
@@ -54,82 +56,43 @@ def unitary_matrix_quadrature(z, basis: TruncatedBasis,
     return OperatorMatrix(basis, mat)
 
 
-def _binom_table(nmax: int) -> np.ndarray:
-    """Pascal triangle as floats, C[i, j] for i, j <= nmax."""
-    c = np.zeros((nmax + 1, nmax + 1))
-    c[:, 0] = 1.0
-    for i in range(1, nmax + 1):
-        c[i, 1:i + 1] = c[i - 1, 1:i + 1] + c[i - 1, :i]
-    return c
+def _diagonals(zeta: complex, beta: np.ndarray, size: int) -> np.ndarray:
+    """Exact entries D[a, i, delta] = <V e_a, e_{a+delta}>, a, delta < size,
+    of V f = (1 - |zeta|^2)^((b+1)/2) (f o phi_zeta) (1 - conj(zeta) w)^(-b-1)
+    on the weighted space with orthonormal basis e_j = w^j sqrt(C(j+b, j)),
+    for each b = beta[i] >= 1 (b = 1 is U_zeta on the disk).
 
-
-def _disk_entries(z: complex, degree: int) -> np.ndarray:
-    """Exact one-dimensional entries <U_z e_k, e_j>, shape (j, k).
-
-    Coefficient of w^j in sqrt(k+1)(1-|z|^2)(z-w)^k (1-conj(z) w)^(-k-2):
-    a finite binomial convolution, stable in double precision at desk
-    degrees because the alternating terms stay below ~C(2d+1, d).
+    D = (-1)^a N_a y_a, with y_a = P_a^(delta,b)(x) / P_a^(delta,b)(1) a
+    Jacobi polynomial at x = 1 - 2|zeta|^2 and
+    N_a = N_{a-1} sqrt((a+delta+b)(a+delta) / (a(a+b))),
+    N_0 = (1 - |zeta|^2)^((b+1)/2) conj(zeta)^delta sqrt(C(delta+b, delta)).
+    y runs the Jacobi recurrence in Reinsch's difference form,
+    y_{a+1} = y_a + h_{a+1}, s = 2a + delta + b,
+    h_{a+1} = (a(a+b)(s+2) h_a - (s+1)(s+2) s |zeta|^2 y_a)
+              / (s (a+1+delta)(a+1+delta+b)),
+    which stays at roundoff for every |zeta| < 1: the plain three-term form
+    loses a^2 eps as |zeta| -> 0, and building column a+1 from column a
+    (multiplying by the Blaschke factor phi_zeta) loses
+    sqrt(C(a+b, a)) eps at moderate |zeta|.  Each step of a is one vector
+    operation over all b and delta.
     """
-    nmax = 2 * degree + 2
-    c = _binom_table(nmax)
-    zc = np.conj(z)
-    out = np.zeros((degree + 1, degree + 1), dtype=complex)
-    zp = z ** np.arange(degree + 1)
-    zcp = zc ** np.arange(degree + 1)
-    one = 1.0 - abs(z) ** 2
-    for k in range(degree + 1):
-        for j in range(degree + 1):
-            acc = 0.0 + 0.0j
-            for i in range(min(j, k) + 1):
-                acc += ((-1.0) ** i * c[k, i] * c[k + j - i + 1, j - i]
-                        * zp[k - i] * zcp[j - i])
-            out[j, k] = math.sqrt((k + 1.0) / (j + 1.0)) * one * acc
-    return out
-
-
-def _ray_entries(t: float, axis: int, basis: TruncatedBasis) -> np.ndarray:
-    """Exact entries of U_z for z = t e_axis, t real in [0, 1), any n >= 2.
-
-    Nonzero only when alpha and beta agree off the axis; the axis factor
-    expands (t - w)^a (1 - t w)^(-(|alpha| + n + 1)) as in one dimension,
-    and the transverse monomials contribute sphere moments through the
-    basis norms:
-
-        <U_z e_alpha, e_beta> = (-1)^(|alpha| - a)
-            (1 - t^2)^((|alpha| - a + n + 1)/2) c_{b} ||z^beta|| / ||z^alpha||,
-
-    where a, b are the axis components and c_b is the w^b coefficient of
-    the axis expansion.
-    """
-    n = basis.n
-    d = basis.degree
-    nmax = 2 * d + n + 2
-    c = _binom_table(nmax)
-    tp = t ** np.arange(2 * d + 2)
-    one = 1.0 - t * t
-    size = len(basis)
-    pos = {alpha: i for i, alpha in enumerate(basis.indices)}
-    out = np.zeros((size, size), dtype=complex)
-    for ia, alpha in enumerate(basis.indices):
-        a = alpha[axis]
-        tot = sum(alpha)
-        rest = tuple(v for i, v in enumerate(alpha) if i != axis)
-        m = tot + n  # series (1 - t w)^(-(m+1)): coeff C(m + l, l) t^l
-        sign = (-1.0) ** (tot - a)
-        pref = sign * one ** (0.5 * (tot - a + n + 1))
-        for b in range(d - (tot - a) + 1):
-            beta = list(alpha)
-            beta[axis] = b
-            ib = pos.get(tuple(beta))
-            if ib is None:
-                continue
-            acc = 0.0
-            for i in range(min(a, b) + 1):
-                acc += ((-1.0) ** i * c[a, i] * c[m + b - i, b - i]
-                        * tp[a - i + b - i])
-            out[ib, ia] = (pref * acc
-                           * basis.norms[ib] / basis.norms[ia])
-    return out
+    t = abs(zeta)
+    a = np.arange(size)[:, None, None]
+    delta = np.arange(size)
+    beta = np.asarray(beta, dtype=float)[:, None]
+    db = delta + beta
+    s = 2 * a + db
+    keep = a * (a + beta) * (s + 2) / (s * (a + 1 + delta) * (a + 1 + db))
+    pull = t * t * (s + 1) * (s + 2) / ((a + 1 + delta) * (a + 1 + db))
+    y, h = np.ones(s.shape), 0.0
+    for i in range(size - 1):
+        h = keep[i] * h - pull[i] * y[i]
+        y[i + 1] = y[i] + h
+    amp = np.ones(s.shape, dtype=complex)
+    amp[0, :, 1:] = np.cumprod(np.sqrt((beta + delta[1:]) / delta[1:]), axis=1)
+    amp[0] *= ((1.0 - t) * (1.0 + t)) ** (0.5 * (beta + 1)) * np.conj(zeta) ** delta
+    amp[1:] = np.sqrt((a[1:] + db) * (a[1:] + delta) / (a[1:] * (a[1:] + beta)))
+    return (-1.0) ** a * np.cumprod(amp, axis=0) * y
 
 
 def exact_available(z, n: int) -> bool:
@@ -148,18 +111,53 @@ def exact_available(z, n: int) -> bool:
 
 
 def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
-    """Exact compression P U_z P (no quadrature error source)."""
+    """Exact compression P U_z P (no quadrature error source).
+
+    For z = zeta e_axis, U_z maps z^alpha to
+    (-1)^s w'^alpha' (1 - |zeta|^2)^((s+n+1)/2) (zeta - w_axis)^a
+    (1 - conj(zeta) w_axis)^(-(a+s+n+1)), with a the axis component of
+    alpha, alpha' the rest and s = |alpha'|.  So the entry at (beta, alpha)
+    vanishes unless beta' = alpha', and all alpha' of degree s share one
+    block, ``_diagonals`` at b = s + n (its basis carries the norm ratios),
+    conjugated above the diagonal.  n = 1 is the single block s = 0.
+
+    Raises ValueError when the result breaks an invariant every
+    compression of U_z keeps: finite entries, self-adjointness, column
+    norms <= 1 (each column is P of a unit vector) and column e_0 equal
+    to the kernel expansion of k_z.
+    """
     z = as_point(z, name="z")
     if z.ndim != 1 or z.shape[0] != basis.n:
         raise ValueError("z must be a single point of the basis dimension")
-    if basis.n == 1:
-        return OperatorMatrix(basis, _disk_entries(complex(z[0]), basis.degree))
     if not exact_available(z, basis.n):
         raise ValueError(
             "exact entries for n >= 2 require z on a coordinate ray t e_j")
-    nz = np.abs(z) > 0.0
-    axis = int(np.argmax(nz)) if np.any(nz) else 0
-    return OperatorMatrix(basis, _ray_entries(float(z[axis].real), axis, basis))
+    axis = int(np.argmax(np.abs(z) > 0.0))
+    idx = np.asarray(basis.indices)
+    a = idx[:, axis]
+    rest = np.delete(idx, axis, axis=1)
+    s = rest.sum(axis=1)
+    group = rest @ (basis.degree + 1) ** np.arange(basis.n - 1)
+    rows, cols = np.nonzero(group[:, None] == group[None, :])
+    diag = _diagonals(complex(z[axis]), np.arange(s.max() + 1) + basis.n,
+                      basis.degree + 1)
+    ar, ac = a[rows], a[cols]
+    vals = diag[np.minimum(ar, ac), s[cols], np.abs(ar - ac)]
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    mat[rows, cols] = np.where(ar >= ac, vals, vals.conj()) * (-1.0) ** s[cols]
+
+    where = f"exact U_z at z={z.tolist()} (n={basis.n}, degree {basis.degree})"
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{where}: entries are not finite")
+    kexp = kernel_expansion(z, basis).coeffs
+    for name, value in (
+            ("self-adjointness defect", np.max(np.abs(mat - mat.conj().T))),
+            ("column norm excess", np.max(np.linalg.norm(mat, axis=0)) - 1.0),
+            ("kernel column error", np.max(np.abs(mat[:, 0] - kexp)))):
+        if value > _GUARD_TOL:
+            raise ValueError(
+                f"{where}: {name} {value:.3g} exceeds {_GUARD_TOL:g}")
+    return OperatorMatrix(basis, mat)
 
 
 def unitary_matrix(z, basis: TruncatedBasis, rule: QuadratureRule | None = None,

@@ -1,5 +1,7 @@
 """Tests for the composition unitaries and the weak-decay pairing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from berglab.basis import TruncatedBasis, kernel_expansion
 from berglab.geometry import sample_ball
 from berglab.quadrature import build_rule
 from berglab.sequences import build_sequence
+from berglab import unitaries
 from berglab.toeplitz import Symbol
 from berglab.unitaries import (conjugate_toeplitz, exact_available,
                                unitary_matrix, unitary_matrix_exact,
@@ -48,9 +51,8 @@ class TestMatrixRoutes:
             np.testing.assert_allclose(u.mat[:, 0], kexp.coeffs, atol=1e-14)
 
     def test_self_adjoint(self, basis):
-        # entries are alternating binomial sums; roundoff grows with degree
         u = unitary_matrix_exact([0.3 - 0.55j], basis)
-        assert np.max(np.abs(u.mat - u.mat.conj().T)) < 1e-10
+        assert np.max(np.abs(u.mat - u.mat.conj().T)) < 1e-13
 
     def test_exact_matches_quadrature(self, basis, rule):
         for z in ([0.5 + 0.0j], [0.2 - 0.4j]):
@@ -82,10 +84,103 @@ class TestMatrixRoutes:
             unitary_matrix(np.array([(1 - 1e-6) / np.sqrt(2)] * 2,
                                     dtype=complex), b2, None)
 
-    def test_compression_is_contraction(self, basis):
-        for t in (0.3, 0.9, 1 - 1e-5):
-            u = unitary_matrix_exact([t], basis)
-            assert np.linalg.norm(u.mat, 2) <= 1.0 + 1e-12
+    def test_compression_is_contraction(self):
+        for n, degree in ((1, 12), (1, 64), (2, 24)):
+            b = TruncatedBasis.create(n, degree)
+            for t in (0.3, 0.9, 0.99, 1 - 1e-5):
+                z = np.zeros(n, dtype=complex)
+                z[0] = t
+                u = unitary_matrix_exact(z, b)
+                assert np.linalg.norm(u.mat, 2) <= 1.0 + 1e-12, (n, degree, t)
+
+
+def closed_form(zeta, axis, basis, dps=60):
+    """<U_z e_alpha, e_beta> for z = zeta e_axis in dps-digit arithmetic.
+
+    Expands (zeta - w)^a (1 - conj(zeta) w)^(-(a+s+n+1)) along the axis as
+    the alternating binomial sum
+    sum_i (-1)^i C(a, i) C(a+s+n+b-i, b-i) zeta^(a-i) conj(zeta)^(b-i),
+    with a, b the axis components and s the off-axis degree, times
+    (-1)^s (1 - |zeta|^2)^((s+n+1)/2) ||z^beta|| / ||z^alpha||.
+    """
+    mp = pytest.importorskip("mpmath")
+    n, d = basis.n, basis.degree
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    pos = {alpha: i for i, alpha in enumerate(basis.indices)}
+    with mp.workdps(dps):
+        zeta = mp.mpc(zeta)
+        zp = [zeta ** k for k in range(d + 1)]
+        zcp = [mp.conj(zeta) ** k for k in range(d + 1)]
+        gap = 1 - abs(zeta) ** 2
+        norms = [mp.sqrt(mp.factorial(n) * mp.fprod(map(mp.factorial, alpha))
+                         / mp.factorial(n + sum(alpha)))
+                 for alpha in basis.indices]
+        sums = {}
+        for ia, alpha in enumerate(basis.indices):
+            a = alpha[axis]
+            s = sum(alpha) - a
+            for b in range(d - s + 1):
+                if (a, b, s) not in sums:
+                    m = a + s + n
+                    sums[a, b, s] = ((-1) ** s * gap ** (mp.mpf(s + n + 1) / 2)
+                                     * mp.fsum((-1) ** i * math.comb(a, i)
+                                               * math.comb(m + b - i, b - i)
+                                               * zp[a - i] * zcp[b - i]
+                                               for i in range(min(a, b) + 1)))
+                ib = pos[alpha[:axis] + (b,) + alpha[axis + 1:]]
+                out[ib, ia] = complex(sums[a, b, s] * norms[ib] / norms[ia])
+    return out
+
+
+class TestExactOracle:
+    """The exact route against the closed form in 60-digit arithmetic."""
+
+    @pytest.mark.parametrize("degree", [12, 24, 40])
+    @pytest.mark.parametrize("z", [0.5, 0.9 + 0.05j, 1 - 2.0 ** -10,
+                                   1 - 2.0 ** -30])
+    def test_disk(self, z, degree):
+        b = TruncatedBasis.create(1, degree)
+        u = unitary_matrix_exact([z], b)
+        assert np.max(np.abs(u.mat - closed_form(z, 0, b))) <= 1e-14
+
+    @pytest.mark.parametrize("n, degree, axis", [(2, 24, 1), (3, 12, 0),
+                                                 (3, 12, 2)])
+    @pytest.mark.parametrize("t", [0.5, 0.99, 1 - 2.0 ** -20])
+    def test_ray(self, n, degree, axis, t):
+        b = TruncatedBasis.create(n, degree)
+        z = np.zeros(n, dtype=complex)
+        z[axis] = t
+        u = unitary_matrix_exact(z, b)
+        assert np.max(np.abs(u.mat - closed_form(t, axis, b))) <= 1e-14
+
+
+def perturb_where(select, change):
+    """A wrapper of the recurrence kernel that changes part of its output."""
+    kernel = unitaries._diagonals
+
+    def wrapped(*args):
+        out = kernel(*args)
+        out[select] = change(out[select])
+        return out
+    return wrapped
+
+
+class TestExactGuards:
+    # D[a, block, delta] is entry (a + delta, a) and, conjugated, (a, a + delta)
+    @pytest.mark.parametrize("z, select, change, defect", [
+        (0.5, np.s_[:], lambda v: v + 1e-6j, "self-adjointness defect"),
+        (0.0, np.s_[1:], lambda v: v * (1 + 1e-6), "column norm excess"),
+        (0.5, np.s_[:1], lambda v: v + 1e-6, "kernel column error"),
+        (0.5, np.s_[-1:], lambda v: v * np.nan, "not finite"),
+    ], ids=["hermitian", "contraction", "kernel-column", "finite"])
+    def test_perturbed_kernel_raises(self, monkeypatch, z, select, change,
+                                     defect):
+        b = TruncatedBasis.create(1, 8)
+        unitary_matrix_exact([z], b)
+        monkeypatch.setattr(unitaries, "_diagonals",
+                            perturb_where(select, change))
+        with pytest.raises(ValueError, match=f"n=1, degree 8.*{defect}"):
+            unitary_matrix_exact([z], b)
 
 
 class TestUnitarityDefect:
