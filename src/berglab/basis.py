@@ -78,9 +78,6 @@ class TruncatedBasis:
         """Total degree |alpha| per basis element."""
         return np.array([sum(a) for a in self.indices])
 
-    def index_of(self, alpha: tuple[int, ...]) -> int:
-        return self.indices.index(tuple(alpha))
-
     def eval(self, points) -> np.ndarray:
         """Matrix of basis values, shape (N, count); column j is e_{alpha_j}."""
         pts = as_point(points, name="points")

@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto the experiment suites; ``all`` runs every
 suite.  Reports are written as canonical JSON (plus CSV files for
 curves), embed the full configuration, its hash and the quadrature
-metadata, and are byte-identical for identical configurations regardless
-of --jobs.  Exit status is 0 iff every check in scope passed; on failure
+metadata, and are byte-identical for identical configurations.  --jobs is
+reserved: it is validated and then ignored, since no suite runs work in
+parallel.  Exit status is 0 iff every check in scope passed; on failure
 a machine-readable failure list is written alongside the partial results.
 """
 
@@ -29,7 +30,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="path to a JSON configuration file")
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="seed override")
-    p.add_argument("--jobs", type=int, help="worker count for quadrature")
+    p.add_argument("--jobs", type=int,
+                   help="reserved; validated (>= 1) but has no effect")
     p.add_argument("--sweep", action="store_true",
                    help="force the full degree sweep {6, 8, 10, 12}")
     return p

@@ -67,7 +67,7 @@ class ExperimentConfig:
     radial_points: int = 40
     angular: int = 192
     seed: int = 20240
-    jobs: int = 1
+    jobs: int = 1  # reserved: validated, read by no suite
     out_dir: str = "reports"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
@@ -132,8 +132,9 @@ class ExperimentConfig:
 
     def provenance_json(self) -> dict:
         """The experiment-defining parameters: everything except the
-        execution-only fields (output directory, worker count), so that
-        reports stay byte-identical across --out and --jobs."""
+        execution-only fields (output directory and the reserved worker
+        count), so that reports stay byte-identical across --out and
+        --jobs."""
         d = self.to_json()
         d.pop("out_dir")
         d.pop("jobs")

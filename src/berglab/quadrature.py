@@ -30,7 +30,6 @@ another order) have ``torus = None``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,7 +40,6 @@ from scipy.stats import qmc
 __all__ = ["QuadratureRule", "TorusLayout", "build_rule", "rule_for_basis",
            "integrate", "panel_gauss_legendre"]
 
-_CHUNK = 4096  # fixed reduction block; keeps sums independent of job count
 _NEWTON_STEPS = 2  # the starting nodes are already within a few ulp
 
 
@@ -290,16 +288,10 @@ def rule_for_basis(n: int, degree: int, *, margin: int = 4,
     return build_rule(n, p, seed=seed, radial_breaks=radial_breaks)
 
 
-def _chunk_slices(total: int) -> list[slice]:
-    return [slice(i, min(i + _CHUNK, total)) for i in range(0, total, _CHUNK)]
-
-
-def integrate(f, rule: QuadratureRule, jobs: int = 1) -> complex:
+def integrate(f, rule: QuadratureRule) -> complex:
     """Integrate f over the ball: sum of w_i f(node_i).
 
     ``f`` must accept an (N, n) complex array and return (N,) values.
-    The reduction is blocked into fixed-size chunks summed in order, so
-    the result is bit-identical for any ``jobs``.
     """
     values = np.asarray(f(rule.nodes))
     if values.shape != (len(rule),):
@@ -310,11 +302,4 @@ def integrate(f, rule: QuadratureRule, jobs: int = 1) -> complex:
         i = int(np.argmax(bad))
         raise ValueError(
             f"integrand is not finite at node {i}: z = {rule.nodes[i]}")
-    terms = rule.weights * values
-    slices = _chunk_slices(len(terms))
-    if jobs > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(lambda s: np.sum(terms[s]), slices))
-    else:
-        partials = [np.sum(terms[s]) for s in slices]
-    return complex(np.sum(np.asarray(partials)))
+    return complex(np.sum(rule.weights * values))

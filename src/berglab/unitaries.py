@@ -10,9 +10,9 @@ the compression P U_z P, obtained two ways:
     needed once 1 - |z| falls below what any desk-scale rule can
     resolve: Jacobi polynomials in 1 - 2|z|^2, at roundoff at any degree.
 
-``unitary_matrix`` picks the route automatically: exact whenever it is
-available, quadrature otherwise; ``method=`` forces a choice.  Both
-routes agree to roundoff at moderate |z| (property verified in tests).
+``unitary_matrix`` picks the route: exact whenever it is available,
+quadrature otherwise.  Both routes agree to roundoff at moderate |z|
+(property verified in tests).
 
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
@@ -21,8 +21,6 @@ laboratory's checks always sweep the degree.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -160,26 +158,18 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     return OperatorMatrix(basis, mat)
 
 
-def unitary_matrix(z, basis: TruncatedBasis, rule: QuadratureRule | None = None,
-                   method: str = "auto") -> OperatorMatrix:
+def unitary_matrix(z, basis: TruncatedBasis,
+                   rule: QuadratureRule | None = None) -> OperatorMatrix:
     """Truncated matrix of U_z.
 
-    method="auto" uses exact entries when available (mandatory once
-    1 - |z| < 0.05, where quadrature cannot resolve the kernel peak),
-    otherwise the quadrature route.
+    Uses exact entries when available (mandatory once 1 - |z| < 0.05,
+    where quadrature cannot resolve the kernel peak), otherwise the
+    quadrature route, which needs ``rule``.
     """
     z = as_point(z, name="z")
-    gap = 1.0 - float(np.linalg.norm(z))
-    if method == "quadrature":
-        if rule is None:
-            raise ValueError("quadrature route needs a rule")
-        return unitary_matrix_quadrature(z, basis, rule)
-    if method == "exact":
-        return unitary_matrix_exact(z, basis)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if exact_available(z, basis.n):
         return unitary_matrix_exact(z, basis)
+    gap = 1.0 - float(np.linalg.norm(z))
     if gap < _EXACT_GAP:
         raise ValueError(
             f"1 - |z| = {gap:.3g} is below the quadrature resolution limit "
@@ -196,40 +186,43 @@ def unitarity_defect(u: OperatorMatrix) -> float:
 
 
 def conjugate_toeplitz(z, f: Symbol, basis: TruncatedBasis,
-                       rule: QuadratureRule,
-                       method: str = "auto") -> tuple[OperatorMatrix, OperatorMatrix]:
+                       rule: QuadratureRule) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Both routes of the conjugation identity.
 
     Returns (U_z T_f U_z*, T_{f o phi_z}); they agree up to a defect that
     shrinks as the truncation degree grows.
     """
-    u = unitary_matrix(z, basis, rule, method=method)
+    u = unitary_matrix(z, basis, rule)
     tf = toeplitz_matrix(f, basis, rule)
     lhs = u @ tf @ u.adjoint()
     rhs = toeplitz_matrix(f.compose_moebius(z), basis, rule)
     return lhs, rhs
 
 
-def weak_pairing_exact(zm, z, w) -> tuple[complex, float]:
+def weak_pairing_exact(zm, z, w) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form pairing <U_{z_m} k_z, k_w> and its decay bound.
 
     value = ((1-|w|^2)(1-|z|^2)(1-|z_m|^2))^((n+1)/2)
             / ((1 - <phi_{z_m}(w), z>)(1 - <w, z_m>))^(n+1),
     |value| <= bound = same numerator / ((1-|z|)(1-|w|))^(n+1).
     The bound decays like (1 - |z_m|^2)^((n+1)/2) along any sequence
-    approaching the sphere.
+    approaching the sphere.  Broadcasts over leading axes; single points
+    give 0-d arrays.
     """
     zm = as_point(zm, name="zm")
     z = as_point(z, name="z")
     w = as_point(w, name="w")
     n = zm.shape[-1]
-    zz = float(np.sum(np.abs(z) ** 2))
-    ww = float(np.sum(np.abs(w) ** 2))
-    mm = float(np.sum(np.abs(zm) ** 2))
+    lead = np.broadcast_shapes(zm.shape, z.shape, w.shape)[:-1]
+    # single points run through the same vector loops as stacks, whose
+    # complex products and powers can round differently from numpy scalars
+    zm, z, w = (np.atleast_2d(p) for p in (zm, z, w))
+    zz = np.sum(np.abs(z) ** 2, axis=-1)
+    ww = np.sum(np.abs(w) ** 2, axis=-1)
+    mm = np.sum(np.abs(zm) ** 2, axis=-1)
     numer = ((1.0 - ww) * (1.0 - zz) * (1.0 - mm)) ** (0.5 * (n + 1))
     phi_w = moebius(zm, w)
     denom = ((1.0 - inner(phi_w, z)) * (1.0 - inner(w, zm))) ** (n + 1)
-    value = complex(numer / denom)
-    bound = float(numer / ((1.0 - math.sqrt(zz))
-                           * (1.0 - math.sqrt(ww))) ** (n + 1))
-    return value, bound
+    value = numer / denom
+    bound = numer / ((1.0 - np.sqrt(zz)) * (1.0 - np.sqrt(ww))) ** (n + 1)
+    return value.reshape(lead), bound.reshape(lead)

@@ -239,12 +239,14 @@ class WitnessOperator:
 
 
 def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis,
-                     rule: QuadratureRule, *, two_route: bool = False,
-                     method: str = "auto") -> WitnessOperator:
+                     rule: QuadratureRule, *,
+                     two_route: bool = False) -> WitnessOperator:
     """Assemble S = [T_f, T_conj(f)]^2 and T = sum_m U_{z_m} S U_{z_m}*.
 
     The Toeplitz factor uses the banded fast path (exact for the witness
-    profile).  With two_route=True the identity
+    profile).  Each U_{z_m} comes from ``unitary_matrix``: exact entries
+    when n = 1 or zeta is a coordinate direction, else quadrature over
+    ``rule``.  With two_route=True the identity
     U_z [T_f, T_conj(f)] U_z* = [T_{f o phi_z}, T_{conj(f) o phi_z}]
     is probed per term by building the right side from composed symbols
     (quadrature route; informative at moderate |z_m| only).
@@ -255,8 +257,7 @@ def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis,
     s = c @ c
     seq = build_sequence(zeta, r, M)
     pts = seq.points()
-    unitaries = tuple(unitary_matrix(pts[m], basis, rule, method=method)
-                      for m in range(M))
+    unitaries = tuple(unitary_matrix(p, basis, rule) for p in pts)
     total = np.zeros_like(s.mat)
     for u in unitaries:
         total += (u @ s @ u.adjoint()).mat
@@ -290,13 +291,12 @@ def _top_eigvec(s: OperatorMatrix) -> tuple[float, np.ndarray]:
 
 
 def lemma3_lower_bound(T: OperatorMatrix, S: OperatorMatrix,
-                       seq: SeparatedSequence, basis: TruncatedBasis,
-                       rule: QuadratureRule, *,
-                       unitaries: tuple[OperatorMatrix, ...] | None = None,
-                       method: str = "auto") -> dict:
+                       unitaries: tuple[OperatorMatrix, ...]) -> dict:
     """Lower-bound check for the witness along the sequence.
 
-    With f_hat the top eigenvector of S, every pairing
+    ``unitaries`` holds the compressions U_{z_m} that built T, one per
+    sequence point (``WitnessOperator.unitaries``).  With f_hat the top
+    eigenvector of S, every pairing
     value_m = <T U_{z_m} f_hat, U_{z_m} f_hat> dominates
     <S V_m f_hat, V_m f_hat> with V_m = U_m* U_m (the other summands of T
     are positive), and the truncation tolerance
@@ -305,10 +305,6 @@ def lemma3_lower_bound(T: OperatorMatrix, S: OperatorMatrix,
     ||T U_{z_m} f_hat|| dominate c because the compressed unitaries are
     contractions.
     """
-    if unitaries is None:
-        pts = seq.points()
-        unitaries = tuple(unitary_matrix(pts[m], basis, rule, method=method)
-                          for m in range(len(seq)))
     lam, fhat = _top_eigvec(S)
     values, guaranteed, norms, unorms = [], [], [], []
     for u in unitaries:
@@ -326,7 +322,7 @@ def lemma3_lower_bound(T: OperatorMatrix, S: OperatorMatrix,
     lower_ok = values >= guaranteed - slack
     c = float(values.min())
     norm_ok = norms >= c - slack
-    offending = [int(m) for m in range(len(seq))
+    offending = [int(m) for m in range(len(unitaries))
                  if not (lower_ok[m] and norm_ok[m])]
     return {
         "lambda_max": lam,
@@ -361,8 +357,7 @@ class Prop1Config:
 
 
 def build_prop1_config(F: SphereSet, eps: float, rule: QuadratureRule,
-                       rng: np.random.Generator,
-                       pairs: int = 10_000) -> Prop1Config:
+                       rng: np.random.Generator) -> Prop1Config:
     """Realize the cutoff construction for a finite direction set F."""
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -383,6 +378,7 @@ def build_prop1_config(F: SphereSet, eps: float, rule: QuadratureRule,
         lambda pts: (F.min_dist(pts) < hi).astype(complex), rule)))
 
     n = F.n
+    pairs = 10_000
     # samples of cl(V2): within-eps/2 of F, inside the closed ball
     per = max(1, pairs // max(1, len(F)))
     zs = []
@@ -414,9 +410,8 @@ def build_prop1_config(F: SphereSet, eps: float, rule: QuadratureRule,
 def prop1_decay(g_symbols: list[Symbol], F1: SphereSet,
                 seq: SeparatedSequence, h: Expansion, h_sup: float,
                 cfg: Prop1Config, basis: TruncatedBasis,
-                rule: QuadratureRule, *, method: str = "auto",
-                decay_frac: float = 0.05, slope_rel: float = 0.10,
-                eta_quad_slack: float = 1e-8) -> dict:
+                rule: QuadratureRule, *, decay_frac: float = 0.05,
+                slope_rel: float = 0.10) -> dict:
     """Decay of ||T_{g1}..T_{gk} U_{z_m} h|| along the sequence.
 
     Checks, per product prefix (k <= 3): decay of the curve below
@@ -434,8 +429,7 @@ def prop1_decay(g_symbols: list[Symbol], F1: SphereSet,
             f"sequence point {int(bad[0])} is within eps of the direction set "
             f"(dist = {float(dists[bad[0]]):.6g} < {cfg.eps})")
 
-    unitaries = [unitary_matrix(pts[m], basis, rule, method=method)
-                 for m in range(len(seq))]
+    unitaries = [unitary_matrix(p, basis, rule) for p in pts]
     uh = [u.apply(h.coeffs) for u in unitaries]
 
     mats = [toeplitz_auto(g, basis, rule) for g in g_symbols[:3]]
@@ -448,8 +442,7 @@ def prop1_decay(g_symbols: list[Symbol], F1: SphereSet,
         curves.append(curve)
         decay_ok.append(bool(curve[-1] <= decay_frac * curve[0]))
 
-    one_minus = 1.0 - np.asarray([float(np.sum(np.abs(p) ** 2))
-                                  for p in pts])
+    one_minus = seq.gaps * (2.0 - seq.gaps)  # 1 - t_m^2 from the exact gaps
     factors = one_minus ** (0.5 * (n + 1))
 
     if len(cfg.f_set):
@@ -460,7 +453,7 @@ def prop1_decay(g_symbols: list[Symbol], F1: SphereSet,
         escape = np.asarray([math.sqrt(max(0.0, h_norm ** 2
                                            - float(np.linalg.norm(v)) ** 2))
                              for v in uh])
-        slack = eta_norm * escape + eta_quad_slack
+        slack = eta_norm * escape + 1e-8  # quadrature error of T_eta
         rhs = h_sup * math.sqrt(max(cfg.nu_v2, 0.0)) * factors / cfg.delta ** (n + 1)
         bound_ok = bool(np.all(lhs <= rhs + slack))
         eta_data = {"lhs": lhs.tolist(), "rhs": rhs.tolist(),
@@ -523,14 +516,9 @@ def default_panel(F1: SphereSet, r: float, n: int) -> list[Symbol]:
 def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
                           basis: TruncatedBasis, rule: QuadratureRule, *,
                           eps: float, rng: np.random.Generator,
-                          panel: list[Symbol] | None = None,
-                          method: str = "auto",
                           decay_M: int | None = None,
                           separation_factor: float = 10.0,
-                          decay_frac: float = 0.05,
-                          region_samples: int = 512,
-                          trace_samples: int = 200,
-                          approach: float = 0.999) -> dict:
+                          decay_frac: float = 0.05) -> dict:
     """The flagship experiment: witness floor against ideal-sample decay.
 
     Builds the witness along a direction of F2 far from F1, runs the
@@ -561,14 +549,13 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
             f"(best is {float(dists[best]):.6g})")
     zeta = F2.points[best]
 
-    witness = witness_operator(zeta, r, M, basis, rule, method=method)
-    lemma3 = lemma3_lower_bound(witness.T, witness.S, witness.seq, basis,
-                                rule, unitaries=witness.unitaries)
+    witness = witness_operator(zeta, r, M, basis, rule)
+    lemma3 = lemma3_lower_bound(witness.T, witness.S, witness.unitaries)
 
-    symbols = panel if panel is not None else default_panel(F1, r, n)
+    symbols = default_panel(F1, r, n)
 
     # panel symbols must vanish off W_{F1}
-    probe = sample_ball(n, region_samples, rng)
+    probe = sample_ball(n, 512, rng)
     outside = ~np.atleast_1d(in_region_W(F1, r, probe))
     vanish_max = 0.0
     for g in symbols:
@@ -582,15 +569,15 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     m2 = np.atleast_1d(in_region_W(F2, r, probe))
     monotone_violations = int(np.count_nonzero(m1 & ~m2))
 
-    trace1 = boundary_trace_check(F1, r, trace_samples, approach, rng)
-    trace2 = boundary_trace_check(F2, r, trace_samples, approach, rng)
+    trace1 = boundary_trace_check(F1, r, 200, 0.999, rng)
+    trace2 = boundary_trace_check(F2, r, 200, 0.999, rng)
 
     horizon = decay_M if decay_M is not None else max(M, 10)
     seq_decay = build_sequence(zeta, r, horizon)
     cfg = build_prop1_config(F1, eps, rule, rng)
     h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
     prop1 = prop1_decay(symbols, F1, seq_decay, h, 1.0, cfg, basis, rule,
-                        method=method, decay_frac=decay_frac)
+                        decay_frac=decay_frac)
 
     wnorms = np.asarray(lemma3["norms"])
     wcurve = (wnorms / wnorms[0]).tolist()

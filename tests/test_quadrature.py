@@ -104,14 +104,6 @@ def test_integrand_errors():
         integrate(lambda pts: np.ones(3), rule)
 
 
-def test_jobs_do_not_change_bits():
-    rule = build_rule(2, 16)
-    f = lambda pts: np.exp(pts[:, 0]) * np.conj(pts[:, 1]) ** 2
-    v1 = integrate(f, rule, jobs=1)
-    v4 = integrate(f, rule, jobs=4)
-    assert v1 == v4
-
-
 def test_piecewise_polynomial_exact_with_breaks():
     rule = build_rule(1, 20, radial_breaks=(0.25,))
     # f = (1 - |z|^2/0.25) on |z|^2 < 0.25: polynomial on each panel

@@ -249,9 +249,21 @@ class TestWeakPairing:
             zm = sample_ball(n, 1000, rng, 0.999)
             z = sample_ball(n, 1000, rng, 0.9)
             w = sample_ball(n, 1000, rng, 0.9)
+            v, b = weak_pairing_exact(zm, z, w)
+            assert np.all(np.abs(v) <= b + 1e-14)
+
+    def test_broadcast_matches_pointwise(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3):
+            zm = sample_ball(n, 1000, rng, 0.999)
+            z = sample_ball(n, 1000, rng, 0.9)
+            w = sample_ball(n, 1000, rng, 0.9)
+            v, b = weak_pairing_exact(zm, z, w)
+            assert v.shape == b.shape == (1000,)
             for i in range(1000):
-                v, b = weak_pairing_exact(zm[i], z[i], w[i])
-                assert abs(v) <= b + 1e-14
+                vi, bi = weak_pairing_exact(zm[i], z[i], w[i])
+                assert vi.shape == bi.shape == ()
+                assert vi == v[i] and bi == b[i], (n, i)
 
     def test_matrix_pairing_converges(self):
         zm, zp, wp = [0.6], [0.3], [0.2j]
@@ -268,12 +280,8 @@ class TestWeakPairing:
 
     def test_decay_along_separated_sequence(self):
         seq = build_sequence([1.0], 0.5, 8)
-        pts = seq.points()
-        vals, bounds = [], []
-        for m in range(8):
-            v, b = weak_pairing_exact(pts[m], [0.2], [0.1])
-            vals.append(abs(v))
-            bounds.append(b)
+        v, bounds = weak_pairing_exact(seq.points(), [0.2], [0.1])
+        vals = np.abs(v)
         assert all(a > b for a, b in zip(vals, vals[1:]))
         one_minus = 1.0 - seq.radii ** 2
         slope = np.polyfit(np.log(one_minus), np.log(bounds), 1)[0]

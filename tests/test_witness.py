@@ -197,8 +197,7 @@ class TestLemma3:
     def test_flagship_lower_bound(self, flagship):
         basis, rule = flagship
         w = witness_operator(e1(1), R, 5, basis, rule)
-        rep = lemma3_lower_bound(w.T, w.S, w.seq, basis, rule,
-                                 unitaries=w.unitaries)
+        rep = lemma3_lower_bound(w.T, w.S, w.unitaries)
         assert rep["ok"]
         assert rep["floor_c"] > 0
         assert abs(rep["lambda_max"] - R ** 16 / 324.0) < 1e-18
@@ -210,8 +209,7 @@ class TestLemma3:
     def test_single_term_value_close_to_lambda(self, flagship):
         basis, rule = flagship
         w = witness_operator(e1(1), R, 1, basis, rule)
-        rep = lemma3_lower_bound(w.T, w.S, w.seq, basis, rule,
-                                 unitaries=w.unitaries)
+        rep = lemma3_lower_bound(w.T, w.S, w.unitaries)
         assert rep["values"][0] >= rep["lambda_max"] - rep["tolerances"][0] \
             - 1e-18
         assert rep["tolerances"][0] < 1e-13
