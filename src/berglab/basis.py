@@ -154,8 +154,9 @@ def weighted_gram(basis: TruncatedBasis, rule: QuadratureRule,
                   values: np.ndarray) -> np.ndarray:
     """G[beta, alpha] = sum_i w_i values_i e_alpha(x_i) conj(e_beta(x_i)).
 
-    On a rule with a torus layout (``rule.torus``), node (p, k) has
-    e_alpha = rho_alpha(p) exp(i alpha.theta_k) with rho_alpha(p) real, so
+    Node (p, k) of the rule is moduli[p] exp(i theta_k) on a uniform
+    angle grid, so e_alpha = rho_alpha(p) exp(i alpha.theta_k) with
+    rho_alpha(p) real, and
 
         G[beta, alpha] = sum_p rho_beta(p) rho_alpha(p) F_p[beta - alpha]
 
@@ -164,23 +165,17 @@ def weighted_gram(basis: TruncatedBasis, rule: QuadratureRule,
     This is the same finite sum reordered, exact even when the angles
     alias 2 * degree.  It costs one FFT of the N values plus
     O(P B^2) for P slices and B basis elements, in O(N + P B) memory.
-    Other rules take the dense product E^H diag(w * values) E, in O(N B)
-    memory.
     """
-    weighted = rule.weights * values
-    layout = rule.torus
-    if layout is None:
-        emat = basis.eval(rule.nodes)
-        return emat.conj().T @ (weighted[:, None] * emat)
-    n, size, slices = basis.n, len(basis), len(layout.moduli)
-    spec = np.fft.fftn(layout.grid(weighted), axes=tuple(range(1, n + 1)))
+    n, size, slices = basis.n, len(basis), len(rule.moduli)
+    spec = np.fft.fftn(rule.grid(rule.weights * values),
+                       axes=tuple(range(1, n + 1)))
     # frequency-major, so a gather reads whole rows of P slice values
     spec = np.ascontiguousarray(spec.reshape(slices, -1).T)
-    rho = basis.eval(layout.moduli).real.T  # (B, P) at the angle-zero nodes
+    rho = basis.eval(rule.moduli).real.T  # (B, P) at the angle-zero nodes
     idx = np.asarray(basis.indices)
-    diff = (idx[:, None, :] - idx[None, :, :]) % layout.angular
+    diff = (idx[:, None, :] - idx[None, :, :]) % rule.angular
     freq = np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)),
-                                (layout.angular,) * n)
+                                (rule.angular,) * n)
     out = np.empty((size, size), dtype=complex)
     rows = max(1, _BLOCK // (slices * size))
     for start in range(0, size, rows):

@@ -5,40 +5,42 @@ dnu = 2n r^(2n-1) dr x dsigma with sigma the normalized surface measure,
 and the substitution t = r^2 turns the radial factor into n t^(n-1) dt,
 polynomial in t.
 
-Constructions:
-  n = 1   Gauss-Legendre in t = |z|^2 on [0, 1] times uniform angles.
-  n = 2   Gauss-Legendre in t times a Hopf product rule on the 3-sphere
-          (uniform angles in both torus directions, Gauss-Legendre in
-          x = sin^2 of the Hopf latitude).
-  n >= 3  Gauss-Legendre in t times seeded quasi-random sphere samples
-          (Sobol points pushed through the Gaussian inverse CDF); the
-          rule is flagged stochastic and reports exactness 0.
+One construction serves every dimension (the conical product rule of
+Stroud, Approximate Calculation of Multiple Integrals, 1971).  For a
+uniform point of the sphere, (|xi_1|^2, ..., |xi_n|^2) is uniform on the
+simplex; building it one coordinate at a time, coordinate k + 1 takes a
+Beta(1, k) share u of t and the earlier ones keep 1 - u.  The rule is
+
+  Gauss-Legendre in t = |z|^2 with weight n t^(n-1),
+  times Gauss-Legendre in each share u_k with weight k (1 - u_k)^(k-1),
+  times A = ``angular`` uniform angles per coordinate.
+
+At n = 1 that is the disk rule; at n = 2 the share is the Hopf latitude
+x = sin^2.  With p points per panel the rule is exact for degree
+min(2p - n, A - 1).
 
 Radial break points split the t-interval into panels so that piecewise
 polynomial radial factors (compactly supported symbol profiles) are
 integrated exactly.
 
-Node order is part of the contract of ``build_rule``.  For n <= 2 the
-nodes run over radial slices (t, then for n = 2 the Hopf latitude x)
-and, within a slice, over the angle grid theta_j = 2 pi k_j / angular
-with the last coordinate's angle fastest; the angle-zero node of a slice
-is real and carries the slice's moduli |z_j|.  ``QuadratureRule.torus``
-exposes that layout, after checking it against the nodes, so sums over
-the angles can be taken by FFT.  Rules without it (n >= 3, or nodes in
-another order) have ``torus = None``.
+Node order is part of the contract of ``build_rule``.  The nodes run
+over radial slices (t, then u_1, ..., u_{n-1}) and, within a slice, over
+the angle grid theta_j = 2 pi k_j / A with the last coordinate's angle
+fastest; the angle-zero node of a slice is real and carries the slice's
+moduli |z_j|.  ``QuadratureRule`` stores exactly that structure (slice
+moduli, slice weights, A), so sums over the angles can be taken by FFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
-__all__ = ["QuadratureRule", "TorusLayout", "build_rule", "rule_for_basis",
-           "integrate", "panel_gauss_legendre"]
+__all__ = ["QuadratureRule", "build_rule", "rule_for_basis", "integrate",
+           "panel_gauss_legendre"]
 
 _NEWTON_STEPS = 2  # the starting nodes are already within a few ulp
 
@@ -92,152 +94,82 @@ def panel_gauss_legendre(points_per_panel: int,
 
 
 @dataclass(frozen=True)
-class TorusLayout:
-    """Nodes on P radial slices times a uniform angle grid per coordinate.
-
-    Node (p, k) is moduli[p] * exp(2 pi i k / angular) coordinatewise,
-    k ranging over the angular**n grid points of slice p.
-    """
-
-    moduli: np.ndarray  # (P, n) real, the slice's |z_j|
-    angular: int
-
-    def grid(self, values: np.ndarray) -> np.ndarray:
-        """Per-node values as a (P, angular, ..., angular) array."""
-        n = self.moduli.shape[1]
-        return values.reshape((len(self.moduli),) + (self.angular,) * n)
-
-
-def _torus_layout(n: int, nodes: np.ndarray,
-                  angular: int) -> TorusLayout | None:
-    """The torus layout of ``nodes`` if they have it, else None."""
-    per_slice = angular ** n
-    if angular < 1 or len(nodes) % per_slice:
-        return None
-    grid = nodes.reshape(-1, per_slice, n)
-    base = grid[:, 0, :]
-    if np.any(base.imag != 0.0) or np.any(base.real < 0.0):
-        return None
-    phase = np.exp(2j * np.pi * np.arange(angular) / angular)
-    ks = np.indices((angular,) * n).reshape(n, -1)
-    tol = 8 * np.finfo(float).eps
-    for j in range(n):  # one coordinate at a time keeps temporaries at O(N)
-        expected = base[:, j].real[:, None] * phase[ks[j]][None, :]
-        if np.max(np.abs(grid[:, :, j] - expected)) > tol:
-            return None
-    return TorusLayout(moduli=base.real.copy(), angular=angular)
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights on the ball, with exactness metadata.
+    """A product rule on the ball: P radial slices times a torus of angles.
+
+    Slice p has real moduli ``moduli[p]`` = (|z_1|, ..., |z_n|) and weight
+    ``slice_weights[p]``; node (p, k) is moduli[p] * exp(2 pi i k / angular)
+    coordinatewise, k ranging over the angular**n grid points with the
+    last coordinate's angle fastest, and carries weight
+    slice_weights[p] / angular**n.  ``nodes`` and ``weights`` are derived
+    from that structure on first use.
 
     ``exactness_degree`` D means monomials z^alpha conj(z)^beta with
-    |alpha|, |beta| <= D are integrated exactly (up to roundoff).  Rules
-    with a stochastic spherical part report D = 0 and carry a warning
-    flag.
+    |alpha|, |beta| <= D are integrated exactly (up to roundoff).
     """
 
     n: int
-    nodes: np.ndarray    # (N, n) complex, strictly inside the ball
-    weights: np.ndarray  # (N,) positive, summing to 1
-    exactness_degree: int
+    moduli: np.ndarray         # (P, n) real, the slice's |z_j|
+    slice_weights: np.ndarray  # (P,) positive, summing to 1
     radial_points: int
     angular: int
-    seed: int | None = None
-    stochastic_sphere: bool = False
     radial_breaks: tuple[float, ...] = field(default=())
 
-    @cached_property
-    def torus(self) -> TorusLayout | None:
-        """The torus layout of the nodes, or None where they lack it.
+    # Reserved: rules are deterministic, so there is no seed to record.
+    seed: ClassVar[None] = None
 
-        Checked against the nodes themselves on first use, so a rule
-        rebuilt with its nodes in another order (dataclasses.replace)
-        cannot claim it.
-        """
-        if self.stochastic_sphere or self.n > 2:
-            return None
-        return _torus_layout(self.n, self.nodes, self.angular)
+    @property
+    def exactness_degree(self) -> int:
+        """Gauss-Legendre in t and in each simplex share is exact while
+        |alpha| <= 2p - n; the angles separate frequencies below A."""
+        return min(2 * self.radial_points - self.n, self.angular - 1)
+
+    def grid(self, values: np.ndarray) -> np.ndarray:
+        """Per-node values as a (P, angular, ..., angular) array."""
+        return values.reshape((len(self.moduli),) + (self.angular,) * self.n)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(N, n) complex nodes, strictly inside the ball."""
+        n, slices = self.n, len(self.moduli)
+        theta = 2.0 * np.pi * np.arange(self.angular) / self.angular
+        phase = np.exp(1j * theta)
+        out = np.empty((slices,) + (self.angular,) * n + (n,), dtype=complex)
+        for j in range(n):
+            axis = [1] * n
+            axis[j] = self.angular
+            out[..., j] = (self.moduli[:, j].reshape((slices,) + (1,) * n)
+                           * phase.reshape(axis))
+        return out.reshape(-1, n)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(N,) positive node weights, summing to 1."""
+        per_slice = self.angular ** self.n
+        return np.repeat(self.slice_weights / per_slice, per_slice)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.slice_weights) * self.angular ** self.n
 
     def meta(self) -> dict:
         return {
             "dimension": self.n,
-            "node_count": int(len(self.weights)),
+            "node_count": len(self),
             "exactness_degree": int(self.exactness_degree),
             "radial_points": int(self.radial_points),
             "angular": int(self.angular),
-            "seed": self.seed,
-            "stochastic_sphere": bool(self.stochastic_sphere),
             "radial_breaks": list(self.radial_breaks),
             "weight_sum": float(np.sum(self.weights)),
         }
 
 
-def _disk_rule(radial_points: int, angular: int,
-               breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, int]:
-    t, wt = panel_gauss_legendre(radial_points, breaks)
-    theta = 2.0 * np.pi * np.arange(angular) / angular
-    radii = np.sqrt(t)
-    nodes = (radii[:, None] * np.exp(1j * theta)[None, :]).reshape(-1, 1)
-    weights = np.repeat(wt / angular, angular)
-    exact = min(2 * radial_points - 1, angular - 1)
-    return nodes, weights, exact
-
-
-def _hopf_rule(radial_points: int, angular: int,
-               breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, int]:
-    t, wt = panel_gauss_legendre(radial_points, breaks)
-    wt = wt * 2.0 * t  # radial factor n t^(n-1) dt, n = 2
-    x, wx = panel_gauss_legendre(radial_points, ())
-    th = 2.0 * np.pi * np.arange(angular) / angular
-    phase = np.exp(1j * th)
-
-    rad = np.sqrt(t)
-    c1 = np.sqrt(1.0 - x)
-    c2 = np.sqrt(x)
-    # node (sqrt(t(1-x)) e^{i th1}, sqrt(t x) e^{i th2}), weight product
-    z1 = (rad[:, None, None, None] * c1[None, :, None, None]
-          * phase[None, None, :, None])
-    z2 = (rad[:, None, None, None] * c2[None, :, None, None]
-          * phase[None, None, None, :])
-    z1 = np.broadcast_to(z1, (len(t), len(x), angular, angular))
-    z2 = np.broadcast_to(z2, (len(t), len(x), angular, angular))
-    nodes = np.stack([z1.ravel(), z2.ravel()], axis=1)
-    weights = (wt[:, None, None, None] * wx[None, :, None, None]
-               * np.full((angular, angular), angular ** -2.0)[None, None])
-    weights = weights.ravel()
-    exact = min(2 * radial_points - 2, angular - 1)
-    return nodes, weights, exact
-
-
-def _sphere_sample_rule(n: int, radial_points: int, count: int, seed: int,
-                        breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, int]:
-    t, wt = panel_gauss_legendre(radial_points, breaks)
-    wt = wt * n * t ** (n - 1)
-    sob = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
-    u = sob.random(count)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = ndtri(u)
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    xi = g[:, :n] + 1j * g[:, n:]
-    rad = np.sqrt(t)
-    nodes = (rad[:, None, None] * xi[None, :, :]).reshape(-1, n)
-    weights = np.repeat(wt / count, count)
-    return nodes, weights, 0
-
-
 def build_rule(n: int, radial_points: int, angular: int | None = None,
-               seed: int | None = None,
                radial_breaks: tuple[float, ...] = ()) -> QuadratureRule:
-    """Build a quadrature rule for the complex n-ball.
+    """Build the product rule for the complex n-ball.
 
-    ``angular`` is the number of uniform angles per torus circle for
-    n <= 2, and the number of quasi-random sphere samples for n >= 3
-    (where ``seed`` controls the sampling and is required).
+    ``radial_points`` Gauss-Legendre points per panel in t = |z|^2 and in
+    each simplex share, ``angular`` uniform angles per coordinate
+    (default 4p for n = 1, 2p + 1 otherwise).
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -246,46 +178,42 @@ def build_rule(n: int, radial_points: int, angular: int | None = None,
     breaks = tuple(sorted(set(float(b) for b in radial_breaks)))
     if any(not 0.0 < b < 1.0 for b in breaks):
         raise ValueError(f"radial breaks must lie in (0, 1): {breaks}")
+    if angular is None:
+        angular = 4 * radial_points if n == 1 else 2 * radial_points + 1
 
-    stochastic = False
-    if n == 1:
-        angular = angular if angular is not None else 4 * radial_points
-        nodes, weights, exact = _disk_rule(radial_points, angular, breaks)
-    elif n == 2:
-        angular = angular if angular is not None else 2 * radial_points + 1
-        nodes, weights, exact = _hopf_rule(radial_points, angular, breaks)
-    else:
-        angular = angular if angular is not None else 4096
-        seed = 0 if seed is None else seed
-        nodes, weights, exact = _sphere_sample_rule(
-            n, radial_points, angular, seed, breaks)
-        stochastic = True
+    t, wt = panel_gauss_legendre(radial_points, breaks)
+    radius = np.sqrt(t)
+    moduli = radius[:, None]
+    slice_weights = wt * n * t ** (n - 1)  # radial factor n t^(n-1) dt
+    u, wu = panel_gauss_legendre(radial_points)
+    for k in range(1, n):
+        # coordinate k + 1 takes a Beta(1, k) share u of t, the others 1 - u
+        share = wu * k * (1.0 - u) ** (k - 1)
+        head = moduli[:, None, :] * np.sqrt(1.0 - u)[None, :, None]
+        tail = radius[:, None, None] * np.sqrt(u)[None, :, None]
+        moduli = np.concatenate([head, tail], axis=2).reshape(-1, k + 1)
+        radius = np.repeat(radius, len(u))
+        slice_weights = (slice_weights[:, None] * share[None, :]).ravel()
 
     return QuadratureRule(
-        n=n, nodes=nodes, weights=weights, exactness_degree=exact,
-        radial_points=radial_points, angular=angular, seed=seed,
-        stochastic_sphere=stochastic, radial_breaks=breaks)
+        n=n, moduli=moduli, slice_weights=slice_weights,
+        radial_points=radial_points, angular=angular, radial_breaks=breaks)
 
 
-def rule_for_basis(n: int, degree: int, *, margin: int = 4,
-                   seed: int | None = None,
+def rule_for_basis(n: int, degree: int, *, seed: int | None = None,
                    radial_breaks: tuple[float, ...] = ()) -> QuadratureRule:
     """A rule whose exactness covers Toeplitz entries at basis ``degree``.
 
-    Targets exactness 2*degree + margin, enough for products of two basis
-    elements and a polynomial symbol factor.
+    Targets exactness 2*degree + 4, enough for products of two basis
+    elements and a polynomial symbol factor.  ``seed`` is reserved: it is
+    accepted and ignored, since every rule is deterministic.
     """
-    target = 2 * degree + margin
+    target = 2 * degree + 4
+    p = (target + n + 1) // 2
+    angular = target + 1
     if n == 1:
-        p = (target + 2) // 2
-        return build_rule(n, max(p, 12), angular=max(target + 1, 64),
-                          seed=seed, radial_breaks=radial_breaks)
-    if n == 2:
-        p = (target + 3) // 2
-        return build_rule(n, p, angular=target + 1, seed=seed,
-                          radial_breaks=radial_breaks)
-    p = (target + 2) // 2
-    return build_rule(n, p, seed=seed, radial_breaks=radial_breaks)
+        p, angular = max(p, 12), max(angular, 64)
+    return build_rule(n, p, angular=angular, radial_breaks=radial_breaks)
 
 
 def integrate(f, rule: QuadratureRule) -> complex:

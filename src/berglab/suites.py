@@ -243,7 +243,7 @@ def run_basis(cfg: ExperimentConfig) -> dict:
     payload: dict = {}
 
     basis1 = TruncatedBasis.create(1, 12)
-    rule1 = rule_for_basis(1, 12, seed=cfg.seed)
+    rule1 = rule_for_basis(1, 12)
     gram = weighted_gram(basis1, rule1, np.ones(len(rule1)))
     defect1 = float(np.max(np.abs(gram - np.eye(len(basis1)))))
     checks.append(check("gram_identity_n1_d12",
@@ -251,7 +251,7 @@ def run_basis(cfg: ExperimentConfig) -> dict:
                         cfg.tol("gram_defect_n1")))
 
     basis2 = TruncatedBasis.create(2, 8)
-    rule2 = rule_for_basis(2, 8, seed=cfg.seed)
+    rule2 = rule_for_basis(2, 8)
     gram2 = weighted_gram(basis2, rule2, np.ones(len(rule2)))
     defect2 = float(np.max(np.abs(gram2 - np.eye(len(basis2)))))
     checks.append(check("gram_identity_n2_d8",
@@ -342,7 +342,7 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     checks = []
     r = cfg.r
     basis = TruncatedBasis.create(1, 12)
-    rule = rule_for_basis(1, 12, seed=cfg.seed, radial_breaks=(r * r,))
+    rule = rule_for_basis(1, 12, radial_breaks=(r * r,))
 
     t_one = toeplitz_matrix(Symbol.constant(1.0), basis, rule)
     id_err = float(np.max(np.abs(t_one.mat - np.eye(len(basis)))))
@@ -380,7 +380,7 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
 
     # also in two variables (band entries carry sphere moments there)
     basis2 = TruncatedBasis.create(2, 6)
-    rule2 = rule_for_basis(2, 6, seed=cfg.seed, radial_breaks=(r * r,))
+    rule2 = rule_for_basis(2, 6, radial_breaks=(r * r,))
     wit2_gen = toeplitz_matrix(wit, basis2, rule2)
     wit2_fast = toeplitz_monomial_radial(0, wit.profile, basis2, support=r)
     band2_err = float(np.max(np.abs(wit2_gen.mat - wit2_fast.mat)))
@@ -456,8 +456,7 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
     z_half = np.array([0.5 + 0.0j])
     f_sq = Symbol.radial(lambda u: u ** 2, 1.0, label="|z|^2")
 
-    rule = build_rule(1, cfg.radial_points, angular=cfg.angular,
-                      seed=cfg.seed)
+    rule = build_rule(1, cfg.radial_points, angular=cfg.angular)
     unit_defects = []
     conj_defects = []
     for d in sweep:
@@ -571,8 +570,7 @@ def run_witness(cfg: ExperimentConfig) -> dict:
     two_route = {}
     for d in sweep:
         basis = TruncatedBasis.create(cfg.n, d)
-        rule = rule_for_basis(cfg.n, d, seed=cfg.seed,
-                              radial_breaks=(r * r,))
+        rule = rule_for_basis(cfg.n, d, radial_breaks=(r * r,))
         wop = witness_operator(zeta, r, cfg.M, basis, rule,
                                two_route=(d == max(sweep) or d == min(sweep)))
         rep = lemma3_lower_bound(wop.T, wop.S, wop.unitaries)
@@ -599,11 +597,7 @@ def run_witness(cfg: ExperimentConfig) -> dict:
     checks.append(check("two_route_defect_shrinks_m1", route_ok,
                         first_defects))
 
-    # PSD of S itself at the flagship degree
-    basis = TruncatedBasis.create(cfg.n, max(sweep))
-    rule = rule_for_basis(cfg.n, max(sweep), seed=cfg.seed,
-                          radial_breaks=(r * r,))
-    wop = witness_operator(zeta, r, cfg.M, basis, rule)
+    # PSD of S itself at the flagship degree: the sweep ends there
     s_min = float(np.linalg.eigvalsh(wop.S.mat).min())
     checks.append(check("s_positive_semidefinite",
                         s_min >= -cfg.tol("psd_floor"), s_min))
@@ -640,7 +634,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
 
     # one-dimensional compact-support panel over the long sequence
     basis = TruncatedBasis.create(1, 12)
-    rule = rule_for_basis(1, 12, seed=cfg.seed, radial_breaks=(r * r,))
+    rule = rule_for_basis(1, 12, radial_breaks=(r * r,))
     F_empty = SphereSet.create([], n=1)
     seq = build_sequence(np.array([1.0 + 0j]), r, cfg.decay_M)
     cfg1 = build_prop1_config(F_empty, cfg.eps, rule, rng)
@@ -657,7 +651,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
 
     # two dimensions: nonempty direction set, real cutoff bound
     basis2 = TruncatedBasis.create(2, 8)
-    rule2 = rule_for_basis(2, 8, seed=cfg.seed, radial_breaks=(r * r,))
+    rule2 = rule_for_basis(2, 8, radial_breaks=(r * r,))
     F1 = SphereSet.create([[0.0 + 0j, 1.0 + 0j]])
     seq2 = build_sequence(np.array([1.0 + 0j, 0.0 + 0j]), r, 8)
     cfg2 = build_prop1_config(F1, cfg.eps, rule2, rng)
@@ -694,8 +688,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
 def run_separate(cfg: ExperimentConfig) -> dict:
     rng = _rng(cfg, 6)
     basis = TruncatedBasis.create(cfg.n, cfg.degree)
-    rule = rule_for_basis(cfg.n, cfg.degree, seed=cfg.seed,
-                          radial_breaks=(cfg.r * cfg.r,))
+    rule = rule_for_basis(cfg.n, cfg.degree, radial_breaks=(cfg.r * cfg.r,))
     F1 = SphereSet.create(cfg.f1_vecs, n=cfg.n)
     F2 = SphereSet.create(cfg.f2_vecs, n=cfg.n)
     rep = separation_experiment(

@@ -3,14 +3,13 @@
 A Toeplitz operator with bounded symbol f acts by multiply-then-project;
 its compression to the truncated basis has entries <f e_alpha, e_beta>,
 the quadrature sum over the rule's nodes of w f e_alpha conj(e_beta).
-On the disk and Hopf rules the nodes are radial slices times uniform
-angles on each torus circle, and e_alpha = rho_alpha(|z|) e^{i alpha.theta}
-with rho_alpha real, so the angular part of that sum is a DFT: the
-entry is sum over slices of rho_alpha rho_beta times the (beta - alpha)-th
-FFT coefficient of w f on the slice (``basis.weighted_gram``).  It is the
-same finite sum in another order, not an approximation, and it holds
-even when the angles alias.  Rules without that layout (the stochastic
-n >= 3 sphere samples) sum E^H diag(w f) E directly.
+Every rule's nodes are radial slices times uniform angles on each torus
+circle, and e_alpha = rho_alpha(|z|) e^{i alpha.theta} with rho_alpha
+real, so the angular part of that sum is a DFT: the entry is sum over
+slices of rho_alpha rho_beta times the (beta - alpha)-th FFT coefficient
+of w f on the slice (``basis.weighted_gram``).  It is the same finite
+sum in another order, not an approximation, and it holds even when the
+angles alias.
 
 Two structured fast paths bypass quadrature:
 
@@ -172,16 +171,15 @@ def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
                     rule: QuadratureRule) -> OperatorMatrix:
     """Compression of the Toeplitz operator: entries <f e_alpha, e_beta>.
 
-    The symbol is evaluated once at the N rule nodes.  On a rule with a
-    torus layout (P radial slices, B basis elements) the matrix costs one
-    FFT of those N values plus O(P B^2), in O(N + P B) memory; otherwise
-    it is the dense product E^H diag(w f) E, O(N B^2) time and O(N B)
-    memory.  Rule exactness below twice the basis degree leaves polynomial
-    symbol entries inexact; such calls are flagged with a warning.
+    The symbol is evaluated once at the N rule nodes.  With P radial
+    slices and B basis elements the matrix costs one FFT of those N
+    values plus O(P B^2), in O(N + P B) memory.  Rule exactness below
+    twice the basis degree leaves polynomial symbol entries inexact; such
+    calls are flagged with a warning.
     """
     if rule.n != basis.n:
         raise ValueError("rule and basis dimensions differ")
-    if not rule.stochastic_sphere and rule.exactness_degree < 2 * basis.degree:
+    if rule.exactness_degree < 2 * basis.degree:
         warnings.warn(
             f"rule exactness {rule.exactness_degree} is below twice the "
             f"basis degree {basis.degree}; entries may be inexact",

@@ -1,6 +1,10 @@
 """Tests for configuration handling, report emission and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +114,12 @@ class TestCli:
         h1 = json.loads((out1 / "sequence.json").read_text())["config_sha256"]
         h2 = json.loads((out2 / "sequence.json").read_text())["config_sha256"]
         assert h1 != h2
+
+    def test_import_needs_only_numpy(self):
+        # a fresh interpreter, so modules imported by other tests don't count
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, berglab.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"

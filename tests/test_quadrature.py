@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from berglab.basis import monomial_norm, multi_indices
 from berglab.quadrature import (build_rule, integrate, panel_gauss_legendre,
                                 rule_for_basis)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weights_normalized_and_nodes_inside(n):
-    rule = build_rule(n, 20, seed=0)
+    rule = build_rule(n, 20 if n < 3 else 6)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
     assert np.all(rule.weights > 0)
     assert np.all(np.linalg.norm(rule.nodes, axis=1) < 1.0)
@@ -77,22 +78,26 @@ def test_hopf_diagonal_moment():
     assert abs(val - 1.0 / 3.0) < 1e-13
 
 
-def test_seeded_sphere_rule_reproducible():
-    r1 = build_rule(3, 10, angular=512, seed=42)
-    r2 = build_rule(3, 10, angular=512, seed=42)
-    assert np.array_equal(r1.nodes, r2.nodes)
-    assert np.array_equal(r1.weights, r2.weights)
-    assert r1.stochastic_sphere
-    assert r1.exactness_degree == 0  # honest: sphere part is sampled
-    r3 = build_rule(3, 10, angular=512, seed=43)
-    assert not np.array_equal(r1.nodes, r3.nodes)
+# (p, angular) per dimension: exactness min(2p - n, angular - 1)
+_MOMENT_RULES = {1: (8, 16), 2: (6, 10), 3: (4, 7)}
 
 
-def test_sphere_sample_rule_rough_accuracy():
-    rule = build_rule(3, 16, angular=4096, seed=1)
-    val = integrate(lambda pts: np.abs(pts[:, 0]) ** 2, rule)
-    # exact value 1/4; quasi-random spherical average is approximate
-    assert abs(val - 0.25) < 5e-3
+@pytest.mark.parametrize("breaks", [(), (0.36,)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_moments_exact(n, breaks):
+    # integral of z^alpha conj(z)^beta is delta_{alpha beta} n! alpha! /
+    # (n + |alpha|)! for every |alpha|, |beta| <= exactness_degree
+    p, angular = _MOMENT_RULES[n]
+    rule = build_rule(n, p, angular=angular, radial_breaks=breaks)
+    degree = rule.exactness_degree
+    assert degree == min(2 * p - n, angular - 1)
+    alphas = multi_indices(n, degree)
+    mono = np.ones((len(rule), len(alphas)), dtype=complex)
+    for j in range(n):
+        mono *= rule.nodes[:, j][:, None] ** np.array([a[j] for a in alphas])
+    got = mono.conj().T @ (rule.weights[:, None] * mono)
+    expect = np.diag([monomial_norm(a, n) ** 2 for a in alphas])
+    assert np.max(np.abs(got - expect)) <= 1e-14
 
 
 def test_integrand_errors():

@@ -1,7 +1,5 @@
 """Tests for Toeplitz matrices, fast paths, commutators, operator norms."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -203,9 +201,15 @@ def _mixed_symbol(n: int) -> Symbol:
 
 
 def _dense_reference(f: Symbol, basis, rule) -> np.ndarray:
-    """E^H diag(w f) E straight from the basis values at every node."""
-    emat = basis.eval(rule.nodes)
-    return emat.conj().T @ ((rule.weights * f(rule.nodes))[:, None] * emat)
+    """E^H diag(w f) E straight from the basis values at every node,
+    summed over chunks of nodes to bound the memory of E."""
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for start in range(0, len(rule), 1 << 16):
+        nodes = rule.nodes[start:start + (1 << 16)]
+        emat = basis.eval(nodes)
+        wf = rule.weights[start:start + (1 << 16)] * f(nodes)
+        out += emat.conj().T @ (wf[:, None] * emat)
+    return out
 
 
 def _max_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -215,13 +219,12 @@ def _max_diff(a: np.ndarray, b: np.ndarray) -> float:
 class TestTorusAssembly:
     """The FFT route over the torus angles is the dense sum reordered."""
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("degree", [0, 3, 8])
+    @pytest.mark.parametrize("degree, n", [
+        (0, 1), (0, 2), (0, 3), (3, 1), (3, 2), (3, 3), (8, 1), (8, 2)])
     @pytest.mark.parametrize("breaks", [(), (0.36,)])
     def test_matches_dense_reference(self, n, degree, breaks):
         basis = TruncatedBasis.create(n, degree)
         rule = rule_for_basis(n, degree, radial_breaks=breaks)
-        assert rule.torus is not None
         f = _mixed_symbol(n)
         got = toeplitz_matrix(f, basis, rule).mat
         assert _max_diff(got, _dense_reference(f, basis, rule)) <= 1e-14
@@ -231,37 +234,9 @@ class TestTorusAssembly:
         # angular <= 2d: frequencies beta - alpha wrap around the grid
         basis = TruncatedBasis.create(n, 8)
         rule = build_rule(n, 10, angular=angular)
-        assert rule.torus is not None
         f = _mixed_symbol(n)
         with pytest.warns(UserWarning, match="exactness"):
             got = toeplitz_matrix(f, basis, rule).mat
-        assert _max_diff(got, _dense_reference(f, basis, rule)) <= 1e-14
-
-    def test_stochastic_rule_uses_dense_product(self):
-        basis = TruncatedBasis.create(3, 3)
-        rule = build_rule(3, 4, angular=256, seed=5)
-        assert rule.torus is None
-        f = _mixed_symbol(3)
-        got = toeplitz_matrix(f, basis, rule).mat
-        assert _max_diff(got, _dense_reference(f, basis, rule)) <= 1e-14
-
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("keep_angle_zero", [False, True])
-    def test_reordered_nodes_lose_the_layout(self, n, keep_angle_zero):
-        basis = TruncatedBasis.create(n, 3)
-        rule = rule_for_basis(n, 3, radial_breaks=(0.36,))
-        rng = np.random.default_rng(7)
-        if keep_angle_zero:  # shuffle each slice's angles past its head
-            perm = np.arange(len(rule)).reshape(-1, rule.angular ** n)
-            perm[:, 1:] = rng.permuted(perm[:, 1:], axis=1)
-            perm = perm.ravel()
-        else:
-            perm = rng.permutation(len(rule))
-        shuffled = dataclasses.replace(rule, nodes=rule.nodes[perm],
-                                       weights=rule.weights[perm])
-        assert shuffled.torus is None
-        f = _mixed_symbol(n)
-        got = toeplitz_matrix(f, basis, shuffled).mat
         assert _max_diff(got, _dense_reference(f, basis, rule)) <= 1e-14
 
     def test_projection_is_the_constant_column(self):
