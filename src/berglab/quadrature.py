@@ -34,7 +34,7 @@ moduli, slice weights, A), so sums over the angles can be taken by FFT.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -53,6 +53,7 @@ def _legendre_with_derivative(p: int, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return cur, p * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
 
 
+@lru_cache(maxsize=None)
 def _gauss_legendre(p: int) -> tuple[np.ndarray, np.ndarray]:
     """p-point Gauss-Legendre rule on [-1, 1] with weights accurate to roundoff.
 
@@ -62,6 +63,7 @@ def _gauss_legendre(p: int) -> tuple[np.ndarray, np.ndarray]:
     (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The recurrence runs
     in extended precision where the platform has it: in float64 its
     rounding biases the weights by ~2 ulp, which shows in high moments.
+    Memoised; the returned arrays are shared, so they are read-only.
     """
     x, _ = np.polynomial.legendre.leggauss(p)
     x = x.astype(np.longdouble)
@@ -70,7 +72,9 @@ def _gauss_legendre(p: int) -> tuple[np.ndarray, np.ndarray]:
         x = x - val / der
     _, der = _legendre_with_derivative(p, x)
     w = 2.0 / ((1.0 - x) * (1.0 + x) * der * der)
-    return x.astype(float), w.astype(float)
+    x, w = x.astype(float), w.astype(float)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def panel_gauss_legendre(points_per_panel: int,

@@ -628,7 +628,6 @@ def run_witness(cfg: ExperimentConfig) -> dict:
 # -------------------------------------------------------------------- prop1
 
 def run_prop1(cfg: ExperimentConfig) -> dict:
-    rng = _rng(cfg, 5)
     checks = []
     r = cfg.r
 
@@ -637,7 +636,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     rule = rule_for_basis(1, 12, radial_breaks=(r * r,))
     F_empty = SphereSet.create([], n=1)
     seq = build_sequence(np.array([1.0 + 0j]), r, cfg.decay_M)
-    cfg1 = build_prop1_config(F_empty, cfg.eps, rule, rng)
+    cfg1 = build_prop1_config(F_empty, cfg.eps, rule)
     h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
     panel = default_panel(F_empty, r, 1)
     rep1 = prop1_decay(panel, F_empty, seq, h, 1.0, cfg1, basis, rule,
@@ -654,7 +653,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     rule2 = rule_for_basis(2, 8, radial_breaks=(r * r,))
     F1 = SphereSet.create([[0.0 + 0j, 1.0 + 0j]])
     seq2 = build_sequence(np.array([1.0 + 0j, 0.0 + 0j]), r, 8)
-    cfg2 = build_prop1_config(F1, cfg.eps, rule2, rng)
+    cfg2 = build_prop1_config(F1, cfg.eps, rule2)
     h2 = Expansion(basis2, np.eye(len(basis2), dtype=complex)[:, 0])
     panel2 = default_panel(F1, r, 2)
     rep2 = prop1_decay(panel2, F1, seq2, h2, 1.0, cfg2, basis2, rule2,

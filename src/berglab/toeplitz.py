@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -107,10 +107,12 @@ class Symbol:
                       kind="region_indicator", label=label)
 
     def conjugate(self) -> "Symbol":
+        """The symbol conj(f), sampled: the structured fast paths hold the
+        profile of f, not of conj(f), so the structure is dropped."""
         f = self.fn
-        sym = replace(self, fn=lambda pts: np.conj(f(pts)),
-                      label=f"conj({self.label})" if self.label else "")
-        return sym
+        return Symbol.sampled(lambda pts: np.conj(f(pts)),
+                              self.sup_norm_bound,
+                              label=f"conj({self.label})" if self.label else "")
 
     def compose_moebius(self, z) -> "Symbol":
         """The symbol f o phi_z (same sup-norm bound, generic kind)."""
@@ -212,13 +214,6 @@ def _profile_integrals(profile, n: int, max_k: int,
     return (w * g) @ powers
 
 
-def _log_sphere_moment(alpha: tuple[int, ...], n: int) -> float:
-    """log of the normalized sphere moment (n-1)! alpha! / (n-1+|alpha|)!."""
-    return (math.lgamma(n)
-            + sum(math.lgamma(a + 1) for a in alpha)
-            - math.lgamma(n + sum(alpha)))
-
-
 def toeplitz_radial(profile, basis: TruncatedBasis,
                     support: float | None = None) -> OperatorMatrix:
     """Fast path for radial symbols f(z) = g(|z|): diagonal matrix with
@@ -234,8 +229,10 @@ def toeplitz_monomial_radial(coordinate: int, profile, basis: TruncatedBasis,
                              support: float | None = None) -> OperatorMatrix:
     """Fast path for f(z) = z_j g(|z|): single band beta = alpha + e_j.
 
-    The entry at (beta, alpha) is n I_{|beta|} c_beta / (||z^alpha|| ||z^beta||)
-    with c_beta the normalized sphere moment of |xi^beta|^2.
+    The entry at (beta, alpha) is <f e_alpha, e_beta> = (n + |beta|)
+    I_{|beta|} ||z^beta|| / ||z^alpha||, and the norm ratio is
+    ||z^beta||^2 / ||z^alpha||^2 = (alpha_j + 1) / (n + |alpha| + 1), so
+    the entry is I_{|alpha|+1} sqrt((n + |alpha| + 1)(alpha_j + 1)).
     """
     n = basis.n
     if not 0 <= coordinate < n:
@@ -246,13 +243,11 @@ def toeplitz_monomial_radial(coordinate: int, profile, basis: TruncatedBasis,
     for i, alpha in enumerate(basis.indices):
         beta = list(alpha)
         beta[coordinate] += 1
-        beta = tuple(beta)
-        j = pos.get(beta)
+        j = pos.get(tuple(beta))
         if j is None:
             continue  # band exits the truncation at top degree
-        log_c = _log_sphere_moment(beta, n)
-        norm_prod = basis.norms[i] * basis.norms[j]
-        mat[j, i] = n * integrals[sum(beta)] * math.exp(log_c) / norm_prod
+        k = sum(alpha) + 1
+        mat[j, i] = integrals[k] * math.sqrt((n + k) * beta[coordinate])
     return OperatorMatrix(basis, mat)
 
 

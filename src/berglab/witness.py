@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Expansion, TruncatedBasis
-from .geometry import (as_point, inner, pseudo_metric, random_sphere_points,
+from .geometry import (as_point, pseudo_metric, random_sphere_points,
                        sample_ball)
 from .quadrature import QuadratureRule, integrate
 from .sequences import SeparatedSequence, build_sequence
@@ -46,10 +46,6 @@ __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "WitnessOperator", "witness_operator", "lemma3_lower_bound",
            "Prop1Config", "build_prop1_config", "prop1_decay", "default_panel",
            "separation_experiment"]
-
-_GOLDEN_ITERS = 60        # interval shrinks to ~4e-13 of [0, 1]
-_T_UPPER = 1.0 - 1e-9     # search interval for the ray parameter
-
 
 @dataclass(frozen=True)
 class SphereSet:
@@ -93,54 +89,28 @@ class SphereSet:
         return bool(np.all(self.min_dist(other.points) <= tol))
 
 
-def _ray_rho_profile(z: np.ndarray, zetas: np.ndarray,
-                     t: np.ndarray) -> np.ndarray:
-    """rho(z_b, t_{b,k} zeta_k) for batched points, directions and radii.
-
-    Shapes: z (B, n), zetas (K, n), t (B, K) -> (B, K).
-    """
-    zz = np.sum(np.abs(z) ** 2, axis=1)[:, None]
-    c = z @ zetas.conj().T  # (B, K)
-    ratio = (1.0 - zz) * (1.0 - t * t) / np.abs(1.0 - t * c) ** 2
-    return np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
-
-
 def region_infimum(F: SphereSet, z) -> np.ndarray:
-    """inf over zeta in F and t in (0, 1) of rho(z, t zeta); |z| when F is
+    """inf over zeta in F and t in [0, 1) of rho(z, t zeta); |z| when F is
     empty (distance to the center of E(0, r)).
 
-    The inner infimum over t is found by golden-section search on
-    [0, 1 - 1e-9] (the profile is smooth in t), refined below 1e-10.
+    The ray infimum is attained in closed form.  With c = <z, zeta> and
+    s = 1 + |c|^2, 1 - rho(z, t zeta)^2 = (1 - |z|^2) (1 - t^2) / |1 - t c|^2
+    and its t-derivative vanishes where Re(c) t^2 - s t + Re(c) = 0.  When
+    Re c > 0 the root in (0, 1) is
+    t* = 2 Re c / (s + sqrt((s - 2 Re c)(s + 2 Re c))), and it maximises
+    1 - rho^2 since the derivative is positive at t = 0; when Re c <= 0 the
+    derivative is nonpositive on [0, 1) and the infimum is rho(z, 0) = |z|.
+    Here s - 2 Re c = |1 - c|^2 and s + 2 Re c = |1 + c|^2.
     """
     z = np.atleast_2d(as_point(z, name="z"))
     if len(F) == 0:
         return np.linalg.norm(z, axis=1)
-    zetas = F.points
-    B, K = z.shape[0], len(F)
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.zeros((B, K))
-    b = np.full((B, K), _T_UPPER)
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1 = _ray_rho_profile(z, zetas, x1)
-    f2 = _ray_rho_profile(z, zetas, x2)
-    for _ in range(_GOLDEN_ITERS):
-        take = f1 < f2  # keep [a, x2], else keep [x1, b]
-        b = np.where(take, x2, b)
-        a = np.where(take, a, x1)
-        x1_new = np.where(take, b - inv * (b - a), x2)
-        x2_new = np.where(take, x1, a + inv * (b - a))
-        fresh = _ray_rho_profile(z, zetas, np.where(take, x1_new, x2_new))
-        f1, f2 = (np.where(take, fresh, f2),
-                  np.where(take, f1, fresh))
-        x1, x2 = x1_new, x2_new
-    mid = 0.5 * (a + b)
-    fmid = _ray_rho_profile(z, zetas, mid)
-    best = np.minimum(np.minimum(f1, f2), fmid)
-    # the endpoint t -> 0 participates: rho(z, 0) = |z|
-    zero = np.linalg.norm(z, axis=1)[:, None]
-    best = np.minimum(best, np.broadcast_to(zero, best.shape))
-    return best.min(axis=1)
+    c = z @ F.points.conj().T  # (B, K)
+    re_c = np.maximum(c.real, 0.0)
+    s = 1.0 + np.abs(c) ** 2
+    t = 2.0 * re_c / (s + np.abs(1.0 - c) * np.abs(1.0 + c))
+    rho = pseudo_metric(z[:, None, :], t[..., None] * F.points[None, :, :])
+    return rho.min(axis=1)
 
 
 def in_region_W(F: SphereSet, r: float, z) -> np.ndarray:
@@ -344,9 +314,11 @@ class Prop1Config:
     """Cutoff data for the decay bound along a sequence avoiding F.
 
     eta is 1 on the eps/3-neighborhood of F, 0 outside the eps/2-
-    neighborhood, linear in Euclidean distance between; delta lower-bounds
-    |1 - <z, w>| for z near F and w far from F; nu_v2 is the measure of
-    the eps/2-neighborhood within the ball.
+    neighborhood, linear in Euclidean distance between; nu_v2 is the
+    measure of the eps/2-neighborhood within the ball.  delta is the
+    certified lower bound eps^2 / 8 on |1 - <z, w>| for z in the closed
+    ball within eps/2 of F and w in the closed ball at distance >= eps
+    from F (see ``build_prop1_config``).
     """
 
     eps: float
@@ -356,9 +328,16 @@ class Prop1Config:
     f_set: SphereSet
 
 
-def build_prop1_config(F: SphereSet, eps: float, rule: QuadratureRule,
-                       rng: np.random.Generator) -> Prop1Config:
-    """Realize the cutoff construction for a finite direction set F."""
+def build_prop1_config(F: SphereSet, eps: float,
+                       rule: QuadratureRule) -> Prop1Config:
+    """Realize the cutoff construction for a finite direction set F.
+
+    delta = eps^2 / 8 is a proven bound: for z, w in the closed ball,
+    2 Re(1 - <z, w>) = |z - w|^2 + (1 - |z|^2) + (1 - |w|^2) >= |z - w|^2,
+    and |z - w| >= eps / 2 when z is within eps/2 of F and w is at
+    distance >= eps, so |1 - <z, w>| >= Re(1 - <z, w>) >= eps^2 / 8.
+    nu_v2 is integrated over ``rule``.
+    """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if len(F) == 0:
@@ -376,35 +355,8 @@ def build_prop1_config(F: SphereSet, eps: float, rule: QuadratureRule,
 
     nu_v2 = float(np.real(integrate(
         lambda pts: (F.min_dist(pts) < hi).astype(complex), rule)))
-
-    n = F.n
-    pairs = 10_000
-    # samples of cl(V2): within-eps/2 of F, inside the closed ball
-    per = max(1, pairs // max(1, len(F)))
-    zs = []
-    for zeta in F.points:
-        u = rng.standard_normal((per, 2 * n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        rad = hi * rng.random(per) ** (1.0 / (2 * n))
-        cand = zeta[None, :] + (u[:, :n] + 1j * u[:, n:]) * rad[:, None]
-        norms = np.linalg.norm(cand, axis=1)
-        over = norms > 1.0
-        cand[over] = cand[over] / norms[over, None]
-        keep = F.min_dist(cand) <= hi + 1e-15
-        zs.append(cand[keep])
-    z_side = np.concatenate(zs, axis=0)
-
-    # samples of the closed ball minus V3 (distance >= eps from F)
-    w_pool = sample_ball(n, 4 * pairs, rng)
-    w_side = w_pool[F.min_dist(w_pool) >= eps][:pairs]
-    w_sphere = random_sphere_points(n, pairs, rng)
-    w_sphere = w_sphere[F.min_dist(w_sphere) >= eps]
-    w_side = np.concatenate([w_side, w_sphere], axis=0)
-
-    take = min(len(z_side), len(w_side), pairs)
-    vals = np.abs(1.0 - inner(z_side[:take], w_side[:take]))
-    delta = float(vals.min() / 2.0)
-    return Prop1Config(eps=eps, eta=eta, delta=delta, nu_v2=nu_v2, f_set=F)
+    return Prop1Config(eps=eps, eta=eta, delta=eps * eps / 8.0, nu_v2=nu_v2,
+                       f_set=F)
 
 
 def prop1_decay(g_symbols: list[Symbol], F1: SphereSet,
@@ -556,16 +508,14 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
 
     # panel symbols must vanish off W_{F1}
     probe = sample_ball(n, 512, rng)
-    outside = ~np.atleast_1d(in_region_W(F1, r, probe))
+    m1 = np.atleast_1d(in_region_W(F1, r, probe))
     vanish_max = 0.0
     for g in symbols:
-        if np.any(outside):
-            vanish_max = max(vanish_max,
-                             float(np.max(np.abs(g(probe[outside])))))
+        if not np.all(m1):
+            vanish_max = max(vanish_max, float(np.max(np.abs(g(probe[~m1])))))
     vanish_ok = vanish_max <= 1e-12
 
     # monotone region: membership in W_{F1} implies membership in W_{F2}
-    m1 = np.atleast_1d(in_region_W(F1, r, probe))
     m2 = np.atleast_1d(in_region_W(F2, r, probe))
     monotone_violations = int(np.count_nonzero(m1 & ~m2))
 
@@ -574,7 +524,7 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
 
     horizon = decay_M if decay_M is not None else max(M, 10)
     seq_decay = build_sequence(zeta, r, horizon)
-    cfg = build_prop1_config(F1, eps, rule, rng)
+    cfg = build_prop1_config(F1, eps, rule)
     h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
     prop1 = prop1_decay(symbols, F1, seq_decay, h, 1.0, cfg, basis, rule,
                         decay_frac=decay_frac)

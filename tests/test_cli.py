@@ -123,3 +123,20 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_benchmark_tracer_patches_existing_names(self, monkeypatch):
+        # the harness patches berglab functions by name; a renamed or
+        # deleted one fails here instead of only in a traced benchmark run
+        bench = Path(__file__).resolve().parent.parent / "benchmarks"
+        monkeypatch.syspath_prepend(str(bench))
+        from tracer import Tracer
+
+        from berglab import witness
+        orig = witness.region_infimum
+        tr = Tracer()
+        tr.install()
+        try:
+            assert witness.region_infimum is not orig
+        finally:
+            tr.restore()
+        assert witness.region_infimum is orig

@@ -8,8 +8,8 @@ from berglab.geometry import moebius
 from berglab.quadrature import build_rule, rule_for_basis
 from berglab.toeplitz import (OperatorMatrix, Symbol, commutator,
                               matrix_to_csv, matrix_to_json, op_norm,
-                              toeplitz_matrix, toeplitz_monomial_radial,
-                              toeplitz_radial)
+                              toeplitz_auto, toeplitz_matrix,
+                              toeplitz_monomial_radial, toeplitz_radial)
 from berglab.witness import witness_symbol
 
 R = 0.5
@@ -98,6 +98,26 @@ class TestFastPaths:
         expect = R ** (2 * k + 4) * np.sqrt(k + 1) / (np.sqrt(k + 2) * (k + 3))
         np.testing.assert_allclose(np.diag(fast.mat, -1), expect, atol=1e-15)
 
+    @pytest.mark.parametrize("n, d", [(1, 64), (2, 24), (3, 10)])
+    def test_unit_profile_is_norm_ratio(self, n, d):
+        # T_{z_j} e_alpha = sqrt((alpha_j + 1) / (n + |alpha| + 1)) e_{alpha+e_j}
+        mp = pytest.importorskip("mpmath")
+        b = TruncatedBasis.create(n, d)
+        pos = {alpha: i for i, alpha in enumerate(b.indices)}
+        for j in range(n):
+            t = toeplitz_monomial_radial(j, lambda u: np.ones_like(u), b)
+            for i, alpha in enumerate(b.indices):
+                beta = list(alpha)
+                beta[j] += 1
+                k = pos.get(tuple(beta))
+                if k is None:
+                    continue
+                exact = mp.sqrt(mp.mpf(alpha[j] + 1) / (n + sum(alpha) + 1))
+                got = t.mat[k, i]
+                assert got.imag == 0.0
+                rel = float(abs(mp.mpf(got.real) - exact) / exact)
+                assert rel <= 8 * np.finfo(float).eps, (alpha, j)
+
     def test_coordinate_shift_in_two_variables(self):
         basis2 = TruncatedBasis.create(2, 5)
         rule2 = rule_for_basis(2, 5)
@@ -175,6 +195,16 @@ class TestSymbolSemantics:
         vals = moved(pts)
         assert abs(vals[0]) == 0.0  # phi_z(z) = 0 and the symbol vanishes at 0
         assert abs(vals[1] - wit(np.array([[0.5 + 0j]]))[0]) < 1e-15
+
+    @pytest.mark.parametrize("sym", [
+        witness_symbol(R),
+        Symbol.radial(lambda u: (1.0 + 2.0j) * np.asarray(u) ** 2, 3.0)],
+        ids=["monomial_radial", "complex_radial"])
+    def test_conjugate_gives_adjoint(self, sym, basis, rule):
+        # T_{conj f} = T_f*, whichever route each side takes
+        t = toeplitz_auto(sym, basis, rule)
+        tc = toeplitz_auto(sym.conjugate(), basis, rule)
+        assert np.max(np.abs(tc.mat - t.mat.conj().T)) < 1e-12
 
     def test_nonfinite_symbol_rejected(self, basis, rule):
         bad = Symbol.sampled(

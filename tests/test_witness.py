@@ -87,6 +87,41 @@ class TestRegionMembership:
             assert golden[i] <= grid + 1e-9
             assert golden[i] >= grid - 1e-6
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_infimum_matches_mpmath(self, n, k):
+        # rho at the closed-form ray minimiser t*, evaluated in 40 digits
+        mp = pytest.importorskip("mpmath")
+        from berglab.geometry import random_sphere_points
+        rng = np.random.default_rng(50 + 10 * n + k)
+        dirs = random_sphere_points(n, k, rng)
+        f = SphereSet.create(dirs)
+        z = np.concatenate([
+            sample_ball(n, 16, rng),
+            0.8 * dirs[:1] + 1e-5 * sample_ball(n, 4, rng),  # near a ray
+            -0.6 * dirs[:1],                                 # Re c < 0
+            0.5 * e1(n)[None, :] * 1j ** np.arange(4)[:, None]])
+        got = region_infimum(f, z)
+        with mp.workdps(40):
+            for zi, value in zip(z, got):
+                zm = [mp.mpc(complex(v)) for v in zi]
+                zz = mp.fsum(abs(v) ** 2 for v in zm)
+                best = mp.sqrt(zz)
+                for zeta in dirs:
+                    zeta = [mp.mpc(complex(v)) for v in zeta]
+                    c = mp.fsum(a * mp.conj(b) for a, b in zip(zm, zeta))
+                    if mp.re(c) <= 0:
+                        continue  # the infimum is rho(z, 0) = |z|
+                    s = 1 + abs(c) ** 2
+                    t = 2 * mp.re(c) / (s + mp.sqrt((s - 2 * mp.re(c))
+                                                    * (s + 2 * mp.re(c))))
+                    w = [t * v for v in zeta]
+                    ww = mp.fsum(abs(v) ** 2 for v in w)
+                    zw = mp.fsum(a * mp.conj(b) for a, b in zip(zm, w))
+                    rho = mp.sqrt(1 - (1 - zz) * (1 - ww) / abs(1 - zw) ** 2)
+                    best = min(best, rho)
+                assert abs(value - float(best)) <= 1e-13
+
     def test_dense_direction_sample_accepts_aligned_points(self):
         rng = np.random.default_rng(52)
         from berglab.geometry import random_sphere_points
@@ -218,10 +253,9 @@ class TestLemma3:
 class TestProp1:
     def test_sequence_too_close_rejected(self, flagship):
         basis, rule = flagship
-        rng = np.random.default_rng(57)
         f = SphereSet.create([e1(1)])
         seq = build_sequence(e1(1), R, 3)
-        cfg = build_prop1_config(f, 0.5, rule, rng)
+        cfg = build_prop1_config(f, 0.5, rule)
         h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
         with pytest.raises(ValueError, match="within eps"):
             prop1_decay(default_panel(SphereSet.create([], n=1), R, 1),
@@ -229,10 +263,9 @@ class TestProp1:
 
     def test_zero_symbol_gives_zero_curve(self, flagship):
         basis, rule = flagship
-        rng = np.random.default_rng(58)
         f_empty = SphereSet.create([], n=1)
         seq = build_sequence(e1(1), R, 4)
-        cfg = build_prop1_config(f_empty, 0.5, rule, rng)
+        cfg = build_prop1_config(f_empty, 0.5, rule)
         h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
         zero = Symbol.sampled(lambda pts: np.zeros(pts.shape[0], complex),
                               0.0)
@@ -241,22 +274,34 @@ class TestProp1:
 
     def test_empty_config_trivial(self, flagship):
         _, rule = flagship
-        rng = np.random.default_rng(59)
-        cfg = build_prop1_config(SphereSet.create([], n=1), 0.5, rule, rng)
+        cfg = build_prop1_config(SphereSet.create([], n=1), 0.5, rule)
         assert cfg.delta == 1.0
         assert cfg.nu_v2 == 0.0
 
     def test_nonempty_config_values(self):
-        rng = np.random.default_rng(60)
         rule = rule_for_basis(2, 6)
         f = SphereSet.create([e2(2)])
-        cfg = build_prop1_config(f, 0.5, rule, rng)
+        cfg = build_prop1_config(f, 0.5, rule)
         assert cfg.delta > 0.0
         assert 0.0 < cfg.nu_v2 < 0.2
         near = (1.0 - 0.05) * e2(2)
         far = 0.5 * e1(2)
         assert abs(cfg.eta(near[None, :])[0] - 1.0) < 1e-14
         assert abs(cfg.eta(far[None, :])[0]) == 0.0
+
+    def test_delta_below_aligned_sphere_pair(self):
+        # z at distance eps/2 and w at distance eps from e2, both on the
+        # sphere and in one real plane, nearly attain min |1 - <z, w>|
+        eps = 0.5
+        cfg = build_prop1_config(SphereSet.create([e2(2)]), eps,
+                                 rule_for_basis(2, 4))
+        a = np.arccos(1.0 - eps ** 2 / 8.0)
+        b = np.arccos(1.0 - eps ** 2 / 2.0)
+        z = np.array([np.sin(a), np.cos(a)], dtype=complex)
+        w = np.array([np.sin(b), np.cos(b)], dtype=complex)
+        assert np.linalg.norm(z - e2(2)) == pytest.approx(eps / 2.0)
+        assert np.linalg.norm(w - e2(2)) == pytest.approx(eps)
+        assert 0.0 < cfg.delta <= abs(1.0 - np.vdot(w, z))
 
 
 class TestSeparation:
