@@ -105,7 +105,7 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
     checks.append(check("rho_moebius_isometry", worst_iso <= iso_tol,
                         worst_iso, iso_tol))
 
-    # ball disjointness under the threshold
+    # ball disjointness under the threshold: pair k samples E(z_k), E(w_k)
     overlap = 0
     tested = 0
     for n in _GEOM_DIMS:
@@ -113,17 +113,15 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
         w = sample_ball(n, 40, rng, 0.9)
         rho = pseudo_metric(z, w)
         keep = rho > 0.3
-        for zi, wi, ri in zip(z[keep], w[keep], rho[keep]):
-            s = (1.0 - np.sqrt(1.0 - ri * ri)) / ri
-            r1 = r2 = 0.999 * s
-            if not 0.0 < r1 < 1.0:
-                continue
-            assert ri >= disjoint_threshold(r1, r2)
-            pts = sample_metric_ball(zi, r1, 1000, rng)
-            overlap += int(np.count_nonzero(in_metric_ball(wi, r2, pts)))
-            pts = sample_metric_ball(wi, r2, 1000, rng)
-            overlap += int(np.count_nonzero(in_metric_ball(zi, r1, pts)))
-            tested += 1
+        rho = rho[keep]
+        radii = 0.999 * (1.0 - np.sqrt(1.0 - rho * rho)) / rho
+        assert all(ri >= disjoint_threshold(r, r) for ri, r in zip(rho, radii))
+        centers = np.stack([z[keep], w[keep]], axis=1)  # (K, 2, n)
+        pts = sample_metric_ball(centers, radii[:, None], 1000, rng)
+        inside = (pseudo_metric(pts, centers[:, ::-1, None, :])
+                  < radii[:, None, None])
+        overlap += int(np.count_nonzero(inside))
+        tested += len(rho)
     payload["disjointness_configs"] = tested
     payload["disjointness_overlaps"] = overlap
     checks.append(check("ball_disjointness", overlap == 0, overlap, 0))
@@ -132,14 +130,14 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
     band = cfg.tol("membership_band")
     disagreements = 0
     for n in _GEOM_DIMS:
-        for _ in range(12):
-            a = sample_ball(n, 1, rng, 0.85)[0]
-            r = float(rng.uniform(0.2, 0.8))
-            z = sample_ball(n, 4000, rng)
-            rho = pseudo_metric(z, a)
-            off_band = np.abs(rho - r) > band
-            m1 = in_metric_ball(a, r, z[off_band])
-            m2 = in_ellipsoid(a, r, z[off_band])
+        draws = [(sample_ball(n, 1, rng, 0.85)[0], rng.uniform(0.2, 0.8),
+                  sample_ball(n, 4000, rng)) for _ in range(12)]
+        a, r, z = (np.array(x) for x in zip(*draws))
+        rho = pseudo_metric(z, a[:, None, :])
+        off_band = np.abs(rho - r[:, None]) > band
+        for k in range(12):
+            m1 = rho[k][off_band[k]] < r[k]  # in_metric_ball, same rho
+            m2 = in_ellipsoid(a[k], r[k], z[k][off_band[k]])
             disagreements += int(np.count_nonzero(m1 != m2))
     payload["membership_disagreements"] = disagreements
     checks.append(check("membership_agreement", disagreements == 0,
@@ -160,14 +158,13 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
             count = 34 if n == 1 else 33
             zetas = random_sphere_points(n, count, rng)
             centers = _near_boundary_points(zetas, delta, rng)
-            for zeta, a in zip(zetas, centers):
-                pts = sample_metric_ball(a, r, 1000, rng)
-                dist = np.linalg.norm(pts - zeta[None, :], axis=1)
-                inclusion_violations += int(np.count_nonzero(dist >= eps))
-                s = ellipsoid_params(a, r).s
-                da = np.linalg.norm(pts - a[None, :], axis=1)
-                euclid_violations += int(
-                    np.count_nonzero(da >= 2 * r * np.sqrt(s)))
+            pts = sample_metric_ball(centers, r, 1000, rng)
+            dist = np.linalg.norm(pts - zetas[:, None, :], axis=-1)
+            inclusion_violations += int(np.count_nonzero(dist >= eps))
+            s = np.array([ellipsoid_params(a, r).s for a in centers])
+            da = np.linalg.norm(pts - centers[:, None, :], axis=-1)
+            euclid_violations += int(
+                np.count_nonzero(da >= 2 * r * np.sqrt(s)[:, None]))
     payload["delta_inclusion_violations"] = inclusion_violations
     payload["euclidean_inclusion_violations"] = euclid_violations
     checks.append(check("delta_for_inequality", bool(ineq_ok)))
@@ -204,14 +201,9 @@ def run_sequence(cfg: ExperimentConfig) -> dict:
                         min_rho, thr))
 
     pts = seq.points()
-    overlaps = 0
-    for k in range(10):
-        samples = sample_metric_ball(pts[k], r, 1000, rng)
-        for l in range(10):
-            if l == k:
-                continue
-            overlaps += int(np.count_nonzero(
-                in_metric_ball(pts[l], r, samples)))
+    samples = sample_metric_ball(pts, r, 1000, rng)  # (10, 1000, n)
+    inside = in_metric_ball(pts[None, :, None, :], r, samples[:, None])
+    overlaps = int(np.count_nonzero(inside[~np.eye(10, dtype=bool)]))
     checks.append(check("ball_overlap_samples", overlaps == 0, overlaps, 0))
 
     prefix = build_sequence(zeta, r, 6)
@@ -530,7 +522,7 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
     v, b = weak_pairing_exact(seq.points(), 0.2 * zeta, 0.1 * zeta)
     vals, bounds = np.abs(v).tolist(), b.tolist()
     vals_dec = bool(np.all(np.diff(vals) < 0))
-    one_minus = 1.0 - seq.radii ** 2
+    one_minus = seq.gaps * (1.0 + seq.radii)  # 1 - t^2 from exact gaps
     slope = float(np.polyfit(np.log(one_minus), np.log(bounds), 1)[0])
     target_slope = 0.5 * (cfg.n + 1)
     slope_ok = abs(slope - target_slope) <= 0.05 * target_slope

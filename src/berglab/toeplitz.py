@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import TruncatedBasis, weighted_gram
-from .geometry import moebius
+from .geometry import _norm2, moebius
 from .quadrature import QuadratureRule, panel_gauss_legendre
 
 __all__ = ["Symbol", "OperatorMatrix", "toeplitz_matrix", "toeplitz_radial",
@@ -83,8 +83,7 @@ class Symbol:
     def radial(profile, bound: float, support: float | None = None,
                label: str = "") -> "Symbol":
         def fn(pts):
-            return np.asarray(profile(np.linalg.norm(pts, axis=-1)),
-                              dtype=complex)
+            return np.asarray(profile(np.sqrt(_norm2(pts))), dtype=complex)
         return Symbol(fn=fn, sup_norm_bound=float(bound), kind="radial",
                       profile=profile, support=support, label=label)
 
@@ -93,7 +92,7 @@ class Symbol:
                               support: float | None = None,
                               label: str = "") -> "Symbol":
         def fn(pts):
-            u = np.linalg.norm(pts, axis=-1)
+            u = np.sqrt(_norm2(pts))
             return pts[..., coordinate] * np.asarray(profile(u), dtype=complex)
         return Symbol(fn=fn, sup_norm_bound=float(bound),
                       kind="monomial_radial", profile=profile,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import TruncatedBasis, kernel, kernel_expansion
-from .geometry import as_point, inner, moebius
+from .geometry import _gap, _norm2, as_point, inner, moebius
 from .quadrature import QuadratureRule
 from .toeplitz import OperatorMatrix, Symbol, toeplitz_matrix
 
@@ -217,10 +217,8 @@ def weak_pairing_exact(zm, z, w) -> tuple[np.ndarray, np.ndarray]:
     # single points run through the same vector loops as stacks, whose
     # complex products and powers can round differently from numpy scalars
     zm, z, w = (np.atleast_2d(p) for p in (zm, z, w))
-    zz = np.sum(np.abs(z) ** 2, axis=-1)
-    ww = np.sum(np.abs(w) ** 2, axis=-1)
-    mm = np.sum(np.abs(zm) ** 2, axis=-1)
-    numer = ((1.0 - ww) * (1.0 - zz) * (1.0 - mm)) ** (0.5 * (n + 1))
+    zz, ww, mm = _norm2(z), _norm2(w), _norm2(zm)
+    numer = (_gap(ww) * _gap(zz) * _gap(mm)) ** (0.5 * (n + 1))
     phi_w = moebius(zm, w)
     denom = ((1.0 - inner(phi_w, z)) * (1.0 - inner(w, zm))) ** (n + 1)
     value = numer / denom

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Expansion, TruncatedBasis
-from .geometry import (as_point, pseudo_metric, random_sphere_points,
+from .geometry import (_norm2, as_point, pseudo_metric, random_sphere_points,
                        sample_ball)
 from .quadrature import QuadratureRule, integrate
 from .sequences import SeparatedSequence, build_sequence
@@ -78,8 +78,7 @@ class SphereSet:
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         if len(self) == 0:
             return np.full(z.shape[0], np.inf)
-        d = np.linalg.norm(z[:, None, :] - self.points[None, :, :], axis=2)
-        return d.min(axis=1)
+        return np.sqrt(_norm2(z[:, None, :] - self.points[None]).min(axis=1))
 
     def contains(self, other: "SphereSet", tol: float = 1e-12) -> bool:
         if len(other) == 0:

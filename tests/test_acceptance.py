@@ -62,6 +62,17 @@ def test_criterion_02_boundary_inclusion(reports):
                 "(r, eps) grid", ok)
 
 
+def test_geometry_sample_counts(reports):
+    # the batched suite draws every sample in the serial order, so the
+    # configuration count and the zero violation counts are pinned
+    rep = reports("geometry", run_geometry)
+    assert rep["disjointness_configs"] == 120
+    for key in ("disjointness_overlaps", "membership_disagreements",
+                "delta_inclusion_violations",
+                "euclidean_inclusion_violations"):
+        assert rep[key] == 0, key
+
+
 def test_criterion_03_separated_sequence(reports):
     rep = reports("sequence", run_sequence)
     ok = (_subchecks(rep, ["pairwise_rho_above_threshold",

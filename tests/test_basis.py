@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -46,6 +47,17 @@ class TestNorms:
     def test_high_degree_finite(self):
         v = monomial_norm((400,), 1)
         assert 0.0 < v < 1.0 and np.isfinite(v)
+
+    @pytest.mark.parametrize("n, d", [(1, 64), (2, 24), (3, 10)])
+    def test_within_4_ulp_of_mpmath(self, n, d):
+        basis = TruncatedBasis.create(n, d)
+        with mp.workdps(40):
+            for alpha, got in zip(basis.indices, basis.norms):
+                ref = mp.sqrt(mp.factorial(n)
+                              * mp.fprod(mp.factorial(a) for a in alpha)
+                              / mp.factorial(n + sum(alpha)))
+                ulps = abs(got - ref) / math.ulp(float(ref))
+                assert ulps <= 4, (alpha, float(ulps))
 
 
 class TestBasisEvaluation:
@@ -94,6 +106,20 @@ class TestKernel:
         assert np.all(np.diff(sums) > 0)
         assert sums[-1] < limit
         assert limit - sums[-1] < 1e-5 * limit
+
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gap_exact_near_sphere(self, n):
+        # at t = 1 - 2^-28, 1 - fl(t^2) is off by 1.9e-9 relative, while
+        # (1 - t)(1 + t) rounds once because |t e_1| = t exactly
+        t = 1.0 - 2.0 ** -28
+        z = np.zeros(n, dtype=complex)
+        z[0] = t
+        with mp.workdps(40):
+            expect = float((1 - mp.mpf(t) ** 2) ** (mp.mpf(n + 1) / 2))
+        assert abs(kernel(z, np.zeros(n)) / expect - 1.0) < 1e-14
+        coeff = kernel_expansion(z, TruncatedBasis.create(n, 2)).coeffs[0]
+        assert abs(coeff / expect - 1.0) < 1e-14
 
 
 class TestExpansion:

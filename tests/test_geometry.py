@@ -1,5 +1,6 @@
 """Tests for unit-ball geometry: Moebius maps, the metric, metric balls."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -80,6 +81,62 @@ class TestPseudoMetric:
         w = sample_ball(2, 300, rng, 0.9)
         direct = np.linalg.norm(moebius(z, w), axis=1)
         np.testing.assert_allclose(pseudo_metric(z, w), direct, atol=1e-13)
+
+
+def _rho_oracle(z, w):
+    """rho(z, w) in 50 digits from 1 - rho^2 = (1-|z|^2)(1-|w|^2)/|1-<w,z>|^2."""
+    with mp.workdps(50):
+        z = [mp.mpc(complex(x)) for x in z]
+        w = [mp.mpc(complex(x)) for x in w]
+        zz = sum(abs(x) ** 2 for x in z)
+        ww = sum(abs(x) ** 2 for x in w)
+        wz = sum(a * mp.conj(b) for a, b in zip(w, z))
+        return mp.sqrt(1 - (1 - zz) * (1 - ww) / abs(1 - wz) ** 2)
+
+
+def _oracle_pairs(n, regime):
+    """Pairs (z, w) that stress rho.  "coincident": |z - w| = 1e-9 with
+    |z| <= 0.9.  "sphere": z = (1 - 1e-6) c e_j with c in {1, i, -1, -i},
+    so |z| is a double as on the coordinate rays the sequences use, and w
+    the next ray point, an interior point, or a point 1e-9 away."""
+    rng = np.random.default_rng(100 + n)
+
+    def unit():
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return u / np.linalg.norm(u)
+
+    pairs = []
+    for k in range(12):
+        if regime == "coincident":
+            z = sample_ball(n, 1, rng, 0.9)[0]
+            pairs.append((z, z + 1e-9 * unit()))
+            continue
+        axis = np.zeros(n, dtype=complex)
+        axis[k % n] = (1, 1j, -1, -1j)[k % 4]
+        z = (1.0 - 1e-6) * axis
+        w = ((1.0 - 2e-6) * axis, sample_ball(n, 1, rng, 0.9)[0],
+             z + 1e-9 * unit())[k % 3]
+        pairs.append((z, w))
+    return pairs
+
+
+class TestMetricAccuracy:
+    @pytest.mark.parametrize("regime", ["coincident", "sphere"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rho_matches_mpmath(self, n, regime):
+        for z, w in _oracle_pairs(n, regime):
+            ref = _rho_oracle(z, w)
+            rel = abs(float(pseudo_metric(z, w)) - ref) / ref
+            assert rel <= 1e-12, (z, w, float(rel))
+
+    @pytest.mark.parametrize("regime", ["coincident", "sphere"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_involution_at_oracle_points(self, n, regime):
+        # phi_z has condition number ~ 1/(1 - |z|^2) near the sphere
+        for z, w in _oracle_pairs(n, regime):
+            back = moebius(z, moebius(z, w))
+            tol = 1e-14 / (1.0 - np.vdot(z, z).real)
+            assert np.linalg.norm(back - w) <= tol
 
 
 class TestCombinedBound:
@@ -179,6 +236,26 @@ class TestMetricBall:
         a = np.array([0.5 + 0.2j, -0.1 + 0.3j])
         pts = sample_metric_ball(a, 0.45, 3000, rng)
         assert np.all(pseudo_metric(pts, a) < 0.45)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_sampling_matches_serial(self, n):
+        rng = np.random.default_rng(23)
+        centers = sample_ball(n, 6, rng, 0.9).reshape(3, 2, n)
+        radii = rng.uniform(0.1, 0.9, (3, 2))
+        stacked = sample_metric_ball(centers, radii, 500,
+                                     np.random.default_rng(9))
+        serial_rng = np.random.default_rng(9)
+        serial = [[sample_metric_ball(centers[i, j], radii[i, j], 500,
+                                      serial_rng) for j in range(2)]
+                  for i in range(3)]
+        np.testing.assert_array_equal(stacked, np.array(serial))
+        # one scalar radius for every center draws the same way
+        stacked = sample_metric_ball(centers[:, 0], 0.4, 500,
+                                     np.random.default_rng(9))
+        serial_rng = np.random.default_rng(9)
+        serial = [sample_metric_ball(a, 0.4, 500, serial_rng)
+                  for a in centers[:, 0]]
+        np.testing.assert_array_equal(stacked, np.array(serial))
 
 
 class TestDeltaFor:

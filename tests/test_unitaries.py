@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -242,6 +243,18 @@ class TestWeakPairing:
         zm = np.array([0.6 + 0j, 0.3 + 0j])
         value, _ = weak_pairing_exact(zm, np.zeros(2), np.zeros(2))
         assert abs(value - (1 - 0.45) ** 1.5) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_center_pairing_exact_near_sphere(self, n):
+        # 1 - |z_m|^2 as (1 - t)(1 + t): exact at t = 1 - 2^-28, where
+        # 1 - fl(t^2) is off by 1.9e-9 relative
+        t = 1.0 - 2.0 ** -28
+        zm = np.zeros(n, dtype=complex)
+        zm[0] = t
+        value, _ = weak_pairing_exact(zm, np.zeros(n), np.zeros(n))
+        with mp.workdps(40):
+            expect = float((1 - mp.mpf(t) ** 2) ** (mp.mpf(n + 1) / 2))
+        assert abs(complex(value) / expect - 1.0) < 1e-14
 
     def test_bound_dominates_randomly(self):
         rng = np.random.default_rng(41)
