@@ -115,9 +115,6 @@ class Expansion:
         values = self.basis.eval(pts) @ self.coeffs
         return values[0] if squeeze else values
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def to_json(self) -> dict:
         return {"re": self.coeffs.real.tolist(),
                 "im": self.coeffs.imag.tolist()}

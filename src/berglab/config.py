@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["ExperimentConfig", "DEFAULT_TOLERANCES", "load_config",
-           "complex_vector", "vector_json"]
+           "complex_vector"]
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "eq4_violation": 1e-12,
@@ -39,10 +39,6 @@ def complex_vector(pairs) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected [[re, im], ...], got shape {arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1]
-
-
-def vector_json(vec: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.atleast_1d(vec)]
 
 
 @dataclass(frozen=True)

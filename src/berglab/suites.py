@@ -467,17 +467,16 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
     checks.append(check("conjugation_defect_decreasing", conj_dec,
                         conj_defects))
 
-    basis = TruncatedBasis.create(1, max(sweep))
-    u_ex = unitary_matrix_exact(z_half, basis)
+    # d_sweep is increasing: the loop left u, basis at max(sweep)
     u_q = unitary_matrix_quadrature(z_half, basis, rule)
-    route_err = float(np.max(np.abs(u_ex.mat - u_q.mat)))
+    route_err = float(np.max(np.abs(u.mat - u_q.mat)))
     checks.append(check("exact_matches_quadrature", route_err <= 1e-10,
                         route_err, 1e-10))
 
     kexp = kernel_expansion(z_half, basis)
-    col_err = float(np.max(np.abs(u_ex.mat[:, 0] - kexp.coeffs)))
+    col_err = float(np.max(np.abs(u.mat[:, 0] - kexp.coeffs)))
     checks.append(check("u_e0_is_kernel", col_err <= 1e-13, col_err, 1e-13))
-    e0_norm = float(np.linalg.norm(u_ex.mat[:, 0]))
+    e0_norm = float(np.linalg.norm(u.mat[:, 0]))
     checks.append(check("u_e0_norm_one", abs(e0_norm - 1.0) <= 1e-6,
                         abs(e0_norm - 1.0), 1e-6))
 
@@ -629,9 +628,8 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     F_empty = SphereSet.create([], n=1)
     seq = build_sequence(np.array([1.0 + 0j]), r, cfg.decay_M)
     cfg1 = build_prop1_config(F_empty, cfg.eps, rule)
-    h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
     panel = default_panel(F_empty, r, 1)
-    rep1 = prop1_decay(panel, F_empty, seq, h, 1.0, cfg1, basis, rule,
+    rep1 = prop1_decay(panel, seq, cfg1, basis, rule,
                        decay_frac=cfg.tol("decay_fraction"),
                        slope_rel=cfg.tol("slope_rel"))
     checks.append(check("decay_below_fraction_n1", all(rep1["decay_ok"]),
@@ -646,9 +644,8 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     F1 = SphereSet.create([[0.0 + 0j, 1.0 + 0j]])
     seq2 = build_sequence(np.array([1.0 + 0j, 0.0 + 0j]), r, 8)
     cfg2 = build_prop1_config(F1, cfg.eps, rule2)
-    h2 = Expansion(basis2, np.eye(len(basis2), dtype=complex)[:, 0])
     panel2 = default_panel(F1, r, 2)
-    rep2 = prop1_decay(panel2, F1, seq2, h2, 1.0, cfg2, basis2, rule2,
+    rep2 = prop1_decay(panel2, seq2, cfg2, basis2, rule2,
                        decay_frac=cfg.tol("decay_fraction"),
                        slope_rel=cfg.tol("slope_rel"))
     checks.append(check("slope_within_tolerance_n2", rep2["slope_ok"],
@@ -686,7 +683,8 @@ def run_separate(cfg: ExperimentConfig) -> dict:
         F1, F2, cfg.r, cfg.M, basis, rule, eps=cfg.eps, rng=rng,
         decay_M=cfg.decay_M,
         separation_factor=cfg.tol("separation_factor"),
-        decay_frac=cfg.tol("decay_fraction"))
+        decay_frac=cfg.tol("decay_fraction"),
+        slope_rel=cfg.tol("slope_rel"))
 
     checks = [
         check("separation_factor",

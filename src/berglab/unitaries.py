@@ -2,17 +2,13 @@
 
 U_z f = (f o phi_z) k_z is a self-adjoint unitary involution of the
 Bergman space, and U_z T_f U_z* = T_{f o phi_z}.  The truncated matrix is
-the compression P U_z P, obtained two ways:
-
-  * quadrature of the integrand e_alpha(phi_z(w)) k_z(w) conj(e_beta(w)),
-    adequate while the rule resolves the kernel peak at w ~ z;
-  * exact entries (every z when n = 1, coordinate rays when n >= 2),
-    needed once 1 - |z| falls below what any desk-scale rule can
-    resolve: Jacobi polynomials in 1 - 2|z|^2, at roundoff at any degree.
-
-``unitary_matrix`` picks the route: exact whenever it is available,
-quadrature otherwise.  Both routes agree to roundoff at moderate |z|
-(property verified in tests).
+the compression P U_z P.  ``unitary_matrix`` (also reachable as
+``unitary_matrix_exact``) builds it from exact entries, Jacobi
+polynomials in 1 - 2|z|^2 at roundoff at any degree, for every z when
+n = 1 and on the coordinate rays t e_j (t >= 0) when n >= 2; any other
+point raises ValueError.  ``unitary_matrix_quadrature`` integrates
+e_alpha(phi_z(w)) k_z(w) conj(e_beta(w)) over a rule and serves only as
+the reference the exact route is compared against at moderate |z|.
 
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
@@ -33,15 +29,15 @@ __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
            "unitary_matrix_exact", "exact_available", "unitarity_defect",
            "conjugate_toeplitz", "weak_pairing_exact"]
 
-# above this gap the quadrature route resolves the kernel peak comfortably
-_EXACT_GAP = 0.05
 # invariant guards on exact compressions, which the recurrence meets to ~1e-15
 _GUARD_TOL = 1e-10
 
 
 def unitary_matrix_quadrature(z, basis: TruncatedBasis,
                               rule: QuadratureRule) -> OperatorMatrix:
-    """Entries <U_z e_alpha, e_beta> by quadrature."""
+    """Entries <U_z e_alpha, e_beta> by quadrature: the reference the exact
+    route is checked against, trustworthy only while ``rule`` resolves the
+    kernel peak at w ~ z."""
     z = as_point(z, name="z")
     if z.ndim != 1 or z.shape[0] != basis.n:
         raise ValueError("z must be a single point of the basis dimension")
@@ -158,25 +154,8 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     return OperatorMatrix(basis, mat)
 
 
-def unitary_matrix(z, basis: TruncatedBasis,
-                   rule: QuadratureRule | None = None) -> OperatorMatrix:
-    """Truncated matrix of U_z.
-
-    Uses exact entries when available (mandatory once 1 - |z| < 0.05,
-    where quadrature cannot resolve the kernel peak), otherwise the
-    quadrature route, which needs ``rule``.
-    """
-    z = as_point(z, name="z")
-    if exact_available(z, basis.n):
-        return unitary_matrix_exact(z, basis)
-    gap = 1.0 - float(np.linalg.norm(z))
-    if gap < _EXACT_GAP:
-        raise ValueError(
-            f"1 - |z| = {gap:.3g} is below the quadrature resolution limit "
-            f"and no exact route exists for this z")
-    if rule is None:
-        raise ValueError("quadrature route needs a rule")
-    return unitary_matrix_quadrature(z, basis, rule)
+# the one production route
+unitary_matrix = unitary_matrix_exact
 
 
 def unitarity_defect(u: OperatorMatrix) -> float:
@@ -192,7 +171,7 @@ def conjugate_toeplitz(z, f: Symbol, basis: TruncatedBasis,
     Returns (U_z T_f U_z*, T_{f o phi_z}); they agree up to a defect that
     shrinks as the truncation degree grows.
     """
-    u = unitary_matrix(z, basis, rule)
+    u = unitary_matrix(z, basis)
     tf = toeplitz_matrix(f, basis, rule)
     lhs = u @ tf @ u.adjoint()
     rhs = toeplitz_matrix(f.compose_moebius(z), basis, rule)

@@ -11,8 +11,8 @@ The witness construction contrasts two behaviors along a separated
 sequence z_m = t_m zeta with zeta in F2 but far from F1:
 
   * products of Toeplitz operators with symbols from the F1 class, applied
-    to U_{z_m} h, decay to zero (cutoff-factor bound with an explicit
-    decay rate);
+    to U_{z_m} 1 = k_{z_m}, decay to zero (cutoff-factor bound with an
+    explicit decay rate);
   * the witness T = sum_m U_{z_m} S U_{z_m}* with S = [T_f, T_conj(f)]^2,
     f(z) = z_1 eta(|z|/r) supported in E(0, r), stays bounded below along
     the same directions.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Expansion, TruncatedBasis
+from .basis import TruncatedBasis, kernel_expansion
 from .geometry import (_norm2, as_point, pseudo_metric, random_sphere_points,
                        sample_ball)
 from .quadrature import QuadratureRule, integrate
@@ -213,9 +213,9 @@ def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis,
     """Assemble S = [T_f, T_conj(f)]^2 and T = sum_m U_{z_m} S U_{z_m}*.
 
     The Toeplitz factor uses the banded fast path (exact for the witness
-    profile).  Each U_{z_m} comes from ``unitary_matrix``: exact entries
-    when n = 1 or zeta is a coordinate direction, else quadrature over
-    ``rule``.  With two_route=True the identity
+    profile).  Each U_{z_m} comes from ``unitary_matrix`` (exact entries,
+    so zeta must be a coordinate direction e_j when n >= 2).  With
+    two_route=True the identity
     U_z [T_f, T_conj(f)] U_z* = [T_{f o phi_z}, T_{conj(f) o phi_z}]
     is probed per term by building the right side from composed symbols
     (quadrature route; informative at moderate |z_m| only).
@@ -226,7 +226,7 @@ def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis,
     s = c @ c
     seq = build_sequence(zeta, r, M)
     pts = seq.points()
-    unitaries = tuple(unitary_matrix(p, basis, rule) for p in pts)
+    unitaries = tuple(unitary_matrix(p, basis) for p in pts)
     total = np.zeros_like(s.mat)
     for u in unitaries:
         total += (u @ s @ u.adjoint()).mat
@@ -358,30 +358,31 @@ def build_prop1_config(F: SphereSet, eps: float,
                        f_set=F)
 
 
-def prop1_decay(g_symbols: list[Symbol], F1: SphereSet,
-                seq: SeparatedSequence, h: Expansion, h_sup: float,
+def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
                 cfg: Prop1Config, basis: TruncatedBasis,
-                rule: QuadratureRule, *, decay_frac: float = 0.05,
-                slope_rel: float = 0.10) -> dict:
-    """Decay of ||T_{g1}..T_{gk} U_{z_m} h|| along the sequence.
+                rule: QuadratureRule, *, decay_frac: float,
+                slope_rel: float) -> dict:
+    """Decay of ||T_{g1}..T_{gk} U_{z_m} 1|| along a sequence avoiding
+    ``cfg.f_set``.
 
-    Checks, per product prefix (k <= 3): decay of the curve below
-    ``decay_frac`` of its first value; the cutoff-factor bound
-    ||T_eta U_{z_m} h|| <= h_sup sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
-    plus the measured truncation slack; and the log-log slope of the decay
-    factor against 1 - |z_m|^2.
+    U_{z_m} 1 = k_{z_m}, so the panel acts on the closed-form kernel
+    column P k_{z_m} (``kernel_expansion``) and builds no U_z.  Checks,
+    per product prefix (k <= 3): decay of the curve below ``decay_frac``
+    of its first value; the cutoff-factor bound
+    ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
+    plus the truncation slack ||T_eta|| sqrt(1 - ||P k_{z_m}||^2); and the
+    log-log slope of the decay factor against 1 - |z_m|^2.
     """
     pts = seq.points()
     n = basis.n
-    dists = F1.min_dist(pts)
+    dists = cfg.f_set.min_dist(pts)
     bad = np.nonzero(dists < cfg.eps)[0]
     if bad.size:
         raise ValueError(
             f"sequence point {int(bad[0])} is within eps of the direction set "
             f"(dist = {float(dists[bad[0]]):.6g} < {cfg.eps})")
 
-    unitaries = [unitary_matrix(p, basis, rule) for p in pts]
-    uh = [u.apply(h.coeffs) for u in unitaries]
+    kz = [kernel_expansion(p, basis).coeffs for p in pts]
 
     mats = [toeplitz_auto(g, basis, rule) for g in g_symbols[:3]]
     curves = []
@@ -389,7 +390,7 @@ def prop1_decay(g_symbols: list[Symbol], F1: SphereSet,
     prod = None
     for tmat in mats:
         prod = tmat if prod is None else prod @ tmat
-        curve = [float(np.linalg.norm(prod.apply(v))) for v in uh]
+        curve = [float(np.linalg.norm(prod.apply(v))) for v in kz]
         curves.append(curve)
         decay_ok.append(bool(curve[-1] <= decay_frac * curve[0]))
 
@@ -399,13 +400,12 @@ def prop1_decay(g_symbols: list[Symbol], F1: SphereSet,
     if len(cfg.f_set):
         t_eta = toeplitz_matrix(cfg.eta, basis, rule)
         eta_norm = op_norm(t_eta)
-        lhs = np.asarray([float(np.linalg.norm(t_eta.apply(v))) for v in uh])
-        h_norm = float(np.linalg.norm(h.coeffs))
-        escape = np.asarray([math.sqrt(max(0.0, h_norm ** 2
-                                           - float(np.linalg.norm(v)) ** 2))
-                             for v in uh])
+        lhs = np.asarray([float(np.linalg.norm(t_eta.apply(v))) for v in kz])
+        knorms = [float(np.linalg.norm(v)) for v in kz]
+        escape = np.asarray([math.sqrt(max(0.0, 1.0 - k ** 2))
+                             for k in knorms])
         slack = eta_norm * escape + 1e-8  # quadrature error of T_eta
-        rhs = h_sup * math.sqrt(max(cfg.nu_v2, 0.0)) * factors / cfg.delta ** (n + 1)
+        rhs = math.sqrt(max(cfg.nu_v2, 0.0)) * factors / cfg.delta ** (n + 1)
         bound_ok = bool(np.all(lhs <= rhs + slack))
         eta_data = {"lhs": lhs.tolist(), "rhs": rhs.tolist(),
                     "slack": slack.tolist()}
@@ -467,16 +467,15 @@ def default_panel(F1: SphereSet, r: float, n: int) -> list[Symbol]:
 def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
                           basis: TruncatedBasis, rule: QuadratureRule, *,
                           eps: float, rng: np.random.Generator,
-                          decay_M: int | None = None,
-                          separation_factor: float = 10.0,
-                          decay_frac: float = 0.05) -> dict:
+                          decay_M: int, separation_factor: float,
+                          decay_frac: float, slope_rel: float) -> dict:
     """The flagship experiment: witness floor against ideal-sample decay.
 
     Builds the witness along a direction of F2 far from F1, runs the
     lower-bound check over its M-term sequence, and runs the decay panel
     from the F1 symbol class along the same ray, extended to the decay
-    suite's horizon ``decay_M`` (default max(M, 10); the deterministic
-    schedule makes the M-term sequence a prefix).  All curves are
+    suite's horizon ``decay_M`` (the deterministic schedule makes the
+    M-term sequence a prefix).  All curves are
     normalized at their first point, which cancels the common truncation
     factor ||P_d k_{z_m}||.  The verdict compares the witness floor at
     its own horizon against the ideal finals at theirs, each suite at the
@@ -521,12 +520,10 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     trace1 = boundary_trace_check(F1, r, 200, 0.999, rng)
     trace2 = boundary_trace_check(F2, r, 200, 0.999, rng)
 
-    horizon = decay_M if decay_M is not None else max(M, 10)
-    seq_decay = build_sequence(zeta, r, horizon)
+    seq_decay = build_sequence(zeta, r, decay_M)
     cfg = build_prop1_config(F1, eps, rule)
-    h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
-    prop1 = prop1_decay(symbols, F1, seq_decay, h, 1.0, cfg, basis, rule,
-                        decay_frac=decay_frac)
+    prop1 = prop1_decay(symbols, seq_decay, cfg, basis, rule,
+                        decay_frac=decay_frac, slope_rel=slope_rel)
 
     wnorms = np.asarray(lemma3["norms"])
     wcurve = (wnorms / wnorms[0]).tolist()
@@ -551,7 +548,7 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
         "ideal_ceiling_normalized": ceiling,
         "ideal_ceiling_same_horizon": ceiling_same_m,
         "witness_horizon": int(M),
-        "decay_horizon": int(horizon),
+        "decay_horizon": int(decay_M),
         "separation_factor": factor,
         "separation_factor_same_horizon": factor_same_m,
         "separation_ok": separation_ok,

@@ -50,6 +50,16 @@ class TestMatrixRoutes:
             u = unitary_matrix_exact([z], basis)
             kexp = kernel_expansion([z], basis)
             np.testing.assert_allclose(u.mat[:, 0], kexp.coeffs, atol=1e-14)
+        for n, degree in ((2, 24), (3, 10)):
+            b = TruncatedBasis.create(n, degree)
+            for axis in range(n):
+                for t in (0.5, 0.9, 1 - 2.0 ** -10, 1 - 2.0 ** -20):
+                    z = np.zeros(n, dtype=complex)
+                    z[axis] = t
+                    u = unitary_matrix_exact(z, b)
+                    np.testing.assert_allclose(
+                        u.mat[:, 0], kernel_expansion(z, b).coeffs,
+                        rtol=0.0, atol=1e-14, err_msg=f"{n} {axis} {t}")
 
     def test_self_adjoint(self, basis):
         u = unitary_matrix_exact([0.3 - 0.55j], basis)
@@ -81,9 +91,17 @@ class TestMatrixRoutes:
         u = unitary_matrix(z_near, basis)  # exact, no rule needed in n=1
         assert np.all(np.isfinite(u.mat))
         b2 = TruncatedBasis.create(2, 4)
-        with pytest.raises(ValueError, match="resolution"):
+        with pytest.raises(ValueError, match="coordinate ray"):
             unitary_matrix(np.array([(1 - 1e-6) / np.sqrt(2)] * 2,
-                                    dtype=complex), b2, None)
+                                    dtype=complex), b2)
+
+    def test_off_ray_point_rejected_at_moderate_modulus(self):
+        # no quadrature fallback: an off-ray point fails loudly even where
+        # a rule would return an unchecked matrix
+        assert unitary_matrix is unitary_matrix_exact
+        z = 0.5 * np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+        with pytest.raises(ValueError, match="coordinate ray"):
+            unitary_matrix(z, TruncatedBasis.create(2, 6))
 
     def test_compression_is_contraction(self):
         for n, degree in ((1, 12), (1, 64), (2, 24)):

@@ -4,7 +4,7 @@ the separation experiment."""
 import numpy as np
 import pytest
 
-from berglab.basis import Expansion, TruncatedBasis
+from berglab.basis import TruncatedBasis
 from berglab.geometry import pseudo_metric, sample_ball
 from berglab.quadrature import rule_for_basis
 from berglab.sequences import build_sequence
@@ -17,6 +17,8 @@ from berglab.witness import (SphereSet, boundary_trace_check,
                              witness_symbol)
 
 R = 0.5
+# the DEFAULT_TOLERANCES values the suites pass
+DECAY = {"decay_frac": 0.05, "slope_rel": 0.10}
 
 
 def e1(n):
@@ -256,21 +258,36 @@ class TestProp1:
         f = SphereSet.create([e1(1)])
         seq = build_sequence(e1(1), R, 3)
         cfg = build_prop1_config(f, 0.5, rule)
-        h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
         with pytest.raises(ValueError, match="within eps"):
             prop1_decay(default_panel(SphereSet.create([], n=1), R, 1),
-                        f, seq, h, 1.0, cfg, basis, rule)
+                        seq, cfg, basis, rule, **DECAY)
 
     def test_zero_symbol_gives_zero_curve(self, flagship):
         basis, rule = flagship
         f_empty = SphereSet.create([], n=1)
         seq = build_sequence(e1(1), R, 4)
         cfg = build_prop1_config(f_empty, 0.5, rule)
-        h = Expansion(basis, np.eye(len(basis), dtype=complex)[:, 0])
         zero = Symbol.sampled(lambda pts: np.zeros(pts.shape[0], complex),
                               0.0)
-        rep = prop1_decay([zero], f_empty, seq, h, 1.0, cfg, basis, rule)
+        rep = prop1_decay([zero], seq, cfg, basis, rule, **DECAY)
         assert np.max(np.abs(rep["curves"][0])) == 0.0
+
+    def test_off_ray_direction_decays(self):
+        # U_{z_m} 1 = k_{z_m} needs no U_z, so any direction of the sphere
+        # works, also off the coordinate rays and past 1 - |z| < 0.05
+        basis = TruncatedBasis.create(2, 6)
+        rule = rule_for_basis(2, 6, radial_breaks=(R * R,))
+        f_empty = SphereSet.create([], n=2)
+        seq = build_sequence(np.array([1.0, 1.0], complex) / np.sqrt(2.0),
+                             R, 6)
+        assert seq.gaps[-1] < 0.05
+        cfg = build_prop1_config(f_empty, 0.5, rule)
+        rep = prop1_decay(default_panel(f_empty, R, 2), seq, cfg, basis,
+                          rule, **DECAY)
+        curves = np.asarray(rep["curves"])
+        assert curves.shape == (3, 6)
+        assert np.all(np.isfinite(curves))
+        assert np.all(curves[:, -1] <= 0.05 * curves[:, 0])
 
     def test_empty_config_trivial(self, flagship):
         _, rule = flagship
@@ -310,14 +327,16 @@ class TestSeparation:
         rng = np.random.default_rng(61)
         f = SphereSet.create([e1(1)])
         with pytest.raises(ValueError, match="2 eps"):
-            separation_experiment(f, f, R, 3, basis, rule, eps=0.5, rng=rng)
+            separation_experiment(f, f, R, 3, basis, rule, eps=0.5, rng=rng,
+                                  decay_M=10, separation_factor=10.0, **DECAY)
 
     def test_flagship_report(self, flagship):
         basis, rule = flagship
         rng = np.random.default_rng(62)
         rep = separation_experiment(
             SphereSet.create([], n=1), SphereSet.create([e1(1)]), R, 5,
-            basis, rule, eps=0.5, rng=rng)
+            basis, rule, eps=0.5, rng=rng, decay_M=10, separation_factor=10.0,
+            **DECAY)
         assert rep["ok"]
         assert rep["separation_factor"] >= 10.0
         assert rep["monotone_violations"] == 0
@@ -332,7 +351,8 @@ class TestSeparation:
         f1 = SphereSet.create([e2(2)])
         f2 = SphereSet.create([e1(2), e2(2)])
         rep = separation_experiment(f1, f2, R, 4, basis, rule, eps=0.5,
-                                    rng=rng, decay_M=8)
+                                    rng=rng, decay_M=8,
+                                    separation_factor=10.0, **DECAY)
         assert rep["ok"]
         # zeta must be the direction of F2 farthest from F1
         zeta = np.asarray(rep["zeta"])
