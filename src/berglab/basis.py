@@ -21,7 +21,7 @@ from .quadrature import QuadratureRule
 __all__ = ["multi_indices", "monomial_norm", "TruncatedBasis", "Expansion",
            "kernel", "kernel_expansion", "weighted_gram", "project"]
 
-_BLOCK = 1 << 20  # complex entries per gathered (rows, B, slices) block
+_BLOCK = 1 << 17  # complex entries per gathered (rows, B, slices) block
 
 
 def multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -156,12 +156,18 @@ def weighted_gram(basis: TruncatedBasis, rule: QuadratureRule,
     with beta - alpha taken mod A = ``angular`` in each coordinate, where
     F_p is the n-dimensional DFT of w * values over the angles of slice p.
     This is the same finite sum reordered, exact even when the angles
-    alias 2 * degree.  It costs one FFT of the N values plus
-    O(P B^2) for P slices and B basis elements, in O(N + P B) memory.
+    alias 2 * degree.  It costs one FFT of the N values plus O(P B^2)
+    for P slices and B basis elements.
+
+    ``values`` is consumed: it is weighted in place and, when complex,
+    overwritten by its spectrum.  Beyond it the call holds one
+    frequency-major copy of the spectrum (N complex entries) and one
+    reused gather block of at most max(2^17, B P) complex entries.
     """
     n, size, slices = basis.n, len(basis), len(rule.moduli)
-    spec = np.fft.fftn(rule.grid(rule.weights * values),
-                       axes=tuple(range(1, n + 1)))
+    grid = rule.weigh(values)
+    spec = np.fft.fftn(grid, axes=tuple(range(1, n + 1)),
+                       out=grid if grid.dtype == complex else None)
     # frequency-major, so a gather reads whole rows of P slice values
     spec = np.ascontiguousarray(spec.reshape(slices, -1).T)
     rho = basis.eval(rule.moduli).real.T  # (B, P) at the angle-zero nodes
@@ -171,9 +177,13 @@ def weighted_gram(basis: TruncatedBasis, rule: QuadratureRule,
                                 (rule.angular,) * n)
     out = np.empty((size, size), dtype=complex)
     rows = max(1, _BLOCK // (slices * size))
+    gather = np.empty((min(rows, size), size, slices), dtype=complex)
     for start in range(0, size, rows):
         r = slice(start, start + rows)
-        block = spec[freq[r]]  # (rows, B, P): F_p[beta - alpha]
+        # F_p[beta - alpha]; freq is in range, and mode="clip" lets take
+        # write straight into the buffer instead of through a copy
+        block = np.take(spec, freq[r], axis=0, out=gather[:len(freq[r])],
+                        mode="clip")
         block *= rho[None]
         out[r] = np.matmul(block, rho[r, :, None])[..., 0]
     return out
@@ -182,15 +192,12 @@ def weighted_gram(basis: TruncatedBasis, rule: QuadratureRule,
 def project(f, basis: TruncatedBasis, rule: QuadratureRule) -> Expansion:
     """Orthogonal projection onto the truncated basis by quadrature.
 
-    ``f`` maps an (N, n) array of points to (N,) values; the coefficient
-    at alpha is the rule's value of <f, e_alpha>, the alpha-th entry of
-    the weighted Gram column at e_0 = 1.
+    ``f`` maps an (m, n) array of points to (m,) values (see
+    ``QuadratureRule.evaluate``); the coefficient at alpha is the rule's
+    value of <f, e_alpha>, the alpha-th entry of the weighted Gram column
+    at e_0 = 1.
     """
     if rule.n != basis.n:
         raise ValueError("rule and basis dimensions differ")
-    values = np.asarray(f(rule.nodes))
-    if not np.all(np.isfinite(values)):
-        i = int(np.argmax(~np.isfinite(values)))
-        raise ValueError(f"integrand is not finite at node {i}")
-    coeffs = weighted_gram(basis, rule, values)[:, 0]
+    coeffs = weighted_gram(basis, rule, rule.evaluate(f))[:, 0]
     return Expansion(basis=basis, coeffs=coeffs)

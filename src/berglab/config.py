@@ -74,8 +74,9 @@ class ExperimentConfig:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
-        if self.M < 1 or self.decay_M < 1:
-            raise ValueError("M and decay_M must be >= 1")
+        if self.M < 1 or self.decay_M < self.M:
+            raise ValueError(f"need 1 <= M <= decay_M, got M = {self.M}, "
+                             f"decay_M = {self.decay_M}")
         if self.radial_points < 4:
             raise ValueError("radial_points must be >= 4")
         if self.jobs < 1:

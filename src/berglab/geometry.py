@@ -32,6 +32,7 @@ __all__ = [
     "in_ellipsoid",
     "delta_for",
     "sample_ball",
+    "sample_ball_blocks",
     "sample_metric_ball",
     "random_sphere_points",
 ]
@@ -243,6 +244,23 @@ def sample_ball(n: int, count: int, rng: np.random.Generator,
     rad = radius * rng.random(count) ** (1.0 / (2 * n))
     x *= rad[:, None]
     return x[:, :n] + 1j * x[:, n:]
+
+
+def sample_ball_blocks(n: int, count: int, rng: np.random.Generator,
+                       radius: float, rows: int) -> list[np.ndarray]:
+    """``sample_ball(n, count, rng, radius)`` as blocks of <= ``rows`` points.
+
+    The draws are sample_ball's, in its order (every direction, then every
+    radius), so the concatenated blocks are its points bit for bit and
+    ``rng`` ends in the same state; but no array holds all ``count``.
+    """
+    blocks = [rng.standard_normal((min(rows, count - i), 2 * n))
+              for i in range(0, count, rows)]
+    for k, x in enumerate(blocks):
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x *= (radius * rng.random(len(x)) ** (1.0 / (2 * n)))[:, None]
+        blocks[k] = x[:, :n] + 1j * x[:, n:]
+    return blocks
 
 
 def sample_metric_ball(a, r, count: int,

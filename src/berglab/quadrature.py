@@ -29,6 +29,12 @@ the angle grid theta_j = 2 pi k_j / A with the last coordinate's angle
 fastest; the angle-zero node of a slice is real and carries the slice's
 moduli |z_j|.  ``QuadratureRule`` stores exactly that structure (slice
 moduli, slice weights, A), so sums over the angles can be taken by FFT.
+
+Functions are evaluated through ``QuadratureRule.evaluate``, one block
+of whole slices at a time, and weighted per slice in place
+(``QuadratureRule.weigh``).  So production code holds one (N,) array of
+values and never the (N, n) nodes or the (N,) node weights; those stay
+available as derived properties for reference computations.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = ["QuadratureRule", "build_rule", "rule_for_basis", "integrate",
            "panel_gauss_legendre"]
 
 _NEWTON_STEPS = 2  # the starting nodes are already within a few ulp
+_EVAL_NODES = 1 << 14  # nodes per evaluation block, in whole slices
 
 
 def _legendre_with_derivative(p: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +112,12 @@ class QuadratureRule:
     ``slice_weights[p]``; node (p, k) is moduli[p] * exp(2 pi i k / angular)
     coordinatewise, k ranging over the angular**n grid points with the
     last coordinate's angle fastest, and carries weight
-    slice_weights[p] / angular**n.  ``nodes`` and ``weights`` are derived
-    from that structure on first use.
+    slice_weights[p] / angular**n.
+
+    ``evaluate`` fills the (N,) values of a function block by block and
+    ``weigh`` applies the weights to them in place, so a sum over the
+    rule needs one (N,) array.  ``nodes`` (N, n) and ``weights`` (N,)
+    are derived on first use, for reference computations only.
 
     ``exactness_degree`` D means monomials z^alpha conj(z)^beta with
     |alpha|, |beta| <= D are integrated exactly (up to roundoff).
@@ -132,25 +143,68 @@ class QuadratureRule:
         """Per-node values as a (P, angular, ..., angular) array."""
         return values.reshape((len(self.moduli),) + (self.angular,) * self.n)
 
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        """(N, n) complex nodes, strictly inside the ball."""
-        n, slices = self.n, len(self.moduli)
+    def _slice_nodes(self, start: int, stop: int) -> np.ndarray:
+        """(m, n) complex nodes of slices start..stop-1, in node order."""
+        n, moduli = self.n, self.moduli[start:stop]
         theta = 2.0 * np.pi * np.arange(self.angular) / self.angular
         phase = np.exp(1j * theta)
-        out = np.empty((slices,) + (self.angular,) * n + (n,), dtype=complex)
+        out = np.empty((len(moduli),) + (self.angular,) * n + (n,),
+                       dtype=complex)
         for j in range(n):
             axis = [1] * n
             axis[j] = self.angular
-            out[..., j] = (self.moduli[:, j].reshape((slices,) + (1,) * n)
+            out[..., j] = (moduli[:, j].reshape((len(moduli),) + (1,) * n)
                            * phase.reshape(axis))
         return out.reshape(-1, n)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(N, n) complex nodes, strictly inside the ball."""
+        return self._slice_nodes(0, len(self.moduli))
 
     @cached_property
     def weights(self) -> np.ndarray:
         """(N,) positive node weights, summing to 1."""
         per_slice = self.angular ** self.n
         return np.repeat(self.slice_weights / per_slice, per_slice)
+
+    def evaluate(self, f) -> np.ndarray:
+        """(N,) values of f at the nodes, equal to f(nodes) bit for bit.
+
+        ``f`` maps an (m, n) complex array of points to (m,) finite
+        values.  It is called on one block of whole slices at a time, at
+        most max(2^14, angular**n) points, so its temporaries stay that
+        size whatever N is.  The values keep the dtype f returns,
+        promoted to at least float64 so that they can be weighted.
+        """
+        per_slice = self.angular ** self.n
+        step = max(1, _EVAL_NODES // per_slice)
+        out = None
+        for start in range(0, len(self.moduli), step):
+            stop = min(start + step, len(self.moduli))
+            pts = self._slice_nodes(start, stop)
+            vals = np.asarray(f(pts))
+            if vals.shape != (len(pts),):
+                raise ValueError(f"function returned shape {vals.shape}, "
+                                 f"expected ({len(pts)},)")
+            bad = ~np.isfinite(vals)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise ValueError(f"function is not finite at node "
+                                 f"{start * per_slice + i}: z = {pts[i]}")
+            if out is None:
+                out = np.empty(len(self),
+                               dtype=np.result_type(vals.dtype, np.float64))
+            out[start * per_slice:stop * per_slice] = vals
+        return out
+
+    def weigh(self, values: np.ndarray) -> np.ndarray:
+        """Multiply (N,) values by the node weights, in place, and return
+        them as a grid: slice p's values scale by slice_weights[p] / A^n."""
+        grid = self.grid(values)
+        grid *= (self.slice_weights / self.angular ** self.n).reshape(
+            (-1,) + (1,) * self.n)
+        return grid
 
     def __len__(self) -> int:
         return len(self.slice_weights) * self.angular ** self.n
@@ -163,7 +217,7 @@ class QuadratureRule:
             "radial_points": int(self.radial_points),
             "angular": int(self.angular),
             "radial_breaks": list(self.radial_breaks),
-            "weight_sum": float(np.sum(self.weights)),
+            "weight_sum": float(np.sum(self.slice_weights)),
         }
 
 
@@ -223,15 +277,7 @@ def rule_for_basis(n: int, degree: int, *, seed: int | None = None,
 def integrate(f, rule: QuadratureRule) -> complex:
     """Integrate f over the ball: sum of w_i f(node_i).
 
-    ``f`` must accept an (N, n) complex array and return (N,) values.
+    ``f`` must accept an (m, n) complex array and return (m,) values; see
+    ``QuadratureRule.evaluate``.
     """
-    values = np.asarray(f(rule.nodes))
-    if values.shape != (len(rule),):
-        raise ValueError(
-            f"integrand returned shape {values.shape}, expected ({len(rule)},)")
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"integrand is not finite at node {i}: z = {rule.nodes[i]}")
-    return complex(np.sum(rule.weights * values))
+    return complex(np.sum(rule.weigh(rule.evaluate(f))))

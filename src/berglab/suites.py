@@ -16,7 +16,7 @@ from .config import ExperimentConfig
 from .geometry import (delta_for, disjoint_threshold, ellipsoid_params,
                        in_ellipsoid, in_metric_ball, metric_combined_bound,
                        moebius, pseudo_metric, random_sphere_points,
-                       sample_ball, sample_metric_ball)
+                       sample_ball, sample_ball_blocks, sample_metric_ball)
 from .quadrature import build_rule, integrate, rule_for_basis
 from .sequences import build_sequence, pairwise_rho
 from .toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
@@ -34,6 +34,12 @@ __all__ = ["run_geometry", "run_sequence", "run_basis", "run_toeplitz",
            "run_all", "SUITES"]
 
 _GEOM_DIMS = (1, 2, 3)
+# The geometry checks draw up to 100k points per dimension and take them
+# in blocks of at most this many points, from the same draws, so no array
+# exceeds about 0.5 MB.  Whole-sample arrays (4.8 MB at n = 3) were placed
+# by malloc around small blocks left over from earlier work, so the peak
+# RSS of a run moved by up to 5 MiB with the seed.
+_SAMPLE_ROWS = 10_000
 
 
 def _rng(cfg: ExperimentConfig, suite: int) -> np.random.Generator:
@@ -63,6 +69,15 @@ def _near_boundary_points(zetas: np.ndarray, delta: float,
 
 # ----------------------------------------------------------------- geometry
 
+def _combined_metric_violation(n: int, rng: np.random.Generator) -> float:
+    """Largest lhs - rhs of the combined-metric inequality over 100k
+    triples, one block of triples at a time."""
+    z, w, u = (sample_ball_blocks(n, 100_000, rng, 0.95, _SAMPLE_ROWS)
+               for _ in range(3))
+    return max(float(np.max(lhs - rhs)) for lhs, rhs in
+               (metric_combined_bound(*block) for block in zip(z, w, u)))
+
+
 def run_geometry(cfg: ExperimentConfig) -> dict:
     rng = _rng(cfg, 1)
     checks = []
@@ -71,11 +86,7 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
     eq4_tol = cfg.tol("eq4_violation")
     worst_eq4 = 0.0
     for n in _GEOM_DIMS:
-        z = sample_ball(n, 100_000, rng, 0.95)
-        w = sample_ball(n, 100_000, rng, 0.95)
-        u = sample_ball(n, 100_000, rng, 0.95)
-        lhs, rhs = metric_combined_bound(z, w, u)
-        worst_eq4 = max(worst_eq4, float(np.max(lhs - rhs)))
+        worst_eq4 = max(worst_eq4, _combined_metric_violation(n, rng))
     payload["eq4_max_violation"] = worst_eq4
     checks.append(check("eq4_combined_metric", worst_eq4 <= eq4_tol,
                         worst_eq4, eq4_tol))
@@ -117,10 +128,12 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
         radii = 0.999 * (1.0 - np.sqrt(1.0 - rho * rho)) / rho
         assert all(ri >= disjoint_threshold(r, r) for ri, r in zip(rho, radii))
         centers = np.stack([z[keep], w[keep]], axis=1)  # (K, 2, n)
-        pts = sample_metric_ball(centers, radii[:, None], 1000, rng)
-        inside = (pseudo_metric(pts, centers[:, ::-1, None, :])
-                  < radii[:, None, None])
-        overlap += int(np.count_nonzero(inside))
+        step = _SAMPLE_ROWS // 2000  # pairs per block of points
+        for k in range(0, len(centers), step):
+            c, rk = centers[k:k + step], radii[k:k + step, None]
+            pts = sample_metric_ball(c, rk, 1000, rng)
+            inside = pseudo_metric(pts, c[:, ::-1, None, :]) < rk[..., None]
+            overlap += int(np.count_nonzero(inside))
         tested += len(rho)
     payload["disjointness_configs"] = tested
     payload["disjointness_overlaps"] = overlap
@@ -132,12 +145,11 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
     for n in _GEOM_DIMS:
         draws = [(sample_ball(n, 1, rng, 0.85)[0], rng.uniform(0.2, 0.8),
                   sample_ball(n, 4000, rng)) for _ in range(12)]
-        a, r, z = (np.array(x) for x in zip(*draws))
-        rho = pseudo_metric(z, a[:, None, :])
-        off_band = np.abs(rho - r[:, None]) > band
-        for k in range(12):
-            m1 = rho[k][off_band[k]] < r[k]  # in_metric_ball, same rho
-            m2 = in_ellipsoid(a[k], r[k], z[k][off_band[k]])
+        for a, r, z in draws:
+            rho = pseudo_metric(z, a)
+            off_band = np.abs(rho - r) > band
+            m1 = rho[off_band] < r  # in_metric_ball, same rho
+            m2 = in_ellipsoid(a, r, z[off_band])
             disagreements += int(np.count_nonzero(m1 != m2))
     payload["membership_disagreements"] = disagreements
     checks.append(check("membership_agreement", disagreements == 0,
@@ -158,13 +170,17 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
             count = 34 if n == 1 else 33
             zetas = random_sphere_points(n, count, rng)
             centers = _near_boundary_points(zetas, delta, rng)
-            pts = sample_metric_ball(centers, r, 1000, rng)
-            dist = np.linalg.norm(pts - zetas[:, None, :], axis=-1)
-            inclusion_violations += int(np.count_nonzero(dist >= eps))
             s = np.array([ellipsoid_params(a, r).s for a in centers])
-            da = np.linalg.norm(pts - centers[:, None, :], axis=-1)
-            euclid_violations += int(
-                np.count_nonzero(da >= 2 * r * np.sqrt(s)[:, None]))
+            step = _SAMPLE_ROWS // 1000  # centers per block of points
+            for k in range(0, count, step):
+                c = centers[k:k + step]
+                pts = sample_metric_ball(c, r, 1000, rng)
+                dist = np.linalg.norm(pts - zetas[k:k + step, None, :],
+                                      axis=-1)
+                inclusion_violations += int(np.count_nonzero(dist >= eps))
+                da = np.linalg.norm(pts - c[:, None, :], axis=-1)
+                euclid_violations += int(np.count_nonzero(
+                    da >= 2 * r * np.sqrt(s[k:k + step])[:, None]))
     payload["delta_inclusion_violations"] = inclusion_violations
     payload["euclidean_inclusion_violations"] = euclid_violations
     checks.append(check("delta_for_inequality", bool(ineq_ok)))

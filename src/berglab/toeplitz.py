@@ -172,9 +172,13 @@ def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
                     rule: QuadratureRule) -> OperatorMatrix:
     """Compression of the Toeplitz operator: entries <f e_alpha, e_beta>.
 
-    The symbol is evaluated once at the N rule nodes.  With P radial
-    slices and B basis elements the matrix costs one FFT of those N
-    values plus O(P B^2), in O(N + P B) memory.  Rule exactness below
+    The symbol is evaluated once at the N rule nodes, one block of whole
+    slices at a time (``QuadratureRule.evaluate``).  With P radial slices
+    and B basis elements the matrix costs one FFT of those N values plus
+    O(P B^2).  Its memory is one (N,) values array, which the spectrum
+    overwrites, one frequency-major copy of the spectrum and a gather
+    block of at most max(2^17, B P) entries; the symbol's temporaries
+    are those of one evaluation block.  Rule exactness below
     twice the basis degree leaves polynomial symbol entries inexact; such
     calls are flagged with a warning.
     """
@@ -185,11 +189,7 @@ def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
             f"rule exactness {rule.exactness_degree} is below twice the "
             f"basis degree {basis.degree}; entries may be inexact",
             stacklevel=2)
-    values = f(rule.nodes)
-    if not np.all(np.isfinite(values)):
-        i = int(np.argmax(~np.isfinite(values)))
-        raise ValueError(f"symbol is not finite at node {i}")
-    return OperatorMatrix(basis, weighted_gram(basis, rule, values))
+    return OperatorMatrix(basis, weighted_gram(basis, rule, rule.evaluate(f)))
 
 
 def _profile_integrals(profile, n: int, max_k: int,

@@ -93,6 +93,17 @@ class TestCli:
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
 
+    def test_decay_horizon_below_witness_horizon_rejected(
+            self, tmp_path, capsys):
+        # separation compares both curves at m = M, so decay_M >= M
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"decay_M": 3}))
+        out = tmp_path / "rep"
+        code = main(["separate", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
     def test_failing_check_exits_nonzero_with_partial_results(
             self, tmp_path, capsys):
         # an absurd tolerance forces a recorded failure, not a crash

@@ -14,6 +14,7 @@ from berglab.geometry import (
     moebius,
     pseudo_metric,
     sample_ball,
+    sample_ball_blocks,
     sample_metric_ball,
 )
 
@@ -218,6 +219,20 @@ class TestEllipsoid:
             m1 = in_metric_ball(a, r, z[off_band])
             m2 = in_ellipsoid(a, r, z[off_band])
             assert np.array_equal(m1, m2)
+
+
+class TestSampleBall:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_match_one_call(self, n):
+        # 2500 points in blocks of 700, so the last block is short
+        whole_rng = np.random.default_rng(31)
+        whole = sample_ball(n, 2500, whole_rng, 0.95)
+        blocks_rng = np.random.default_rng(31)
+        blocks = sample_ball_blocks(n, 2500, blocks_rng, 0.95, 700)
+        assert [len(b) for b in blocks] == [700, 700, 700, 400]
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        # the generator is left where sample_ball leaves it
+        assert blocks_rng.random() == whole_rng.random()
 
 
 class TestMetricBall:

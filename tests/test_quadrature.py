@@ -173,3 +173,64 @@ def test_panel_rule_matches_high_precision_rule(p):
             # node's own rounding limits the relative accuracy of a weight
             assert abs(ti - float((x + 1) / 2)) <= eps
             assert abs(wi - float(1 / ((1 - x) * (1 + x) * der * der))) <= 2 * eps
+
+
+def _complex_symbol(pts):
+    return np.exp(np.conj(pts[:, 0])) * (1.0 + pts[:, -1] ** 2)
+
+
+def _real_integrand(pts):
+    return np.sum(np.abs(pts) ** 2, axis=1) ** 1.5
+
+
+# P slices not a multiple of the 2^14 // A^n slices per evaluation block
+_BLOCKED_RULES = [(1, 40, 1000), (2, 10, None), (3, 4, None)]
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("n, p, angular", _BLOCKED_RULES)
+    @pytest.mark.parametrize("f", [_complex_symbol, _real_integrand],
+                             ids=["complex", "real"])
+    def test_matches_values_at_nodes_bit_for_bit(self, n, p, angular, f):
+        rule = build_rule(n, p, angular=angular)
+        step = max(1, (1 << 14) // rule.angular ** n)
+        assert len(rule.moduli) > step and len(rule.moduli) % step
+        got = rule.evaluate(f)
+        ref = f(rule.nodes)
+        assert got.dtype == ref.dtype
+        assert got.shape == (len(rule),)
+        assert np.array_equal(got.view(float), ref.view(float))
+
+    def test_boolean_integrand_promoted(self):
+        rule = build_rule(2, 10)
+
+        def inside(pts):
+            return np.abs(pts[:, 0]) < 0.5
+        assert rule.evaluate(inside).dtype == np.float64
+        assert integrate(inside, rule) == integrate(
+            lambda pts: inside(pts).astype(float), rule)
+
+    def test_nonfinite_named_by_global_index(self):
+        rule = build_rule(2, 10)
+        k = 30_000  # in the third block of 37 slices x 441 nodes
+        target = rule.nodes[k]
+
+        def f(pts):
+            out = np.ones(len(pts))
+            out[np.all(pts == target, axis=1)] = np.nan
+            return out
+        with pytest.raises(ValueError, match=rf"not finite at node {k}:"):
+            rule.evaluate(f)
+
+    @pytest.mark.parametrize("n, p, angular", [
+        *_BLOCKED_RULES, (3, 2, 27)])  # 27^3 > 2^14: one slice per block
+    def test_blocks_are_bounded(self, n, p, angular):
+        rule = build_rule(n, p, angular=angular)
+        sizes = []
+
+        def f(pts):
+            sizes.append(len(pts))
+            return np.ones(len(pts))
+        rule.evaluate(f)
+        assert sum(sizes) == len(rule)
+        assert max(sizes) <= max(1 << 14, rule.angular ** n)

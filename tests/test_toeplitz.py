@@ -1,16 +1,18 @@
 """Tests for Toeplitz matrices, fast paths, commutators, operator norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from berglab.basis import TruncatedBasis, project
 from berglab.geometry import moebius
-from berglab.quadrature import build_rule, rule_for_basis
+from berglab.quadrature import build_rule, integrate, rule_for_basis
 from berglab.toeplitz import (OperatorMatrix, Symbol, commutator,
                               matrix_to_csv, matrix_to_json, op_norm,
                               toeplitz_auto, toeplitz_matrix,
                               toeplitz_monomial_radial, toeplitz_radial)
-from berglab.witness import witness_symbol
+from berglab.witness import SphereSet, default_panel, witness_symbol
 
 R = 0.5
 
@@ -276,3 +278,37 @@ class TestTorusAssembly:
         emat = basis.eval(rule.nodes)
         ref = emat.conj().T @ (rule.weights * f(rule.nodes))
         assert _max_diff(project(f, basis, rule).coeffs, ref) <= 1e-14
+
+
+class TestBlockedEvaluation:
+    """Symbols are evaluated block by block; the node arrays are never built."""
+
+    def test_no_node_or_weight_arrays_built(self):
+        basis = TruncatedBasis.create(2, 6)
+        rule = rule_for_basis(2, 6)
+        sizes = []
+
+        def fn(pts):
+            sizes.append(len(pts))
+            return _mixed_symbol(2).fn(pts)
+        toeplitz_matrix(Symbol.sampled(fn, 6.0), basis, rule)
+        project(fn, basis, rule)
+        integrate(fn, rule)
+        assert rule.meta()["weight_sum"] == float(np.sum(rule.slice_weights))
+        assert "nodes" not in rule.__dict__
+        assert "weights" not in rule.__dict__
+        assert max(sizes) <= max(1 << 14, rule.angular ** 2)
+
+    def test_rho_bump_assembly_memory(self):
+        # one rho-bump of the n = 2 panel on the d = 10 separation rule:
+        # the values, one spectrum and a gather block, not the nodes
+        basis = TruncatedBasis.create(2, 10)
+        rule = rule_for_basis(2, 10, radial_breaks=(R * R,))
+        bump = default_panel(SphereSet.create([[0.0, 1.0]]), R, 2)[0]
+        tracemalloc.start()
+        try:
+            toeplitz_matrix(bump, basis, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 16 * len(rule)
