@@ -13,7 +13,7 @@ from .sequences import SeparatedSequence, SequenceUnderflowError, build_sequence
 from .toeplitz import (OperatorMatrix, Symbol, commutator, op_norm,
                        toeplitz_matrix, toeplitz_monomial_radial,
                        toeplitz_radial)
-from .unitaries import conjugate_toeplitz, unitary_matrix, weak_pairing_exact
+from .unitaries import unitary_matrix, weak_pairing_exact
 from .witness import (Prop1Config, SphereSet, boundary_trace_check,
                       build_prop1_config, in_region_W, lemma3_lower_bound,
                       prop1_decay, separation_experiment, witness_operator,

@@ -575,16 +575,17 @@ def run_witness(cfg: ExperimentConfig) -> dict:
     reports = {}
     margins = {}
     two_route = {}
+    assembly = {}
     for d in sweep:
         basis = TruncatedBasis.create(cfg.n, d)
-        rule = rule_for_basis(cfg.n, d, radial_breaks=(r * r,))
-        wop = witness_operator(zeta, r, cfg.M, basis, rule,
+        wop = witness_operator(zeta, r, cfg.M, basis,
                                two_route=(d == max(sweep) or d == min(sweep)))
         rep = lemma3_lower_bound(wop.T, wop.S, wop.unitaries)
         reports[d] = rep
         margins[d] = np.asarray(rep["margins"])
         if wop.two_route_defects is not None:
             two_route[d] = list(wop.two_route_defects)
+            assembly[d] = list(wop.two_route_routes)
 
     final = reports[max(sweep)]
     checks.append(check("lower_bound_holds_all_d",
@@ -621,6 +622,7 @@ def run_witness(cfg: ExperimentConfig) -> dict:
         "u_norms": final["u_norms"],
         "margins_by_degree": {str(d): margins[d].tolist() for d in sweep},
         "two_route_defects": {str(d): two_route[d] for d in two_route},
+        "two_route_assembly": {str(d): assembly[d] for d in assembly},
         "conditioning_warning": wop.conditioning_warning,
         "csv": {
             "witness_margins": (
@@ -652,7 +654,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
                         [c[-1] / c[0] for c in rep1["curves"]],
                         cfg.tol("decay_fraction")))
     checks.append(check("slope_within_tolerance_n1", rep1["slope_ok"],
-                        rep1["slope"], rep1["slope_target"]))
+                        rep1["slopes"], rep1["slope_target"]))
 
     # two dimensions: nonempty direction set, real cutoff bound
     basis2 = TruncatedBasis.create(2, 8)
@@ -665,7 +667,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
                        decay_frac=cfg.tol("decay_fraction"),
                        slope_rel=cfg.tol("slope_rel"))
     checks.append(check("slope_within_tolerance_n2", rep2["slope_ok"],
-                        rep2["slope"], rep2["slope_target"]))
+                        rep2["slopes"], rep2["slope_target"]))
     checks.append(check("cutoff_bound_holds_n2", rep2["eta_bound_ok"]))
     checks.append(check("decay_below_fraction_n2", all(rep2["decay_ok"]),
                         [c[-1] / c[0] for c in rep2["curves"]]))

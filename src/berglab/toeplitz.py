@@ -11,19 +11,26 @@ of w f on the slice (``basis.weighted_gram``).  It is the same finite
 sum in another order, not an approximation, and it holds even when the
 angles alias.
 
-Two structured fast paths bypass quadrature:
+Three structured routes bypass quadrature (``toeplitz_auto``):
 
   * radial symbols f(z) = g(|z|) give diagonal matrices, constant on
     degree blocks, from one-dimensional integrals;
   * symbols f(z) = z_j g(|z|) populate the single band beta = alpha + e_j,
-    again from one-dimensional integrals.
+    again from one-dimensional integrals;
+  * Moebius-composed symbols h o phi_c, with h of one of the two kinds
+    above and supported in |w| <= R < 1, use T_{h o phi_c} = U_c T_h U_c
+    (U_c is a self-adjoint unitary): the compression is V* T_h V with
+    V = P_K U_c P_d built from exact entries, and T_h kept to the core
+    degree K where its tail is below 2^-60 (``unitaries.toeplitz_moebius``).
+    This needs c on a coordinate ray; other centres take quadrature.
 
-Both reduce to I_k(g) = integral over [0,1] of t^(n+k-1) g(sqrt(t)) dt,
-evaluated by composite Gauss-Legendre split at the profile's support
-radius.  The integrand in t is g(sqrt(t)), so the result is exact (to
-roundoff) only when g is a polynomial in |z|^2 on each panel, such as
-1, |z|^2 or (1 - |z|^2/R^2)_+ at support R; a profile with odd powers
-of |z|, such as |z| itself, is integrated only approximately.
+The first two reduce to I_k(g) = integral over [0,1] of t^(n+k-1)
+g(sqrt(t)) dt, evaluated by composite Gauss-Legendre split at the
+profile's support radius.  The integrand in t is g(sqrt(t)), so the
+result is exact (to roundoff) only when g is a polynomial in |z|^2 on
+each panel, such as 1, |z|^2 or (1 - |z|^2/R^2)_+ at support R; a profile
+with odd powers of |z|, such as |z| itself, is integrated only
+approximately.
 """
 
 from __future__ import annotations
@@ -36,12 +43,12 @@ from typing import Callable
 import numpy as np
 
 from .basis import TruncatedBasis, weighted_gram
-from .geometry import _norm2, moebius
+from .geometry import _norm2, moebius, pseudo_metric
 from .quadrature import QuadratureRule, panel_gauss_legendre
 
 __all__ = ["Symbol", "OperatorMatrix", "toeplitz_matrix", "toeplitz_radial",
            "toeplitz_monomial_radial", "toeplitz_auto", "commutator",
-           "op_norm", "matrix_to_json", "matrix_to_csv"]
+           "op_norm"]
 
 _PROFILE_POINTS = 120  # per-panel Gauss-Legendre size for profile integrals
 
@@ -50,10 +57,11 @@ _PROFILE_POINTS = 120  # per-panel Gauss-Legendre size for profile integrals
 class Symbol:
     """A bounded symbol: evaluation contract plus a declared sup-norm bound.
 
-    ``kind`` tags the structure ("radial", "monomial_radial",
-    "region_indicator", "sampled"); structured kinds carry their radial
-    profile g (a function of |z|), the coordinate for the monomial factor,
-    and the support radius in |z| when the profile vanishes beyond it.
+    ``kind`` tags the structure ("radial", "monomial_radial", "moebius",
+    "sampled").  The radial kinds carry their radial profile g (a
+    function of |z|), the coordinate for the monomial factor, and the
+    support radius in |z| when the profile vanishes beyond it.  The kind
+    "moebius" is h o phi_c and carries h (``inner``) and c (``center``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -63,6 +71,8 @@ class Symbol:
     coordinate: int | None = None
     support: float | None = None
     label: str = ""
+    inner: "Symbol | None" = None
+    center: tuple[complex, ...] | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(points), dtype=complex)
@@ -98,13 +108,6 @@ class Symbol:
                       kind="monomial_radial", profile=profile,
                       coordinate=coordinate, support=support, label=label)
 
-    @staticmethod
-    def region_indicator(test, bound: float = 1.0, label: str = "") -> "Symbol":
-        def fn(pts):
-            return np.asarray(test(pts), dtype=float).astype(complex)
-        return Symbol(fn=fn, sup_norm_bound=float(bound),
-                      kind="region_indicator", label=label)
-
     def conjugate(self) -> "Symbol":
         """The symbol conj(f), sampled: the structured fast paths hold the
         profile of f, not of conj(f), so the structure is dropped."""
@@ -114,13 +117,35 @@ class Symbol:
                               label=f"conj({self.label})" if self.label else "")
 
     def compose_moebius(self, z) -> "Symbol":
-        """The symbol f o phi_z (same sup-norm bound, generic kind)."""
-        f = self.fn
+        """The symbol f o phi_z, with the same sup-norm bound.
+
+        A radial or monomial-times-radial f supported in |w| <= R < 1
+        yields the kind "moebius", which keeps f and z so that
+        ``toeplitz_auto`` can compress it exactly as U_z T_f U_z; a radial
+        f is then evaluated at points as g(rho(w, z)) (``pseudo_metric``,
+        accurate where f vanishes).  Any other f yields the sampled kind,
+        evaluated as f(phi_z(w)).
+        """
         zz = np.asarray(z, dtype=complex)
-        return Symbol(
-            fn=lambda pts: np.asarray(f(moebius(zz, pts)), dtype=complex),
-            sup_norm_bound=self.sup_norm_bound, kind="sampled",
-            label=f"{self.label}∘φ" if self.label else "")
+        f, profile = self.fn, self.profile
+        structured = (self.kind in ("radial", "monomial_radial")
+                      and profile is not None
+                      and self.support is not None and self.support < 1.0)
+        radial = structured and self.kind == "radial"
+
+        def fn(pts):
+            if radial:  # rho(w, z) = |phi_z(w)|
+                return np.asarray(profile(pseudo_metric(pts, zz)),
+                                  dtype=complex)
+            return np.asarray(f(moebius(zz, pts)), dtype=complex)
+
+        label = f"{self.label}∘φ" if self.label else ""
+        if not structured:
+            return Symbol(fn=fn, sup_norm_bound=self.sup_norm_bound,
+                          kind="sampled", label=label)
+        return Symbol(fn=fn, sup_norm_bound=self.sup_norm_bound,
+                      kind="moebius", label=label, inner=self,
+                      center=tuple(complex(v) for v in zz.ravel()))
 
 
 @dataclass(frozen=True)
@@ -252,18 +277,24 @@ def toeplitz_monomial_radial(coordinate: int, profile, basis: TruncatedBasis,
 
 def toeplitz_auto(f: Symbol, basis: TruncatedBasis,
                   rule: QuadratureRule) -> OperatorMatrix:
-    """Route a symbol to its structured fast path when one exists.
+    """Route a symbol to its structured route when one exists.
 
     Radial and monomial-times-radial symbols carry their profile, so
     their matrices come from one-dimensional integrals (exact for
-    piecewise-polynomial profiles); everything else goes through
-    quadrature.
+    piecewise-polynomial profiles).  A Moebius-composed symbol h o phi_c
+    is compressed exactly as V* T_h V when c lies on a coordinate ray
+    (``unitaries.toeplitz_moebius``); ``unitaries.toeplitz_route`` says
+    which route a symbol takes.  Everything else goes through quadrature
+    over ``rule``.
     """
     if f.kind == "radial" and f.profile is not None:
         return toeplitz_radial(f.profile, basis, support=f.support)
     if f.kind == "monomial_radial" and f.profile is not None:
         return toeplitz_monomial_radial(f.coordinate, f.profile, basis,
                                         support=f.support)
+    if f.kind == "moebius":
+        from .unitaries import toeplitz_moebius  # unitaries imports this module
+        return toeplitz_moebius(f, basis, rule)
     return toeplitz_matrix(f, basis, rule)
 
 
@@ -280,18 +311,3 @@ def op_norm(a: OperatorMatrix | np.ndarray) -> float:
     if mat.size == 0:
         return 0.0
     return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def matrix_to_json(a: OperatorMatrix) -> dict:
-    return {"dimension": a.basis.n, "degree": a.basis.degree,
-            "re": a.mat.real.tolist(), "im": a.mat.imag.tolist()}
-
-
-def matrix_to_csv(a: OperatorMatrix) -> str:
-    """CSV with header row; entries as re/im pairs."""
-    lines = ["row,col,re,im"]
-    for i in range(a.mat.shape[0]):
-        for j in range(a.mat.shape[1]):
-            v = a.mat[i, j]
-            lines.append(f"{i},{j},{v.real!r},{v.imag!r}")
-    return "\n".join(lines) + "\n"

@@ -10,6 +10,12 @@ point raises ValueError.  ``unitary_matrix_quadrature`` integrates
 e_alpha(phi_z(w)) k_z(w) conj(e_beta(w)) over a rule and serves only as
 the reference the exact route is compared against at moderate |z|.
 
+The same exact entries give the Toeplitz compression of a
+Moebius-composed symbol h o phi_c with h radial or monomial-times-radial
+and compactly supported: T_{h o phi_c} = U_c T_h U_c, and
+``toeplitz_moebius`` assembles P_d U_c T_h U_c P_d as V* T_h V with
+V = P_K U_c P_d, block by block, with no quadrature.
+
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
 compressions hold only up to a degree-dependent defect, which is why the
@@ -23,14 +29,18 @@ import numpy as np
 from .basis import TruncatedBasis, kernel, kernel_expansion
 from .geometry import _gap, _norm2, as_point, inner, moebius
 from .quadrature import QuadratureRule
-from .toeplitz import OperatorMatrix, Symbol, toeplitz_matrix
+from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
+                       toeplitz_matrix)
 
 __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
            "unitary_matrix_exact", "exact_available", "unitarity_defect",
-           "conjugate_toeplitz", "weak_pairing_exact"]
+           "toeplitz_route", "toeplitz_moebius", "weak_pairing_exact"]
 
 # invariant guards on exact compressions, which the recurrence meets to ~1e-15
 _GUARD_TOL = 1e-10
+# T_h is kept to the smallest degree K whose tail bound is below this
+_CORE_TAIL = 2.0 ** -60
+_CORE_CAP = 200
 
 
 def unitary_matrix_quadrature(z, basis: TruncatedBasis,
@@ -104,16 +114,46 @@ def exact_available(z, n: int) -> bool:
     return abs(z[j].imag) == 0.0 and z[j].real >= 0.0
 
 
+def _ray_positions(basis: TruncatedBasis, axis: int) -> dict:
+    """Per off-axis multi-index alpha' (alpha without its axis component),
+    the basis positions of alpha = (alpha', a) for a = 0..d - |alpha'|."""
+    groups: dict = {}
+    for i, alpha in enumerate(basis.indices):
+        rest = alpha[:axis] + alpha[axis + 1:]
+        groups.setdefault(rest, []).append((alpha[axis], i))
+    return {rest: np.array([i for _, i in sorted(pairs)])
+            for rest, pairs in groups.items()}
+
+
+def _ray_blocks(zeta: complex, n: int, rows: int, cols: int) -> list:
+    """Blocks of P_rows U_z P_cols for z = zeta e_axis, one per off-axis
+    degree s <= min(rows, cols) (only s = 0 when n = 1).
+
+    U_z maps z^alpha to (-1)^s w'^alpha' (1 - |zeta|^2)^((s+n+1)/2)
+    (zeta - w_axis)^a (1 - conj(zeta) w_axis)^(-(a+s+n+1)), with a the
+    axis component of alpha, alpha' the rest and s = |alpha'|.  So the
+    entry at (beta, alpha) vanishes unless beta' = alpha', and every
+    alpha' of degree s shares block s: rows a = 0..rows - s, columns
+    a = 0..cols - s, from ``_diagonals`` at b = s + n (its basis carries
+    the norm ratios), conjugated above the diagonal.
+    """
+    top = min(rows, cols) if n > 1 else 0
+    diag = _diagonals(zeta, np.arange(top + 1) + n, max(rows, cols) + 1)
+    blocks = []
+    for s in range(top + 1):
+        ar = np.arange(rows - s + 1)[:, None]
+        ac = np.arange(cols - s + 1)[None, :]
+        vals = diag[np.minimum(ar, ac), s, np.abs(ar - ac)]
+        blocks.append(np.where(ar >= ac, vals, vals.conj()) * (-1.0) ** s)
+    return blocks
+
+
 def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     """Exact compression P U_z P (no quadrature error source).
 
-    For z = zeta e_axis, U_z maps z^alpha to
-    (-1)^s w'^alpha' (1 - |zeta|^2)^((s+n+1)/2) (zeta - w_axis)^a
-    (1 - conj(zeta) w_axis)^(-(a+s+n+1)), with a the axis component of
-    alpha, alpha' the rest and s = |alpha'|.  So the entry at (beta, alpha)
-    vanishes unless beta' = alpha', and all alpha' of degree s share one
-    block, ``_diagonals`` at b = s + n (its basis carries the norm ratios),
-    conjugated above the diagonal.  n = 1 is the single block s = 0.
+    For z = zeta e_axis the matrix is block diagonal in the off-axis
+    multi-index alpha', with one block per off-axis degree
+    (``_ray_blocks``); n = 1 is the single block s = 0.
 
     Raises ValueError when the result breaks an invariant every
     compression of U_z keeps: finite entries, self-adjointness, column
@@ -127,18 +167,11 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
         raise ValueError(
             "exact entries for n >= 2 require z on a coordinate ray t e_j")
     axis = int(np.argmax(np.abs(z) > 0.0))
-    idx = np.asarray(basis.indices)
-    a = idx[:, axis]
-    rest = np.delete(idx, axis, axis=1)
-    s = rest.sum(axis=1)
-    group = rest @ (basis.degree + 1) ** np.arange(basis.n - 1)
-    rows, cols = np.nonzero(group[:, None] == group[None, :])
-    diag = _diagonals(complex(z[axis]), np.arange(s.max() + 1) + basis.n,
-                      basis.degree + 1)
-    ar, ac = a[rows], a[cols]
-    vals = diag[np.minimum(ar, ac), s[cols], np.abs(ar - ac)]
+    blocks = _ray_blocks(complex(z[axis]), basis.n, basis.degree,
+                         basis.degree)
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    mat[rows, cols] = np.where(ar >= ac, vals, vals.conj()) * (-1.0) ** s[cols]
+    for rest, pos in _ray_positions(basis, axis).items():
+        mat[np.ix_(pos, pos)] = blocks[sum(rest)]
 
     where = f"exact U_z at z={z.tolist()} (n={basis.n}, degree {basis.degree})"
     if not np.all(np.isfinite(mat)):
@@ -164,18 +197,117 @@ def unitarity_defect(u: OperatorMatrix) -> float:
     return float(np.linalg.norm(u.mat.conj().T @ u.mat - eye, 2))
 
 
-def conjugate_toeplitz(z, f: Symbol, basis: TruncatedBasis,
-                       rule: QuadratureRule) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Both routes of the conjugation identity.
+def _core_degree(h: Symbol, n: int) -> tuple[int, float]:
+    """Core degree K of T_h for a radial or monomial-times-radial h with
+    profile g supported in |w| <= R < 1, and its tail bound.
 
-    Returns (U_z T_f U_z*, T_{f o phi_z}); they agree up to a defect that
-    shrinks as the truncation degree grows.
+    The entries of T_h at total degree k are at most sup|g| R^(2(n+k)),
+    and T_h is diagonal or a single band, so dropping every degree above
+    K changes it by at most sup|g| R^(2(n+K+1)) in operator norm, at any
+    truncation degree.  K is the smallest degree where that bound is
+    below 2^-60; sup|g| is taken over 257 points of [0, R].
     """
-    u = unitary_matrix(z, basis)
-    tf = toeplitz_matrix(f, basis, rule)
-    lhs = u @ tf @ u.adjoint()
-    rhs = toeplitz_matrix(f.compose_moebius(z), basis, rule)
-    return lhs, rhs
+    radius = h.support
+    sup_g = float(np.max(np.abs(h.profile(np.linspace(0.0, radius, 257)))))
+    for k in range(_CORE_CAP + 1):
+        tail = sup_g * radius ** (2 * (n + k + 1))
+        if tail < _CORE_TAIL:
+            return k, tail
+    raise ValueError(
+        f"support radius R = {radius} needs a core degree above "
+        f"{_CORE_CAP} for a tail below 2^-60 at n = {n}")
+
+
+def toeplitz_route(f: Symbol, n: int) -> dict:
+    """How ``toeplitz_auto`` assembles T_f at dimension n.
+
+    "radial" and "monomial_radial" are the one-dimensional fast paths,
+    "moebius" is the exact compression V* T_h V of f = h o phi_c, which
+    needs c on a coordinate ray (``exact_available``), and "quadrature"
+    is everything else.  A "moebius" route also gives its core degree K
+    and tail bound (``_core_degree``); the others give None for both.
+    """
+    route = {"route": "quadrature", "core_degree": None, "tail_bound": None}
+    if f.kind in ("radial", "monomial_radial") and f.profile is not None:
+        route["route"] = f.kind
+    elif f.kind == "moebius":
+        if len(f.center) != n:
+            raise ValueError(f"symbol centre has dimension {len(f.center)}, "
+                             f"expected {n}")
+        if exact_available(f.center, n):
+            k, tail = _core_degree(f.inner, n)
+            route.update(route="moebius", core_degree=k, tail_bound=tail)
+    return route
+
+
+def toeplitz_moebius(f: Symbol, basis: TruncatedBasis,
+                     rule: QuadratureRule | None = None) -> OperatorMatrix:
+    """Compression of T_f for a Moebius-composed f = h o phi_c.
+
+    With c on a coordinate ray this is P_d U_c T_h U_c P_d = V* T_h V,
+    V = P_K U_c P_d at the core degree K (``_core_degree``), exact up to
+    the tail bound; otherwise it is ``toeplitz_matrix`` over ``rule``,
+    which must then be given.
+    """
+    if f.kind != "moebius":
+        raise ValueError(f"symbol kind {f.kind!r} is not Moebius-composed")
+    route = toeplitz_route(f, basis.n)
+    if route["route"] != "moebius":
+        if rule is None:
+            raise ValueError(f"centre {list(f.center)} is off the coordinate "
+                             "rays: T_f needs a quadrature rule")
+        return toeplitz_matrix(f, basis, rule)
+    return OperatorMatrix(basis, _compress_moebius(f, basis,
+                                                   route["core_degree"]))
+
+
+def _compress_moebius(f: Symbol, basis: TruncatedBasis,
+                      core: int) -> np.ndarray:
+    """V* T_h V with V = P_core U_c P_d, one off-axis multi-index alpha'
+    at a time.  U_c keeps alpha' (``_ray_blocks``) and T_h is diagonal
+    (radial h) or the single band beta = alpha + e_j (h = z_j g), so each
+    block of the result is a product of one or two blocks of V around a
+    diagonal.  V is held as its blocks, one per off-axis degree, and no
+    array has B_core^2 entries."""
+    h, n = f.inner, basis.n
+    c = np.asarray(f.center)
+    axis = int(np.argmax(np.abs(c) > 0.0))
+    blocks = _ray_blocks(complex(c[axis]), n, core, basis.degree)
+    # each column of V is P_core of a unit vector U_c e_alpha
+    excess = max(float(np.max(np.linalg.norm(v, axis=0))) for v in blocks)
+    if not excess - 1.0 <= _GUARD_TOL:  # also catches NaN
+        raise ValueError(
+            f"exact V at c={list(f.center)} (n={n}, degree {basis.degree}, "
+            f"core {core}): column norm excess {excess - 1.0:.3g} exceeds "
+            f"{_GUARD_TOL:g}")
+    ints = _profile_integrals(h.profile, n, core, h.support)
+    k = np.arange(core + 1)
+    positions = _ray_positions(basis, axis)
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for rest, pos in positions.items():
+        s = sum(rest)
+        if s >= len(blocks):
+            continue  # no degree <= core in this block
+        v = blocks[s]
+        if h.kind == "radial":  # T_h = (n + k) I_k at total degree k
+            diag = ((n + k) * ints)[s:]
+            out[np.ix_(pos, pos)] = v.conj().T @ (diag[:, None] * v)
+            continue
+        # entry of T_h at beta = alpha + e_j: I_k sqrt((n + k)(alpha_j + 1)),
+        # k = |alpha| + 1, as in ``toeplitz_monomial_radial``
+        kk = k[s + 1:]
+        if h.coordinate == axis:  # within the block: row a + 1 from row a
+            band = ints[kk] * np.sqrt((n + kk) * (kk - s))
+            out[np.ix_(pos, pos)] = v[1:].conj().T @ (band[:, None] * v[:-1])
+            continue
+        j = h.coordinate - (h.coordinate > axis)  # its place in alpha'
+        up = rest[:j] + (rest[j] + 1,) + rest[j + 1:]
+        if up not in positions or s + 1 >= len(blocks):
+            continue  # the band leaves the truncation
+        band = ints[kk] * np.sqrt((n + kk) * (rest[j] + 1))
+        out[np.ix_(positions[up], pos)] = (
+            blocks[s + 1].conj().T @ (band[:, None] * v[:-1]))
+    return out
 
 
 def weak_pairing_exact(zm, z, w) -> tuple[np.ndarray, np.ndarray]:

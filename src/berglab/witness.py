@@ -27,7 +27,7 @@ their first point, which cancels the common truncation factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .sequences import SeparatedSequence, build_sequence
 from .toeplitz import (OperatorMatrix, Symbol, commutator, op_norm,
                        toeplitz_auto, toeplitz_matrix,
                        toeplitz_monomial_radial)
-from .unitaries import unitary_matrix
+from .unitaries import toeplitz_moebius, toeplitz_route, unitary_matrix
 
 __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "boundary_trace_check", "exclusion_radius", "witness_symbol",
@@ -197,18 +197,20 @@ def witness_symbol(r: float) -> Symbol:
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """The truncated witness operator with its ingredients."""
+    """The truncated witness operator with its ingredients; with the
+    two-route probe, its defects and the route of each composed
+    assembly (``unitaries.toeplitz_route``)."""
 
     T: OperatorMatrix
     S: OperatorMatrix
     seq: SeparatedSequence
     unitaries: tuple[OperatorMatrix, ...]
     two_route_defects: tuple[float, ...] | None
+    two_route_routes: tuple[dict, ...] | None
     conditioning_warning: bool
 
 
-def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis,
-                     rule: QuadratureRule, *,
+def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis, *,
                      two_route: bool = False) -> WitnessOperator:
     """Assemble S = [T_f, T_conj(f)]^2 and T = sum_m U_{z_m} S U_{z_m}*.
 
@@ -217,8 +219,11 @@ def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis,
     so zeta must be a coordinate direction e_j when n >= 2).  With
     two_route=True the identity
     U_z [T_f, T_conj(f)] U_z* = [T_{f o phi_z}, T_{conj(f) o phi_z}]
-    is probed per term by building the right side from composed symbols
-    (quadrature route; informative at moderate |z_m| only).
+    is probed per term: the left side is a product of compressions,
+    (P U_z P) S (P U_z P), and the right side the compression of a
+    product, [B, B*]^2 with B = P U_z T_f U_z P, the exact compression
+    of the composed symbol (``unitaries.toeplitz_moebius``).  So the
+    defect measures truncation alone, and shrinks with the degree.
     """
     f = witness_symbol(r)
     a = toeplitz_monomial_radial(0, f.profile, basis, support=r)
@@ -232,21 +237,22 @@ def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis,
         total += (u @ s @ u.adjoint()).mat
     t_mat = OperatorMatrix(basis, total)
 
-    defects = None
+    defects = routes = None
     if two_route:
-        ds = []
+        ds, rs = [], []
         for m in range(M):
             composed = f.compose_moebius(pts[m])
-            b = toeplitz_matrix(composed, basis, rule)
+            b = toeplitz_moebius(composed, basis)
             cc = commutator(b, b.adjoint())
             route2 = cc @ cc
             route1 = unitaries[m] @ s @ unitaries[m].adjoint()
             ds.append(op_norm(route1 - route2))
-        defects = tuple(ds)
+            rs.append(toeplitz_route(composed, basis.n))
+        defects, routes = tuple(ds), tuple(rs)
 
     return WitnessOperator(
         T=t_mat, S=s, seq=seq, unitaries=unitaries,
-        two_route_defects=defects,
+        two_route_defects=defects, two_route_routes=routes,
         conditioning_warning=bool(seq.gaps[-1] < 1e-6))
 
 
@@ -370,8 +376,10 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     per product prefix (k <= 3): decay of the curve below ``decay_frac``
     of its first value; the cutoff-factor bound
     ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
-    plus the truncation slack ||T_eta|| sqrt(1 - ||P k_{z_m}||^2); and the
-    log-log slope of the decay factor against 1 - |z_m|^2.
+    plus the truncation slack ||T_eta|| sqrt(1 - ||P k_{z_m}||^2); and,
+    for every product curve, the log-log slope of the curve against
+    1 - |z_m|^2 within ``slope_rel`` of (n+1)/2.  ``routes`` records how
+    each panel matrix was assembled (``unitaries.toeplitz_route``).
     """
     pts = seq.points()
     n = basis.n
@@ -384,7 +392,8 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
 
     kz = [kernel_expansion(p, basis).coeffs for p in pts]
 
-    mats = [toeplitz_auto(g, basis, rule) for g in g_symbols[:3]]
+    panel = g_symbols[:3]
+    mats = [toeplitz_auto(g, basis, rule) for g in panel]
     curves = []
     decay_ok = []
     prod = None
@@ -414,11 +423,13 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         eta_data = {"lhs": [0.0] * len(seq), "rhs": [0.0] * len(seq),
                     "slack": [0.0] * len(seq)}
 
+    # a curve that reaches 0 has no log-log slope (None), and fails
     x = np.log(one_minus)
-    y = np.log(factors)
-    slope = float(np.polyfit(x, y, 1)[0])
+    slopes = [float(np.polyfit(x, np.log(curve), 1)[0]) if min(curve) > 0.0
+              else None for curve in curves]
     slope_target = 0.5 * (n + 1)
-    slope_ok = bool(abs(slope - slope_target) <= slope_rel * slope_target)
+    slope_ok = all(v is not None and abs(v - slope_target)
+                   <= slope_rel * slope_target for v in slopes)
 
     return {
         "radii": seq.radii.tolist(),
@@ -427,15 +438,21 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         "decay_ok": decay_ok,
         "eta_bound": eta_data,
         "eta_bound_ok": bound_ok,
-        "slope": slope,
+        "slopes": slopes,
         "slope_target": slope_target,
         "slope_ok": slope_ok,
+        "routes": [toeplitz_route(g, n) for g in panel],
         "ok": all(decay_ok) and bound_ok and slope_ok,
     }
 
 
 def default_panel(F1: SphereSet, r: float, n: int) -> list[Symbol]:
-    """Three generators supported in W_{F1} (compact-support class)."""
+    """Three generators supported in W_{F1} (compact-support class).
+
+    With F1 empty they are radial bumps and a disk.  Otherwise they are
+    rho-bumps (1 - rho(z, c)^2 / R^2)_+ with R = 0.9 r at c = tau zeta,
+    zeta in F1, built as h o phi_c with h radial (``compose_moebius``).
+    """
     if len(F1) == 0:
         def bump(scale):
             def profile(u, R=scale * r):
@@ -449,18 +466,16 @@ def default_panel(F1: SphereSet, r: float, n: int) -> list[Symbol]:
                           1.0, support=0.6 * r, label="g3:disk(0.6r)"),
         ]
     out = []
-    radii = [0.35, 0.6, 0.8]
-    for i, tau in enumerate(radii):
+    rr = 0.9 * r
+
+    def profile(u):
+        return np.clip(1.0 - (np.asarray(u) / rr) ** 2, 0.0, None)
+
+    h = Symbol.radial(profile, 1.0, support=rr)
+    for i, tau in enumerate((0.35, 0.6, 0.8)):
         zeta = F1.points[i % len(F1)]
-        center = tau * zeta
-        rr = 0.9 * r
-
-        def fn(pts, c=center, R=rr):
-            rho = pseudo_metric(pts, c)
-            return np.clip(1.0 - (rho / R) ** 2, 0.0, None).astype(complex)
-
-        out.append(Symbol.sampled(fn, 1.0,
-                                  label=f"g{i+1}:rho-bump({tau})"))
+        out.append(replace(h.compose_moebius(tau * zeta),
+                           label=f"g{i+1}:rho-bump({tau})"))
     return out
 
 
@@ -499,7 +514,7 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
             f"(best is {float(dists[best]):.6g})")
     zeta = F2.points[best]
 
-    witness = witness_operator(zeta, r, M, basis, rule)
+    witness = witness_operator(zeta, r, M, basis)
     lemma3 = lemma3_lower_bound(witness.T, witness.S, witness.unitaries)
 
     symbols = default_panel(F1, r, n)

@@ -1,6 +1,8 @@
-"""Tests for the composition unitaries and the weak-decay pairing."""
+"""Tests for the composition unitaries, the exact route for
+Moebius-composed symbols and the weak-decay pairing."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,14 +10,16 @@ import pytest
 
 from berglab.basis import TruncatedBasis, kernel_expansion
 from berglab.geometry import sample_ball
-from berglab.quadrature import build_rule
+from berglab.quadrature import build_rule, rule_for_basis
 from berglab.sequences import build_sequence
 from berglab import unitaries
-from berglab.toeplitz import Symbol
-from berglab.unitaries import (conjugate_toeplitz, exact_available,
-                               unitary_matrix, unitary_matrix_exact,
+from berglab.toeplitz import Symbol, toeplitz_auto, toeplitz_matrix
+from berglab.unitaries import (exact_available, toeplitz_moebius,
+                               toeplitz_route, unitary_matrix,
+                               unitary_matrix_exact,
                                unitary_matrix_quadrature, unitarity_defect,
                                weak_pairing_exact)
+from berglab.witness import SphereSet, default_panel, witness_symbol
 
 
 def window(mat, basis, probe):
@@ -201,6 +205,15 @@ class TestExactGuards:
         with pytest.raises(ValueError, match=f"n=1, degree 8.*{defect}"):
             unitary_matrix_exact([z], b)
 
+    def test_perturbed_kernel_raises_in_moebius_route(self, monkeypatch):
+        g = bump(BUMP_R).compose_moebius([0.0])
+        b = TruncatedBasis.create(1, 8)
+        toeplitz_moebius(g, b)
+        monkeypatch.setattr(unitaries, "_diagonals",
+                            perturb_where(np.s_[1:], lambda v: v * (1 + 1e-6)))
+        with pytest.raises(ValueError, match="column norm excess"):
+            toeplitz_moebius(g, b)
+
 
 class TestUnitarityDefect:
     def test_window_defect_decreases_n1(self):
@@ -226,28 +239,127 @@ class TestUnitarityDefect:
         assert 0.0 < unitarity_defect(u) <= 1.0 + 1e-12
 
 
+def bump(radius):
+    """The radial profile (1 - |w|^2 / R^2)_+ of the panel's rho-bumps."""
+    return Symbol.radial(
+        lambda u: np.clip(1.0 - (np.asarray(u) / radius) ** 2, 0.0, None),
+        1.0, support=radius)
+
+
+BUMP_R = 0.45
+
+
 class TestConjugation:
-    def test_radial_symbol_at_origin(self, basis, rule):
-        f = Symbol.radial(lambda u: u ** 2, 1.0)
-        lhs, rhs = conjugate_toeplitz([0.0], f, basis, rule)
-        assert np.max(np.abs(lhs.mat - rhs.mat)) < 1e-12
+    """The exact route for h o phi_z against quadrature of the same symbol."""
 
-    def test_constant_symbol(self, basis, rule):
-        f = Symbol.constant(1.0)
-        lhs, rhs = conjugate_toeplitz([0.5], f, basis, rule)
-        # right side is exactly the identity; left side approaches it on
-        # any fixed low-degree window as the truncation grows
-        assert np.max(np.abs(rhs.mat - np.eye(len(basis)))) < 1e-12
-        assert window(lhs.mat - np.eye(len(basis)), basis, 3) < 0.05
+    def test_radial_symbol_at_origin(self, basis):
+        # phi_0 = -id: the composed symbol is radial, which a rule with a
+        # break at R^2 integrates exactly
+        g = bump(BUMP_R).compose_moebius([0.0])
+        rule = rule_for_basis(1, 12, radial_breaks=(BUMP_R ** 2,))
+        assert toeplitz_route(g, 1)["route"] == "moebius"
+        exact = toeplitz_auto(g, basis, rule)
+        quad = toeplitz_matrix(g, basis, rule)
+        assert np.max(np.abs(exact.mat - quad.mat)) < 1e-12
 
-    def test_defect_decreases_with_degree(self, rule):
-        f = Symbol.radial(lambda u: u ** 2, 1.0)
+    def test_bump_off_origin(self, basis, rule):
+        g = bump(BUMP_R).compose_moebius([0.5])
+        exact = toeplitz_auto(g, basis, rule)
+        quad = toeplitz_matrix(g, basis, rule)
+        # the kink of g is not on a radial slice, so quadrature converges
+        # slowly; the exact route is Hermitian to roundoff
+        assert np.max(np.abs(exact.mat - quad.mat)) < 1e-4
+        assert np.max(np.abs(exact.mat - exact.mat.conj().T)) < 1e-15
+
+    def test_defect_decreases_with_degree(self):
+        g = bump(BUMP_R).compose_moebius([0.5])
         defects = []
         for d in (6, 8, 10, 12):
             b = TruncatedBasis.create(1, d)
-            lhs, rhs = conjugate_toeplitz([0.5], f, b, rule)
-            defects.append(window(lhs.mat - rhs.mat, b, 3))
+            rule = build_rule(1, 4 * d, angular=16 * d)
+            exact = toeplitz_auto(g, b, rule).mat
+            defects.append(window(exact - toeplitz_matrix(g, b, rule).mat,
+                                  b, 3))
         assert all(a > b for a, b in zip(defects, defects[1:]))
+
+
+def rho_bump(r, tau, n=2, axis=1):
+    zeta = np.zeros(n, complex)
+    zeta[axis] = 1.0
+    panel = default_panel(SphereSet.create([zeta]), r, n)
+    return panel[[0.35, 0.6, 0.8].index(tau)]
+
+
+class TestMoebiusRoute:
+    @pytest.mark.parametrize("g", [
+        rho_bump(0.5, 0.6),
+        witness_symbol(0.5).compose_moebius([0.5, 0.0]),
+        witness_symbol(0.5).compose_moebius([0.0, 0.5])],
+        ids=["rho_bump", "monomial_on_axis", "monomial_off_axis"])
+    def test_core_degree_is_converged(self, g):
+        b = TruncatedBasis.create(2, 10)
+        k = toeplitz_route(g, 2)["core_degree"]
+        at_k = toeplitz_moebius(g, b).mat
+        for more in (10, 20):
+            wider = unitaries._compress_moebius(g, b, k + more)
+            assert np.max(np.abs(wider - at_k)) < 1e-17
+
+    def test_gap_to_quadrature_shrinks_with_rule(self):
+        b = TruncatedBasis.create(2, 6)
+        g = rho_bump(0.5, 0.6)
+        exact = toeplitz_moebius(g, b).mat
+        gaps = [np.linalg.norm(exact - toeplitz_matrix(
+                    g, b, rule_for_basis(2, d, radial_breaks=(0.25,))).mat, 2)
+                for d in (10, 20)]
+        assert gaps[1] < 0.5 * gaps[0]
+
+    def test_monomial_off_the_ray_axis(self):
+        # f = z_1 eta with the centre on e_2: the band links blocks
+        # alpha' and alpha' + e_1 of U_c
+        b = TruncatedBasis.create(2, 8)
+        g = witness_symbol(0.5).compose_moebius([0.0, 0.5])
+        rule = rule_for_basis(2, 16, radial_breaks=(0.25,))
+        exact = toeplitz_auto(g, b, rule).mat
+        assert np.max(np.abs(exact - toeplitz_matrix(g, b, rule).mat)) < 2e-6
+
+    def test_rho_bump_three_variables(self):
+        b = TruncatedBasis.create(3, 3)
+        g = rho_bump(0.5, 0.35, n=3, axis=2)
+        rule = rule_for_basis(3, 3, radial_breaks=(BUMP_R ** 2,))
+        assert toeplitz_route(g, 3)["route"] == "moebius"
+        exact = toeplitz_auto(g, b, rule).mat
+        assert np.max(np.abs(exact - toeplitz_matrix(g, b, rule).mat)) < 2e-5
+
+    def test_off_ray_centre_takes_quadrature(self):
+        b = TruncatedBasis.create(2, 4)
+        g = bump(BUMP_R).compose_moebius([0.3, 0.3])
+        rule = rule_for_basis(2, 4)
+        assert toeplitz_route(g, 2) == {
+            "route": "quadrature", "core_degree": None, "tail_bound": None}
+        assert np.array_equal(toeplitz_auto(g, b, rule).mat,
+                              toeplitz_matrix(g, b, rule).mat)
+        with pytest.raises(ValueError, match="quadrature rule"):
+            toeplitz_moebius(g, b)
+
+    def test_core_degree_cap_names_radius(self):
+        g = bump(0.99).compose_moebius([0.0, 0.5])
+        with pytest.raises(ValueError, match="R = 0.99"):
+            toeplitz_route(g, 2)
+
+    def test_assembly_memory_below_core_square(self):
+        # no array of B_K^2 entries: V is applied block by block
+        b = TruncatedBasis.create(2, 24)
+        g = rho_bump(0.6, 0.6)
+        k = toeplitz_route(g, 2)["core_degree"]
+        assert k > b.degree
+        size_k = (k + 1) * (k + 2) // 2
+        tracemalloc.start()
+        try:
+            toeplitz_moebius(g, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * size_k ** 2
 
 
 class TestWeakPairing:

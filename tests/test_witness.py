@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from berglab.basis import TruncatedBasis
+from berglab.config import ExperimentConfig
 from berglab.geometry import pseudo_metric, sample_ball
 from berglab.quadrature import rule_for_basis
 from berglab.sequences import build_sequence
+from berglab.suites import run_witness
 from berglab.toeplitz import Symbol, commutator, op_norm, toeplitz_monomial_radial
 from berglab.witness import (SphereSet, boundary_trace_check,
                              build_prop1_config, default_panel,
@@ -204,36 +206,47 @@ def flagship():
 
 class TestWitnessOperator:
     def test_single_term_spectrum_close_to_s(self, flagship):
-        basis, rule = flagship
-        w = witness_operator(e1(1), R, 1, basis, rule)
+        basis, _ = flagship
+        w = witness_operator(e1(1), R, 1, basis)
         top_t = float(np.max(np.linalg.eigvalsh(w.T.mat)))
         top_s = float(np.max(np.linalg.eigvalsh(w.S.mat)))
         assert abs(top_t - top_s) / top_s < 1e-6
 
     def test_s_positive_semidefinite(self, flagship):
-        basis, rule = flagship
-        w = witness_operator(e1(1), R, 3, basis, rule)
+        basis, _ = flagship
+        w = witness_operator(e1(1), R, 3, basis)
         assert float(np.min(np.linalg.eigvalsh(w.S.mat))) >= -1e-10
 
     def test_two_route_agreement_tightens(self, flagship):
         defects = {}
         for d in (6, 12):
             basis = TruncatedBasis.create(1, d)
-            rule = rule_for_basis(1, d, radial_breaks=(R * R,))
-            w = witness_operator(e1(1), R, 1, basis, rule, two_route=True)
+            w = witness_operator(e1(1), R, 1, basis, two_route=True)
             defects[d] = w.two_route_defects[0]
         assert defects[12] < defects[6]
 
+    def test_two_route_defect_shrinks_at_high_degree(self):
+        # the disk sweep to d = 64: quadrature of the kinked f o phi_z
+        # left the defect at ~1e-11 whatever d; the exact route reaches
+        # roundoff
+        cfg = ExperimentConfig.from_json(
+            {"n": 1, "degree": 64, "d_sweep": [16, 32, 48, 64]})
+        rep = run_witness(cfg)
+        verdict = {c["name"]: c["ok"] for c in rep["checks"]}
+        assert verdict["two_route_defect_shrinks_m1"]
+        routes = [r for rs in rep["two_route_assembly"].values() for r in rs]
+        assert [r["route"] for r in routes] == ["moebius"] * 2 * cfg.M
+
     def test_conditioning_warning(self, flagship):
-        basis, rule = flagship
-        w = witness_operator(e1(1), R, 6, basis, rule)
+        basis, _ = flagship
+        w = witness_operator(e1(1), R, 6, basis)
         assert w.conditioning_warning  # 1 - t_6 is below 1e-6
 
 
 class TestLemma3:
     def test_flagship_lower_bound(self, flagship):
-        basis, rule = flagship
-        w = witness_operator(e1(1), R, 5, basis, rule)
+        basis, _ = flagship
+        w = witness_operator(e1(1), R, 5, basis)
         rep = lemma3_lower_bound(w.T, w.S, w.unitaries)
         assert rep["ok"]
         assert rep["floor_c"] > 0
@@ -244,8 +257,8 @@ class TestLemma3:
         assert np.all(np.asarray(rep["norms"]) >= rep["floor_c"] - 1e-20)
 
     def test_single_term_value_close_to_lambda(self, flagship):
-        basis, rule = flagship
-        w = witness_operator(e1(1), R, 1, basis, rule)
+        basis, _ = flagship
+        w = witness_operator(e1(1), R, 1, basis)
         rep = lemma3_lower_bound(w.T, w.S, w.unitaries)
         assert rep["values"][0] >= rep["lambda_max"] - rep["tolerances"][0] \
             - 1e-18
@@ -357,4 +370,7 @@ class TestSeparation:
         # zeta must be the direction of F2 farthest from F1
         zeta = np.asarray(rep["zeta"])
         assert abs(zeta[0][0] - 1.0) < 1e-14
-        assert rep["prop1"]["slope"] == pytest.approx(1.5, rel=1e-6)
+        # each product curve's fitted slope, against (n+1)/2 = 1.5
+        assert rep["prop1"]["slopes"] == pytest.approx(
+            [1.4992297661024403, 1.499987733408488, 1.4999998705908717],
+            rel=1e-6)
