@@ -32,8 +32,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed override")
     p.add_argument("--jobs", type=int,
                    help="reserved; validated (>= 1) but has no effect")
-    p.add_argument("--sweep", action="store_true",
-                   help="force the full degree sweep {6, 8, 10, 12}")
     return p
 
 
@@ -57,8 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         cfg = cfg.with_overrides(out_dir=args.out, seed=args.seed,
                                  jobs=args.jobs)
-        if args.sweep:
-            cfg = cfg.with_overrides(d_sweep=(6, 8, 10, 12))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -569,65 +569,42 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
 def run_witness(cfg: ExperimentConfig) -> dict:
     checks = []
     sweep = list(cfg.d_sweep)
-    zeta = cfg.zeta_vec
-    r = cfg.r
-
-    reports = {}
-    margins = {}
-    two_route = {}
-    assembly = {}
-    for d in sweep:
-        basis = TruncatedBasis.create(cfg.n, d)
-        wop = witness_operator(zeta, r, cfg.M, basis,
-                               two_route=(d == max(sweep) or d == min(sweep)))
-        rep = lemma3_lower_bound(wop.T, wop.S, wop.unitaries)
-        reports[d] = rep
-        margins[d] = np.asarray(rep["margins"])
-        if wop.two_route_defects is not None:
-            two_route[d] = list(wop.two_route_defects)
-            assembly[d] = list(wop.two_route_routes)
-
-    final = reports[max(sweep)]
-    checks.append(check("lower_bound_holds_all_d",
-                        all(reports[d]["ok"] for d in sweep)))
-    checks.append(check("floor_positive", final["floor_positive"],
-                        final["floor_c"]))
-
-    improving = all(
-        bool(np.all(margins[d2] >= margins[d1]))
-        for d1, d2 in zip(sweep[:-1], sweep[1:]))
-    checks.append(check("margins_improve_across_sweep", improving))
+    rep = lemma3_lower_bound(build_sequence(cfg.zeta_vec, cfg.r, cfg.M))
+    checks.append(check("floor_positive", rep["floor_positive"],
+                        rep["floor_c"], rep["lambda_max"]))
+    checks.append(check("core_degree_converged",
+                        rep["core_defect"] <= rep["tail_bound"],
+                        rep["core_defect"], rep["tail_bound"]))
 
     # two-route agreement at the first sequence point improves with degree
-    first_defects = [two_route[d][0] for d in sorted(two_route)]
+    probes = {d: witness_operator(cfg.zeta_vec, cfg.r, cfg.M,
+                                  TruncatedBasis.create(cfg.n, d))
+              for d in (sweep[0], sweep[-1])}
+    first_defects = [probes[d].two_route_defects[0] for d in sorted(probes)]
     route_ok = (len(first_defects) == 2
                 and first_defects[-1] < first_defects[0])
     checks.append(check("two_route_defect_shrinks_m1", route_ok,
                         first_defects))
 
     # PSD of S itself at the flagship degree: the sweep ends there
-    s_min = float(np.linalg.eigvalsh(wop.S.mat).min())
+    s_min = float(np.linalg.eigvalsh(probes[sweep[-1]].S.mat).min())
     checks.append(check("s_positive_semidefinite",
                         s_min >= -cfg.tol("psd_floor"), s_min))
 
     report = summarize_checks(checks)
+    report.update({key: rep[key] for key in (
+        "lambda_max", "floor_c", "values", "margins", "core_degree",
+        "tail_bound", "core_defect", "conditioning_warning")})
     report.update({
         "d_sweep": sweep,
-        "lambda_max": final["lambda_max"],
-        "floor_c": final["floor_c"],
-        "values": final["values"],
-        "guaranteed": final["guaranteed"],
-        "tolerances_measured": final["tolerances"],
-        "norms": final["norms"],
-        "u_norms": final["u_norms"],
-        "margins_by_degree": {str(d): margins[d].tolist() for d in sweep},
-        "two_route_defects": {str(d): two_route[d] for d in two_route},
-        "two_route_assembly": {str(d): assembly[d] for d in assembly},
-        "conditioning_warning": wop.conditioning_warning,
+        "two_route_defects": {str(d): list(w.two_route_defects)
+                              for d, w in probes.items()},
+        "two_route_assembly": {str(d): list(w.two_route_routes)
+                               for d, w in probes.items()},
         "csv": {
             "witness_margins": (
-                ["m"] + [f"margin_d{d}" for d in sweep],
-                [[m + 1] + [float(margins[d][m]) for d in sweep]
+                ["m", "value", "margin"],
+                [[m + 1, rep["values"][m], rep["margins"][m]]
                  for m in range(cfg.M)]),
         },
     })

@@ -17,11 +17,12 @@ sequence z_m = t_m zeta with zeta in F2 but far from F1:
     f(z) = z_1 eta(|z|/r) supported in E(0, r), stays bounded below along
     the same directions.
 
-On the truncated model every quantity carries a degree-dependent defect;
-the lower-bound check is therefore stated against the measured truncation
-tolerance, and the separation verdict compares decay curves normalized at
-their first point, which cancels the common truncation factor
-||P_d k_{z_m}|| shared by both sides.
+The witness needs no truncated model: S is diagonal in the monomial
+basis, so each <T k_{z_m}, k_{z_m}> is a closed-form Berezin sum over the
+pairwise pseudo-hyperbolic distances, cut at a core degree with a proven
+tail bound (``lemma3_lower_bound``).  The decay side acts on the
+truncated kernel columns P_d k_{z_m}, and the separation verdict compares
+the two, each normalized at its first point, at the same horizon.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from .basis import TruncatedBasis, kernel_expansion
 from .geometry import (_norm2, as_point, pseudo_metric, random_sphere_points,
                        sample_ball)
 from .quadrature import QuadratureRule, integrate
-from .sequences import SeparatedSequence, build_sequence
-from .toeplitz import (OperatorMatrix, Symbol, commutator, op_norm,
-                       toeplitz_auto, toeplitz_matrix,
+from .sequences import SeparatedSequence, build_sequence, pairwise_rho
+from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
+                       commutator, op_norm, toeplitz_auto, toeplitz_matrix,
                        toeplitz_monomial_radial)
-from .unitaries import toeplitz_moebius, toeplitz_route, unitary_matrix
+from .unitaries import (_CORE_CAP, _CORE_TAIL, toeplitz_moebius,
+                        toeplitz_route, unitary_matrix)
 
 __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "boundary_trace_check", "exclusion_radius", "witness_symbol",
@@ -197,120 +199,134 @@ def witness_symbol(r: float) -> Symbol:
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """The truncated witness operator with its ingredients; with the
-    two-route probe, its defects and the route of each composed
+    """S = [T_f, T_conj(f)]^2 on the truncation and the two-route probe
+    along the sequence: its defects and the route of each composed
     assembly (``unitaries.toeplitz_route``)."""
 
-    T: OperatorMatrix
     S: OperatorMatrix
-    seq: SeparatedSequence
-    unitaries: tuple[OperatorMatrix, ...]
-    two_route_defects: tuple[float, ...] | None
-    two_route_routes: tuple[dict, ...] | None
-    conditioning_warning: bool
+    two_route_defects: tuple[float, ...]
+    two_route_routes: tuple[dict, ...]
 
 
-def witness_operator(zeta, r: float, M: int, basis: TruncatedBasis, *,
-                     two_route: bool = False) -> WitnessOperator:
-    """Assemble S = [T_f, T_conj(f)]^2 and T = sum_m U_{z_m} S U_{z_m}*.
+def witness_operator(zeta, r: float, M: int,
+                     basis: TruncatedBasis) -> WitnessOperator:
+    """Assemble S = [T_f, T_conj(f)]^2 and probe, per sequence term, the
+    identity U_z [T_f, T_conj(f)] U_z* = [T_{f o phi_z}, T_{conj(f) o phi_z}].
 
     The Toeplitz factor uses the banded fast path (exact for the witness
-    profile).  Each U_{z_m} comes from ``unitary_matrix`` (exact entries,
-    so zeta must be a coordinate direction e_j when n >= 2).  With
-    two_route=True the identity
-    U_z [T_f, T_conj(f)] U_z* = [T_{f o phi_z}, T_{conj(f) o phi_z}]
-    is probed per term: the left side is a product of compressions,
-    (P U_z P) S (P U_z P), and the right side the compression of a
-    product, [B, B*]^2 with B = P U_z T_f U_z P, the exact compression
-    of the composed symbol (``unitaries.toeplitz_moebius``).  So the
-    defect measures truncation alone, and shrinks with the degree.
+    profile), and each U_{z_m} comes from ``unitary_matrix`` (exact
+    entries, so zeta must be a coordinate direction e_j when n >= 2).
+    The left side is a product of compressions, (P U_z P) S (P U_z P),
+    and the right side the compression of a product, [B, B*]^2 with
+    B = P U_z T_f U_z P, the exact compression of the composed symbol
+    (``unitaries.toeplitz_moebius``).  So the defect measures truncation
+    alone, and shrinks with the degree.
     """
     f = witness_symbol(r)
     a = toeplitz_monomial_radial(0, f.profile, basis, support=r)
     c = commutator(a, a.adjoint())
     s = c @ c
-    seq = build_sequence(zeta, r, M)
-    pts = seq.points()
-    unitaries = tuple(unitary_matrix(p, basis) for p in pts)
-    total = np.zeros_like(s.mat)
-    for u in unitaries:
-        total += (u @ s @ u.adjoint()).mat
-    t_mat = OperatorMatrix(basis, total)
-
-    defects = routes = None
-    if two_route:
-        ds, rs = [], []
-        for m in range(M):
-            composed = f.compose_moebius(pts[m])
-            b = toeplitz_moebius(composed, basis)
-            cc = commutator(b, b.adjoint())
-            route2 = cc @ cc
-            route1 = unitaries[m] @ s @ unitaries[m].adjoint()
-            ds.append(op_norm(route1 - route2))
-            rs.append(toeplitz_route(composed, basis.n))
-        defects, routes = tuple(ds), tuple(rs)
-
-    return WitnessOperator(
-        T=t_mat, S=s, seq=seq, unitaries=unitaries,
-        two_route_defects=defects, two_route_routes=routes,
-        conditioning_warning=bool(seq.gaps[-1] < 1e-6))
+    defects, routes = [], []
+    for p in build_sequence(zeta, r, M).points():
+        u = unitary_matrix(p, basis)
+        composed = f.compose_moebius(p)
+        b = toeplitz_moebius(composed, basis)
+        cc = commutator(b, b.adjoint())
+        defects.append(op_norm(u @ s @ u.adjoint() - cc @ cc))
+        routes.append(toeplitz_route(composed, basis.n))
+    return WitnessOperator(S=s, two_route_defects=tuple(defects),
+                           two_route_routes=tuple(routes))
 
 
-def _top_eigvec(s: OperatorMatrix) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and (phase-fixed) eigenvector of a PSD matrix."""
-    w, v = np.linalg.eigh(s.mat)
-    vec = v[:, -1]
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    return float(w[-1]), vec / phase
+def _s_diagonal(r: float, basis: TruncatedBasis) -> np.ndarray:
+    """Diagonal of S = [T_f, T_conj(f)]^2 for the witness symbol, which is
+    all of S.
 
-
-def lemma3_lower_bound(T: OperatorMatrix, S: OperatorMatrix,
-                       unitaries: tuple[OperatorMatrix, ...]) -> dict:
-    """Lower-bound check for the witness along the sequence.
-
-    ``unitaries`` holds the compressions U_{z_m} that built T, one per
-    sequence point (``WitnessOperator.unitaries``).  With f_hat the top
-    eigenvector of S, every pairing
-    value_m = <T U_{z_m} f_hat, U_{z_m} f_hat> dominates
-    <S V_m f_hat, V_m f_hat> with V_m = U_m* U_m (the other summands of T
-    are positive), and the truncation tolerance
-    tol_m = <S f_hat, f_hat> - <S V_m f_hat, V_m f_hat> is measured, not
-    assumed.  The reported floor is c = min_m value_m; the norms
-    ||T U_{z_m} f_hat|| dominate c because the compressed unitaries are
-    contractions.
+    T_f e_alpha = a(alpha) e_{alpha + e_1} with
+    a(alpha)^2 = I_{k+1}^2 (n + k + 1)(alpha_1 + 1) at k = |alpha|
+    (``toeplitz_monomial_radial``), so the commutator is diagonal with
+    c(alpha) = a(alpha - e_1)^2 - a(alpha)^2
+             = I_k^2 (n + k) alpha_1 - I_{k+1}^2 (n + k + 1)(alpha_1 + 1),
+    and S = C^2 has entries c(alpha)^2.  Every entry is exact: unlike
+    the compression of C, nothing is lost at the top degree.
     """
-    lam, fhat = _top_eigvec(S)
-    values, guaranteed, norms, unorms = [], [], [], []
-    for u in unitaries:
-        uvec = u.apply(fhat)
-        vvec = u.adjoint().apply(uvec)
-        values.append(float(np.real(np.vdot(uvec, T.apply(uvec)))))
-        guaranteed.append(float(np.real(np.vdot(vvec, S.apply(vvec)))))
-        norms.append(float(np.linalg.norm(T.apply(uvec))))
-        unorms.append(float(np.linalg.norm(uvec)))
-    values = np.asarray(values)
-    guaranteed = np.asarray(guaranteed)
-    norms = np.asarray(norms)
-    tol = lam - guaranteed
-    slack = 1e-15 * (1.0 + lam)
-    lower_ok = values >= guaranteed - slack
-    c = float(values.min())
-    norm_ok = norms >= c - slack
-    offending = [int(m) for m in range(len(unitaries))
-                 if not (lower_ok[m] and norm_ok[m])]
+    n = basis.n
+    ints = _profile_integrals(witness_symbol(r).profile, n, basis.degree + 1,
+                              r).real
+    k = basis.degrees
+    a1 = np.asarray(basis.indices)[:, 0]
+    c = (ints[k] ** 2 * (n + k) * a1
+         - ints[k + 1] ** 2 * (n + k + 1) * (a1 + 1))
+    return c * c
+
+
+def _berezin_core(r: float, n: int, lam: float) -> tuple[int, float]:
+    """Core degree K of the Berezin sum and its per-term tail bound.
+
+    I_k <= R^(2(n+k)) / (n+k) for the profile 0 <= eta <= 1 supported in
+    |z| <= R = r, so a(alpha) <= R^(2(n+|alpha|+1)) and
+    s_alpha <= R^(8(n+|alpha|)).  Since ||k_w|| = 1, the entries above
+    degree K add at most R^(8(n+K+1)) to S~(w) = <S k_w, k_w> at any w.
+    K is the smallest degree where that bound is below 2^-60 lambda.
+    """
+    for k in range(_CORE_CAP + 1):
+        tail = r ** (8 * (n + k + 1))
+        if tail < _CORE_TAIL * lam:
+            return k, tail
+    raise ValueError(
+        f"witness radius r = {r} needs a Berezin core degree above "
+        f"{_CORE_CAP} at n = {n}")
+
+
+def lemma3_lower_bound(seq: SeparatedSequence) -> dict:
+    """Lower bound of the witness T = sum_k U_{z_k} S U_{z_k}* along the
+    sequence, as a closed-form Berezin sum with no U_z.
+
+    S is diagonal in the monomial basis (``_s_diagonal``), and its
+    largest entry s_0 = lambda_max belongs to e_0 = 1, whose image
+    U_{z_m} 1 is the normalized kernel k_{z_m}.  Since
+    U_a k_z = c k_{phi_a(z)} with |c| = 1 and |phi_{z_k}(z_m)| = rho_km,
+    value_m = <T k_{z_m}, k_{z_m}> = sum_k S~(rho_km zeta), with
+    S~(w) = (1 - |w|^2)^(n+1) sum_alpha s_alpha |e_alpha(w)|^2.  The
+    k = m term is S~(0) = lambda_max and every other term is >= 0, so
+    ||T k_{z_m}|| >= value_m >= lambda_max (Lemma 3), which the floating
+    sum keeps exactly.
+
+    The sum runs over degrees <= K (``_berezin_core``).  Dropping the
+    rest lowers each value by at most ``tail_bound`` (M terms, each
+    within the per-term bound); ``core_defect`` is the largest part of
+    a value carried by degrees K + 1 to K + 10, which must stay within
+    it.
+    """
+    n, r, M = len(seq.zeta), seq.r, len(seq)
+    core, tail = _berezin_core(
+        r, n, _s_diagonal(r, TruncatedBasis.create(n, 0))[0])
+    basis = TruncatedBasis.create(n, core + 10)
+    s = _s_diagonal(r, basis)
+    lam = float(s[0])  # the k = m term, exactly, so floor_c >= lam holds
+    if int(np.argmax(s)) != 0:
+        raise ValueError(f"the largest entry of S at r = {r}, n = {n} is "
+                         "not at degree 0")
+    rho = pairwise_rho(seq).reshape(-1)
+    terms = (np.abs(basis.eval(rho[:, None] * seq.zeta[None, :])) ** 2 * s
+             * (((1.0 - rho) * (1.0 + rho)) ** (n + 1))[:, None])
+    kept = basis.degrees <= core
+    values = terms[:, kept].sum(axis=1).reshape(M, M).sum(axis=0)
+    defect = float(terms[:, ~kept].sum(axis=1).reshape(M, M)
+                   .sum(axis=0).max())
+    floor = float(values.min())
+    tail_bound = M * tail
     return {
         "lambda_max": lam,
         "values": values.tolist(),
-        "guaranteed": guaranteed.tolist(),
-        "tolerances": tol.tolist(),
         "margins": (values - lam).tolist(),
-        "norms": norms.tolist(),
-        "u_norms": unorms,
-        "floor_c": c,
-        "floor_positive": bool(c > 0.0),
-        "offending": offending,
-        "ok": not offending and c > 0.0,
+        "floor_c": floor,
+        "floor_positive": floor >= lam,
+        "core_degree": core,
+        "tail_bound": tail_bound,
+        "core_defect": defect,
+        "conditioning_warning": bool(seq.gaps[-1] < 1e-6),
+        "ok": floor >= lam and defect <= tail_bound,
     }
 
 
@@ -486,17 +502,14 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
                           decay_frac: float, slope_rel: float) -> dict:
     """The flagship experiment: witness floor against ideal-sample decay.
 
-    Builds the witness along a direction of F2 far from F1, runs the
-    lower-bound check over its M-term sequence, and runs the decay panel
-    from the F1 symbol class along the same ray, extended to the decay
-    suite's horizon ``decay_M`` (the deterministic schedule makes the
-    M-term sequence a prefix).  All curves are
-    normalized at their first point, which cancels the common truncation
-    factor ||P_d k_{z_m}||.  The verdict compares the witness floor at
-    its own horizon against the ideal finals at theirs, each suite at the
-    baseline its criteria pin; the same-horizon factor (structurally
-    limited by the constant-function channel to roughly
-    ||T v||/||A v|| on the flat limit vector) is reported alongside.
+    Runs the lower-bound check (``lemma3_lower_bound``, no U_z) over the
+    M-term sequence along a direction of F2 far from F1, and the decay
+    panel from the F1 symbol class along the same ray, extended to the
+    decay suite's horizon ``decay_M`` (the deterministic schedule makes
+    the M-term sequence a prefix).  The witness curve is the Berezin
+    values <T k_{z_m}, k_{z_m}>; every curve is normalized at its first
+    point.  The verdict compares the witness floor against the largest
+    panel curve, both at the witness horizon M.
 
     Also verifies region monotonicity (F1 inside F2), the boundary
     traces, and that every panel symbol vanishes off W_{F1}.
@@ -514,8 +527,7 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
             f"(best is {float(dists[best]):.6g})")
     zeta = F2.points[best]
 
-    witness = witness_operator(zeta, r, M, basis)
-    lemma3 = lemma3_lower_bound(witness.T, witness.S, witness.unitaries)
+    lemma3 = lemma3_lower_bound(build_sequence(zeta, r, M))
 
     symbols = default_panel(F1, r, n)
 
@@ -540,15 +552,12 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     prop1 = prop1_decay(symbols, seq_decay, cfg, basis, rule,
                         decay_frac=decay_frac, slope_rel=slope_rel)
 
-    wnorms = np.asarray(lemma3["norms"])
-    wcurve = (wnorms / wnorms[0]).tolist()
-    floor = float(np.min(wnorms) / wnorms[0])
-    ceilings = [curve[-1] / curve[0] for curve in prop1["curves"]]
-    ceiling = float(max(ceilings))
-    ceilings_same_m = [curve[M - 1] / curve[0] for curve in prop1["curves"]]
-    ceiling_same_m = float(max(ceilings_same_m))
+    values = np.asarray(lemma3["values"])
+    wcurve = values / values[0]
+    floor = float(wcurve.min())
+    ceiling = float(max(curve[M - 1] / curve[0]
+                        for curve in prop1["curves"]))
     factor = floor / ceiling if ceiling > 0 else math.inf
-    factor_same_m = floor / ceiling_same_m if ceiling_same_m > 0 else math.inf
     separation_ok = bool(factor >= separation_factor)
 
     ok = (separation_ok and vanish_ok and monotone_violations == 0
@@ -557,15 +566,13 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
         "zeta": [[float(v.real), float(v.imag)] for v in zeta],
         "selected_distance": (None if math.isinf(float(dists[best]))
                               else float(dists[best])),
-        "witness_curve_raw": wnorms.tolist(),
-        "witness_curve_normalized": wcurve,
+        "witness_curve_raw": values.tolist(),
+        "witness_curve_normalized": wcurve.tolist(),
         "witness_floor_normalized": floor,
         "ideal_ceiling_normalized": ceiling,
-        "ideal_ceiling_same_horizon": ceiling_same_m,
         "witness_horizon": int(M),
         "decay_horizon": int(decay_M),
         "separation_factor": factor,
-        "separation_factor_same_horizon": factor_same_m,
         "separation_ok": separation_ok,
         "panel_labels": [g.label for g in symbols],
         "vanish_off_region_max": vanish_max,
@@ -575,6 +582,6 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
         "boundary_trace_F2": trace2,
         "lemma3": lemma3,
         "prop1": prop1,
-        "conditioning_warning": witness.conditioning_warning,
+        "conditioning_warning": lemma3["conditioning_warning"],
         "ok": ok,
     }

@@ -104,6 +104,23 @@ class TestCli:
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
 
+    def test_separate_runs_off_axis(self, tmp_path):
+        # the witness side is a Berezin sum and builds no U_z, so the
+        # direction need not be a coordinate ray
+        zeta = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 2, "degree": 10, "zeta": zeta,
+                                       "F1": [], "F2": [zeta]}))
+        out = tmp_path / "rep"
+        assert main(["separate", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+        lemma3 = json.loads((out / "separate.json").read_text())[
+            "report"]["lemma3"]
+        assert lemma3["floor_c"] >= lemma3["lambda_max"]
+        assert lemma3["values"] == pytest.approx(
+            [2.75115e-11, 2.80419e-11, 2.69717e-11, 2.70123e-11,
+             2.64425e-11], rel=1e-5)
+
     def test_failing_check_exits_nonzero_with_partial_results(
             self, tmp_path, capsys):
         # an absurd tolerance forces a recorded failure, not a crash

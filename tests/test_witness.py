@@ -1,16 +1,20 @@
 """Tests for regions, boundary traces, the witness operator, decay and
 the separation experiment."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from berglab.basis import TruncatedBasis
+from berglab import unitaries, witness
+from berglab.basis import TruncatedBasis, kernel_expansion
 from berglab.config import ExperimentConfig
 from berglab.geometry import pseudo_metric, sample_ball
 from berglab.quadrature import rule_for_basis
 from berglab.sequences import build_sequence
 from berglab.suites import run_witness
 from berglab.toeplitz import Symbol, commutator, op_norm, toeplitz_monomial_radial
+from berglab.unitaries import unitary_matrix
 from berglab.witness import (SphereSet, boundary_trace_check,
                              build_prop1_config, default_panel,
                              exclusion_radius, in_region_W,
@@ -206,11 +210,12 @@ def flagship():
 
 class TestWitnessOperator:
     def test_single_term_spectrum_close_to_s(self, flagship):
+        # one term: the Berezin value is S~(0), the top eigenvalue of S
         basis, _ = flagship
         w = witness_operator(e1(1), R, 1, basis)
-        top_t = float(np.max(np.linalg.eigvalsh(w.T.mat)))
         top_s = float(np.max(np.linalg.eigvalsh(w.S.mat)))
-        assert abs(top_t - top_s) / top_s < 1e-6
+        value = lemma3_lower_bound(build_sequence(e1(1), R, 1))["values"][0]
+        assert abs(value - top_s) / top_s < 1e-12
 
     def test_s_positive_semidefinite(self, flagship):
         basis, _ = flagship
@@ -221,7 +226,7 @@ class TestWitnessOperator:
         defects = {}
         for d in (6, 12):
             basis = TruncatedBasis.create(1, d)
-            w = witness_operator(e1(1), R, 1, basis, two_route=True)
+            w = witness_operator(e1(1), R, 1, basis)
             defects[d] = w.two_route_defects[0]
         assert defects[12] < defects[6]
 
@@ -237,32 +242,69 @@ class TestWitnessOperator:
         routes = [r for rs in rep["two_route_assembly"].values() for r in rs]
         assert [r["route"] for r in routes] == ["moebius"] * 2 * cfg.M
 
-    def test_conditioning_warning(self, flagship):
-        basis, _ = flagship
-        w = witness_operator(e1(1), R, 6, basis)
-        assert w.conditioning_warning  # 1 - t_6 is below 1e-6
+    def test_conditioning_warning(self):
+        rep = lemma3_lower_bound(build_sequence(e1(1), R, 6))
+        assert rep["conditioning_warning"]  # 1 - t_6 is below 1e-6
+
+
+def _direct_value(seq, basis, m):
+    """<T k_{z_m}, k_{z_m}> from the truncated witness
+    T = sum_k (P U_k P) S (P U_k P): the route the Berezin sum replaced."""
+    s = witness_operator(seq.zeta, R, 1, basis).S
+    total = np.zeros_like(s.mat)
+    for p in seq.points():
+        u = unitary_matrix(p, basis)
+        total += (u @ s @ u.adjoint()).mat
+    kz = kernel_expansion(seq.points()[m], basis).coeffs
+    return float(np.real(np.vdot(kz, total @ kz)))
 
 
 class TestLemma3:
-    def test_flagship_lower_bound(self, flagship):
-        basis, _ = flagship
-        w = witness_operator(e1(1), R, 5, basis)
-        rep = lemma3_lower_bound(w.T, w.S, w.unitaries)
+    def test_flagship_lower_bound(self):
+        rep = lemma3_lower_bound(build_sequence(e1(1), R, 5))
         assert rep["ok"]
-        assert rep["floor_c"] > 0
         assert abs(rep["lambda_max"] - R ** 16 / 324.0) < 1e-18
         vals = np.asarray(rep["values"])
-        guar = np.asarray(rep["guaranteed"])
-        assert np.all(vals >= guar - 1e-15 * (1 + rep["lambda_max"]))
-        assert np.all(np.asarray(rep["norms"]) >= rep["floor_c"] - 1e-20)
+        assert np.all(vals >= rep["lambda_max"])
+        assert rep["floor_c"] == vals.min() >= rep["lambda_max"]
+        assert rep["core_defect"] <= rep["tail_bound"] < 1e-25
 
-    def test_single_term_value_close_to_lambda(self, flagship):
-        basis, _ = flagship
-        w = witness_operator(e1(1), R, 1, basis)
-        rep = lemma3_lower_bound(w.T, w.S, w.unitaries)
-        assert rep["values"][0] >= rep["lambda_max"] - rep["tolerances"][0] \
-            - 1e-18
-        assert rep["tolerances"][0] < 1e-13
+    def test_single_term_value_close_to_lambda(self):
+        rep = lemma3_lower_bound(build_sequence(e1(1), R, 1))
+        assert rep["values"] == [rep["lambda_max"]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_diagonal_matches_dense(self, n):
+        core = lemma3_lower_bound(build_sequence(e1(n), R, 1))["core_degree"]
+        basis = TruncatedBasis.create(n, core + 1)
+        a = toeplitz_monomial_radial(0, witness_symbol(R).profile, basis,
+                                     support=R)
+        c = commutator(a, a.adjoint())
+        dense = (c @ c).mat[basis.degrees <= core][:, basis.degrees <= core]
+        diag = witness._s_diagonal(R, TruncatedBasis.create(n, core))
+        assert np.all(dense - np.diag(np.diag(dense)) == 0.0)
+        assert np.allclose(np.diag(dense).real, diag, rtol=1e-12, atol=0.0)
+        assert np.all(np.diag(dense).imag == 0.0)
+
+    @pytest.mark.parametrize("n, degree, points", [(1, 200, (0, 1)),
+                                                   (2, 40, (0,))])
+    def test_berezin_sum_matches_direct_route(self, n, degree, points):
+        seq = build_sequence(e1(n), R, 2)
+        values = lemma3_lower_bound(seq)["values"]
+        basis = TruncatedBasis.create(n, degree)
+        for m in points:
+            direct = _direct_value(seq, basis, m)
+            assert abs(direct - values[m]) <= 1e-9 * values[m]
+
+    def test_top_entry_off_degree_zero_rejected(self, monkeypatch):
+        monkeypatch.setattr(witness, "_s_diagonal",
+                            lambda r, basis: np.arange(1.0, len(basis) + 1))
+        with pytest.raises(ValueError, match="not at degree 0"):
+            lemma3_lower_bound(build_sequence(e1(1), R, 2))
+
+    def test_core_degree_cap(self):
+        with pytest.raises(ValueError, match="core degree above"):
+            lemma3_lower_bound(build_sequence(e1(1), 0.99, 1))
 
 
 class TestProp1:
@@ -354,8 +396,30 @@ class TestSeparation:
         assert rep["separation_factor"] >= 10.0
         assert rep["monotone_violations"] == 0
         assert rep["vanish_ok"]
-        # the same-horizon contrast is structural and far smaller
-        assert 1.0 < rep["separation_factor_same_horizon"] < 10.0
+        # both sides at the witness horizon M = 5
+        assert rep["witness_floor_normalized"] == pytest.approx(
+            0.9077768672, rel=1e-8)
+        assert rep["separation_factor"] == pytest.approx(
+            rep["witness_floor_normalized"]
+            / max(c[4] / c[0] for c in rep["prop1"]["curves"]))
+
+    def test_needs_no_unitaries(self, flagship, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("separation_experiment built a U_z")
+
+        # every name bound to the exact route, unitary_matrix included
+        orig = unitaries.unitary_matrix_exact
+        for mod in [m for k, m in list(sys.modules.items())
+                    if k.startswith("berglab") and m is not None]:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, refuse)
+        basis, rule = flagship
+        rep = separation_experiment(
+            SphereSet.create([], n=1), SphereSet.create([e1(1)]), R, 5,
+            basis, rule, eps=0.5, rng=np.random.default_rng(62),
+            decay_M=10, separation_factor=10.0, **DECAY)
+        assert rep["ok"]
 
     def test_two_dimensional_configuration(self):
         basis = TruncatedBasis.create(2, 8)
