@@ -9,7 +9,11 @@ real, so the angular part of that sum is a DFT: the entry is sum over
 slices of rho_alpha rho_beta times the (beta - alpha)-th FFT coefficient
 of w f on the slice (``basis.weighted_gram``).  It is the same finite
 sum in another order, not an approximation, and it holds even when the
-angles alias.
+angles alias.  A symbol that declares coordinates along whose angles it
+is constant (``Symbol.invariant``, such as Proposition 1's cutoff eta
+for F = {e_j}) is evaluated with those angles held at 0, and its matrix
+is assembled block by block over the indices that agree there: A^k
+nodes per slice for the k other coordinates instead of A^n.
 
 Three structured routes bypass quadrature (``toeplitz_auto``):
 
@@ -30,14 +34,15 @@ profile's support radius.  The integrand in t is g(sqrt(t)), so the
 result is exact (to roundoff) only when g is a polynomial in |z|^2 on
 each panel, such as 1, |z|^2 or (1 - |z|^2/R^2)_+ at support R; a profile
 with odd powers of |z|, such as |z| itself, is integrated only
-approximately.
+approximately.  Each I_k is summed on its own, so it does not depend on
+how many are taken: an entry is the same at every basis degree.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -62,6 +67,9 @@ class Symbol:
     function of |z|), the coordinate for the monomial factor, and the
     support radius in |z| when the profile vanishes beyond it.  The kind
     "moebius" is h o phi_c and carries h (``inner``) and c (``center``).
+    ``invariant`` lists coordinates j such that f does not change when
+    z_j is rotated, f(.., e^{it} z_j, ..) = f(z); quadrature then runs
+    over the other coordinates' angles only (``toeplitz_matrix``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -73,14 +81,16 @@ class Symbol:
     label: str = ""
     inner: "Symbol | None" = None
     center: tuple[complex, ...] | None = None
+    invariant: tuple[int, ...] = ()
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(points), dtype=complex)
 
     @staticmethod
-    def sampled(fn, bound: float, label: str = "") -> "Symbol":
+    def sampled(fn, bound: float, label: str = "",
+                invariant: tuple[int, ...] = ()) -> "Symbol":
         return Symbol(fn=fn, sup_norm_bound=float(bound), kind="sampled",
-                      label=label)
+                      label=label, invariant=tuple(invariant))
 
     @staticmethod
     def constant(value: complex) -> "Symbol":
@@ -206,6 +216,13 @@ def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
     are those of one evaluation block.  Rule exactness below
     twice the basis degree leaves polynomial symbol entries inexact; such
     calls are flagged with a warning.
+
+    A symbol with ``invariant`` coordinates is evaluated with their
+    angles held at 0 (``QuadratureRule.fixed_angles``), so N shrinks by
+    a factor A per such coordinate; it is the same finite sum.  The
+    matrix is then block diagonal: entries pair only indices that agree
+    on those coordinates (``weighted_gram``).  The declaration is
+    checked first (``_check_invariant``).
     """
     if rule.n != basis.n:
         raise ValueError("rule and basis dimensions differ")
@@ -214,7 +231,44 @@ def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
             f"rule exactness {rule.exactness_degree} is below twice the "
             f"basis degree {basis.degree}; entries may be inexact",
             stacklevel=2)
+    if f.invariant:
+        rule = replace(rule, fixed_angles=_check_invariant(f, rule))
     return OperatorMatrix(basis, weighted_gram(basis, rule, rule.evaluate(f)))
+
+
+_INVARIANCE_TURNS = (0.9, 2.3)  # rotations that test a declared invariance
+
+
+def _check_invariant(f: Symbol, rule: QuadratureRule) -> tuple[int, ...]:
+    """Validate ``f.invariant`` against f; return it sorted.
+
+    At every slice of ``rule``, f is evaluated at the angle-zero node and
+    at one node with every angle turned, then again with each invariant
+    coordinate rotated by the angles ``_INVARIANCE_TURNS``.  A value
+    that moves by more than roundoff raises ValueError: the reduced
+    assembly would otherwise drop the entries that pair indices
+    differing on that coordinate.
+    """
+    n = rule.n
+    inv = tuple(sorted(set(f.invariant)))
+    if any(not 0 <= j < n for j in inv):
+        raise ValueError(f"invariant coordinates {f.invariant} out of range "
+                         f"for n = {n}")
+    turned = np.exp(1j * _INVARIANCE_TURNS[0] * np.arange(1, n + 1))
+    base = np.concatenate([rule.moduli, rule.moduli * turned]).astype(complex)
+    ref = f(base)
+    tol = 1e-12 * max(1.0, f.sup_norm_bound)
+    for j in inv:
+        for turn in _INVARIANCE_TURNS:
+            pts = base.copy()
+            pts[:, j] *= np.exp(1j * turn)
+            moved = float(np.max(np.abs(f(pts) - ref)))
+            if moved > tol:
+                raise ValueError(
+                    f"symbol {f.label or f.kind!r} declares coordinate {j} "
+                    f"invariant, but rotating z_{j} by {turn} moves it by "
+                    f"{moved:.3g}")
+    return inv
 
 
 def _profile_integrals(profile, n: int, max_k: int,
@@ -234,8 +288,10 @@ def _profile_integrals(profile, n: int, max_k: int,
     g = np.asarray(profile(np.sqrt(t)), dtype=complex)
     if not np.all(np.isfinite(g)):
         raise ValueError("profile is not finite on (0, 1)")
-    powers = t[:, None] ** (n - 1 + np.arange(max_k + 1))[None, :]
-    return (w * g) @ powers
+    terms = t[None, :] ** (n - 1 + np.arange(max_k + 1))[:, None] * (w * g)
+    # one pairwise sum per contiguous row, so that I_k does not depend on
+    # max_k (a BLAS product sums in an order set by the width)
+    return terms.sum(axis=1)
 
 
 def toeplitz_radial(profile, basis: TruncatedBasis,

@@ -46,8 +46,8 @@ from .unitaries import (_CORE_CAP, _CORE_TAIL, toeplitz_moebius,
 __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "boundary_trace_check", "exclusion_radius", "witness_symbol",
            "WitnessOperator", "witness_operator", "lemma3_lower_bound",
-           "Prop1Config", "build_prop1_config", "prop1_decay", "default_panel",
-           "separation_experiment"]
+           "Prop1Config", "build_prop1_config", "lens_volume", "prop1_decay",
+           "default_panel", "separation_experiment"]
 
 @dataclass(frozen=True)
 class SphereSet:
@@ -336,10 +336,11 @@ class Prop1Config:
 
     eta is 1 on the eps/3-neighborhood of F, 0 outside the eps/2-
     neighborhood, linear in Euclidean distance between; nu_v2 is the
-    measure of the eps/2-neighborhood within the ball.  delta is the
-    certified lower bound eps^2 / 8 on |1 - <z, w>| for z in the closed
-    ball within eps/2 of F and w in the closed ball at distance >= eps
-    from F (see ``build_prop1_config``).
+    measure of the eps/2-neighborhood within the ball, found by
+    ``nu_v2_method`` ("lens" or "quadrature").  delta is the certified
+    lower bound eps^2 / 8 on |1 - <z, w>| for z in the closed ball
+    within eps/2 of F and w in the closed ball at distance >= eps from
+    F (see ``build_prop1_config``).
     """
 
     eps: float
@@ -347,6 +348,55 @@ class Prop1Config:
     delta: float
     nu_v2: float
     f_set: SphereSet
+    nu_v2_method: str = "lens"
+
+
+def _beta_half(x: float, n: int) -> float:
+    """The regularized incomplete beta function I_x(n + 1/2, 1/2).
+
+    For x > 1/2, upward recurrence in a from I_x(1/2, 1/2) =
+    (2/pi) arcsin sqrt(x): I_x(a + 1, b) = I_x(a, b) - x^a (1-x)^b /
+    (a B(a, b)) (DLMF 8.17.20).  For x <= 1/2 the result is small and
+    that difference cancels, so the hypergeometric series
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) sum_k (a+b)_k / (a+1)_k x^k
+    (DLMF 8.17.8), whose terms are positive, is summed instead.
+    """
+    a, beta = 0.5, math.pi  # B(1/2, 1/2)
+    root = math.sqrt(1.0 - x)
+    if x <= 0.5:
+        for _ in range(n):
+            beta *= a / (a + 0.5)
+            a += 1.0
+        term = total = 1.0
+        k = 0
+        while term > 2.0 ** -53 * total:
+            term *= x * (a + 0.5 + k) / (a + 1.0 + k)
+            total += term
+            k += 1
+        return x ** a * root / (a * beta) * total
+    value = 2.0 / math.pi * math.asin(math.sqrt(x))
+    for _ in range(n):
+        value -= x ** a * root / (a * beta)
+        beta *= a / (a + 0.5)
+        a += 1.0
+    return value
+
+
+def lens_volume(n: int, s: float) -> float:
+    """nu of {|z - zeta| < s} within the ball, for |zeta| = 1 and s^2 <= 2.
+
+    Two balls of R^(2n), one of radius s centred on the unit sphere:
+    the plane between their boundaries cuts a cap of height s^2 / 2 off
+    the unit ball and one of height s - s^2 / 2 off the small ball, so
+    by the hyperspherical-cap formula (S. Li, Asian J. Math. Stat. 4,
+    2011) nu = I_{x1}(n+1/2, 1/2) / 2 + s^(2n) I_{x2}(n+1/2, 1/2) / 2
+    with x1 = s^2 (1 - s^2/4) and x2 = 1 - s^2/4.
+    """
+    if not 0.0 < s * s <= 2.0:
+        raise ValueError(f"lens radius must satisfy 0 < s^2 <= 2, got {s}")
+    q = s * s / 4.0
+    return 0.5 * (_beta_half(s * s * (1.0 - q), n)
+                  + s ** (2 * n) * _beta_half(1.0 - q, n))
 
 
 def build_prop1_config(F: SphereSet, eps: float,
@@ -357,7 +407,15 @@ def build_prop1_config(F: SphereSet, eps: float,
     2 Re(1 - <z, w>) = |z - w|^2 + (1 - |z|^2) + (1 - |w|^2) >= |z - w|^2,
     and |z - w| >= eps / 2 when z is within eps/2 of F and w is at
     distance >= eps, so |1 - <z, w>| >= Re(1 - <z, w>) >= eps^2 / 8.
-    nu_v2 is integrated over ``rule``.
+
+    eta depends on z only through |z - zeta|^2 = |z|^2 + 1 - 2 Re <z, zeta>
+    for zeta in F, so it is invariant under rotating any coordinate
+    where every point of F is 0; the symbol declares those coordinates,
+    and ``toeplitz_matrix`` assembles T_eta over the other angles only.
+
+    nu_v2 is a sum of closed-form lenses (``lens_volume``) when the
+    points of F are at least eps apart, so their eps/2-neighborhoods are
+    disjoint; otherwise it is integrated over ``rule``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -372,12 +430,22 @@ def build_prop1_config(F: SphereSet, eps: float,
         d = F.min_dist(pts)
         return np.clip((hi - d) / (hi - lo), 0.0, 1.0).astype(complex)
 
-    eta = Symbol.sampled(eta_fn, 1.0, label=f"eta(eps={eps})")
+    invariant = tuple(int(j) for j in np.flatnonzero(
+        np.all(F.points == 0.0, axis=0)))
+    eta = Symbol.sampled(eta_fn, 1.0, label=f"eta(eps={eps})",
+                         invariant=invariant)
 
-    nu_v2 = float(np.real(integrate(
-        lambda pts: (F.min_dist(pts) < hi).astype(complex), rule)))
+    dists = np.linalg.norm(F.points[:, None, :] - F.points[None, :, :],
+                           axis=2)
+    apart = bool(np.all(dists[~np.eye(len(F), dtype=bool)] >= eps))
+    if apart and hi * hi <= 2.0:
+        nu_v2, method = len(F) * lens_volume(F.n, hi), "lens"
+    else:
+        nu_v2 = float(np.real(integrate(
+            lambda pts: (F.min_dist(pts) < hi).astype(complex), rule)))
+        method = "quadrature"
     return Prop1Config(eps=eps, eta=eta, delta=eps * eps / 8.0, nu_v2=nu_v2,
-                       f_set=F)
+                       f_set=F, nu_v2_method=method)
 
 
 def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
@@ -395,7 +463,9 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     plus the truncation slack ||T_eta|| sqrt(1 - ||P k_{z_m}||^2); and,
     for every product curve, the log-log slope of the curve against
     1 - |z_m|^2 within ``slope_rel`` of (n+1)/2.  ``routes`` records how
-    each panel matrix was assembled (``unitaries.toeplitz_route``).
+    each panel matrix was assembled (``unitaries.toeplitz_route``), and
+    ``eta_route`` how T_eta was: its invariant axes and the number of
+    nodes it was evaluated at (None when F is empty and T_eta is 0).
     """
     pts = seq.points()
     n = basis.n
@@ -422,8 +492,13 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     one_minus = seq.gaps * (2.0 - seq.gaps)  # 1 - t_m^2 from the exact gaps
     factors = one_minus ** (0.5 * (n + 1))
 
+    eta_route = None
     if len(cfg.f_set):
         t_eta = toeplitz_matrix(cfg.eta, basis, rule)
+        eta_route = {"route": "quadrature",
+                     "invariant_axes": list(cfg.eta.invariant),
+                     "nodes": len(replace(rule,
+                                          fixed_angles=cfg.eta.invariant))}
         eta_norm = op_norm(t_eta)
         lhs = np.asarray([float(np.linalg.norm(t_eta.apply(v))) for v in kz])
         knorms = [float(np.linalg.norm(v)) for v in kz]
@@ -454,6 +529,9 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         "decay_ok": decay_ok,
         "eta_bound": eta_data,
         "eta_bound_ok": bound_ok,
+        "eta_route": eta_route,
+        "nu_v2": cfg.nu_v2,
+        "nu_v2_method": cfg.nu_v2_method,
         "slopes": slopes,
         "slope_target": slope_target,
         "slope_ok": slope_ok,

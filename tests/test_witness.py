@@ -2,6 +2,7 @@
 the separation experiment."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from berglab.geometry import pseudo_metric, sample_ball
 from berglab.quadrature import rule_for_basis
 from berglab.sequences import build_sequence
 from berglab.suites import run_witness
-from berglab.toeplitz import Symbol, commutator, op_norm, toeplitz_monomial_radial
+from berglab.toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
+                              toeplitz_monomial_radial)
 from berglab.unitaries import unitary_matrix
 from berglab.witness import (SphereSet, boundary_trace_check,
                              build_prop1_config, default_panel,
-                             exclusion_radius, in_region_W,
+                             exclusion_radius, in_region_W, lens_volume,
                              lemma3_lower_bound, prop1_decay, region_infimum,
                              separation_experiment, witness_operator,
                              witness_symbol)
@@ -374,6 +376,106 @@ class TestProp1:
         assert np.linalg.norm(z - e2(2)) == pytest.approx(eps / 2.0)
         assert np.linalg.norm(w - e2(2)) == pytest.approx(eps)
         assert 0.0 < cfg.delta <= abs(1.0 - np.vdot(w, z))
+
+
+class TestCutoffVolume:
+    """nu(V2) as closed-form lenses, and T_eta on the angles it needs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0, 2.0])
+    def test_lens_matches_mpmath(self, n, eps):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        s = mp.mpf(eps) / 2
+        a, b = n + mp.mpf(1) / 2, mp.mpf(1) / 2
+        ref = (mp.betainc(a, b, 0, s * s * (1 - s * s / 4), regularized=True)
+               + s ** (2 * n) * mp.betainc(a, b, 0, 1 - s * s / 4,
+                                           regularized=True)) / 2
+        assert abs(lens_volume(n, eps / 2) - float(ref)) <= 1e-13 * float(ref)
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.7, 1.2])
+    def test_lens_is_the_circle_lens_at_n1(self, s):
+        # circles of radii 1 and s with centres 1 apart
+        area = (s * s * np.arccos(s / 2.0) + np.arccos(1.0 - s * s / 2.0)
+                - 0.5 * s * np.sqrt(4.0 - s * s))
+        assert lens_volume(1, s) == pytest.approx(area / np.pi, rel=1e-13)
+
+    def test_lens_radius_validated(self):
+        with pytest.raises(ValueError, match="lens radius"):
+            lens_volume(2, 1.5)
+
+    def test_default_n2_config(self):
+        cfg = build_prop1_config(SphereSet.create([e2(2)]), 0.5,
+                                 rule_for_basis(2, 8, radial_breaks=(R * R,)))
+        assert cfg.nu_v2_method == "lens"
+        assert cfg.nu_v2 == pytest.approx(1.7049088221851e-3, rel=1e-12)
+        assert cfg.eta.invariant == (0,)
+
+    def test_points_apart_add_their_lenses(self):
+        f = SphereSet.create([e1(2), e2(2)])  # sqrt(2) >= eps apart
+        cfg = build_prop1_config(f, 0.5, rule_for_basis(2, 4))
+        assert cfg.nu_v2_method == "lens"
+        assert cfg.nu_v2 == 2.0 * lens_volume(2, 0.25)
+        assert cfg.eta.invariant == ()
+
+    def test_overlapping_points_take_quadrature(self):
+        near = np.array([np.cos(0.2), np.sin(0.2)], dtype=complex)
+        f = SphereSet.create([e1(2), near])  # 0.2 < eps apart
+        cfg = build_prop1_config(f, 0.5, rule_for_basis(2, 12))
+        assert cfg.nu_v2_method == "quadrature"
+        one = lens_volume(2, 0.25)
+        assert one < cfg.nu_v2 < 2.0 * one
+        # a neighborhood past the hemisphere of the ball is no lens either
+        wide = build_prop1_config(SphereSet.create([e2(2)]), 3.0,
+                                  rule_for_basis(2, 4))
+        assert wide.nu_v2_method == "quadrature"
+
+    def test_prop1_reports_eta_route(self):
+        basis = TruncatedBasis.create(2, 6)
+        rule = rule_for_basis(2, 6, radial_breaks=(R * R,))
+        cfg = build_prop1_config(SphereSet.create([e2(2)]), 0.5, rule)
+        rep = prop1_decay(default_panel(SphereSet.create([e2(2)]), R, 2),
+                          build_sequence(e1(2), R, 4), cfg, basis, rule,
+                          **DECAY)
+        assert rep["eta_route"] == {
+            "route": "quadrature", "invariant_axes": [0],
+            "nodes": len(rule.moduli) * rule.angular}
+        assert rep["nu_v2"] == cfg.nu_v2
+        assert rep["nu_v2_method"] == "lens"
+
+    def test_eta_quadrature_error_shrinks_with_the_rule(self):
+        # the measured error of T_eta on the default rule is ~6e-3, far
+        # above the fixed slack prop1_decay allows for it; it does shrink
+        # as the rule is refined past the basis degree
+        basis = TruncatedBasis.create(2, 8)
+        f = SphereSet.create([e2(2)])
+
+        def t_eta(extra):
+            rule = rule_for_basis(2, 8 + extra, radial_breaks=(R * R,))
+            return toeplitz_matrix(build_prop1_config(f, 0.5, rule).eta,
+                                   basis, rule)
+        ref = t_eta(60)
+        errs = [op_norm(t_eta(extra) - ref) for extra in (0, 10, 30)]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[0] > 1e-3
+
+    def test_n3_separation_memory(self):
+        # n = 3, d = 8 held 1 GB when T_eta ran over the full torus
+        e = np.eye(3, dtype=complex)
+        basis = TruncatedBasis.create(3, 8)
+        rule = rule_for_basis(3, 8, radial_breaks=(R * R,))
+        tracemalloc.start()
+        try:
+            rep = separation_experiment(
+                SphereSet.create([e[1]]), SphereSet.create([e[0], e[1]]), R,
+                5, basis, rule, eps=0.5, rng=np.random.default_rng(64),
+                decay_M=10, separation_factor=10.0, **DECAY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["ok"]
+        assert rep["prop1"]["eta_route"]["invariant_axes"] == [0, 2]
+        assert peak < 100 * 2 ** 20
 
 
 class TestSeparation:
