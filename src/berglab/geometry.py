@@ -5,7 +5,8 @@ E(a, r) and their Euclidean ellipsoid description.
 
 A point of the ball is a 1-D complex array z of length n with |z| < 1.
 Every function broadcasts over leading axes, so stacks of shape (..., n)
-work anywhere a single point does.
+work anywhere a single point does, with the same bits in either memory
+layout; the samplers return coordinate-major stacks.
 
 Conventions:
     phi_a(z) = (a - P_a z - sqrt(1 - |a|^2) Q_a z) / (1 - <z, a>)
@@ -104,6 +105,16 @@ def moebius(a, z) -> np.ndarray:
     return ((1.0 - za / (1.0 + s)) * a - s * z) / (1.0 - za)
 
 
+def _rho(z, zz, w) -> np.ndarray:
+    """rho(z, w) of ``pseudo_metric`` for checked points, zz = |z|^2."""
+    h = w - z
+    hz = _dot(h, z.conj())
+    gap = _gap(zz)
+    den = gap - hz  # 1 - <w, z>
+    num = gap * _norm2(h) + (hz.real ** 2 + hz.imag ** 2)
+    return np.sqrt(num / (den.real ** 2 + den.imag ** 2))
+
+
 def pseudo_metric(z, w) -> np.ndarray:
     """Pseudo-hyperbolic metric rho(z, w) = |phi_z(w)|, in [0, 1).
 
@@ -119,22 +130,21 @@ def pseudo_metric(z, w) -> np.ndarray:
     z, zz = _point(z, "z")
     w, _ = _point(w, "w")
     _check_same_dim(z, w)
-    h = w - z
-    hz = _dot(h, z.conj())
-    gap = _gap(zz)
-    den = gap - hz  # 1 - <w, z>
-    num = gap * _norm2(h) + (hz.real ** 2 + hz.imag ** 2)
-    return np.sqrt(num / (den.real ** 2 + den.imag ** 2))
+    return _rho(z, zz, w)
 
 
 def metric_combined_bound(z, w, u) -> tuple[np.ndarray, np.ndarray]:
     """Return (lhs, rhs) of the combined-metric inequality
 
         rho(z, w) <= (rho(z, u) + rho(u, w)) / (1 + rho(z, u) rho(u, w)).
+
+    Checks each point once; the rho are ``pseudo_metric``'s bit for bit.
     """
-    lhs = pseudo_metric(z, w)
-    a = pseudo_metric(z, u)
-    b = pseudo_metric(u, w)
+    (z, zz), (w, _), (u, uu) = _point(z, "z"), _point(w, "w"), _point(u, "u")
+    _check_same_dim(z, w, u)
+    lhs = _rho(z, zz, w)
+    a = _rho(z, zz, u)
+    b = _rho(u, uu, w)
     rhs = (a + b) / (1.0 + a * b)
     return lhs, rhs
 
@@ -166,6 +176,11 @@ class EllipsoidParams:
     axis_direction: np.ndarray | None
 
 
+def _ellipsoid(aa, r: float):
+    """(s, c) of E(a, r) from aa = |a|^2, its center being c * a."""
+    return (1.0 - aa) / (1.0 - r * r * aa), (1.0 - r * r) / (1.0 - r * r * aa)
+
+
 def ellipsoid_params(a, r: float) -> EllipsoidParams:
     """Ellipsoid parameters (c, s) of E(a, r)."""
     a, aa = _point(a, "a")
@@ -174,14 +189,13 @@ def ellipsoid_params(a, r: float) -> EllipsoidParams:
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
     amod2 = float(aa)
-    s = (1.0 - amod2) / (1.0 - r * r * amod2)
-    center = ((1.0 - r * r) / (1.0 - r * r * amod2)) * a
+    s, c = _ellipsoid(amod2, r)
     if amod2 > 0.0:
         direction = a / np.sqrt(amod2)
     else:
         direction = None
     return EllipsoidParams(
-        center=center,
+        center=c * a,
         s=s,
         radial_semiaxis=r * s,
         transverse_semiaxis=r * np.sqrt(s),
@@ -199,8 +213,9 @@ def in_metric_ball(a, r: float, z) -> np.ndarray:
 def in_ellipsoid(a, r: float, z) -> np.ndarray:
     """Membership in E(a, r) through the ellipsoid inequality
 
-        |P z - c|^2 / (r^2 s^2) + |Q z|^2 / (r^2 s) < 1.
+        |P z - c|^2 / (r^2 s^2) + |Q z|^2 / (r^2 s) < 1,
 
+    or |z| < r where a = 0.  Broadcasts over z and over centers a.
     Agrees with in_metric_ball away from the common boundary.
     """
     a, aa = _point(a, "a")
@@ -208,13 +223,12 @@ def in_ellipsoid(a, r: float, z) -> np.ndarray:
     _check_same_dim(a, z)
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    if aa == 0.0:
-        return zz < r * r
-    params = ellipsoid_params(a, r)
-    proj = (_dot(z, a.conj()) / aa)[..., None] * a
-    lhs = (_norm2(proj - params.center) / (r * r * params.s ** 2)
-           + _norm2(z - proj) / (r * r * params.s))
-    return lhs < 1.0
+    s, c = _ellipsoid(aa, r)
+    at_zero = aa == 0.0
+    proj = (_dot(z, a.conj()) / np.where(at_zero, 1.0, aa))[..., None] * a
+    lhs = (_norm2(proj - c[..., None] * a) / (r * r * s ** 2)
+           + _norm2(z - proj) / (r * r * s))
+    return np.where(at_zero, zz < r * r, lhs < 1.0)
 
 
 def delta_for(r: float, eps: float) -> float:
@@ -232,18 +246,37 @@ def delta_for(r: float, eps: float) -> float:
     return min(eps / 2.0, (1.0 - r * r) * eps * eps / (32.0 * r * r))
 
 
+def _ball_points(x: np.ndarray, scale) -> np.ndarray:
+    """x / |x| * scale for normal draws x (..., 2n): bit for bit the points
+    x[..., :n] + 1j x[..., n:] of C^n, as the (..., n) view of an (n, ...)
+    buffer.  |x|^2 adds column by column as numpy's norm does for fewer
+    than 8 terms; longer rows keep that norm's pairwise reduction."""
+    n = x.shape[-1] // 2
+    xt = np.moveaxis(x, -1, 0)
+    if 2 * n < 8:
+        nrm2 = xt[0] * xt[0]
+        for xk in xt[1:]:
+            nrm2 += xk * xk
+    else:
+        nrm2 = np.add.reduce(x * x, axis=-1)
+    nrm = np.sqrt(nrm2)
+    out = np.empty((n, *x.shape[:-1]), dtype=complex)
+    for part, xs in ((out.real, xt[:n]), (out.imag, xt[n:])):
+        np.divide(xs, nrm, out=part)
+        part *= scale
+    return np.moveaxis(out, 0, -1)
+
+
 def sample_ball(n: int, count: int, rng: np.random.Generator,
                 radius: float = 1.0) -> np.ndarray:
     """Uniform samples from the complex n-ball of the given radius.
 
     Uniform with respect to Lebesgue measure on C^n = R^(2n): Gaussian
-    direction times radius U^(1/(2n)).
+    direction (2n normal draws per point, then one uniform U per point)
+    times radius U^(1/(2n)), returned coordinate-major.
     """
     x = rng.standard_normal((count, 2 * n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    rad = radius * rng.random(count) ** (1.0 / (2 * n))
-    x *= rad[:, None]
-    return x[:, :n] + 1j * x[:, n:]
+    return _ball_points(x, radius * rng.random(count) ** (1.0 / (2 * n)))
 
 
 def sample_ball_blocks(n: int, count: int, rng: np.random.Generator,
@@ -252,14 +285,14 @@ def sample_ball_blocks(n: int, count: int, rng: np.random.Generator,
 
     The draws are sample_ball's, in its order (every direction, then every
     radius), so the concatenated blocks are its points bit for bit and
-    ``rng`` ends in the same state; but no array holds all ``count``.
+    ``rng`` ends in the same state; but no array holds all ``count``, and
+    each block's draws are freed once its points are made.
     """
     blocks = [rng.standard_normal((min(rows, count - i), 2 * n))
               for i in range(0, count, rows)]
     for k, x in enumerate(blocks):
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        x *= (radius * rng.random(len(x)) ** (1.0 / (2 * n)))[:, None]
-        blocks[k] = x[:, :n] + 1j * x[:, n:]
+        blocks[k] = _ball_points(
+            x, radius * rng.random(len(x)) ** (1.0 / (2 * n)))
     return blocks
 
 
@@ -268,18 +301,22 @@ def sample_metric_ball(a, r, count: int,
     """Exact samples of E(a, r): the image under phi_a of uniform B(0, r).
 
     Centers (..., n) and one radius r or one per center give (..., count, n),
-    drawn from ``rng`` exactly as by one call per center in turn.
+    drawn from ``rng`` exactly as by one ``sample_ball`` call per center in
+    turn, into one stack of draws that is finished at once.
     """
     a = as_point(a, name="a")
     lead, n = a.shape[:-1], a.shape[-1]
-    u = np.stack([sample_ball(n, count, rng, radius=rk)
-                  for rk in np.broadcast_to(r, lead).ravel()])
-    return moebius(a[..., None, :], u.reshape(*lead, count, n))
+    x, u = np.empty((*lead, count, 2 * n)), np.empty((*lead, count))
+    for i in np.ndindex(lead):
+        rng.standard_normal(out=x[i])
+        rng.random(out=u[i])
+    pts = _ball_points(x, np.broadcast_to(r, lead)[..., None]
+                       * u ** (1.0 / (2 * n)))
+    del x, u  # free the draws before phi_a's temporaries
+    return moebius(a[..., None, :], pts)
 
 
 def random_sphere_points(n: int, count: int,
                          rng: np.random.Generator) -> np.ndarray:
-    """Uniform points of the unit sphere of C^n."""
-    x = rng.standard_normal((count, 2 * n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x[:, :n] + 1j * x[:, n:]
+    """Uniform points of the unit sphere of C^n, coordinate-major."""
+    return _ball_points(rng.standard_normal((count, 2 * n)), 1.0)

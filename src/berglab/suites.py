@@ -13,7 +13,7 @@ import numpy as np
 from .basis import (Expansion, TruncatedBasis, kernel, kernel_expansion,
                     project, weighted_gram)
 from .config import ExperimentConfig
-from .geometry import (delta_for, disjoint_threshold, ellipsoid_params,
+from .geometry import (_ellipsoid, _norm2, delta_for, disjoint_threshold,
                        in_ellipsoid, in_metric_ball, metric_combined_bound,
                        moebius, pseudo_metric, random_sphere_points,
                        sample_ball, sample_ball_blocks, sample_metric_ball)
@@ -170,7 +170,7 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
             count = 34 if n == 1 else 33
             zetas = random_sphere_points(n, count, rng)
             centers = _near_boundary_points(zetas, delta, rng)
-            s = np.array([ellipsoid_params(a, r).s for a in centers])
+            s = _ellipsoid(_norm2(centers), r)[0]
             step = _SAMPLE_ROWS // 1000  # centers per block of points
             for k in range(0, count, step):
                 c = centers[k:k + step]

@@ -13,10 +13,12 @@ from berglab.geometry import (
     metric_combined_bound,
     moebius,
     pseudo_metric,
+    random_sphere_points,
     sample_ball,
     sample_ball_blocks,
     sample_metric_ball,
 )
+from berglab.unitaries import weak_pairing_exact
 
 
 class TestMoebius:
@@ -95,6 +97,19 @@ def _rho_oracle(z, w):
         return mp.sqrt(1 - (1 - zz) * (1 - ww) / abs(1 - wz) ** 2)
 
 
+def _phi_oracle(z, w):
+    """phi_z(w) in 50 digits from the defining formula (z != 0)."""
+    with mp.workdps(50):
+        z = [mp.mpc(complex(x)) for x in z]
+        w = [mp.mpc(complex(x)) for x in w]
+        zz = sum(abs(x) ** 2 for x in z)
+        wz = sum(a * mp.conj(b) for a, b in zip(w, z))
+        s = mp.sqrt(1 - zz)
+        proj = [wz / zz * x for x in z]  # P_z w
+        return np.array([complex((x - p - s * (y - p)) / (1 - wz))
+                         for x, y, p in zip(z, w, proj)])
+
+
 def _oracle_pairs(n, regime):
     """Pairs (z, w) that stress rho.  "coincident": |z - w| = 1e-9 with
     |z| <= 0.9.  "sphere": z = (1 - 1e-6) c e_j with c in {1, i, -1, -i},
@@ -139,6 +154,16 @@ class TestMetricAccuracy:
             tol = 1e-14 / (1.0 - np.vdot(z, z).real)
             assert np.linalg.norm(back - w) <= tol
 
+    @pytest.mark.parametrize("regime", ["coincident", "sphere"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_phi_matches_mpmath(self, n, regime):
+        # same conditioning as the involution: measured error * (1 - |z|^2)
+        # is at most 2e-16 in both regimes
+        for z, w in _oracle_pairs(n, regime):
+            tol = 1e-14 / (1.0 - np.vdot(z, z).real)
+            err = np.linalg.norm(moebius(z, w) - _phi_oracle(z, w))
+            assert err <= tol, (z, w, float(err))
+
 
 class TestCombinedBound:
     def test_degenerate_midpoint_gives_equality(self):
@@ -159,6 +184,22 @@ class TestCombinedBound:
             u = sample_ball(n, 20_000, rng, 0.95)
             lhs, rhs = metric_combined_bound(z, w, u)
             assert float(np.max(lhs - rhs)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_three_pseudo_metric_calls(self, n):
+        rng = np.random.default_rng(40 + n)
+        z, w, u = (sample_ball(n, 5000, rng, 0.95) for _ in range(3))
+        lhs, rhs = metric_combined_bound(z, w, u)
+        a, b = pseudo_metric(z, u), pseudo_metric(u, w)
+        np.testing.assert_array_equal(lhs, pseudo_metric(z, w))
+        np.testing.assert_array_equal(rhs, (a + b) / (1.0 + a * b))
+        # broadcasting one point against a stack validates it the same way
+        lhs, _ = metric_combined_bound(z[0], w, u)
+        np.testing.assert_array_equal(lhs, pseudo_metric(z[0], w))
+        with pytest.raises(ValueError, match="u must lie"):
+            metric_combined_bound(z, w, np.full(n, 1.0))
+        with pytest.raises(ValueError, match="dimension"):
+            metric_combined_bound(z, w, np.zeros(n + 1))
 
 
 class TestDisjointThreshold:
@@ -220,6 +261,59 @@ class TestEllipsoid:
             m2 = in_ellipsoid(a, r, z[off_band])
             assert np.array_equal(m1, m2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_broadcasts_over_centers(self, n):
+        rng = np.random.default_rng(50 + n)
+        centers = sample_ball(n, 5, rng, 0.85)
+        centers[2] = 0.0  # the round ball, decided elementwise
+        z = sample_ball(n, 400, rng).reshape(1, 400, n)
+        got = in_ellipsoid(centers[:, None, :], 0.6, z)
+        assert got.shape == (5, 400)
+        for k, a in enumerate(centers):
+            np.testing.assert_array_equal(got[k], in_ellipsoid(a, 0.6, z[0]))
+        # one point per center
+        pts = z[0, :5]
+        np.testing.assert_array_equal(
+            in_ellipsoid(centers, 0.6, pts),
+            [in_ellipsoid(a, 0.6, p) for a, p in zip(centers, pts)])
+
+
+def _old_sample_ball(n, count, rng, radius=1.0):
+    """The row-major sampler the coordinate-major one replaced: the oracle."""
+    x = rng.standard_normal((count, 2 * n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    rad = radius * rng.random(count) ** (1.0 / (2 * n))
+    x *= rad[:, None]
+    return x[:, :n] + 1j * x[:, n:]
+
+
+def _old_sample_ball_blocks(n, count, rng, radius, rows):
+    blocks = [rng.standard_normal((min(rows, count - i), 2 * n))
+              for i in range(0, count, rows)]
+    for k, x in enumerate(blocks):
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x *= (radius * rng.random(len(x)) ** (1.0 / (2 * n)))[:, None]
+        blocks[k] = x[:, :n] + 1j * x[:, n:]
+    return blocks
+
+
+def _old_random_sphere_points(n, count, rng):
+    x = rng.standard_normal((count, 2 * n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x[:, :n] + 1j * x[:, n:]
+
+
+def _old_sample_metric_ball(a, r, count, rng):
+    a = np.asarray(a, dtype=complex)
+    lead, n = a.shape[:-1], a.shape[-1]
+    u = np.stack([_old_sample_ball(n, count, rng, radius=rk)
+                  for rk in np.broadcast_to(r, lead).ravel()])
+    return moebius(a[..., None, :], u.reshape(*lead, count, n))
+
+
+def _same_state(rng1, rng2):
+    return rng1.bit_generator.state == rng2.bit_generator.state
+
 
 class TestSampleBall:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -233,6 +327,79 @@ class TestSampleBall:
         np.testing.assert_array_equal(np.concatenate(blocks), whole)
         # the generator is left where sample_ball leaves it
         assert blocks_rng.random() == whole_rng.random()
+
+    # n = 4, 5 take the pairwise |x|^2 of 8 or more terms
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bit_for_bit_with_row_major_sampler(self, n):
+        new_rng, old_rng = np.random.default_rng(60), np.random.default_rng(60)
+        got = sample_ball(n, 3000, new_rng, 0.95)
+        np.testing.assert_array_equal(got, _old_sample_ball(n, 3000, old_rng,
+                                                            0.95))
+        assert got.flags.f_contiguous  # coordinate-major
+        assert _same_state(new_rng, old_rng)
+        got = sample_ball_blocks(n, 2500, new_rng, 0.9, 700)
+        want = _old_sample_ball_blocks(n, 2500, old_rng, 0.9, 700)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert _same_state(new_rng, old_rng)
+        np.testing.assert_array_equal(random_sphere_points(n, 900, new_rng),
+                                      _old_random_sphere_points(n, 900,
+                                                                old_rng))
+        assert _same_state(new_rng, old_rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_metric_ball_bit_for_bit(self, n):
+        rng = np.random.default_rng(61)
+        centers = _old_sample_ball(n, 6, rng, 0.9).reshape(3, 2, n)
+        for r in (rng.uniform(0.1, 0.9, (3, 2)),  # one radius per center
+                  rng.uniform(0.1, 0.9, (3, 1)),  # broadcast along axis 1
+                  0.4):
+            new_rng = np.random.default_rng(62)
+            old_rng = np.random.default_rng(62)
+            np.testing.assert_array_equal(
+                sample_metric_ball(centers, r, 700, new_rng),
+                _old_sample_metric_ball(centers, r, 700, old_rng))
+            assert _same_state(new_rng, old_rng)
+        # a single center
+        new_rng, old_rng = np.random.default_rng(63), np.random.default_rng(63)
+        np.testing.assert_array_equal(
+            sample_metric_ball(centers[0, 0], 0.3, 500, new_rng),
+            _old_sample_metric_ball(centers[0, 0], 0.3, 500, old_rng))
+        assert _same_state(new_rng, old_rng)
+
+
+class TestLayoutIndependence:
+    """Samples are coordinate-major; every result must equal the one on a
+    C-ordered copy of the same points, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_bits_on_c_and_f_order(self, n):
+        rng = np.random.default_rng(70 + n)
+        z, w, u = (sample_ball(n, 4000, rng, 0.9) for _ in range(3))
+        a = sample_ball(n, 1, rng, 0.85)[0]
+        centers = sample_ball(n, 4, rng, 0.85)[:, None, :]
+        zm = sample_ball(n, 4000, rng, 0.999)
+        runs = [
+            lambda z, w, u, zm: pseudo_metric(z, w),
+            lambda z, w, u, zm: moebius(u, z),
+            lambda z, w, u, zm: moebius(a, z),
+            lambda z, w, u, zm: in_metric_ball(a, 0.5, z),
+            lambda z, w, u, zm: in_ellipsoid(a, 0.5, z),
+            lambda z, w, u, zm: in_ellipsoid(centers, 0.5, z),
+            lambda z, w, u, zm: metric_combined_bound(z, w, u),
+            lambda z, w, u, zm: weak_pairing_exact(zm, z, w),
+        ]
+        f_order = (z, w, u, zm)
+        assert all(p.flags.f_contiguous for p in f_order)
+        c_order = tuple(np.ascontiguousarray(p) for p in f_order)
+        for run in runs:
+            got, want = run(*f_order), run(*c_order)
+            if isinstance(got, tuple):
+                for g, w_ in zip(got, want):
+                    np.testing.assert_array_equal(g, w_)
+            else:
+                np.testing.assert_array_equal(got, want)
 
 
 class TestMetricBall:
