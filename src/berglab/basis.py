@@ -90,11 +90,6 @@ class TruncatedBasis:
         out /= self.norms[None, :]
         return out
 
-    def to_json(self) -> dict:
-        return {"dimension": self.n, "degree": self.degree,
-                "indices": [list(a) for a in self.indices],
-                "norms": self.norms.tolist()}
-
 
 @dataclass(frozen=True)
 class Expansion:
@@ -115,10 +110,6 @@ class Expansion:
         squeeze = pts.ndim == 1
         values = self.basis.eval(pts) @ self.coeffs
         return values[0] if squeeze else values
-
-    def to_json(self) -> dict:
-        return {"re": self.coeffs.real.tolist(),
-                "im": self.coeffs.imag.tolist()}
 
 
 def kernel(z, w) -> np.ndarray:

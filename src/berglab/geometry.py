@@ -100,6 +100,11 @@ def moebius(a, z) -> np.ndarray:
     a, aa = _point(a, "a")
     z, _ = _point(z, "z")
     _check_same_dim(a, z)
+    return _moebius(a, aa, z)
+
+
+def _moebius(a, aa, z) -> np.ndarray:
+    """phi_a(z) of ``moebius`` for checked points, aa = |a|^2."""
     s = np.sqrt(_gap(aa))[..., None]
     za = _dot(z, a.conj())[..., None]
     return ((1.0 - za / (1.0 + s)) * a - s * z) / (1.0 - za)
@@ -302,9 +307,12 @@ def sample_metric_ball(a, r, count: int,
 
     Centers (..., n) and one radius r or one per center give (..., count, n),
     drawn from ``rng`` exactly as by one ``sample_ball`` call per center in
-    turn, into one stack of draws that is finished at once.
+    turn, into one stack of draws that is finished at once.  With |r| <= 1
+    the draws lie in the ball, so phi_a takes them unchecked.
     """
-    a = as_point(a, name="a")
+    if not np.all(np.abs(r) <= 1.0):
+        raise ValueError(f"metric ball radius must be at most 1, got {r}")
+    a, aa = _point(a, "a")
     lead, n = a.shape[:-1], a.shape[-1]
     x, u = np.empty((*lead, count, 2 * n)), np.empty((*lead, count))
     for i in np.ndindex(lead):
@@ -313,7 +321,7 @@ def sample_metric_ball(a, r, count: int,
     pts = _ball_points(x, np.broadcast_to(r, lead)[..., None]
                        * u ** (1.0 / (2 * n)))
     del x, u  # free the draws before phi_a's temporaries
-    return moebius(a[..., None, :], pts)
+    return _moebius(a[..., None, :], aa[..., None], pts)
 
 
 def random_sphere_points(n: int, count: int,

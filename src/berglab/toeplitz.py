@@ -15,20 +15,14 @@ for F = {e_j}) is evaluated with those angles held at 0, and its matrix
 is assembled block by block over the indices that agree there: A^k
 nodes per slice for the k other coordinates instead of A^n.
 
-Three structured routes bypass quadrature (``toeplitz_auto``):
+Two fast paths bypass quadrature: radial symbols f(z) = g(|z|) give
+diagonal matrices, constant on degree blocks (``toeplitz_radial``), and
+symbols f(z) = z_j g(|z|) populate the single band beta = alpha + e_j
+(``toeplitz_monomial_radial``).  ``unitaries.toeplitz_route`` decides
+which route a symbol takes: one of these two, quadrature, or the exact
+compression of a Moebius-composed symbol.
 
-  * radial symbols f(z) = g(|z|) give diagonal matrices, constant on
-    degree blocks, from one-dimensional integrals;
-  * symbols f(z) = z_j g(|z|) populate the single band beta = alpha + e_j,
-    again from one-dimensional integrals;
-  * Moebius-composed symbols h o phi_c, with h of one of the two kinds
-    above and supported in |w| <= R < 1, use T_{h o phi_c} = U_c T_h U_c
-    (U_c is a self-adjoint unitary): the compression is V* T_h V with
-    V = P_K U_c P_d built from exact entries, and T_h kept to the core
-    degree K where its tail is below 2^-60 (``unitaries.toeplitz_moebius``).
-    This needs c on a coordinate ray; other centres take quadrature.
-
-The first two reduce to I_k(g) = integral over [0,1] of t^(n+k-1)
+Both fast paths reduce to I_k(g) = integral over [0,1] of t^(n+k-1)
 g(sqrt(t)) dt, evaluated by composite Gauss-Legendre split at the
 profile's support radius.  The integrand in t is g(sqrt(t)), so the
 result is exact (to roundoff) only when g is a polynomial in |z|^2 on
@@ -52,8 +46,7 @@ from .geometry import _norm2, moebius, pseudo_metric
 from .quadrature import QuadratureRule, panel_gauss_legendre
 
 __all__ = ["Symbol", "OperatorMatrix", "toeplitz_matrix", "toeplitz_radial",
-           "toeplitz_monomial_radial", "toeplitz_auto", "commutator",
-           "op_norm"]
+           "toeplitz_monomial_radial", "commutator", "op_norm"]
 
 _PROFILE_POINTS = 120  # per-panel Gauss-Legendre size for profile integrals
 
@@ -131,10 +124,10 @@ class Symbol:
 
         A radial or monomial-times-radial f supported in |w| <= R < 1
         yields the kind "moebius", which keeps f and z so that
-        ``toeplitz_auto`` can compress it exactly as U_z T_f U_z; a radial
-        f is then evaluated at points as g(rho(w, z)) (``pseudo_metric``,
-        accurate where f vanishes).  Any other f yields the sampled kind,
-        evaluated as f(phi_z(w)).
+        ``unitaries.toeplitz_auto`` can compress it exactly as U_z T_f U_z;
+        a radial f is then evaluated at points as g(rho(w, z))
+        (``pseudo_metric``, accurate where f vanishes).  Any other f yields
+        the sampled kind, evaluated as f(phi_z(w)).
         """
         zz = np.asarray(z, dtype=complex)
         f, profile = self.fn, self.profile
@@ -197,10 +190,6 @@ class OperatorMatrix:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.mat @ vec
-
-    @staticmethod
-    def identity(basis: TruncatedBasis) -> "OperatorMatrix":
-        return OperatorMatrix(basis, np.eye(len(basis), dtype=complex))
 
 
 def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
@@ -329,29 +318,6 @@ def toeplitz_monomial_radial(coordinate: int, profile, basis: TruncatedBasis,
         k = sum(alpha) + 1
         mat[j, i] = integrals[k] * math.sqrt((n + k) * beta[coordinate])
     return OperatorMatrix(basis, mat)
-
-
-def toeplitz_auto(f: Symbol, basis: TruncatedBasis,
-                  rule: QuadratureRule) -> OperatorMatrix:
-    """Route a symbol to its structured route when one exists.
-
-    Radial and monomial-times-radial symbols carry their profile, so
-    their matrices come from one-dimensional integrals (exact for
-    piecewise-polynomial profiles).  A Moebius-composed symbol h o phi_c
-    is compressed exactly as V* T_h V when c lies on a coordinate ray
-    (``unitaries.toeplitz_moebius``); ``unitaries.toeplitz_route`` says
-    which route a symbol takes.  Everything else goes through quadrature
-    over ``rule``.
-    """
-    if f.kind == "radial" and f.profile is not None:
-        return toeplitz_radial(f.profile, basis, support=f.support)
-    if f.kind == "monomial_radial" and f.profile is not None:
-        return toeplitz_monomial_radial(f.coordinate, f.profile, basis,
-                                        support=f.support)
-    if f.kind == "moebius":
-        from .unitaries import toeplitz_moebius  # unitaries imports this module
-        return toeplitz_moebius(f, basis, rule)
-    return toeplitz_matrix(f, basis, rule)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

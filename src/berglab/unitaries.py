@@ -12,9 +12,13 @@ the reference the exact route is compared against at moderate |z|.
 
 The same exact entries give the Toeplitz compression of a
 Moebius-composed symbol h o phi_c with h radial or monomial-times-radial
-and compactly supported: T_{h o phi_c} = U_c T_h U_c, and
-``toeplitz_moebius`` assembles P_d U_c T_h U_c P_d as V* T_h V with
-V = P_K U_c P_d, block by block, with no quadrature.
+and compactly supported: T_{h o phi_c} = U_c T_h U_c, assembled as
+V* T_h V with V = P_K U_c P_d, block by block, with no quadrature.
+
+Every Toeplitz matrix whose route depends on its symbol is chosen here:
+``toeplitz_route`` reads ``Symbol.kind`` once and returns the route's
+record, and ``toeplitz_auto`` assembles T_f by the route it names (the
+radial or banded fast path, the exact V* T_h V, or quadrature).
 
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
@@ -24,23 +28,23 @@ laboratory's checks always sweep the degree.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .basis import TruncatedBasis, kernel, kernel_expansion
 from .geometry import _gap, _norm2, as_point, inner, moebius
 from .quadrature import QuadratureRule
 from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
-                       toeplitz_matrix)
+                       toeplitz_matrix, toeplitz_monomial_radial,
+                       toeplitz_radial)
 
 __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
-           "unitary_matrix_exact", "exact_available", "unitarity_defect",
-           "toeplitz_route", "toeplitz_moebius", "weak_pairing_exact"]
+           "unitary_matrix_exact", "exact_available", "core_degree",
+           "toeplitz_route", "toeplitz_auto", "weak_pairing_exact"]
 
 # invariant guards on exact compressions, which the recurrence meets to ~1e-15
 _GUARD_TOL = 1e-10
-# T_h is kept to the smallest degree K whose tail bound is below this
-_CORE_TAIL = 2.0 ** -60
-_CORE_CAP = 200
 
 
 def unitary_matrix_quadrature(z, basis: TruncatedBasis,
@@ -191,10 +195,19 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
 unitary_matrix = unitary_matrix_exact
 
 
-def unitarity_defect(u: OperatorMatrix) -> float:
-    """Operator norm of U*U - I on the truncation."""
-    eye = np.eye(len(u.basis))
-    return float(np.linalg.norm(u.mat.conj().T @ u.mat - eye, 2))
+def core_degree(tail, scale: float, what: str) -> tuple[int, float]:
+    """The smallest K <= 200 with tail(K) < 2^-60 scale, and tail(K).
+
+    ``tail`` bounds what dropping every degree above K changes; ``what``
+    names the quantity that sets it in the error raised when no K <= 200
+    suffices.
+    """
+    for k in range(201):
+        bound = tail(k)
+        if bound < 2.0 ** -60 * scale:
+            return k, bound
+    raise ValueError(f"{what} needs a core degree above 200 for a tail "
+                     "below 2^-60")
 
 
 def _core_degree(h: Symbol, n: int) -> tuple[int, float]:
@@ -205,60 +218,62 @@ def _core_degree(h: Symbol, n: int) -> tuple[int, float]:
     and T_h is diagonal or a single band, so dropping every degree above
     K changes it by at most sup|g| R^(2(n+K+1)) in operator norm, at any
     truncation degree.  K is the smallest degree where that bound is
-    below 2^-60; sup|g| is taken over 257 points of [0, R].
+    below 2^-60 (``core_degree``); sup|g| is taken over 257 points of
+    [0, R].
     """
     radius = h.support
     sup_g = float(np.max(np.abs(h.profile(np.linspace(0.0, radius, 257)))))
-    for k in range(_CORE_CAP + 1):
-        tail = sup_g * radius ** (2 * (n + k + 1))
-        if tail < _CORE_TAIL:
-            return k, tail
-    raise ValueError(
-        f"support radius R = {radius} needs a core degree above "
-        f"{_CORE_CAP} for a tail below 2^-60 at n = {n}")
+    return core_degree(lambda k: sup_g * radius ** (2 * (n + k + 1)), 1.0,
+                       f"support radius R = {radius} at n = {n}")
 
 
-def toeplitz_route(f: Symbol, n: int) -> dict:
-    """How ``toeplitz_auto`` assembles T_f at dimension n.
+def toeplitz_route(f: Symbol, n: int,
+                   rule: QuadratureRule | None = None) -> dict:
+    """The route by which ``toeplitz_auto`` assembles T_f at dimension n.
 
+    This is the one place a route is chosen from ``Symbol.kind``.
     "radial" and "monomial_radial" are the one-dimensional fast paths,
-    "moebius" is the exact compression V* T_h V of f = h o phi_c, which
-    needs c on a coordinate ray (``exact_available``), and "quadrature"
-    is everything else.  A "moebius" route also gives its core degree K
-    and tail bound (``_core_degree``); the others give None for both.
+    and "moebius" is the exact compression V* T_h V of f = h o phi_c,
+    which needs c on a coordinate ray (``exact_available``); their
+    records give the core degree K and tail bound of a "moebius" route
+    (``_core_degree``) and None for the others.  Everything else is
+    "quadrature" over ``rule``, which must then be given: its record
+    gives the invariant axes whose angles are held at 0 and the number
+    of nodes f is evaluated at (``toeplitz_matrix``).
     """
-    route = {"route": "quadrature", "core_degree": None, "tail_bound": None}
     if f.kind in ("radial", "monomial_radial") and f.profile is not None:
-        route["route"] = f.kind
-    elif f.kind == "moebius":
+        return {"route": f.kind, "core_degree": None, "tail_bound": None}
+    if f.kind == "moebius":
         if len(f.center) != n:
             raise ValueError(f"symbol centre has dimension {len(f.center)}, "
                              f"expected {n}")
         if exact_available(f.center, n):
             k, tail = _core_degree(f.inner, n)
-            route.update(route="moebius", core_degree=k, tail_bound=tail)
-    return route
+            return {"route": "moebius", "core_degree": k, "tail_bound": tail}
+    if rule is None:
+        raise ValueError(f"symbol {f.label or f.kind!r} takes the quadrature "
+                         "route: T_f needs a quadrature rule")
+    axes = sorted(set(f.invariant))
+    return {"route": "quadrature", "invariant_axes": axes,
+            "nodes": len(replace(rule, fixed_angles=tuple(axes)))}
 
 
-def toeplitz_moebius(f: Symbol, basis: TruncatedBasis,
-                     rule: QuadratureRule | None = None) -> OperatorMatrix:
-    """Compression of T_f for a Moebius-composed f = h o phi_c.
-
-    With c on a coordinate ray this is P_d U_c T_h U_c P_d = V* T_h V,
-    V = P_K U_c P_d at the core degree K (``_core_degree``), exact up to
-    the tail bound; otherwise it is ``toeplitz_matrix`` over ``rule``,
-    which must then be given.
-    """
-    if f.kind != "moebius":
-        raise ValueError(f"symbol kind {f.kind!r} is not Moebius-composed")
-    route = toeplitz_route(f, basis.n)
-    if route["route"] != "moebius":
-        if rule is None:
-            raise ValueError(f"centre {list(f.center)} is off the coordinate "
-                             "rays: T_f needs a quadrature rule")
-        return toeplitz_matrix(f, basis, rule)
-    return OperatorMatrix(basis, _compress_moebius(f, basis,
-                                                   route["core_degree"]))
+def toeplitz_auto(f: Symbol, basis: TruncatedBasis,
+                  rule: QuadratureRule | None = None) -> OperatorMatrix:
+    """T_f compressed to ``basis`` by the route ``toeplitz_route`` names:
+    ``toeplitz_radial``, ``toeplitz_monomial_radial``, V* T_h V at the
+    core degree (``_compress_moebius``), or ``toeplitz_matrix`` over
+    ``rule``."""
+    route = toeplitz_route(f, basis.n, rule)
+    if route["route"] == "radial":
+        return toeplitz_radial(f.profile, basis, support=f.support)
+    if route["route"] == "monomial_radial":
+        return toeplitz_monomial_radial(f.coordinate, f.profile, basis,
+                                        support=f.support)
+    if route["route"] == "moebius":
+        return OperatorMatrix(basis, _compress_moebius(f, basis,
+                                                       route["core_degree"]))
+    return toeplitz_matrix(f, basis, rule)
 
 
 def _compress_moebius(f: Symbol, basis: TruncatedBasis,

@@ -33,15 +33,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import TruncatedBasis, kernel_expansion
-from .geometry import (_norm2, as_point, pseudo_metric, random_sphere_points,
-                       sample_ball)
+from .geometry import (_norm2, as_point, inner, pseudo_metric,
+                       random_sphere_points, sample_ball)
 from .quadrature import QuadratureRule, integrate
 from .sequences import SeparatedSequence, build_sequence, pairwise_rho
 from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
-                       commutator, op_norm, toeplitz_auto, toeplitz_matrix,
+                       commutator, op_norm, toeplitz_matrix,
                        toeplitz_monomial_radial)
-from .unitaries import (_CORE_CAP, _CORE_TAIL, toeplitz_moebius,
-                        toeplitz_route, unitary_matrix)
+from .unitaries import (core_degree, toeplitz_auto, toeplitz_route,
+                        unitary_matrix)
 
 __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "boundary_trace_check", "exclusion_radius", "witness_symbol",
@@ -82,13 +82,6 @@ class SphereSet:
             return np.full(z.shape[0], np.inf)
         return np.sqrt(_norm2(z[:, None, :] - self.points[None]).min(axis=1))
 
-    def contains(self, other: "SphereSet", tol: float = 1e-12) -> bool:
-        if len(other) == 0:
-            return True
-        if len(self) == 0:
-            return False
-        return bool(np.all(self.min_dist(other.points) <= tol))
-
 
 def region_infimum(F: SphereSet, z) -> np.ndarray:
     """inf over zeta in F and t in [0, 1) of rho(z, t zeta); |z| when F is
@@ -106,7 +99,7 @@ def region_infimum(F: SphereSet, z) -> np.ndarray:
     z = np.atleast_2d(as_point(z, name="z"))
     if len(F) == 0:
         return np.linalg.norm(z, axis=1)
-    c = z @ F.points.conj().T  # (B, K)
+    c = inner(z[:, None, :], F.points[None])  # (B, K)
     re_c = np.maximum(c.real, 0.0)
     s = 1.0 + np.abs(c) ** 2
     t = 2.0 * re_c / (s + np.abs(1.0 - c) * np.abs(1.0 + c))
@@ -219,7 +212,7 @@ def witness_operator(zeta, r: float, M: int,
     The left side is a product of compressions, (P U_z P) S (P U_z P),
     and the right side the compression of a product, [B, B*]^2 with
     B = P U_z T_f U_z P, the exact compression of the composed symbol
-    (``unitaries.toeplitz_moebius``).  So the defect measures truncation
+    (``unitaries.toeplitz_auto``).  So the defect measures truncation
     alone, and shrinks with the degree.
     """
     f = witness_symbol(r)
@@ -230,7 +223,7 @@ def witness_operator(zeta, r: float, M: int,
     for p in build_sequence(zeta, r, M).points():
         u = unitary_matrix(p, basis)
         composed = f.compose_moebius(p)
-        b = toeplitz_moebius(composed, basis)
+        b = toeplitz_auto(composed, basis)
         cc = commutator(b, b.adjoint())
         defects.append(op_norm(u @ s @ u.adjoint() - cc @ cc))
         routes.append(toeplitz_route(composed, basis.n))
@@ -269,13 +262,8 @@ def _berezin_core(r: float, n: int, lam: float) -> tuple[int, float]:
     degree K add at most R^(8(n+K+1)) to S~(w) = <S k_w, k_w> at any w.
     K is the smallest degree where that bound is below 2^-60 lambda.
     """
-    for k in range(_CORE_CAP + 1):
-        tail = r ** (8 * (n + k + 1))
-        if tail < _CORE_TAIL * lam:
-            return k, tail
-    raise ValueError(
-        f"witness radius r = {r} needs a Berezin core degree above "
-        f"{_CORE_CAP} at n = {n}")
+    return core_degree(lambda k: r ** (8 * (n + k + 1)), lam,
+                       f"the Berezin sum at witness radius r = {r}, n = {n}")
 
 
 def lemma3_lower_bound(seq: SeparatedSequence) -> dict:
@@ -462,10 +450,11 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
     plus the truncation slack ||T_eta|| sqrt(1 - ||P k_{z_m}||^2); and,
     for every product curve, the log-log slope of the curve against
-    1 - |z_m|^2 within ``slope_rel`` of (n+1)/2.  ``routes`` records how
-    each panel matrix was assembled (``unitaries.toeplitz_route``), and
-    ``eta_route`` how T_eta was: its invariant axes and the number of
-    nodes it was evaluated at (None when F is empty and T_eta is 0).
+    1 - |z_m|^2 within ``slope_rel`` of (n+1)/2.  ``routes`` and
+    ``eta_route`` record how each panel matrix and T_eta were assembled
+    (``unitaries.toeplitz_route``); T_eta's is the quadrature record of
+    its invariant axes and node count, None when F is empty and T_eta
+    is 0.
     """
     pts = seq.points()
     n = basis.n
@@ -495,10 +484,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     eta_route = None
     if len(cfg.f_set):
         t_eta = toeplitz_matrix(cfg.eta, basis, rule)
-        eta_route = {"route": "quadrature",
-                     "invariant_axes": list(cfg.eta.invariant),
-                     "nodes": len(replace(rule,
-                                          fixed_angles=cfg.eta.invariant))}
+        eta_route = toeplitz_route(cfg.eta, n, rule)
         eta_norm = op_norm(t_eta)
         lhs = np.asarray([float(np.linalg.norm(t_eta.apply(v))) for v in kz])
         knorms = [float(np.linalg.norm(v)) for v in kz]
@@ -535,7 +521,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         "slopes": slopes,
         "slope_target": slope_target,
         "slope_ok": slope_ok,
-        "routes": [toeplitz_route(g, n) for g in panel],
+        "routes": [toeplitz_route(g, n, rule) for g in panel],
         "ok": all(decay_ok) and bound_ok and slope_ok,
     }
 

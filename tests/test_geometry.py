@@ -19,6 +19,7 @@ from berglab.geometry import (
     sample_metric_ball,
 )
 from berglab.unitaries import weak_pairing_exact
+from berglab.witness import SphereSet, region_infimum
 
 
 class TestMoebius:
@@ -380,6 +381,8 @@ class TestLayoutIndependence:
         a = sample_ball(n, 1, rng, 0.85)[0]
         centers = sample_ball(n, 4, rng, 0.85)[:, None, :]
         zm = sample_ball(n, 4000, rng, 0.999)
+        # one generic direction: a BLAS product z @ F^H rounds by layout
+        one = SphereSet.create(random_sphere_points(n, 1, rng))
         runs = [
             lambda z, w, u, zm: pseudo_metric(z, w),
             lambda z, w, u, zm: moebius(u, z),
@@ -389,6 +392,7 @@ class TestLayoutIndependence:
             lambda z, w, u, zm: in_ellipsoid(centers, 0.5, z),
             lambda z, w, u, zm: metric_combined_bound(z, w, u),
             lambda z, w, u, zm: weak_pairing_exact(zm, z, w),
+            lambda z, w, u, zm: region_infimum(one, z),
         ]
         f_order = (z, w, u, zm)
         assert all(p.flags.f_contiguous for p in f_order)
@@ -418,6 +422,13 @@ class TestMetricBall:
         a = np.array([0.5 + 0.2j, -0.1 + 0.3j])
         pts = sample_metric_ball(a, 0.45, 3000, rng)
         assert np.all(pseudo_metric(pts, a) < 0.45)
+
+    def test_sampler_rejects_radius_beyond_one(self):
+        rng = np.random.default_rng(21)
+        with pytest.raises(ValueError, match="at most 1"):
+            sample_metric_ball([0.5], 1.5, 10, rng)
+        with pytest.raises(ValueError, match="at most 1"):
+            sample_metric_ball([[0.5], [0.1]], [0.3, np.nan], 10, rng)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stacked_sampling_matches_serial(self, n):

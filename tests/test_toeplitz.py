@@ -10,9 +10,9 @@ from berglab.basis import TruncatedBasis, project, weighted_gram
 from berglab.geometry import moebius
 from berglab.quadrature import build_rule, integrate, rule_for_basis
 from berglab.toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
-                              commutator, op_norm, toeplitz_auto,
-                              toeplitz_matrix, toeplitz_monomial_radial,
-                              toeplitz_radial)
+                              commutator, op_norm, toeplitz_matrix,
+                              toeplitz_monomial_radial, toeplitz_radial)
+from berglab.unitaries import toeplitz_auto
 from berglab.witness import (SphereSet, build_prop1_config, default_panel,
                              witness_symbol)
 
@@ -167,7 +167,7 @@ class TestCommutatorAndNorm:
             assert op_norm(t) <= sym.sup_norm_bound + 1e-8
 
     def test_op_norm_basics(self, basis):
-        eye = OperatorMatrix.identity(basis)
+        eye = OperatorMatrix(basis, np.eye(len(basis)))
         assert op_norm(eye) == pytest.approx(1.0)
         d = np.zeros((len(basis), len(basis)), complex)
         d[3, 3] = -2.5
@@ -177,8 +177,8 @@ class TestCommutatorAndNorm:
 class TestOperatorMatrix:
     def test_basis_mismatch_raises(self, basis):
         other = TruncatedBasis.create(1, 6)
-        a = OperatorMatrix.identity(basis)
-        b = OperatorMatrix.identity(other)
+        a = OperatorMatrix(basis, np.eye(len(basis)))
+        b = OperatorMatrix(other, np.eye(len(other)))
         with pytest.raises(ValueError):
             _ = a @ b
 

@@ -12,14 +12,14 @@ from berglab.basis import TruncatedBasis, kernel_expansion
 from berglab.geometry import sample_ball
 from berglab.quadrature import build_rule, rule_for_basis
 from berglab.sequences import build_sequence
-from berglab import unitaries
-from berglab.toeplitz import Symbol, toeplitz_auto, toeplitz_matrix
-from berglab.unitaries import (exact_available, toeplitz_moebius,
+from berglab import toeplitz, unitaries
+from berglab.toeplitz import Symbol, toeplitz_matrix
+from berglab.unitaries import (exact_available, toeplitz_auto,
                                toeplitz_route, unitary_matrix,
                                unitary_matrix_exact,
-                               unitary_matrix_quadrature, unitarity_defect,
-                               weak_pairing_exact)
-from berglab.witness import SphereSet, default_panel, witness_symbol
+                               unitary_matrix_quadrature, weak_pairing_exact)
+from berglab.witness import (SphereSet, build_prop1_config, default_panel,
+                             witness_symbol)
 
 
 def window(mat, basis, probe):
@@ -208,11 +208,11 @@ class TestExactGuards:
     def test_perturbed_kernel_raises_in_moebius_route(self, monkeypatch):
         g = bump(BUMP_R).compose_moebius([0.0])
         b = TruncatedBasis.create(1, 8)
-        toeplitz_moebius(g, b)
+        toeplitz_auto(g, b)
         monkeypatch.setattr(unitaries, "_diagonals",
                             perturb_where(np.s_[1:], lambda v: v * (1 + 1e-6)))
         with pytest.raises(ValueError, match="column norm excess"):
-            toeplitz_moebius(g, b)
+            toeplitz_auto(g, b)
 
 
 class TestUnitarityDefect:
@@ -233,10 +233,6 @@ class TestUnitarityDefect:
             v = u.mat.conj().T @ u.mat - np.eye(len(b))
             defects.append(window(v, b, 2))
         assert all(a > b for a, b in zip(defects, defects[1:]))
-
-    def test_full_defect_reported(self, basis):
-        u = unitary_matrix_exact([0.5], basis)
-        assert 0.0 < unitarity_defect(u) <= 1.0 + 1e-12
 
 
 def bump(radius):
@@ -299,7 +295,7 @@ class TestMoebiusRoute:
     def test_core_degree_is_converged(self, g):
         b = TruncatedBasis.create(2, 10)
         k = toeplitz_route(g, 2)["core_degree"]
-        at_k = toeplitz_moebius(g, b).mat
+        at_k = toeplitz_auto(g, b).mat
         for more in (10, 20):
             wider = unitaries._compress_moebius(g, b, k + more)
             assert np.max(np.abs(wider - at_k)) < 1e-17
@@ -307,7 +303,7 @@ class TestMoebiusRoute:
     def test_gap_to_quadrature_shrinks_with_rule(self):
         b = TruncatedBasis.create(2, 6)
         g = rho_bump(0.5, 0.6)
-        exact = toeplitz_moebius(g, b).mat
+        exact = toeplitz_auto(g, b).mat
         gaps = [np.linalg.norm(exact - toeplitz_matrix(
                     g, b, rule_for_basis(2, d, radial_breaks=(0.25,))).mat, 2)
                 for d in (10, 20)]
@@ -334,12 +330,14 @@ class TestMoebiusRoute:
         b = TruncatedBasis.create(2, 4)
         g = bump(BUMP_R).compose_moebius([0.3, 0.3])
         rule = rule_for_basis(2, 4)
-        assert toeplitz_route(g, 2) == {
-            "route": "quadrature", "core_degree": None, "tail_bound": None}
+        assert toeplitz_route(g, 2, rule) == {
+            "route": "quadrature", "invariant_axes": [], "nodes": len(rule)}
         assert np.array_equal(toeplitz_auto(g, b, rule).mat,
                               toeplitz_matrix(g, b, rule).mat)
         with pytest.raises(ValueError, match="quadrature rule"):
-            toeplitz_moebius(g, b)
+            toeplitz_route(g, 2)
+        with pytest.raises(ValueError, match="quadrature rule"):
+            toeplitz_auto(g, b)
 
     def test_core_degree_cap_names_radius(self):
         g = bump(0.99).compose_moebius([0.0, 0.5])
@@ -355,11 +353,73 @@ class TestMoebiusRoute:
         size_k = (k + 1) * (k + 2) // 2
         tracemalloc.start()
         try:
-            toeplitz_moebius(g, b)
+            toeplitz_auto(g, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * size_k ** 2
+
+
+def eta_e2():
+    """Proposition 1's cutoff for F = {e_2} at n = 2: invariant along z_1."""
+    f_set = SphereSet.create([[0.0, 1.0]])
+    return build_prop1_config(f_set, 0.5, rule_for_basis(2, 4)).eta
+
+
+# the assembly function ``toeplitz_auto`` calls for each route
+ASSEMBLERS = {"radial": "toeplitz_radial",
+              "monomial_radial": "toeplitz_monomial_radial",
+              "moebius": "_compress_moebius",
+              "quadrature": "toeplitz_matrix"}
+
+
+class TestRouteRecord:
+    """The record ``toeplitz_route`` gives is what ``toeplitz_auto`` does."""
+
+    @pytest.mark.parametrize("f", [
+        eta_e2(), bump(BUMP_R).compose_moebius([0.3, 0.2j])],
+        ids=["eta_e2", "off_ray_rho_bump"])
+    def test_nodes_are_the_points_evaluated(self, monkeypatch, f):
+        b = TruncatedBasis.create(2, 4)
+        rule = rule_for_basis(2, 4)
+        points = []
+
+        def counted(pts):
+            points.append(len(pts))
+            return f(pts)
+
+        g = Symbol.sampled(counted, f.sup_norm_bound, invariant=f.invariant)
+        route = toeplitz_route(f, 2, rule)
+        assert route == toeplitz_route(g, 2, rule)
+        assert route["route"] == "quadrature"
+        assert route["invariant_axes"] == list(f.invariant)
+        # the invariance probe evaluates f too, and has tests of its own
+        monkeypatch.setattr(toeplitz, "_check_invariant",
+                            lambda f, rule: tuple(sorted(f.invariant)))
+        toeplitz_auto(g, b, rule)
+        assert sum(points) == route["nodes"]
+        assert route["nodes"] == (len(rule) if not f.invariant
+                                  else len(rule) // rule.angular)
+
+    @pytest.mark.parametrize("f, expect", [
+        (bump(BUMP_R), "radial"),
+        (witness_symbol(0.5), "monomial_radial"),
+        (rho_bump(0.5, 0.6), "moebius"),
+        (eta_e2(), "quadrature")],
+        ids=["radial", "monomial_radial", "moebius", "quadrature"])
+    def test_auto_calls_what_the_record_names(self, monkeypatch, f, expect):
+        b = TruncatedBasis.create(2, 4)
+        rule = rule_for_basis(2, 4)
+        called = []
+        for name in ASSEMBLERS.values():
+            def spy(*args, _name=name, _orig=getattr(unitaries, name),
+                    **kwargs):
+                called.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(unitaries, name, spy)
+        assert toeplitz_route(f, 2, rule)["route"] == expect
+        toeplitz_auto(f, b, rule)
+        assert called == [ASSEMBLERS[expect]]
 
 
 class TestWeakPairing:

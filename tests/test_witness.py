@@ -59,12 +59,6 @@ class TestSphereSet:
         with pytest.raises(ValueError, match="unit"):
             SphereSet.create([[0.9 + 0j]])
 
-    def test_containment(self):
-        small = SphereSet.create([e1(2)])
-        big = SphereSet.create([e1(2), e2(2)])
-        assert big.contains(small)
-        assert not small.contains(big)
-
 
 class TestRegionMembership:
     def test_empty_set_is_centered_ball(self):
