@@ -22,7 +22,6 @@ __all__ = ["multi_indices", "monomial_norm", "TruncatedBasis", "Expansion",
            "kernel", "kernel_expansion", "weighted_gram", "project"]
 
 _BLOCK = 1 << 17  # complex entries per gathered (rows, B, slices) block
-_RHO_BLOCK = 1 << 20  # basis values per evaluation at the slices
 
 
 def multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -151,73 +150,33 @@ def weighted_gram(basis: TruncatedBasis, rule: QuadratureRule,
     alias 2 * degree.  It costs one FFT of the N values plus O(P B^2)
     for P slices and B basis elements.
 
-    On a rule with ``fixed_angles`` the values do not depend on those
-    angles, so F_p vanishes unless beta - alpha is 0 mod A there: the
-    basis splits into groups that agree mod A on the fixed coordinates,
-    G is zero between groups, and each group's block is the sum above
-    over the active angles alone.  With no fixed angle the whole basis
-    is one group.
-
     ``values`` is consumed: it is weighted in place and, when complex,
     overwritten by its spectrum.  Beyond it the call holds one
-    frequency-major copy of the spectrum (N complex entries), the basis
-    values of one group at the P angle-zero nodes, and one reused gather
-    block of at most max(2^17, m P) complex entries for the largest
-    group size m.
+    frequency-major copy of the spectrum (N complex entries) and one
+    reused gather block of at most max(2^17, B P) complex entries.
     """
-    size, slices = len(basis), len(rule.moduli)
-    active = list(rule.active)
+    n, size, slices = basis.n, len(basis), len(rule.moduli)
     grid = rule.weigh(values)
-    spec = np.fft.fftn(grid, axes=tuple(range(1, len(active) + 1)),
+    spec = np.fft.fftn(grid, axes=tuple(range(1, n + 1)),
                        out=grid if grid.dtype == complex else None)
     # frequency-major, so a gather reads whole rows of P slice values
     spec = np.ascontiguousarray(spec.reshape(slices, -1).T)
+    rho = basis.eval(rule.moduli).real.T  # (B, P) at the angle-zero nodes
     idx = np.asarray(basis.indices)
-    keys, group_of = np.unique(idx[:, list(rule.fixed_angles)] % rule.angular,
-                               axis=0, return_inverse=True)
-    groups = [np.flatnonzero(group_of.ravel() == g) for g in range(len(keys))]
-    # row-major strides of the active angle grid, as in ravel_multi_index
-    strides = rule.angular ** np.arange(len(active) - 1, -1, -1)
-    out = np.zeros((size, size), dtype=complex)
-
-    def rows(m: int) -> int:  # gather rows per block for a group of size m
-        return min(m, max(1, _BLOCK // (slices * m)))
-    buf = np.empty(max(rows(len(g)) * len(g) for g in groups) * slices,
-                   dtype=complex)
-    # whole groups whose basis values at the P slices are evaluated at once
-    batches, held = [[]], 0
-    for g in groups:
-        if batches[-1] and (held + len(g)) * slices > _RHO_BLOCK:
-            batches.append([])
-            held = 0
-        batches[-1].append(g)
-        held += len(g)
-    for batch in batches:
-        cols = np.concatenate(batch)
-        part = basis if len(batch) == 1 and len(cols) == size else (
-            TruncatedBasis(basis.n, basis.degree,
-                           tuple(basis.indices[i] for i in cols),
-                           basis.norms[cols]))
-        rho_batch = part.eval(rule.moduli).real.T  # at the angle-zero nodes
-        first = 0
-        for members in batch:
-            m, step = len(members), rows(len(members))
-            rho = rho_batch[first:first + m]
-            first += m
-            sub = idx[members][:, active]
-            diff = (sub[:, None, :] - sub[None, :, :]) % rule.angular
-            freq = diff @ strides
-            for start in range(0, m, step):
-                r = slice(start, start + step)
-                count = len(freq[r])
-                # F_p[beta - alpha]; freq is in range, and mode="clip" lets
-                # take write straight into the buffer instead of a copy
-                block = np.take(spec, freq[r], axis=0, mode="clip",
-                                out=buf[:count * m * slices].reshape(
-                                    count, m, slices))
-                block *= rho[None]
-                out[np.ix_(members[r], members)] = np.matmul(
-                    block, rho[r, :, None])[..., 0]
+    diff = (idx[:, None, :] - idx[None, :, :]) % rule.angular
+    freq = np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)),
+                                (rule.angular,) * n)
+    out = np.empty((size, size), dtype=complex)
+    rows = max(1, _BLOCK // (slices * size))
+    gather = np.empty((min(rows, size), size, slices), dtype=complex)
+    for start in range(0, size, rows):
+        r = slice(start, start + rows)
+        # F_p[beta - alpha]; freq is in range, and mode="clip" lets take
+        # write straight into the buffer instead of through a copy
+        block = np.take(spec, freq[r], axis=0, out=gather[:len(freq[r])],
+                        mode="clip")
+        block *= rho[None]
+        out[r] = np.matmul(block, rho[r, :, None])[..., 0]
     return out
 
 

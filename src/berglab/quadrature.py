@@ -30,12 +30,6 @@ fastest; the angle-zero node of a slice is real and carries the slice's
 moduli |z_j|.  ``QuadratureRule`` stores exactly that structure (slice
 moduli, slice weights, A), so sums over the angles can be taken by FFT.
 
-A function that does not depend on the angles of some coordinates is
-integrated by the same rule with those angles held at 0
-(``QuadratureRule.fixed_angles``): each slice then has A^k nodes for the
-k other coordinates, and the sum is the full rule's, since every angle
-of a fixed coordinate contributes the same value.
-
 Functions are evaluated through ``QuadratureRule.evaluate``, one block
 of whole slices at a time, and weighted per slice in place
 (``QuadratureRule.weigh``).  So production code holds one (N,) array of
@@ -120,11 +114,6 @@ class QuadratureRule:
     last coordinate's angle fastest, and carries weight
     slice_weights[p] / angular**n.
 
-    ``fixed_angles`` lists coordinates whose angle is held at 0: the grid
-    then runs over the other k coordinates only, A^k nodes per slice of
-    weight slice_weights[p] / A^k.  Such a rule integrates exactly the
-    functions that do not depend on those angles, and no others.
-
     ``evaluate`` fills the (N,) values of a function block by block and
     ``weigh`` applies the weights to them in place, so a sum over the
     rule needs one (N,) array.  ``nodes`` (N, n) and ``weights`` (N,)
@@ -140,7 +129,6 @@ class QuadratureRule:
     radial_points: int
     angular: int
     radial_breaks: tuple[float, ...] = field(default=())
-    fixed_angles: tuple[int, ...] = field(default=())
 
     # Reserved: rules are deterministic, so there is no seed to record.
     seed: ClassVar[None] = None
@@ -151,37 +139,22 @@ class QuadratureRule:
         |alpha| <= 2p - n; the angles separate frequencies below A."""
         return min(2 * self.radial_points - self.n, self.angular - 1)
 
-    @property
-    def active(self) -> tuple[int, ...]:
-        """The coordinates whose angles the grid runs over."""
-        return tuple(j for j in range(self.n) if j not in self.fixed_angles)
-
-    @property
-    def per_slice(self) -> int:
-        """Nodes per radial slice: A^k for the k active coordinates."""
-        return self.angular ** len(self.active)
-
     def grid(self, values: np.ndarray) -> np.ndarray:
-        """Per-node values as a (P, angular, ..., angular) array, one
-        angle axis per active coordinate."""
-        return values.reshape((len(self.moduli),)
-                              + (self.angular,) * len(self.active))
+        """Per-node values as a (P, angular, ..., angular) array."""
+        return values.reshape((len(self.moduli),) + (self.angular,) * self.n)
 
     def _slice_nodes(self, start: int, stop: int) -> np.ndarray:
         """(m, n) complex nodes of slices start..stop-1, in node order."""
-        n, moduli, active = self.n, self.moduli[start:stop], self.active
-        k = len(active)
+        n, moduli = self.n, self.moduli[start:stop]
         theta = 2.0 * np.pi * np.arange(self.angular) / self.angular
         phase = np.exp(1j * theta)
-        out = np.empty((len(moduli),) + (self.angular,) * k + (n,),
+        out = np.empty((len(moduli),) + (self.angular,) * n + (n,),
                        dtype=complex)
         for j in range(n):
-            col = moduli[:, j].reshape((len(moduli),) + (1,) * k)
-            if j in active:
-                axis = [1] * k
-                axis[active.index(j)] = self.angular
-                col = col * phase.reshape(axis)
-            out[..., j] = col
+            axis = [1] * n
+            axis[j] = self.angular
+            out[..., j] = (moduli[:, j].reshape((len(moduli),) + (1,) * n)
+                           * phase.reshape(axis))
         return out.reshape(-1, n)
 
     @cached_property
@@ -192,7 +165,7 @@ class QuadratureRule:
     @cached_property
     def weights(self) -> np.ndarray:
         """(N,) positive node weights, summing to 1."""
-        per_slice = self.per_slice
+        per_slice = self.angular ** self.n
         return np.repeat(self.slice_weights / per_slice, per_slice)
 
     def evaluate(self, f) -> np.ndarray:
@@ -200,11 +173,11 @@ class QuadratureRule:
 
         ``f`` maps an (m, n) complex array of points to (m,) finite
         values.  It is called on one block of whole slices at a time, at
-        most max(2^14, ``per_slice``) points, so its temporaries stay that
+        most max(2^14, angular**n) points, so its temporaries stay that
         size whatever N is.  The values keep the dtype f returns,
         promoted to at least float64 so that they can be weighted.
         """
-        per_slice = self.per_slice
+        per_slice = self.angular ** self.n
         step = max(1, _EVAL_NODES // per_slice)
         out = None
         for start in range(0, len(self.moduli), step):
@@ -227,14 +200,14 @@ class QuadratureRule:
 
     def weigh(self, values: np.ndarray) -> np.ndarray:
         """Multiply (N,) values by the node weights, in place, and return
-        them as a grid: slice p's values scale by slice_weights[p] / A^k."""
+        them as a grid: slice p's values scale by slice_weights[p] / A^n."""
         grid = self.grid(values)
-        grid *= (self.slice_weights / self.per_slice).reshape(
-            (-1,) + (1,) * len(self.active))
+        grid *= (self.slice_weights / self.angular ** self.n).reshape(
+            (-1,) + (1,) * self.n)
         return grid
 
     def __len__(self) -> int:
-        return len(self.slice_weights) * self.per_slice
+        return len(self.slice_weights) * self.angular ** self.n
 
     def meta(self) -> dict:
         return {

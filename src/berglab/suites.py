@@ -645,7 +645,10 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
                        slope_rel=cfg.tol("slope_rel"))
     checks.append(check("slope_within_tolerance_n2", rep2["slope_ok"],
                         rep2["slopes"], rep2["slope_target"]))
-    checks.append(check("cutoff_bound_holds_n2", rep2["eta_bound_ok"]))
+    eta = rep2["eta_bound"]
+    checks.append(check("cutoff_bound_holds_n2", rep2["eta_bound_ok"],
+                        max(lhs - (rhs + slack) for lhs, rhs, slack in zip(
+                            eta["lhs"], eta["rhs"], eta["slack"])), 0.0))
     checks.append(check("decay_below_fraction_n2", all(rep2["decay_ok"]),
                         [c[-1] / c[0] for c in rep2["curves"]]))
 

@@ -9,18 +9,15 @@ real, so the angular part of that sum is a DFT: the entry is sum over
 slices of rho_alpha rho_beta times the (beta - alpha)-th FFT coefficient
 of w f on the slice (``basis.weighted_gram``).  It is the same finite
 sum in another order, not an approximation, and it holds even when the
-angles alias.  A symbol that declares coordinates along whose angles it
-is constant (``Symbol.invariant``, such as Proposition 1's cutoff eta
-for F = {e_j}) is evaluated with those angles held at 0, and its matrix
-is assembled block by block over the indices that agree there: A^k
-nodes per slice for the k other coordinates instead of A^n.
+angles alias.
 
 Two fast paths bypass quadrature: radial symbols f(z) = g(|z|) give
 diagonal matrices, constant on degree blocks (``toeplitz_radial``), and
 symbols f(z) = z_j g(|z|) populate the single band beta = alpha + e_j
 (``toeplitz_monomial_radial``).  ``unitaries.toeplitz_route`` decides
-which route a symbol takes: one of these two, quadrature, or the exact
-compression of a Moebius-composed symbol.
+which route a symbol takes: one of these two, quadrature, the exact
+compression of a Moebius-composed symbol, or the exact assembly of
+Proposition 1's cutoff eta around points c e_j of the sphere.
 
 Both fast paths reduce to I_k(g) = integral over [0,1] of t^(n+k-1)
 g(sqrt(t)) dt, evaluated by composite Gauss-Legendre split at the
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,13 +53,13 @@ class Symbol:
     """A bounded symbol: evaluation contract plus a declared sup-norm bound.
 
     ``kind`` tags the structure ("radial", "monomial_radial", "moebius",
-    "sampled").  The radial kinds carry their radial profile g (a
-    function of |z|), the coordinate for the monomial factor, and the
+    "cutoff", "sampled").  The radial kinds carry their radial profile g
+    (a function of |z|), the coordinate for the monomial factor, and the
     support radius in |z| when the profile vanishes beyond it.  The kind
     "moebius" is h o phi_c and carries h (``inner``) and c (``center``).
-    ``invariant`` lists coordinates j such that f does not change when
-    z_j is rotated, f(.., e^{it} z_j, ..) = f(z); quadrature then runs
-    over the other coordinates' angles only (``toeplitz_matrix``).
+    The kind "cutoff" is g(dist(z, points)) for unit vectors ``points``,
+    with g linear on [0, 2R/3] and on [2R/3, R] and 0 beyond the support
+    radius R (Proposition 1's eta, ``witness.build_prop1_config``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -74,16 +71,15 @@ class Symbol:
     label: str = ""
     inner: "Symbol | None" = None
     center: tuple[complex, ...] | None = None
-    invariant: tuple[int, ...] = ()
+    points: tuple[tuple[complex, ...], ...] | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(points), dtype=complex)
 
     @staticmethod
-    def sampled(fn, bound: float, label: str = "",
-                invariant: tuple[int, ...] = ()) -> "Symbol":
+    def sampled(fn, bound: float, label: str = "") -> "Symbol":
         return Symbol(fn=fn, sup_norm_bound=float(bound), kind="sampled",
-                      label=label, invariant=tuple(invariant))
+                      label=label)
 
     @staticmethod
     def constant(value: complex) -> "Symbol":
@@ -205,13 +201,6 @@ def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
     are those of one evaluation block.  Rule exactness below
     twice the basis degree leaves polynomial symbol entries inexact; such
     calls are flagged with a warning.
-
-    A symbol with ``invariant`` coordinates is evaluated with their
-    angles held at 0 (``QuadratureRule.fixed_angles``), so N shrinks by
-    a factor A per such coordinate; it is the same finite sum.  The
-    matrix is then block diagonal: entries pair only indices that agree
-    on those coordinates (``weighted_gram``).  The declaration is
-    checked first (``_check_invariant``).
     """
     if rule.n != basis.n:
         raise ValueError("rule and basis dimensions differ")
@@ -220,44 +209,7 @@ def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
             f"rule exactness {rule.exactness_degree} is below twice the "
             f"basis degree {basis.degree}; entries may be inexact",
             stacklevel=2)
-    if f.invariant:
-        rule = replace(rule, fixed_angles=_check_invariant(f, rule))
     return OperatorMatrix(basis, weighted_gram(basis, rule, rule.evaluate(f)))
-
-
-_INVARIANCE_TURNS = (0.9, 2.3)  # rotations that test a declared invariance
-
-
-def _check_invariant(f: Symbol, rule: QuadratureRule) -> tuple[int, ...]:
-    """Validate ``f.invariant`` against f; return it sorted.
-
-    At every slice of ``rule``, f is evaluated at the angle-zero node and
-    at one node with every angle turned, then again with each invariant
-    coordinate rotated by the angles ``_INVARIANCE_TURNS``.  A value
-    that moves by more than roundoff raises ValueError: the reduced
-    assembly would otherwise drop the entries that pair indices
-    differing on that coordinate.
-    """
-    n = rule.n
-    inv = tuple(sorted(set(f.invariant)))
-    if any(not 0 <= j < n for j in inv):
-        raise ValueError(f"invariant coordinates {f.invariant} out of range "
-                         f"for n = {n}")
-    turned = np.exp(1j * _INVARIANCE_TURNS[0] * np.arange(1, n + 1))
-    base = np.concatenate([rule.moduli, rule.moduli * turned]).astype(complex)
-    ref = f(base)
-    tol = 1e-12 * max(1.0, f.sup_norm_bound)
-    for j in inv:
-        for turn in _INVARIANCE_TURNS:
-            pts = base.copy()
-            pts[:, j] *= np.exp(1j * turn)
-            moved = float(np.max(np.abs(f(pts) - ref)))
-            if moved > tol:
-                raise ValueError(
-                    f"symbol {f.label or f.kind!r} declares coordinate {j} "
-                    f"invariant, but rotating z_{j} by {turn} moves it by "
-                    f"{moved:.3g}")
-    return inv
 
 
 def _profile_integrals(profile, n: int, max_k: int,

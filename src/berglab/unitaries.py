@@ -14,11 +14,14 @@ The same exact entries give the Toeplitz compression of a
 Moebius-composed symbol h o phi_c with h radial or monomial-times-radial
 and compactly supported: T_{h o phi_c} = U_c T_h U_c, assembled as
 V* T_h V with V = P_K U_c P_d, block by block, with no quadrature.
+Proposition 1's cutoff eta around points c e_j has the same blocks, each
+a tensor Gauss sum in coordinates centred on e_j (``_cutoff_blocks``).
 
 Every Toeplitz matrix whose route depends on its symbol is chosen here:
 ``toeplitz_route`` reads ``Symbol.kind`` once and returns the route's
 record, and ``toeplitz_auto`` assembles T_f by the route it names (the
-radial or banded fast path, the exact V* T_h V, or quadrature).
+radial or banded fast path, the exact V* T_h V, the exact cutoff, or
+quadrature).
 
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
@@ -28,13 +31,14 @@ laboratory's checks always sweep the degree.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import TruncatedBasis, kernel, kernel_expansion
 from .geometry import _gap, _norm2, as_point, inner, moebius
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _gauss_legendre
 from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
                        toeplitz_matrix, toeplitz_monomial_radial,
                        toeplitz_radial)
@@ -227,20 +231,104 @@ def _core_degree(h: Symbol, n: int) -> tuple[int, float]:
                        f"support radius R = {radius} at n = {n}")
 
 
-def toeplitz_route(f: Symbol, n: int,
+def _cutoff_axes(f: Symbol, n: int) -> list[tuple[int, complex]] | None:
+    """(j, c) for each point c e_j of a cutoff symbol (unit vectors, so
+    |c| = 1), or None unless every point is such a point and they are at
+    least twice the support radius apart: their supports are disjoint."""
+    pts = np.asarray(f.points, dtype=complex)
+    if pts.shape[1] != n:
+        raise ValueError(f"cutoff points have dimension {pts.shape[1]}, "
+                         f"expected {n}")
+    on = np.abs(pts) > 0.0
+    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    if (np.any(np.count_nonzero(on, axis=1) != 1)
+            or np.any(dists[~np.eye(len(pts), dtype=bool)] < 2 * f.support)):
+        return None
+    return [(int(j), complex(p[j])) for j, p in zip(np.argmax(on, 1), pts)]
+
+
+@lru_cache(maxsize=8)
+def _cutoff_blocks(profile, radius: float, n: int, degree: int,
+                   p: int) -> tuple[np.ndarray, ...]:
+    """Blocks k = 0..d of T_g for g(|z - e_j|), g linear on [0, 2R/3] and
+    [2R/3, R] and 0 beyond R = ``radius``, by p Gauss points per u-panel
+    and per theta-interval; memoised, so they are read-only.
+
+    The angles of z' keep alpha', and alpha'! cancels against the basis
+    norms, so the entry at ((alpha', b), (alpha', a)) depends on
+    k = |alpha'| alone.  With (Re z_j, Im z_j, |z'|) = (1 - u cos theta,
+    Y t, Y sqrt(1 - t^2)), Y = u sin theta, the ball is cos theta > u/2:
+
+        block_k[b, a] = (2/pi) sqrt((n+k+a)! (n+k+b)! / (a! b!)) / (n+k-2)!
+            int g(u) u Y^(2n-2) (Y^2 (1 - t^2))^k (1 - t^2)^(n-2)
+                z_j^a conj(z_j)^b du dtheta dt
+
+    over u < min(R, 2), theta < arccos(u/2), |t| < 1 (at n = 1, t = 1
+    and the prefactor is (2/pi) sqrt((a+1)(b+1))).  The u-panels end at
+    the kinks of g and the theta integrand is analytic, so both sums
+    converge geometrically while R < 2.  t -> -t conjugates z_j, so the
+    blocks are real symmetric, and the t >= 0 nodes of the (d+n)-point
+    rule, doubled, sum the polynomial in t exactly.
+    """
+    x, wx = _gauss_legendre(p)
+    edges = np.minimum([0.0, 2.0 * radius / 3.0, radius], 2.0)
+    u, wu = (np.concatenate(v) for v in zip(*[
+        (lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * wx)
+        for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]))
+    top = 0.5 * np.arccos(0.5 * u)[:, None]  # half of each theta interval
+    theta = top * (x + 1.0)
+    y = u[:, None] * np.sin(theta)
+    base = (wu * profile(u) * u)[:, None] * (top * wx) * y ** (2 * n - 2)
+    t, wt = np.ones(1), np.ones(1)
+    if n > 1:
+        t, wt = _gauss_legendre(degree + n)
+        half = t >= 0.0  # t = 0, if a node, is not doubled
+        t, wt = t[half], np.where(t > 0.0, 2.0, 1.0)[half] * wt[half]
+        wt = wt * (1.0 - t * t) ** (n - 2)
+    w = ((1.0 - u[:, None] * np.cos(theta))[..., None]
+         + 1j * y[..., None] * t).ravel()
+    powers = np.empty((degree + 1, len(w)), dtype=complex)
+    powers[0] = 1.0
+    for a in range(degree):
+        powers[a + 1] = powers[a] * w
+    # Re(w^a conj(w)^b) = Re w^a Re w^b + Im w^a Im w^b, so a block is
+    # c_a c_b (C C^T)[a, b], exactly symmetric, for C the real and
+    # imaginary parts of w^a times the root of each weight
+    parts = np.concatenate([powers.real, powers.imag], axis=1)
+    parts *= np.tile(np.sqrt((base[..., None] * wt).ravel()), 2)
+    s = np.tile((y[..., None] * np.sqrt(1.0 - t * t)).ravel(), 2)
+    blocks = []
+    for k in range(degree + 1 if n > 1 else 1):
+        m = degree - k + 1
+        scale = math.perm(n + k, 2) if n > 1 else 1
+        c = np.sqrt([2.0 / math.pi * math.comb(n + k + a, a) * scale
+                     for a in range(m)])
+        blocks.append(np.outer(c, c) * (parts[:m] @ parts[:m].T))
+        blocks[-1].flags.writeable = False
+        parts[:m - 1] *= s  # the weight of block k + 1
+    return tuple(blocks)
+
+
+def toeplitz_route(f: Symbol, basis: TruncatedBasis,
                    rule: QuadratureRule | None = None) -> dict:
-    """The route by which ``toeplitz_auto`` assembles T_f at dimension n.
+    """The route by which ``toeplitz_auto`` assembles T_f on ``basis``.
 
     This is the one place a route is chosen from ``Symbol.kind``.
     "radial" and "monomial_radial" are the one-dimensional fast paths,
     and "moebius" is the exact compression V* T_h V of f = h o phi_c,
     which needs c on a coordinate ray (``exact_available``); their
     records give the core degree K and tail bound of a "moebius" route
-    (``_core_degree``) and None for the others.  Everything else is
-    "quadrature" over ``rule``, which must then be given: its record
-    gives the invariant axes whose angles are held at 0 and the number
-    of nodes f is evaluated at (``toeplitz_matrix``).
+    (``_core_degree``) and None for the others.  "cutoff" is the exact
+    assembly of a cutoff symbol whose points are c e_j with disjoint
+    supports (``_cutoff_axes``); its record gives the Gauss size
+    p = 12 + d // 4 of ``_cutoff_blocks`` and the defect: |F| times the
+    Frobenius norm over the whole matrix (block k once per alpha' of
+    degree k) of the change from p - 4.  Everything else is
+    "quadrature" over ``rule``, which must then be given; its record
+    gives the number of nodes f is evaluated at (``toeplitz_matrix``)
+    and no defect (None), since quadrature error is not measured.
     """
+    n = basis.n
     if f.kind in ("radial", "monomial_radial") and f.profile is not None:
         return {"route": f.kind, "core_degree": None, "tail_bound": None}
     if f.kind == "moebius":
@@ -250,21 +338,28 @@ def toeplitz_route(f: Symbol, n: int,
         if exact_available(f.center, n):
             k, tail = _core_degree(f.inner, n)
             return {"route": "moebius", "core_degree": k, "tail_bound": tail}
+    if f.kind == "cutoff" and _cutoff_axes(f, n) is not None:
+        p = 12 + basis.degree // 4
+        fine, coarse = (_cutoff_blocks(f.profile, f.support, n, basis.degree,
+                                       q) for q in (p, p - 4))
+        defect = math.sqrt(sum(
+            (math.comb(k + n - 2, n - 2) if n > 1 else 1)
+            * float(np.sum((a - b) ** 2))
+            for k, (a, b) in enumerate(zip(fine, coarse))))
+        return {"route": "cutoff", "p": p, "defect": len(f.points) * defect}
     if rule is None:
         raise ValueError(f"symbol {f.label or f.kind!r} takes the quadrature "
                          "route: T_f needs a quadrature rule")
-    axes = sorted(set(f.invariant))
-    return {"route": "quadrature", "invariant_axes": axes,
-            "nodes": len(replace(rule, fixed_angles=tuple(axes)))}
+    return {"route": "quadrature", "nodes": len(rule), "defect": None}
 
 
 def toeplitz_auto(f: Symbol, basis: TruncatedBasis,
                   rule: QuadratureRule | None = None) -> OperatorMatrix:
     """T_f compressed to ``basis`` by the route ``toeplitz_route`` names:
     ``toeplitz_radial``, ``toeplitz_monomial_radial``, V* T_h V at the
-    core degree (``_compress_moebius``), or ``toeplitz_matrix`` over
-    ``rule``."""
-    route = toeplitz_route(f, basis.n, rule)
+    core degree (``_compress_moebius``), the cutoff's blocks
+    (``_assemble_cutoff``), or ``toeplitz_matrix`` over ``rule``."""
+    route = toeplitz_route(f, basis, rule)
     if route["route"] == "radial":
         return toeplitz_radial(f.profile, basis, support=f.support)
     if route["route"] == "monomial_radial":
@@ -273,7 +368,25 @@ def toeplitz_auto(f: Symbol, basis: TruncatedBasis,
     if route["route"] == "moebius":
         return OperatorMatrix(basis, _compress_moebius(f, basis,
                                                        route["core_degree"]))
+    if route["route"] == "cutoff":
+        return OperatorMatrix(basis, _assemble_cutoff(f, basis, route["p"]))
     return toeplitz_matrix(f, basis, rule)
+
+
+def _assemble_cutoff(f: Symbol, basis: TruncatedBasis,
+                     p: int) -> np.ndarray:
+    """The sum over the cutoff's points c e_j of its blocks at p around
+    e_j, at each alpha' off axis j; rotating z_j by c multiplies the
+    entry at (b, a) by c^a conj(c)^b."""
+    blocks = _cutoff_blocks(f.profile, f.support, basis.n, basis.degree, p)
+    a = np.arange(basis.degree + 1)
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for axis, c in _cutoff_axes(f, basis.n):
+        phase = np.outer(np.conj(c) ** a, c ** a)
+        for rest, pos in _ray_positions(basis, axis).items():
+            m = len(pos)
+            out[np.ix_(pos, pos)] += blocks[sum(rest)] * phase[:m, :m]
+    return out
 
 
 def _compress_moebius(f: Symbol, basis: TruncatedBasis,

@@ -37,6 +37,7 @@ from .geometry import (_norm2, as_point, inner, pseudo_metric,
                        random_sphere_points, sample_ball)
 from .quadrature import QuadratureRule, integrate
 from .sequences import SeparatedSequence, build_sequence, pairwise_rho
+# toeplitz_matrix is unused here, but the benchmark tracer patches it here
 from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
                        commutator, op_norm, toeplitz_matrix,
                        toeplitz_monomial_radial)
@@ -226,7 +227,7 @@ def witness_operator(zeta, r: float, M: int,
         b = toeplitz_auto(composed, basis)
         cc = commutator(b, b.adjoint())
         defects.append(op_norm(u @ s @ u.adjoint() - cc @ cc))
-        routes.append(toeplitz_route(composed, basis.n))
+        routes.append(toeplitz_route(composed, basis))
     return WitnessOperator(S=s, two_route_defects=tuple(defects),
                            two_route_routes=tuple(routes))
 
@@ -325,10 +326,10 @@ class Prop1Config:
     eta is 1 on the eps/3-neighborhood of F, 0 outside the eps/2-
     neighborhood, linear in Euclidean distance between; nu_v2 is the
     measure of the eps/2-neighborhood within the ball, found by
-    ``nu_v2_method`` ("lens" or "quadrature").  delta is the certified
-    lower bound eps^2 / 8 on |1 - <z, w>| for z in the closed ball
-    within eps/2 of F and w in the closed ball at distance >= eps from
-    F (see ``build_prop1_config``).
+    ``nu_v2_method`` ("lens", "quadrature", or None when F is empty).
+    delta is the certified lower bound eps^2 / 8 on |1 - <z, w>| for z
+    in the closed ball within eps/2 of F and w in the closed ball at
+    distance >= eps from F (see ``build_prop1_config``).
     """
 
     eps: float
@@ -336,7 +337,7 @@ class Prop1Config:
     delta: float
     nu_v2: float
     f_set: SphereSet
-    nu_v2_method: str = "lens"
+    nu_v2_method: str | None
 
 
 def _beta_half(x: float, n: int) -> float:
@@ -396,32 +397,27 @@ def build_prop1_config(F: SphereSet, eps: float,
     and |z - w| >= eps / 2 when z is within eps/2 of F and w is at
     distance >= eps, so |1 - <z, w>| >= Re(1 - <z, w>) >= eps^2 / 8.
 
-    eta depends on z only through |z - zeta|^2 = |z|^2 + 1 - 2 Re <z, zeta>
-    for zeta in F, so it is invariant under rotating any coordinate
-    where every point of F is 0; the symbol declares those coordinates,
-    and ``toeplitz_matrix`` assembles T_eta over the other angles only.
-
-    nu_v2 is a sum of closed-form lenses (``lens_volume``) when the
-    points of F are at least eps apart, so their eps/2-neighborhoods are
-    disjoint; otherwise it is integrated over ``rule``.
+    eta is a "cutoff" symbol (``Symbol``), 0 when F is empty.  nu_v2 is a
+    sum of closed-form lenses (``lens_volume``) when the points of F are at
+    least eps apart, so their eps/2-neighborhoods are disjoint; otherwise
+    it is integrated over ``rule``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if len(F) == 0:
         zero = Symbol.sampled(lambda pts: np.zeros(pts.shape[0], complex),
                               0.0, label="eta(empty)")
-        return Prop1Config(eps=eps, eta=zero, delta=1.0, nu_v2=0.0, f_set=F)
+        return Prop1Config(eps=eps, eta=zero, delta=1.0, nu_v2=0.0, f_set=F,
+                           nu_v2_method=None)
 
     lo, hi = eps / 3.0, eps / 2.0
 
-    def eta_fn(pts):
-        d = F.min_dist(pts)
-        return np.clip((hi - d) / (hi - lo), 0.0, 1.0).astype(complex)
-
-    invariant = tuple(int(j) for j in np.flatnonzero(
-        np.all(F.points == 0.0, axis=0)))
-    eta = Symbol.sampled(eta_fn, 1.0, label=f"eta(eps={eps})",
-                         invariant=invariant)
+    def profile(u):
+        return np.clip((hi - np.asarray(u)) / (hi - lo), 0.0, 1.0)
+    eta = Symbol(fn=lambda pts: profile(F.min_dist(pts)).astype(complex),
+                 sup_norm_bound=1.0, kind="cutoff", profile=profile,
+                 support=hi, label=f"eta(eps={eps})",
+                 points=tuple(map(tuple, F.points.tolist())))
 
     dists = np.linalg.norm(F.points[:, None, :] - F.points[None, :, :],
                            axis=2)
@@ -448,13 +444,16 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     per product prefix (k <= 3): decay of the curve below ``decay_frac``
     of its first value; the cutoff-factor bound
     ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
-    plus the truncation slack ||T_eta|| sqrt(1 - ||P k_{z_m}||^2); and,
-    for every product curve, the log-log slope of the curve against
-    1 - |z_m|^2 within ``slope_rel`` of (n+1)/2.  ``routes`` and
-    ``eta_route`` record how each panel matrix and T_eta were assembled
-    (``unitaries.toeplitz_route``); T_eta's is the quadrature record of
-    its invariant axes and node count, None when F is empty and T_eta
-    is 0.
+    plus a slack; and, for every product curve, the log-log slope of the
+    curve against 1 - |z_m|^2 within ``slope_rel`` of (n+1)/2.
+
+    ||P T_eta P k_{z_m}|| exceeds ||T_eta k_{z_m}|| by at most
+    ||T_eta|| ||(I - P) k_{z_m}|| <= sup eta sqrt(1 - ||P k_{z_m}||^2)
+    plus the error of the assembled T_eta, so the slack is that plus the
+    defect of T_eta's route (none on quadrature, which is not measured).
+    ``routes`` and ``eta_route`` record how each panel matrix and T_eta
+    were assembled (``unitaries.toeplitz_route``); ``eta_route`` is None
+    when F is empty and T_eta is 0.
     """
     pts = seq.points()
     n = basis.n
@@ -483,14 +482,13 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
 
     eta_route = None
     if len(cfg.f_set):
-        t_eta = toeplitz_matrix(cfg.eta, basis, rule)
-        eta_route = toeplitz_route(cfg.eta, n, rule)
-        eta_norm = op_norm(t_eta)
+        eta_route = toeplitz_route(cfg.eta, basis, rule)
+        t_eta = toeplitz_auto(cfg.eta, basis, rule)
         lhs = np.asarray([float(np.linalg.norm(t_eta.apply(v))) for v in kz])
         knorms = [float(np.linalg.norm(v)) for v in kz]
         escape = np.asarray([math.sqrt(max(0.0, 1.0 - k ** 2))
                              for k in knorms])
-        slack = eta_norm * escape + 1e-8  # quadrature error of T_eta
+        slack = cfg.eta.sup_norm_bound * escape + (eta_route["defect"] or 0.0)
         rhs = math.sqrt(max(cfg.nu_v2, 0.0)) * factors / cfg.delta ** (n + 1)
         bound_ok = bool(np.all(lhs <= rhs + slack))
         eta_data = {"lhs": lhs.tolist(), "rhs": rhs.tolist(),
@@ -521,7 +519,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         "slopes": slopes,
         "slope_target": slope_target,
         "slope_ok": slope_ok,
-        "routes": [toeplitz_route(g, n, rule) for g in panel],
+        "routes": [toeplitz_route(g, basis, rule) for g in panel],
         "ok": all(decay_ok) and bound_ok and slope_ok,
     }
 

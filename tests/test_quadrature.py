@@ -1,7 +1,5 @@
 """Tests for quadrature rules on the ball."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -237,26 +235,3 @@ class TestEvaluate:
         assert sum(sizes) == len(rule)
         assert max(sizes) <= max(1 << 14, rule.angular ** n)
 
-
-class TestFixedAngles:
-    """A rule with fixed angles sums an invariant function as the full
-    rule does, on A^k nodes per slice."""
-
-    @pytest.mark.parametrize("n, fixed", [(2, (0,)), (3, (0, 2)), (3, (1,))])
-    def test_invariant_function_integrates_as_full_rule(self, n, fixed):
-        rule = build_rule(n, 6)
-        reduced = replace(rule, fixed_angles=fixed)
-        active = [j for j in range(n) if j not in fixed]
-        assert len(reduced) == len(rule.moduli) * rule.angular ** len(active)
-        assert abs(np.sum(reduced.weights) - 1.0) < 1e-14
-
-        def f(pts):  # depends on the angles of the active coordinates only
-            return (np.abs(pts).sum(axis=1) ** 3
-                    + np.exp(pts[:, active[0]]).real * np.abs(pts[:, 0]))
-        assert abs(integrate(f, reduced) - integrate(f, rule)) < 1e-15
-
-    def test_fixed_coordinates_stay_real(self):
-        rule = replace(build_rule(3, 4), fixed_angles=(1,))
-        nodes = rule.nodes.reshape(len(rule.moduli), rule.angular ** 2, 3)
-        assert np.all(nodes[..., 1].imag == 0.0)
-        assert np.max(np.abs(np.abs(nodes) - rule.moduli[:, None, :])) < 1e-15

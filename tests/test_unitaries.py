@@ -12,14 +12,14 @@ from berglab.basis import TruncatedBasis, kernel_expansion
 from berglab.geometry import sample_ball
 from berglab.quadrature import build_rule, rule_for_basis
 from berglab.sequences import build_sequence
-from berglab import toeplitz, unitaries
+from berglab import unitaries
 from berglab.toeplitz import Symbol, toeplitz_matrix
 from berglab.unitaries import (exact_available, toeplitz_auto,
                                toeplitz_route, unitary_matrix,
                                unitary_matrix_exact,
                                unitary_matrix_quadrature, weak_pairing_exact)
 from berglab.witness import (SphereSet, build_prop1_config, default_panel,
-                             witness_symbol)
+                             lens_volume, witness_symbol)
 
 
 def window(mat, basis, probe):
@@ -253,7 +253,7 @@ class TestConjugation:
         # break at R^2 integrates exactly
         g = bump(BUMP_R).compose_moebius([0.0])
         rule = rule_for_basis(1, 12, radial_breaks=(BUMP_R ** 2,))
-        assert toeplitz_route(g, 1)["route"] == "moebius"
+        assert toeplitz_route(g, basis)["route"] == "moebius"
         exact = toeplitz_auto(g, basis, rule)
         quad = toeplitz_matrix(g, basis, rule)
         assert np.max(np.abs(exact.mat - quad.mat)) < 1e-12
@@ -294,7 +294,7 @@ class TestMoebiusRoute:
         ids=["rho_bump", "monomial_on_axis", "monomial_off_axis"])
     def test_core_degree_is_converged(self, g):
         b = TruncatedBasis.create(2, 10)
-        k = toeplitz_route(g, 2)["core_degree"]
+        k = toeplitz_route(g, b)["core_degree"]
         at_k = toeplitz_auto(g, b).mat
         for more in (10, 20):
             wider = unitaries._compress_moebius(g, b, k + more)
@@ -322,7 +322,7 @@ class TestMoebiusRoute:
         b = TruncatedBasis.create(3, 3)
         g = rho_bump(0.5, 0.35, n=3, axis=2)
         rule = rule_for_basis(3, 3, radial_breaks=(BUMP_R ** 2,))
-        assert toeplitz_route(g, 3)["route"] == "moebius"
+        assert toeplitz_route(g, b)["route"] == "moebius"
         exact = toeplitz_auto(g, b, rule).mat
         assert np.max(np.abs(exact - toeplitz_matrix(g, b, rule).mat)) < 2e-5
 
@@ -330,25 +330,25 @@ class TestMoebiusRoute:
         b = TruncatedBasis.create(2, 4)
         g = bump(BUMP_R).compose_moebius([0.3, 0.3])
         rule = rule_for_basis(2, 4)
-        assert toeplitz_route(g, 2, rule) == {
-            "route": "quadrature", "invariant_axes": [], "nodes": len(rule)}
+        assert toeplitz_route(g, b, rule) == {
+            "route": "quadrature", "nodes": len(rule), "defect": None}
         assert np.array_equal(toeplitz_auto(g, b, rule).mat,
                               toeplitz_matrix(g, b, rule).mat)
         with pytest.raises(ValueError, match="quadrature rule"):
-            toeplitz_route(g, 2)
+            toeplitz_route(g, b)
         with pytest.raises(ValueError, match="quadrature rule"):
             toeplitz_auto(g, b)
 
     def test_core_degree_cap_names_radius(self):
         g = bump(0.99).compose_moebius([0.0, 0.5])
         with pytest.raises(ValueError, match="R = 0.99"):
-            toeplitz_route(g, 2)
+            toeplitz_route(g, TruncatedBasis.create(2, 4))
 
     def test_assembly_memory_below_core_square(self):
         # no array of B_K^2 entries: V is applied block by block
         b = TruncatedBasis.create(2, 24)
         g = rho_bump(0.6, 0.6)
-        k = toeplitz_route(g, 2)["core_degree"]
+        k = toeplitz_route(g, b)["core_degree"]
         assert k > b.degree
         size_k = (k + 1) * (k + 2) // 2
         tracemalloc.start()
@@ -360,16 +360,24 @@ class TestMoebiusRoute:
         assert peak < 16 * size_k ** 2
 
 
-def eta_e2():
-    """Proposition 1's cutoff for F = {e_2} at n = 2: invariant along z_1."""
-    f_set = SphereSet.create([[0.0, 1.0]])
-    return build_prop1_config(f_set, 0.5, rule_for_basis(2, 4)).eta
+def eta(points, eps=0.5):
+    """Proposition 1's cutoff around the rows of ``points``."""
+    return build_prop1_config(SphereSet.create(points), eps,
+                              rule_for_basis(len(points[0]), 4)).eta
 
+
+def eta_e2():
+    """Proposition 1's cutoff for F = {e_2} at n = 2."""
+    return eta([[0.0, 1.0]])
+
+
+OFF_AXIS = [[2 ** -0.5, 2 ** -0.5]]
 
 # the assembly function ``toeplitz_auto`` calls for each route
 ASSEMBLERS = {"radial": "toeplitz_radial",
               "monomial_radial": "toeplitz_monomial_radial",
               "moebius": "_compress_moebius",
+              "cutoff": "_assemble_cutoff",
               "quadrature": "toeplitz_matrix"}
 
 
@@ -377,9 +385,9 @@ class TestRouteRecord:
     """The record ``toeplitz_route`` gives is what ``toeplitz_auto`` does."""
 
     @pytest.mark.parametrize("f", [
-        eta_e2(), bump(BUMP_R).compose_moebius([0.3, 0.2j])],
-        ids=["eta_e2", "off_ray_rho_bump"])
-    def test_nodes_are_the_points_evaluated(self, monkeypatch, f):
+        eta(OFF_AXIS), bump(BUMP_R).compose_moebius([0.3, 0.2j])],
+        ids=["eta_off_axis", "off_ray_rho_bump"])
+    def test_nodes_are_the_points_evaluated(self, f):
         b = TruncatedBasis.create(2, 4)
         rule = rule_for_basis(2, 4)
         points = []
@@ -388,25 +396,21 @@ class TestRouteRecord:
             points.append(len(pts))
             return f(pts)
 
-        g = Symbol.sampled(counted, f.sup_norm_bound, invariant=f.invariant)
-        route = toeplitz_route(f, 2, rule)
-        assert route == toeplitz_route(g, 2, rule)
-        assert route["route"] == "quadrature"
-        assert route["invariant_axes"] == list(f.invariant)
-        # the invariance probe evaluates f too, and has tests of its own
-        monkeypatch.setattr(toeplitz, "_check_invariant",
-                            lambda f, rule: tuple(sorted(f.invariant)))
+        g = Symbol.sampled(counted, f.sup_norm_bound)
+        route = toeplitz_route(f, b, rule)
+        assert route == toeplitz_route(g, b, rule)
+        assert route == {"route": "quadrature", "nodes": len(rule),
+                         "defect": None}
         toeplitz_auto(g, b, rule)
         assert sum(points) == route["nodes"]
-        assert route["nodes"] == (len(rule) if not f.invariant
-                                  else len(rule) // rule.angular)
 
     @pytest.mark.parametrize("f, expect", [
         (bump(BUMP_R), "radial"),
         (witness_symbol(0.5), "monomial_radial"),
         (rho_bump(0.5, 0.6), "moebius"),
-        (eta_e2(), "quadrature")],
-        ids=["radial", "monomial_radial", "moebius", "quadrature"])
+        (eta_e2(), "cutoff"),
+        (eta(OFF_AXIS), "quadrature")],
+        ids=["radial", "monomial_radial", "moebius", "cutoff", "quadrature"])
     def test_auto_calls_what_the_record_names(self, monkeypatch, f, expect):
         b = TruncatedBasis.create(2, 4)
         rule = rule_for_basis(2, 4)
@@ -417,9 +421,102 @@ class TestRouteRecord:
                 called.append(_name)
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(unitaries, name, spy)
-        assert toeplitz_route(f, 2, rule)["route"] == expect
+        assert toeplitz_route(f, b, rule)["route"] == expect
         toeplitz_auto(f, b, rule)
         assert called == [ASSEMBLERS[expect]]
+
+
+def cutoff_mean(n, eps):
+    """The integral of eta over the ball for one point of F: the mean of
+    nu(|z - zeta| < u) over u in [eps/3, eps/2] (``lens_volume``), by
+    60-point Gauss-Legendre, since the lens volume is smooth in u."""
+    x, w = np.polynomial.legendre.leggauss(60)
+    lo, hi = eps / 3.0, eps / 2.0
+    u = lo + 0.5 * (hi - lo) * (x + 1.0)
+    return 0.5 * sum(wi * lens_volume(n, ui) for wi, ui in zip(w, u))
+
+
+class TestCutoffRoute:
+    """Proposition 1's cutoff eta around points c e_j of the sphere,
+    assembled from its blocks with no quadrature over the ball."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0, 2.0])
+    def test_constant_entry_is_the_lens_mean(self, n, eps):
+        # T_eta[0, 0] = integral of eta = (6/eps) int_{eps/3}^{eps/2}
+        # nu(|z - e_n| < u) du
+        f = eta([np.eye(n)[-1]], eps)
+        got = toeplitz_auto(f, TruncatedBasis.create(n, 2)).mat[0, 0]
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(cutoff_mean(n, eps), rel=4e-15)
+
+    @pytest.mark.parametrize("n, degree", [(2, 8), (3, 6)])
+    def test_blocks_depend_on_the_off_axis_degree(self, n, degree):
+        b = TruncatedBasis.create(n, degree)
+        mat = toeplitz_auto(eta([np.eye(n)[0]]), b).mat
+        idx = np.asarray(b.indices)
+        rest = [tuple(a[1:]) for a in idx]
+        same = np.array([[r == q for q in rest] for r in rest])
+        assert np.all(mat[~same] == 0.0)
+        assert np.all(mat.imag == 0.0)
+        assert np.array_equal(mat, mat.T)
+        # every alpha' of the same degree carries the same block
+        for k in range(degree + 1):
+            blocks = {r: mat[np.ix_(pos, pos)] for r, pos in
+                      unitaries._ray_positions(b, 0).items() if sum(r) == k}
+            first = next(iter(blocks.values()))
+            assert all(np.array_equal(v, first) for v in blocks.values())
+
+    def test_phase_point_rotates_the_entries(self):
+        # eta around i e2 is eta around e2 with z_2 rotated by i, so the
+        # entry at (b, a) picks up i^a conj(i)^b
+        b = TruncatedBasis.create(2, 6)
+        plain = toeplitz_auto(eta([[0.0, 1.0]]), b).mat
+        turned = toeplitz_auto(eta([[0.0, 1j]]), b).mat
+        a2 = np.asarray(b.indices)[:, 1]
+        phase = np.conj(1j) ** a2[:, None] * 1j ** a2[None, :]
+        assert np.max(np.abs(turned - phase * plain)) <= 1e-16
+        rule = rule_for_basis(2, 14)
+        quad = toeplitz_matrix(eta([[0.0, 1j]]), b, rule).mat
+        assert np.linalg.norm(turned - quad, 2) < 5e-3
+
+    def test_points_apart_add(self):
+        b = TruncatedBasis.create(2, 6)
+        both = eta([[1.0, 0.0], [0.0, -1.0]])
+        assert toeplitz_route(both, b)["route"] == "cutoff"
+        one = toeplitz_auto(eta([[1.0, 0.0]]), b).mat
+        two = toeplitz_auto(eta([[0.0, -1.0]]), b).mat
+        assert np.max(np.abs(toeplitz_auto(both, b).mat - (one + two))) \
+            <= 1e-16
+
+    def test_overlapping_or_off_axis_points_take_quadrature(self):
+        b = TruncatedBasis.create(2, 3)
+        rule = rule_for_basis(2, 3)
+        near = [[1.0, 0.0], [np.cos(0.2), np.sin(0.2)]]  # 0.2 < eps apart
+        for points in (near, OFF_AXIS):
+            assert toeplitz_route(eta(points), b, rule)["route"] == \
+                "quadrature"
+
+    @pytest.mark.parametrize("eps", [4.0, 6.0])
+    def test_support_past_the_ball(self, eps):
+        # at eps/2 >= 2 the support of eta covers the ball, and u is cut
+        # at 2; at eps = 6, eta = 1 on the ball and T_eta = I
+        b = TruncatedBasis.create(2, 4)
+        f = eta([[0.0, 1.0]], eps)
+        route = toeplitz_route(f, b)
+        mat = toeplitz_auto(f, b).mat
+        assert np.all(np.isfinite(mat))
+        quad = toeplitz_matrix(f, b, rule_for_basis(2, 14)).mat
+        assert np.linalg.norm(mat - quad, 2) < 1e-3
+        if eps == 6.0:
+            assert np.linalg.norm(mat - np.eye(len(b))) <= route["defect"]
+
+    def test_default_config_defect(self):
+        # the prop1 suite's n = 2 config: F = {e2}, eps = 0.5, degree 8
+        route = toeplitz_route(eta_e2(), TruncatedBasis.create(2, 8))
+        assert route["route"] == "cutoff"
+        assert route["p"] == 14
+        assert 0.0 < route["defect"] <= 1e-12
 
 
 class TestWeakPairing:

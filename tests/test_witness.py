@@ -16,7 +16,7 @@ from berglab.sequences import build_sequence
 from berglab.suites import run_witness
 from berglab.toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
                               toeplitz_monomial_radial)
-from berglab.unitaries import unitary_matrix
+from berglab.unitaries import toeplitz_auto, unitary_matrix
 from berglab.witness import (SphereSet, boundary_trace_check,
                              build_prop1_config, default_panel,
                              exclusion_radius, in_region_W, lens_volume,
@@ -345,6 +345,7 @@ class TestProp1:
         cfg = build_prop1_config(SphereSet.create([], n=1), 0.5, rule)
         assert cfg.delta == 1.0
         assert cfg.nu_v2 == 0.0
+        assert cfg.nu_v2_method is None
 
     def test_nonempty_config_values(self):
         rule = rule_for_basis(2, 6)
@@ -403,14 +404,12 @@ class TestCutoffVolume:
                                  rule_for_basis(2, 8, radial_breaks=(R * R,)))
         assert cfg.nu_v2_method == "lens"
         assert cfg.nu_v2 == pytest.approx(1.7049088221851e-3, rel=1e-12)
-        assert cfg.eta.invariant == (0,)
 
     def test_points_apart_add_their_lenses(self):
         f = SphereSet.create([e1(2), e2(2)])  # sqrt(2) >= eps apart
         cfg = build_prop1_config(f, 0.5, rule_for_basis(2, 4))
         assert cfg.nu_v2_method == "lens"
         assert cfg.nu_v2 == 2.0 * lens_volume(2, 0.25)
-        assert cfg.eta.invariant == ()
 
     def test_overlapping_points_take_quadrature(self):
         near = np.array([np.cos(0.2), np.sin(0.2)], dtype=complex)
@@ -431,30 +430,30 @@ class TestCutoffVolume:
         rep = prop1_decay(default_panel(SphereSet.create([e2(2)]), R, 2),
                           build_sequence(e1(2), R, 4), cfg, basis, rule,
                           **DECAY)
-        assert rep["eta_route"] == {
-            "route": "quadrature", "invariant_axes": [0],
-            "nodes": len(rule.moduli) * rule.angular}
+        assert rep["eta_route"]["route"] == "cutoff"
+        assert rep["eta_route"]["p"] == 12 + 6 // 4
+        assert rep["eta_route"]["defect"] <= 1e-12
         assert rep["nu_v2"] == cfg.nu_v2
         assert rep["nu_v2_method"] == "lens"
 
     def test_eta_quadrature_error_shrinks_with_the_rule(self):
-        # the measured error of T_eta on the default rule is ~6e-3, far
-        # above the fixed slack prop1_decay allows for it; it does shrink
-        # as the rule is refined past the basis degree
-        basis = TruncatedBasis.create(2, 8)
-        f = SphereSet.create([e2(2)])
-
-        def t_eta(extra):
-            rule = rule_for_basis(2, 8 + extra, radial_breaks=(R * R,))
-            return toeplitz_matrix(build_prop1_config(f, 0.5, rule).eta,
-                                   basis, rule)
-        ref = t_eta(60)
-        errs = [op_norm(t_eta(extra) - ref) for extra in (0, 10, 30)]
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[0] > 1e-3
+        # no product rule follows the kinks of eta at |z - e2| = eps/3 and
+        # eps/2: full-torus quadrature of T_eta converges to the exact
+        # cutoff route slowly as the rule is refined past the basis degree
+        basis = TruncatedBasis.create(2, 4)
+        eta = build_prop1_config(SphereSet.create([e2(2)]), 0.5,
+                                 rule_for_basis(2, 4)).eta
+        exact = toeplitz_auto(eta, basis)
+        errs = [op_norm(toeplitz_matrix(
+                    eta, basis,
+                    rule_for_basis(2, 4 + extra, radial_breaks=(R * R,)))
+                    - exact) for extra in (0, 10, 20)]
+        assert errs[0] > 10 * errs[1] > 100 * errs[2]
+        assert errs[0] > 1e-2 and errs[2] < 2e-4
 
     def test_n3_separation_memory(self):
-        # n = 3, d = 8 held 1 GB when T_eta ran over the full torus
+        # n = 3, d = 8 held 1 GB when T_eta ran over the full torus by
+        # quadrature; the cutoff route assembles it from its blocks
         e = np.eye(3, dtype=complex)
         basis = TruncatedBasis.create(3, 8)
         rule = rule_for_basis(3, 8, radial_breaks=(R * R,))
@@ -468,7 +467,7 @@ class TestCutoffVolume:
         finally:
             tracemalloc.stop()
         assert rep["ok"]
-        assert rep["prop1"]["eta_route"]["invariant_axes"] == [0, 2]
+        assert rep["prop1"]["eta_route"]["route"] == "cutoff"
         assert peak < 100 * 2 ** 20
 
 
