@@ -19,9 +19,21 @@ a tensor Gauss sum in coordinates centred on e_j (``_cutoff_blocks``).
 
 Every Toeplitz matrix whose route depends on its symbol is chosen here:
 ``toeplitz_route`` reads ``Symbol.kind`` once and returns the route's
-record, and ``toeplitz_auto`` assembles T_f by the route it names (the
-radial or banded fast path, the exact V* T_h V, the exact cutoff, or
-quadrature).
+record (the radial or banded fast path, the exact V* T_h V, the exact
+cutoff, or quadrature), and the assembly takes that record.
+
+One block kernel, two consumers.  On the axis-aligned routes (radial,
+"moebius", "cutoff") T_f is held as (rows, cols, block) triples
+(``toeplitz_blocks``): T_f keeps the off-axis multi-index alpha' of a
+coordinate axis, each distinct block is formed once, and one triple
+places it at every alpha' that shares it.  ``toeplitz_auto`` scatters
+the "moebius" and "cutoff" triples into the dense ``OperatorMatrix``
+that the two-route probe and the suite checks use (on the radial route
+``toeplitz_radial`` gives that same matrix), and ``apply_blocks``
+applies triples to a block of vectors, which is all Proposition 1's
+decay curves need, with no B x B array.  The quadrature route and the
+banded fast path stay one dense block.  The two-route probe takes
+U_c and T_{h o phi_c} from one set of blocks of U_c (``moebius_pair``).
 
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
@@ -45,7 +57,8 @@ from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
 
 __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
            "unitary_matrix_exact", "exact_available", "core_degree",
-           "toeplitz_route", "toeplitz_auto", "weak_pairing_exact"]
+           "toeplitz_route", "toeplitz_auto", "toeplitz_blocks",
+           "apply_blocks", "moebius_pair", "weak_pairing_exact"]
 
 # invariant guards on exact compressions, which the recurrence meets to ~1e-15
 _GUARD_TOL = 1e-10
@@ -164,9 +177,7 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     (``_ray_blocks``); n = 1 is the single block s = 0.
 
     Raises ValueError when the result breaks an invariant every
-    compression of U_z keeps: finite entries, self-adjointness, column
-    norms <= 1 (each column is P of a unit vector) and column e_0 equal
-    to the kernel expansion of k_z.
+    compression of U_z keeps (``_ray_unitary``).
     """
     z = as_point(z, name="z")
     if z.ndim != 1 or z.shape[0] != basis.n:
@@ -175,8 +186,20 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
         raise ValueError(
             "exact entries for n >= 2 require z on a coordinate ray t e_j")
     axis = int(np.argmax(np.abs(z) > 0.0))
-    blocks = _ray_blocks(complex(z[axis]), basis.n, basis.degree,
-                         basis.degree)
+    return _ray_unitary(z, basis, axis, _ray_blocks(
+        complex(z[axis]), basis.n, basis.degree, basis.degree))
+
+
+def _ray_unitary(z: np.ndarray, basis: TruncatedBasis, axis: int,
+                 blocks: list) -> OperatorMatrix:
+    """P U_z P from its blocks per off-axis degree, for z on the ray of
+    ``axis``.
+
+    Raises ValueError when the result breaks an invariant every
+    compression of U_z keeps: finite entries, self-adjointness, column
+    norms <= 1 (each column is P of a unit vector) and column e_0 equal
+    to the kernel expansion of k_z.
+    """
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
     for rest, pos in _ray_positions(basis, axis).items():
         mat[np.ix_(pos, pos)] = blocks[sum(rest)]
@@ -356,53 +379,127 @@ def toeplitz_route(f: Symbol, basis: TruncatedBasis,
 def toeplitz_auto(f: Symbol, basis: TruncatedBasis,
                   rule: QuadratureRule | None = None) -> OperatorMatrix:
     """T_f compressed to ``basis`` by the route ``toeplitz_route`` names:
-    ``toeplitz_radial``, ``toeplitz_monomial_radial``, V* T_h V at the
-    core degree (``_compress_moebius``), the cutoff's blocks
-    (``_assemble_cutoff``), or ``toeplitz_matrix`` over ``rule``."""
+    ``toeplitz_radial``, ``toeplitz_monomial_radial`` or
+    ``toeplitz_matrix`` over ``rule``, or, on the "moebius" and "cutoff"
+    routes, the scatter (``_scatter``) of the triples that
+    ``_compress_moebius`` and ``_assemble_cutoff`` give."""
     route = toeplitz_route(f, basis, rule)
-    if route["route"] == "radial":
+    if route["route"] in ("moebius", "cutoff"):
+        return OperatorMatrix(basis, _scatter(
+            toeplitz_blocks(f, basis, rule, route), len(basis)))
+    return _unblocked(f, basis, rule, route["route"])
+
+
+def _unblocked(f: Symbol, basis: TruncatedBasis, rule: QuadratureRule | None,
+               route: str) -> OperatorMatrix:
+    """T_f as one dense matrix on the routes that assemble it whole."""
+    if route == "radial":
         return toeplitz_radial(f.profile, basis, support=f.support)
-    if route["route"] == "monomial_radial":
+    if route == "monomial_radial":
         return toeplitz_monomial_radial(f.coordinate, f.profile, basis,
                                         support=f.support)
-    if route["route"] == "moebius":
-        return OperatorMatrix(basis, _compress_moebius(f, basis,
-                                                       route["core_degree"]))
-    if route["route"] == "cutoff":
-        return OperatorMatrix(basis, _assemble_cutoff(f, basis, route["p"]))
     return toeplitz_matrix(f, basis, rule)
 
 
-def _assemble_cutoff(f: Symbol, basis: TruncatedBasis,
-                     p: int) -> np.ndarray:
-    """The sum over the cutoff's points c e_j of its blocks at p around
-    e_j, at each alpha' off axis j; rotating z_j by c multiplies the
-    entry at (b, a) by c^a conj(c)^b."""
-    blocks = _cutoff_blocks(f.profile, f.support, basis.n, basis.degree, p)
-    a = np.arange(basis.degree + 1)
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
-    for axis, c in _cutoff_axes(f, basis.n):
-        phase = np.outer(np.conj(c) ** a, c ** a)
-        for rest, pos in _ray_positions(basis, axis).items():
-            m = len(pos)
-            out[np.ix_(pos, pos)] += blocks[sum(rest)] * phase[:m, :m]
+def toeplitz_blocks(f: Symbol, basis: TruncatedBasis,
+                    rule: QuadratureRule | None, route: dict) -> list:
+    """T_f as (rows, cols, block) triples, by the route of the record
+    ``route`` that ``toeplitz_route`` gave for f.
+
+    T_f is the sum over triples of block placed at rows[i] x cols[i] for
+    each i: rows and cols are (placements, size) arrays of basis
+    positions, and the placements of one triple never share a row.  The
+    radial route gives the diagonal of T_f by off-axis degree
+    (``_radial_blocks``), "moebius" and "cutoff" their blocks by
+    off-axis multi-index (``_compress_moebius``, ``_assemble_cutoff``),
+    and the routes with no such structure one block over the whole
+    basis.  ``apply_blocks`` applies the triples and ``_scatter`` makes
+    the dense matrix.
+    """
+    kind = route["route"]
+    if kind == "radial":
+        return _radial_blocks(f, basis)
+    if kind == "moebius":
+        return _compress_moebius(f, basis, route["core_degree"])
+    if kind == "cutoff":
+        return _assemble_cutoff(f, basis, route["p"])
+    whole = np.arange(len(basis))[None, :]
+    return [(whole, whole, _unblocked(f, basis, rule, kind).mat)]
+
+
+def _scatter(triples: list, size: int) -> np.ndarray:
+    """The dense size x size matrix of (rows, cols, block) triples."""
+    out = np.zeros((size, size), dtype=complex)
+    for rows, cols, block in triples:
+        out[rows[:, :, None], cols[:, None, :]] += block
     return out
 
 
-def _compress_moebius(f: Symbol, basis: TruncatedBasis,
-                      core: int) -> np.ndarray:
-    """V* T_h V with V = P_core U_c P_d, one off-axis multi-index alpha'
-    at a time.  U_c keeps alpha' (``_ray_blocks``) and T_h is diagonal
+def apply_blocks(triples: list, x: np.ndarray) -> np.ndarray:
+    """T x for T held as (rows, cols, block) triples (``toeplitz_blocks``)
+    and x of shape (B, M): one matrix product per triple, over every
+    placement and column at once."""
+    out = np.zeros(x.shape, dtype=complex)
+    for rows, cols, block in triples:
+        y = block @ x[cols.T].reshape(cols.shape[1], -1)
+        out[rows.T] += y.reshape(rows.shape[1], rows.shape[0], -1)
+    return out
+
+
+def _ray_degrees(basis: TruncatedBasis, axis: int) -> dict:
+    """Per off-axis degree s, the positions (``_ray_positions``) of every
+    alpha' of degree s, stacked into a (count, d - s + 1) array."""
+    groups: dict = {}
+    for rest, pos in _ray_positions(basis, axis).items():
+        groups.setdefault(sum(rest), []).append(pos)
+    return {s: np.array(pos) for s, pos in groups.items()}
+
+
+def _radial_blocks(f: Symbol, basis: TruncatedBasis) -> list:
+    """T_f for radial f: the diagonal (n + k) I_k at total degree k
+    (``toeplitz_radial``), one diagonal block per off-axis degree s
+    along the first axis, over k = s..d."""
+    n = basis.n
+    diag = (n + np.arange(basis.degree + 1)) * _profile_integrals(
+        f.profile, n, basis.degree, f.support)
+    return [(pos, pos, np.diag(diag[s:]))
+            for s, pos in _ray_degrees(basis, 0).items()]
+
+
+def _assemble_cutoff(f: Symbol, basis: TruncatedBasis, p: int) -> list:
+    """The cutoff's triples: for each point c e_j, its block at p around
+    e_j for off-axis degree k (``_cutoff_blocks``), placed at every
+    alpha' of degree k off axis j, each block once per point; rotating
+    z_j by c multiplies the entry at (b, a) by c^a conj(c)^b."""
+    blocks = _cutoff_blocks(f.profile, f.support, basis.n, basis.degree, p)
+    a = np.arange(basis.degree + 1)
+    out = []
+    for axis, c in _cutoff_axes(f, basis.n):
+        phase = np.outer(np.conj(c) ** a, c ** a)
+        for k, pos in _ray_degrees(basis, axis).items():
+            m = pos.shape[1]
+            out.append((pos, pos, blocks[k] * phase[:m, :m]))
+    return out
+
+
+def _compress_moebius(f: Symbol, basis: TruncatedBasis, core: int,
+                      v: list | None = None) -> list:
+    """The triples of V* T_h V with V = P_core U_c P_d.  U_c keeps the
+    off-axis multi-index alpha' (``_ray_blocks``) and T_h is diagonal
     (radial h) or the single band beta = alpha + e_j (h = z_j g), so each
     block of the result is a product of one or two blocks of V around a
-    diagonal.  V is held as its blocks, one per off-axis degree, and no
-    array has B_core^2 entries."""
+    diagonal.  That product depends on the off-axis degree s alone, or,
+    for a band off the axis, on s and alpha'_j, and is formed once for
+    all alpha' that share it.  V is held as its blocks ``v``, one per
+    off-axis degree (``_ray_blocks`` unless given), and no array has
+    B_core^2 entries."""
     h, n = f.inner, basis.n
     c = np.asarray(f.center)
     axis = int(np.argmax(np.abs(c) > 0.0))
-    blocks = _ray_blocks(complex(c[axis]), n, core, basis.degree)
+    if v is None:
+        v = _ray_blocks(complex(c[axis]), n, core, basis.degree)
     # each column of V is P_core of a unit vector U_c e_alpha
-    excess = max(float(np.max(np.linalg.norm(v, axis=0))) for v in blocks)
+    excess = max(float(np.max(np.linalg.norm(b, axis=0))) for b in v)
     if not excess - 1.0 <= _GUARD_TOL:  # also catches NaN
         raise ValueError(
             f"exact V at c={list(f.center)} (n={n}, degree {basis.degree}, "
@@ -411,31 +508,65 @@ def _compress_moebius(f: Symbol, basis: TruncatedBasis,
     ints = _profile_integrals(h.profile, n, core, h.support)
     k = np.arange(core + 1)
     positions = _ray_positions(basis, axis)
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    blocks, places = {}, {}
     for rest, pos in positions.items():
         s = sum(rest)
-        if s >= len(blocks):
+        if s >= len(v):
             continue  # no degree <= core in this block
-        v = blocks[s]
-        if h.kind == "radial":  # T_h = (n + k) I_k at total degree k
-            diag = ((n + k) * ints)[s:]
-            out[np.ix_(pos, pos)] = v.conj().T @ (diag[:, None] * v)
-            continue
-        # entry of T_h at beta = alpha + e_j: I_k sqrt((n + k)(alpha_j + 1)),
-        # k = |alpha| + 1, as in ``toeplitz_monomial_radial``
         kk = k[s + 1:]
-        if h.coordinate == axis:  # within the block: row a + 1 from row a
-            band = ints[kk] * np.sqrt((n + kk) * (kk - s))
-            out[np.ix_(pos, pos)] = v[1:].conj().T @ (band[:, None] * v[:-1])
-            continue
-        j = h.coordinate - (h.coordinate > axis)  # its place in alpha'
-        up = rest[:j] + (rest[j] + 1,) + rest[j + 1:]
-        if up not in positions or s + 1 >= len(blocks):
-            continue  # the band leaves the truncation
-        band = ints[kk] * np.sqrt((n + kk) * (rest[j] + 1))
-        out[np.ix_(positions[up], pos)] = (
-            blocks[s + 1].conj().T @ (band[:, None] * v[:-1]))
-    return out
+        if h.kind == "radial":  # T_h = (n + k) I_k at total degree k
+            key, rows = s, pos
+            if key not in blocks:
+                diag = ((n + k) * ints)[s:]
+                blocks[key] = v[s].conj().T @ (diag[:, None] * v[s])
+        elif h.coordinate == axis:  # within the block: row a + 1 from a
+            # entry of T_h at beta = alpha + e_j: I_k sqrt((n + k)(alpha_j
+            # + 1)), k = |alpha| + 1, as in ``toeplitz_monomial_radial``
+            key, rows = s, pos
+            if key not in blocks:
+                band = ints[kk] * np.sqrt((n + kk) * (kk - s))
+                blocks[key] = v[s][1:].conj().T @ (band[:, None] * v[s][:-1])
+        else:
+            j = h.coordinate - (h.coordinate > axis)  # its place in alpha'
+            up = rest[:j] + (rest[j] + 1,) + rest[j + 1:]
+            if up not in positions or s + 1 >= len(v):
+                continue  # the band leaves the truncation
+            key, rows = (s, rest[j]), positions[up]
+            if key not in blocks:
+                band = ints[kk] * np.sqrt((n + kk) * (rest[j] + 1))
+                blocks[key] = v[s + 1].conj().T @ (band[:, None] * v[s][:-1])
+        places.setdefault(key, []).append((rows, pos))
+    return [(np.array([r for r, _ in pairs]), np.array([c for _, c in pairs]),
+             blocks[key]) for key, pairs in places.items()]
+
+
+def moebius_pair(f: Symbol, basis: TruncatedBasis) -> tuple[
+        dict, OperatorMatrix, OperatorMatrix]:
+    """The route record of f = h o phi_c (``toeplitz_route``), P U_c P
+    (``unitary_matrix_exact``) and T_f (``toeplitz_auto``), from one
+    ``_ray_blocks`` call.
+
+    P_d U_c P_d and V = P_K U_c P_d at the core degree K are the first
+    d - s + 1 and K - s + 1 rows of the blocks of P_max(K,d) U_c P_d:
+    ``_diagonals`` is elementwise in the off-axis degree and the
+    diagonal offset and runs its recurrence down the rows, so a larger
+    call repeats the entries of a smaller one.  Raises ValueError as
+    ``unitary_matrix_exact`` does, and for a centre off the coordinate
+    rays.
+    """
+    c = np.asarray(f.center)
+    if not exact_available(c, basis.n):
+        raise ValueError(
+            "exact entries for n >= 2 require z on a coordinate ray t e_j")
+    route = toeplitz_route(f, basis)
+    core, d = route["core_degree"], basis.degree
+    axis = int(np.argmax(np.abs(c) > 0.0))
+    blocks = _ray_blocks(complex(c[axis]), basis.n, max(core, d), d)
+    u = _ray_unitary(c, basis, axis,
+                     [b[:d - s + 1] for s, b in enumerate(blocks)])
+    t = _compress_moebius(f, basis, core, [b[:core - s + 1] for s, b
+                                           in enumerate(blocks[:core + 1])])
+    return route, u, OperatorMatrix(basis, _scatter(t, len(basis)))
 
 
 def weak_pairing_exact(zm, z, w) -> tuple[np.ndarray, np.ndarray]:

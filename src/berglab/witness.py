@@ -41,8 +41,8 @@ from .sequences import SeparatedSequence, build_sequence, pairwise_rho
 from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
                        commutator, op_norm, toeplitz_matrix,
                        toeplitz_monomial_radial)
-from .unitaries import (core_degree, toeplitz_auto, toeplitz_route,
-                        unitary_matrix)
+from .unitaries import (apply_blocks, core_degree, moebius_pair,
+                        toeplitz_blocks, toeplitz_route)
 
 __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "boundary_trace_check", "exclusion_radius", "witness_symbol",
@@ -208,12 +208,13 @@ def witness_operator(zeta, r: float, M: int,
     identity U_z [T_f, T_conj(f)] U_z* = [T_{f o phi_z}, T_{conj(f) o phi_z}].
 
     The Toeplitz factor uses the banded fast path (exact for the witness
-    profile), and each U_{z_m} comes from ``unitary_matrix`` (exact
-    entries, so zeta must be a coordinate direction e_j when n >= 2).
+    profile), and U_{z_m} has exact entries, so zeta must be a
+    coordinate direction e_j when n >= 2.
     The left side is a product of compressions, (P U_z P) S (P U_z P),
     and the right side the compression of a product, [B, B*]^2 with
-    B = P U_z T_f U_z P, the exact compression of the composed symbol
-    (``unitaries.toeplitz_auto``).  So the defect measures truncation
+    B = P U_z T_f U_z P, the exact compression of the composed symbol.
+    Both come from one set of blocks of U_z
+    (``unitaries.moebius_pair``), so the defect measures truncation
     alone, and shrinks with the degree.
     """
     f = witness_symbol(r)
@@ -222,12 +223,10 @@ def witness_operator(zeta, r: float, M: int,
     s = c @ c
     defects, routes = [], []
     for p in build_sequence(zeta, r, M).points():
-        u = unitary_matrix(p, basis)
-        composed = f.compose_moebius(p)
-        b = toeplitz_auto(composed, basis)
+        route, u, b = moebius_pair(f.compose_moebius(p), basis)
         cc = commutator(b, b.adjoint())
         defects.append(op_norm(u @ s @ u.adjoint() - cc @ cc))
-        routes.append(toeplitz_route(composed, basis))
+        routes.append(route)
     return WitnessOperator(S=s, two_route_defects=tuple(defects),
                            two_route_routes=tuple(routes))
 
@@ -440,7 +439,13 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     ``cfg.f_set``.
 
     U_{z_m} 1 = k_{z_m}, so the panel acts on the closed-form kernel
-    column P k_{z_m} (``kernel_expansion``) and builds no U_z.  Checks,
+    columns P k_{z_m} (``kernel_expansion``) and builds no U_z.  The
+    columns are stacked into one (B, M) block K, and each operator is
+    held as its block triples (``unitaries.toeplitz_blocks``) and
+    applied to it from the right, T_{g1}(T_{g2}(T_{g3} K))
+    (``unitaries.apply_blocks``), as is T_eta: no operator is multiplied
+    by another, and on the axis-aligned routes no B x B array is formed.
+    Checks,
     per product prefix (k <= 3): decay of the curve below ``decay_frac``
     of its first value; the cutoff-factor bound
     ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
@@ -464,16 +469,19 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
             f"sequence point {int(bad[0])} is within eps of the direction set "
             f"(dist = {float(dists[bad[0]]):.6g} < {cfg.eps})")
 
-    kz = [kernel_expansion(p, basis).coeffs for p in pts]
+    kz = np.stack([kernel_expansion(p, basis).coeffs for p in pts], axis=1)
 
     panel = g_symbols[:3]
-    mats = [toeplitz_auto(g, basis, rule) for g in panel]
+    routes = [toeplitz_route(g, basis, rule) for g in panel]
+    ops = [toeplitz_blocks(g, basis, rule, route)
+           for g, route in zip(panel, routes)]
     curves = []
     decay_ok = []
-    prod = None
-    for tmat in mats:
-        prod = tmat if prod is None else prod @ tmat
-        curve = [float(np.linalg.norm(prod.apply(v))) for v in kz]
+    for k in range(1, len(ops) + 1):
+        prod = kz
+        for op in reversed(ops[:k]):  # T_{g1}(...(T_{gk} K))
+            prod = apply_blocks(op, prod)
+        curve = [float(np.linalg.norm(v)) for v in prod.T]
         curves.append(curve)
         decay_ok.append(bool(curve[-1] <= decay_frac * curve[0]))
 
@@ -483,9 +491,10 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     eta_route = None
     if len(cfg.f_set):
         eta_route = toeplitz_route(cfg.eta, basis, rule)
-        t_eta = toeplitz_auto(cfg.eta, basis, rule)
-        lhs = np.asarray([float(np.linalg.norm(t_eta.apply(v))) for v in kz])
-        knorms = [float(np.linalg.norm(v)) for v in kz]
+        t_eta = toeplitz_blocks(cfg.eta, basis, rule, eta_route)
+        lhs = np.asarray([float(np.linalg.norm(v))
+                          for v in apply_blocks(t_eta, kz).T])
+        knorms = [float(np.linalg.norm(v)) for v in kz.T]
         escape = np.asarray([math.sqrt(max(0.0, 1.0 - k ** 2))
                              for k in knorms])
         slack = cfg.eta.sup_norm_bound * escape + (eta_route["defect"] or 0.0)
@@ -519,7 +528,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         "slopes": slopes,
         "slope_target": slope_target,
         "slope_ok": slope_ok,
-        "routes": [toeplitz_route(g, basis, rule) for g in panel],
+        "routes": routes,
         "ok": all(decay_ok) and bound_ok and slope_ok,
     }
 

@@ -13,9 +13,11 @@ from berglab.geometry import sample_ball
 from berglab.quadrature import build_rule, rule_for_basis
 from berglab.sequences import build_sequence
 from berglab import unitaries
-from berglab.toeplitz import Symbol, toeplitz_matrix
-from berglab.unitaries import (exact_available, toeplitz_auto,
-                               toeplitz_route, unitary_matrix,
+from berglab.toeplitz import (Symbol, _profile_integrals, toeplitz_matrix,
+                              toeplitz_radial)
+from berglab.unitaries import (apply_blocks, exact_available, toeplitz_auto,
+                               toeplitz_blocks, toeplitz_route,
+                               unitary_matrix,
                                unitary_matrix_exact,
                                unitary_matrix_quadrature, weak_pairing_exact)
 from berglab.witness import (SphereSet, build_prop1_config, default_panel,
@@ -297,7 +299,8 @@ class TestMoebiusRoute:
         k = toeplitz_route(g, b)["core_degree"]
         at_k = toeplitz_auto(g, b).mat
         for more in (10, 20):
-            wider = unitaries._compress_moebius(g, b, k + more)
+            wider = unitaries._scatter(
+                unitaries._compress_moebius(g, b, k + more), len(b))
             assert np.max(np.abs(wider - at_k)) < 1e-17
 
     def test_gap_to_quadrature_shrinks_with_rule(self):
@@ -517,6 +520,166 @@ class TestCutoffRoute:
         assert route["route"] == "cutoff"
         assert route["p"] == 14
         assert 0.0 < route["defect"] <= 1e-12
+
+
+def dense_moebius(f, basis, core):
+    """V* T_h V assembled densely, one product per off-axis multi-index:
+    the assembly the triples of ``_compress_moebius`` replaced, kept as
+    their oracle."""
+    h, n = f.inner, basis.n
+    c = np.asarray(f.center)
+    axis = int(np.argmax(np.abs(c) > 0.0))
+    blocks = unitaries._ray_blocks(complex(c[axis]), n, core, basis.degree)
+    ints = _profile_integrals(h.profile, n, core, h.support)
+    k = np.arange(core + 1)
+    positions = unitaries._ray_positions(basis, axis)
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for rest, pos in positions.items():
+        s = sum(rest)
+        if s >= len(blocks):
+            continue
+        v = blocks[s]
+        if h.kind == "radial":
+            diag = ((n + k) * ints)[s:]
+            out[np.ix_(pos, pos)] = v.conj().T @ (diag[:, None] * v)
+            continue
+        kk = k[s + 1:]
+        if h.coordinate == axis:
+            band = ints[kk] * np.sqrt((n + kk) * (kk - s))
+            out[np.ix_(pos, pos)] = v[1:].conj().T @ (band[:, None] * v[:-1])
+            continue
+        j = h.coordinate - (h.coordinate > axis)
+        up = rest[:j] + (rest[j] + 1,) + rest[j + 1:]
+        if up not in positions or s + 1 >= len(blocks):
+            continue
+        band = ints[kk] * np.sqrt((n + kk) * (rest[j] + 1))
+        out[np.ix_(positions[up], pos)] = (
+            blocks[s + 1].conj().T @ (band[:, None] * v[:-1]))
+    return out
+
+
+def dense_cutoff(f, basis, p):
+    """T_eta assembled densely, one block per off-axis multi-index: the
+    assembly the triples of ``_assemble_cutoff`` replaced (oracle)."""
+    blocks = unitaries._cutoff_blocks(f.profile, f.support, basis.n,
+                                      basis.degree, p)
+    a = np.arange(basis.degree + 1)
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for axis, c in unitaries._cutoff_axes(f, basis.n):
+        phase = np.outer(np.conj(c) ** a, c ** a)
+        for rest, pos in unitaries._ray_positions(basis, axis).items():
+            m = len(pos)
+            out[np.ix_(pos, pos)] += blocks[sum(rest)] * phase[:m, :m]
+    return out
+
+
+def on_ray(n, axis, t):
+    z = np.zeros(n, complex)
+    z[axis] = t
+    return z
+
+
+class TestBlockTriples:
+    """Each route's (rows, cols, block) triples: their scatter is the
+    dense assembly they replaced, bit for bit, and each distinct block
+    is formed once."""
+
+    @pytest.mark.parametrize("n, degree, g", [
+        (1, 12, bump(BUMP_R).compose_moebius([0.5])),
+        (1, 12, witness_symbol(0.5).compose_moebius([0.3 + 0.2j])),
+        (2, 10, rho_bump(0.5, 0.6)),
+        (2, 10, witness_symbol(0.5).compose_moebius(on_ray(2, 0, 0.5))),
+        (2, 10, witness_symbol(0.5).compose_moebius(on_ray(2, 1, 0.5))),
+        (3, 8, rho_bump(0.5, 0.35, n=3, axis=2)),
+        (3, 8, witness_symbol(0.5).compose_moebius(on_ray(3, 0, 0.7))),
+        (3, 8, witness_symbol(0.5).compose_moebius(on_ray(3, 1, 0.7)))],
+        ids=["n1_radial", "n1_band", "n2_radial", "n2_band_on_axis",
+             "n2_band_off_axis", "n3_radial", "n3_band_on_axis",
+             "n3_band_off_axis"])
+    def test_moebius_scatter_is_the_dense_assembly(self, n, degree, g):
+        b = TruncatedBasis.create(n, degree)
+        k = toeplitz_route(g, b)["core_degree"]
+        triples = unitaries._compress_moebius(g, b, k)
+        oracle = dense_moebius(g, b, k)
+        assert unitaries._scatter(triples, len(b)).tobytes() == \
+            oracle.tobytes()
+        assert toeplitz_auto(g, b).mat.tobytes() == oracle.tobytes()
+        # one block per off-axis degree, or per (degree, alpha'_j) for a
+        # band off the axis
+        h, c = g.inner, np.asarray(g.center)
+        axis = int(np.argmax(np.abs(c) > 0.0))
+        top = min(k, degree) if n > 1 else 0
+        if h.kind == "radial" or h.coordinate == axis:
+            assert len(triples) == top + 1
+        else:
+            j = h.coordinate - (h.coordinate > axis)
+            assert len(triples) == len({
+                (sum(rest), rest[j]) for rest in
+                unitaries._ray_positions(b, axis) if sum(rest) < top})
+
+    @pytest.mark.parametrize("n, degree, points", [
+        (1, 8, [[1.0]]),
+        (2, 8, [[0.0, 1.0]]),
+        (2, 6, [[0.0, 1j]]),
+        (2, 6, [[1.0, 0.0], [0.0, -1.0]]),
+        (3, 6, [[1.0, 0.0, 0.0], [0.0, 0.0, 1j]])],
+        ids=["n1", "n2_e2", "n2_phase", "n2_two_points", "n3_two_points"])
+    def test_cutoff_scatter_is_the_dense_assembly(self, n, degree, points):
+        b = TruncatedBasis.create(n, degree)
+        f = eta(points)
+        p = toeplitz_route(f, b)["p"]
+        triples = unitaries._assemble_cutoff(f, b, p)
+        oracle = dense_cutoff(f, b, p)
+        assert unitaries._scatter(triples, len(b)).tobytes() == \
+            oracle.tobytes()
+        assert toeplitz_auto(f, b).mat.tobytes() == oracle.tobytes()
+        assert len(triples) == len(points) * (degree + 1 if n > 1 else 1)
+
+    @pytest.mark.parametrize("n, degree", [(1, 12), (2, 10), (3, 8)])
+    def test_radial_scatter_is_the_fast_path(self, n, degree):
+        b = TruncatedBasis.create(n, degree)
+        g = bump(BUMP_R)
+        triples = unitaries._radial_blocks(g, b)
+        assert len(triples) == (degree + 1 if n > 1 else 1)
+        dense = toeplitz_radial(g.profile, b, support=g.support).mat
+        assert unitaries._scatter(triples, len(b)).tobytes() == \
+            dense.tobytes()
+
+    @pytest.mark.parametrize("f", [
+        bump(BUMP_R), rho_bump(0.5, 0.6), eta([[1.0, 0.0], [0.0, 1j]]),
+        witness_symbol(0.5), eta(OFF_AXIS)],
+        ids=["radial", "moebius", "cutoff", "monomial_radial", "quadrature"])
+    def test_apply_is_the_dense_product(self, f):
+        b = TruncatedBasis.create(2, 6)
+        rule = rule_for_basis(2, 6)
+        route = toeplitz_route(f, b, rule)
+        x = (np.random.default_rng(5).standard_normal((len(b), 3, 2))
+             @ [1.0, 1j])
+        got = apply_blocks(toeplitz_blocks(f, b, rule, route), x)
+        want = toeplitz_auto(f, b, rule).mat @ x
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestMoebiusPair:
+    """U_z and T_{f o phi_z} from one set of ray blocks are the ones
+    ``unitary_matrix`` and ``toeplitz_auto`` build apart, bit for bit."""
+
+    @pytest.mark.parametrize("n, degree, axis", [
+        (1, 8, 0), (1, 64, 0), (2, 10, 0), (2, 24, 1), (3, 8, 2)])
+    def test_matches_the_separate_routes(self, n, degree, axis):
+        b = TruncatedBasis.create(n, degree)
+        zeta = on_ray(n, axis, 1.0)
+        for p in build_sequence(zeta, 0.5, 5).points():
+            g = witness_symbol(0.5).compose_moebius(p)
+            route, u, t = unitaries.moebius_pair(g, b)
+            assert route == toeplitz_route(g, b)
+            assert u.mat.tobytes() == unitary_matrix(p, b).mat.tobytes()
+            assert t.mat.tobytes() == toeplitz_auto(g, b).mat.tobytes()
+
+    def test_off_ray_centre_rejected(self):
+        g = witness_symbol(0.5).compose_moebius([0.3, 0.3])
+        with pytest.raises(ValueError, match="coordinate ray"):
+            unitaries.moebius_pair(g, TruncatedBasis.create(2, 4))
 
 
 class TestWeakPairing:

@@ -238,6 +238,25 @@ class TestWitnessOperator:
         routes = [r for rs in rep["two_route_assembly"].values() for r in rs]
         assert [r["route"] for r in routes] == ["moebius"] * 2 * cfg.M
 
+    @pytest.mark.parametrize("n, degree, axis", [(1, 64, 0), (2, 10, 0),
+                                                  (2, 8, 1), (3, 6, 0)])
+    def test_two_route_defects_match_separate_routes(self, n, degree, axis):
+        # U_z and T_{f o phi_z} built apart, by ``unitary_matrix`` and
+        # ``toeplitz_auto``: the same defects, bit for bit
+        basis = TruncatedBasis.create(n, degree)
+        zeta = np.eye(n, dtype=complex)[axis]
+        w = witness_operator(zeta, R, 5, basis)
+        f = witness_symbol(R)
+        for p, defect, route in zip(build_sequence(zeta, R, 5).points(),
+                                    w.two_route_defects,
+                                    w.two_route_routes):
+            u = unitary_matrix(p, basis)
+            b = toeplitz_auto(f.compose_moebius(p), basis)
+            cc = commutator(b, b.adjoint())
+            assert defect == op_norm(u @ w.S @ u.adjoint() - cc @ cc)
+            assert route == unitaries.toeplitz_route(f.compose_moebius(p),
+                                                     basis)
+
     def test_conditioning_warning(self):
         rep = lemma3_lower_bound(build_sequence(e1(1), R, 6))
         assert rep["conditioning_warning"]  # 1 - t_6 is below 1e-6
@@ -469,6 +488,67 @@ class TestCutoffVolume:
         assert rep["ok"]
         assert rep["prop1"]["eta_route"]["route"] == "cutoff"
         assert peak < 100 * 2 ** 20
+
+
+def dense_prop1(panel, seq, cfg, basis, rule):
+    """The panel curves and the eta lhs by dense B x B products
+    ``prod @ tmat`` of ``toeplitz_auto`` matrices: the route the block
+    application replaced, kept as its oracle."""
+    kz = [kernel_expansion(p, basis).coeffs for p in seq.points()]
+    curves, prod = [], None
+    for tmat in [toeplitz_auto(g, basis, rule) for g in panel[:3]]:
+        prod = tmat if prod is None else prod @ tmat
+        curves.append([float(np.linalg.norm(prod.apply(v))) for v in kz])
+    lhs = [0.0] * len(kz)
+    if len(cfg.f_set):
+        t_eta = toeplitz_auto(cfg.eta, basis, rule)
+        lhs = [float(np.linalg.norm(t_eta.apply(v))) for v in kz]
+    return curves, lhs
+
+
+OFF_DIAGONAL = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
+
+
+class TestBlockApplication:
+    """prop1_decay applies each panel operator and T_eta to the kernel
+    columns block by block; the dense products agree to roundoff."""
+
+    @pytest.mark.parametrize("n, degree, zeta, f1, length", [
+        (1, 12, e1(1), [], 10),
+        (2, 10, e1(2), [e2(2)], 8),
+        (3, 8, e1(3), [e2(3)], 8),
+        (2, 6, OFF_DIAGONAL, [], 6),
+        (2, 4, e1(2), [OFF_DIAGONAL], 6)],
+        ids=["n1", "n2_e2", "n3_e2", "off_axis_zeta", "off_axis_f1"])
+    def test_curves_match_dense_products(self, n, degree, zeta, f1, length):
+        basis = TruncatedBasis.create(n, degree)
+        rule = rule_for_basis(n, degree, radial_breaks=(R * R,))
+        f_set = SphereSet.create(f1, n=n)
+        cfg = build_prop1_config(f_set, 0.5, rule)
+        panel = default_panel(f_set, R, n)
+        seq = build_sequence(zeta, R, length)
+        rep = prop1_decay(panel, seq, cfg, basis, rule, **DECAY)
+        curves, lhs = dense_prop1(panel, seq, cfg, basis, rule)
+        got = np.asarray(rep["curves"] + [rep["eta_bound"]["lhs"]])
+        want = np.asarray(curves + [lhs])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_n3_separation_holds_no_dense_matrix(self):
+        # B = 969: one dense complex B x B matrix is 16 B^2 bytes
+        e = np.eye(3, dtype=complex)
+        basis = TruncatedBasis.create(3, 16)
+        rule = rule_for_basis(3, 16, radial_breaks=(R * R,))
+        tracemalloc.start()
+        try:
+            rep = separation_experiment(
+                SphereSet.create([e[1]]), SphereSet.create([e[0], e[1]]), R,
+                5, basis, rule, eps=0.5, rng=np.random.default_rng(64),
+                decay_M=10, separation_factor=10.0, **DECAY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["ok"]
+        assert peak < 16 * len(basis) ** 2
 
 
 class TestSeparation:
