@@ -11,7 +11,7 @@ graded lexicographic order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,15 +61,43 @@ class TruncatedBasis:
     degree: int
     indices: tuple[tuple[int, ...], ...]
     norms: np.ndarray
+    _rays: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @classmethod
     def create(cls, n: int, degree: int) -> "TruncatedBasis":
+        """The basis of degree <= ``degree``; each norm is
+        ``monomial_norm``'s, from one table of exact factorials."""
         idx = tuple(multi_indices(n, degree))
-        norms = np.array([monomial_norm(a, n) for a in idx])
+        fact = [math.factorial(k) for k in range(n + degree + 1)]
+        norms = np.array([
+            math.sqrt(fact[n] * math.prod([fact[a] for a in alpha])
+                      / fact[n + sum(alpha)]) for alpha in idx])
         return cls(n=n, degree=degree, indices=idx, norms=norms)
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    def ray_positions(self, axis: int) -> dict:
+        """Per off-axis multi-index alpha' (alpha without its ``axis``
+        component), the positions of alpha = (alpha', a) for
+        a = 0..d - |alpha'|, in a; the alpha' in order of first position.
+
+        One sort of the index array per axis, kept with the basis; the
+        position arrays are read-only.
+        """
+        if axis not in self._rays:
+            idx = np.array(self.indices)
+            rest = np.delete(idx, axis, axis=1)
+            order = np.lexsort((idx[:, axis], *rest.T[::-1]))
+            order.setflags(write=False)
+            cuts = np.flatnonzero(
+                np.any(rest[order[1:]] != rest[order[:-1]], axis=1)) + 1
+            groups = sorted(np.split(order, cuts), key=lambda g: g[0])
+            self._rays[axis] = {
+                self.indices[g[0]][:axis] + self.indices[g[0]][axis + 1:]: g
+                for g in groups}
+        return self._rays[axis]
 
     @property
     def degrees(self) -> np.ndarray:

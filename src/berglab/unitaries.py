@@ -135,17 +135,6 @@ def exact_available(z, n: int) -> bool:
     return abs(z[j].imag) == 0.0 and z[j].real >= 0.0
 
 
-def _ray_positions(basis: TruncatedBasis, axis: int) -> dict:
-    """Per off-axis multi-index alpha' (alpha without its axis component),
-    the basis positions of alpha = (alpha', a) for a = 0..d - |alpha'|."""
-    groups: dict = {}
-    for i, alpha in enumerate(basis.indices):
-        rest = alpha[:axis] + alpha[axis + 1:]
-        groups.setdefault(rest, []).append((alpha[axis], i))
-    return {rest: np.array([i for _, i in sorted(pairs)])
-            for rest, pairs in groups.items()}
-
-
 def _ray_blocks(zeta: complex, n: int, rows: int, cols: int) -> list:
     """Blocks of P_rows U_z P_cols for z = zeta e_axis, one per off-axis
     degree s <= min(rows, cols) (only s = 0 when n = 1).
@@ -201,7 +190,7 @@ def _ray_unitary(z: np.ndarray, basis: TruncatedBasis, axis: int,
     to the kernel expansion of k_z.
     """
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for rest, pos in _ray_positions(basis, axis).items():
+    for rest, pos in basis.ray_positions(axis).items():
         mat[np.ix_(pos, pos)] = blocks[sum(rest)]
 
     where = f"exact U_z at z={z.tolist()} (n={basis.n}, degree {basis.degree})"
@@ -447,10 +436,10 @@ def apply_blocks(triples: list, x: np.ndarray) -> np.ndarray:
 
 
 def _ray_degrees(basis: TruncatedBasis, axis: int) -> dict:
-    """Per off-axis degree s, the positions (``_ray_positions``) of every
-    alpha' of degree s, stacked into a (count, d - s + 1) array."""
+    """Per off-axis degree s, the positions (``basis.ray_positions``) of
+    every alpha' of degree s, stacked into a (count, d - s + 1) array."""
     groups: dict = {}
-    for rest, pos in _ray_positions(basis, axis).items():
+    for rest, pos in basis.ray_positions(axis).items():
         groups.setdefault(sum(rest), []).append(pos)
     return {s: np.array(pos) for s, pos in groups.items()}
 
@@ -507,7 +496,7 @@ def _compress_moebius(f: Symbol, basis: TruncatedBasis, core: int,
             f"{_GUARD_TOL:g}")
     ints = _profile_integrals(h.profile, n, core, h.support)
     k = np.arange(core + 1)
-    positions = _ray_positions(basis, axis)
+    positions = basis.ray_positions(axis)
     blocks, places = {}, {}
     for rest, pos in positions.items():
         s = sum(rest)

@@ -48,6 +48,13 @@ class TestNorms:
         v = monomial_norm((400,), 1)
         assert 0.0 < v < 1.0 and np.isfinite(v)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_create_matches_monomial_norm(self, n):
+        # one basis at d = 32 holds every index of every lower degree
+        basis = TruncatedBasis.create(n, 32)
+        want = np.array([monomial_norm(a, n) for a in basis.indices])
+        assert np.array_equal(basis.norms, want)
+
     @pytest.mark.parametrize("n, d", [(1, 64), (2, 24), (3, 10)])
     def test_within_4_ulp_of_mpmath(self, n, d):
         basis = TruncatedBasis.create(n, d)

@@ -18,6 +18,8 @@ from berglab.geometry import (
     sample_ball_blocks,
     sample_metric_ball,
 )
+from berglab import geometry, suites
+from berglab.config import ExperimentConfig
 from berglab.unitaries import weak_pairing_exact
 from berglab.witness import SphereSet, region_infimum
 
@@ -368,6 +370,109 @@ class TestSampleBall:
             sample_metric_ball(centers[0, 0], 0.3, 500, new_rng),
             _old_sample_metric_ball(centers[0, 0], 0.3, 500, old_rng))
         assert _same_state(new_rng, old_rng)
+
+
+# The kernels the coordinate loops replaced, kept as oracles: einsum
+# sums, n complex divisions per point in phi_a, and a complex denominator
+# in rho.
+def _old_dot(x, y):
+    return np.einsum("...i,...i->...", x, y)
+
+
+def _old_norm2(z):
+    return _old_dot(z.real, z.real) + _old_dot(z.imag, z.imag)
+
+
+def _old_moebius(a, aa, z):
+    s = np.sqrt(geometry._gap(aa))[..., None]
+    za = _old_dot(z, a.conj())[..., None]
+    return ((1.0 - za / (1.0 + s)) * a - s * z) / (1.0 - za)
+
+
+def _old_rho(z, zz, w):
+    h = w - z
+    hz = _old_dot(h, z.conj())
+    gap = geometry._gap(zz)
+    den = gap - hz  # 1 - <w, z>
+    num = gap * _old_norm2(h) + (hz.real ** 2 + hz.imag ** 2)
+    return np.sqrt(num / (den.real ** 2 + den.imag ** 2))
+
+
+def _layouts(n, rng, count, radius):
+    """The same points coordinate-major, as the samplers give them, and
+    C-ordered."""
+    z = sample_ball(n, count, rng, radius)
+    return z, np.ascontiguousarray(z)
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_norm2_bit_for_bit(self, n):
+        rng = np.random.default_rng(80 + n)
+        for z in _layouts(n, rng, 3000, 0.99):
+            np.testing.assert_array_equal(geometry._norm2(z), _old_norm2(z))
+            stack = z.reshape(3, 1000, n)
+            np.testing.assert_array_equal(geometry._norm2(stack),
+                                          _old_norm2(stack))
+        assert geometry._norm2(z[0]).shape == ()
+        # real input reads as complex with zero imaginary part
+        np.testing.assert_array_equal(geometry._norm2(z.real),
+                                      _old_norm2(z.real))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rho_bit_for_bit(self, n):
+        rng = np.random.default_rng(90 + n)
+        (z, zc), (w, wc), (u, uc) = (_layouts(n, rng, 5000, 0.95)
+                                     for _ in range(3))
+        for z_, w_, u_ in ((z, w, u), (zc, wc, uc), (z, wc, u)):
+            zz, uu = _old_norm2(z_), _old_norm2(u_)
+            want = _old_rho(z_, zz, w_)
+            np.testing.assert_array_equal(geometry._rho(z_, zz, w_), want)
+            np.testing.assert_array_equal(pseudo_metric(z_, w_), want)
+            lhs, rhs = metric_combined_bound(z_, w_, u_)
+            a, b = _old_rho(z_, zz, u_), _old_rho(u_, uu, w_)
+            np.testing.assert_array_equal(lhs, want)
+            np.testing.assert_array_equal(rhs, (a + b) / (1.0 + a * b))
+        # one point against a stack, and stacks of centres
+        np.testing.assert_array_equal(
+            pseudo_metric(z[0], w), _old_rho(z[0], _old_norm2(z[0]), w))
+        c = z[:4, None, :]
+        np.testing.assert_array_equal(
+            pseudo_metric(c, w), _old_rho(c, _old_norm2(c), w))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_moebius_within_4_ulp_of_old(self, n):
+        # |a|, |z| < 0.9 as in the suite; |phi_a(z)| < 1, so an ulp of 1
+        # is the scale (the worst over 1M draws per n was 4.04 ulp at n = 1)
+        rng = np.random.default_rng(100 + n)
+        tol = 4 * np.spacing(1.0)
+        z = sample_ball(n, 20_000, rng, 0.9)
+        a = sample_ball(n, 20_000, rng, 0.9)
+        for a_, z_ in ((a, z), (a[0], z), (a[:20, None, :],
+                                           z.reshape(20, 1000, n))):
+            got = moebius(a_, z_)
+            want = _old_moebius(a_, _old_norm2(a_), z_)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= tol
+
+    @pytest.mark.parametrize("seed", [7, 11, 12])
+    def test_suite_counts_unchanged(self, seed, monkeypatch):
+        cfg = ExperimentConfig(seed=seed)
+        new = suites.run_geometry(cfg)
+        for name, old in (("_norm2", _old_norm2), ("_moebius", _old_moebius),
+                          ("_rho", _old_rho)):
+            monkeypatch.setattr(geometry, name, old)
+        monkeypatch.setattr(suites, "_norm2", _old_norm2)
+        ref = suites.run_geometry(cfg)
+        assert new["checks"] == [
+            c if c["name"] not in ("moebius_involution",
+                                   "rho_moebius_isometry")
+            else {**c, "value": new_c["value"]}
+            for c, new_c in zip(ref["checks"], new["checks"])]
+        for key, value in ref.items():
+            if key.endswith(("_violations", "_overlaps", "_disagreements",
+                             "_configs")) or key == "eq4_max_violation":
+                assert new[key] == value, key
 
 
 class TestLayoutIndependence:

@@ -466,7 +466,7 @@ class TestCutoffRoute:
         # every alpha' of the same degree carries the same block
         for k in range(degree + 1):
             blocks = {r: mat[np.ix_(pos, pos)] for r, pos in
-                      unitaries._ray_positions(b, 0).items() if sum(r) == k}
+                      ray_positions_loop(b, 0).items() if sum(r) == k}
             first = next(iter(blocks.values()))
             assert all(np.array_equal(v, first) for v in blocks.values())
 
@@ -522,6 +522,17 @@ class TestCutoffRoute:
         assert 0.0 < route["defect"] <= 1e-12
 
 
+def ray_positions_loop(basis, axis):
+    """The per-index loop that ``TruncatedBasis.ray_positions`` replaced,
+    kept as its oracle and as the positions of the dense oracles below."""
+    groups = {}
+    for i, alpha in enumerate(basis.indices):
+        rest = alpha[:axis] + alpha[axis + 1:]
+        groups.setdefault(rest, []).append((alpha[axis], i))
+    return {rest: np.array([i for _, i in sorted(pairs)])
+            for rest, pairs in groups.items()}
+
+
 def dense_moebius(f, basis, core):
     """V* T_h V assembled densely, one product per off-axis multi-index:
     the assembly the triples of ``_compress_moebius`` replaced, kept as
@@ -532,7 +543,7 @@ def dense_moebius(f, basis, core):
     blocks = unitaries._ray_blocks(complex(c[axis]), n, core, basis.degree)
     ints = _profile_integrals(h.profile, n, core, h.support)
     k = np.arange(core + 1)
-    positions = unitaries._ray_positions(basis, axis)
+    positions = ray_positions_loop(basis, axis)
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     for rest, pos in positions.items():
         s = sum(rest)
@@ -567,10 +578,32 @@ def dense_cutoff(f, basis, p):
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     for axis, c in unitaries._cutoff_axes(f, basis.n):
         phase = np.outer(np.conj(c) ** a, c ** a)
-        for rest, pos in unitaries._ray_positions(basis, axis).items():
+        for rest, pos in ray_positions_loop(basis, axis).items():
             m = len(pos)
             out[np.ix_(pos, pos)] += blocks[sum(rest)] * phase[:m, :m]
     return out
+
+
+class TestRayPositions:
+    @pytest.mark.parametrize("n, degree", [(1, 40), (2, 30), (3, 20),
+                                           (4, 12)])
+    def test_match_the_loop(self, n, degree):
+        b = TruncatedBasis.create(n, degree)
+        for axis in range(n):
+            got, want = b.ray_positions(axis), ray_positions_loop(b, axis)
+            assert list(got) == list(want)  # same keys, in the same order
+            for rest, pos in want.items():
+                assert np.array_equal(got[rest], pos)
+                assert got[rest].dtype == pos.dtype
+
+    def test_kept_with_the_basis_and_read_only(self):
+        b = TruncatedBasis.create(3, 6)
+        first = b.ray_positions(1)
+        assert b.ray_positions(1) is first
+        with pytest.raises(ValueError):
+            first[(0, 0)][0] = 1
+        # a new basis of the same size computes its own
+        assert TruncatedBasis.create(3, 6).ray_positions(1) is not first
 
 
 def on_ray(n, axis, t):
@@ -615,7 +648,7 @@ class TestBlockTriples:
             j = h.coordinate - (h.coordinate > axis)
             assert len(triples) == len({
                 (sum(rest), rest[j]) for rest in
-                unitaries._ray_positions(b, axis) if sum(rest) < top})
+                ray_positions_loop(b, axis) if sum(rest) < top})
 
     @pytest.mark.parametrize("n, degree, points", [
         (1, 8, [[1.0]]),
