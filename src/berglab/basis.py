@@ -26,7 +26,8 @@ _BLOCK = 1 << 17  # complex entries per gathered (rows, B, slices) block
 
 def multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
     """All multi-indices of length n with total degree <= degree,
-    ordered by (total degree, lexicographic)."""
+    ordered by (total degree, lexicographic): ``of_degree`` yields each
+    degree in lexicographic order."""
     if n < 1 or degree < 0:
         raise ValueError(f"need n >= 1 and degree >= 0, got {n}, {degree}")
 
@@ -40,7 +41,7 @@ def multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
 
     out: list[tuple[int, ...]] = []
     for total in range(degree + 1):
-        out.extend(sorted(of_degree(n, total)))
+        out.extend(of_degree(n, total))
     return out
 
 

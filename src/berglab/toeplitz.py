@@ -14,7 +14,10 @@ angles alias.
 Two fast paths bypass quadrature: radial symbols f(z) = g(|z|) give
 diagonal matrices, constant on degree blocks (``toeplitz_radial``), and
 symbols f(z) = z_j g(|z|) populate the single band beta = alpha + e_j
-(``toeplitz_monomial_radial``).  ``unitaries.toeplitz_route`` decides
+(``toeplitz_monomial_radial``).  Both are the scatter of one kernel,
+``ray_bands``, which holds T_f as bands along the rays of a coordinate
+axis; the exact compression of a Moebius-composed symbol multiplies
+those same bands by blocks of U_c.  ``unitaries.toeplitz_route`` decides
 which route a symbol takes: one of these two, quadrature, the exact
 compression of a Moebius-composed symbol, or the exact assembly of
 Proposition 1's cutoff eta around points c e_j of the sphere.
@@ -31,7 +34,6 @@ how many are taken: an entry is the same at every basis degree.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -42,8 +44,9 @@ from .basis import TruncatedBasis, weighted_gram
 from .geometry import _norm2, moebius, pseudo_metric
 from .quadrature import QuadratureRule, panel_gauss_legendre
 
-__all__ = ["Symbol", "OperatorMatrix", "toeplitz_matrix", "toeplitz_radial",
-           "toeplitz_monomial_radial", "commutator", "op_norm"]
+__all__ = ["Symbol", "OperatorMatrix", "toeplitz_matrix", "ray_bands",
+           "apply_blocks", "toeplitz_radial", "toeplitz_monomial_radial",
+           "commutator", "op_norm"]
 
 _PROFILE_POINTS = 120  # per-panel Gauss-Legendre size for profile integrals
 
@@ -120,10 +123,10 @@ class Symbol:
 
         A radial or monomial-times-radial f supported in |w| <= R < 1
         yields the kind "moebius", which keeps f and z so that
-        ``unitaries.toeplitz_auto`` can compress it exactly as U_z T_f U_z;
-        a radial f is then evaluated at points as g(rho(w, z))
-        (``pseudo_metric``, accurate where f vanishes).  Any other f yields
-        the sampled kind, evaluated as f(phi_z(w)).
+        ``unitaries.toeplitz_blocks`` can compress it exactly as
+        U_z T_f U_z; a radial f is then evaluated at points as
+        g(rho(w, z)) (``pseudo_metric``, accurate where f vanishes).  Any
+        other f yields the sampled kind, evaluated as f(phi_z(w)).
         """
         zz = np.asarray(z, dtype=complex)
         f, profile = self.fn, self.profile
@@ -235,41 +238,109 @@ def _profile_integrals(profile, n: int, max_k: int,
     return terms.sum(axis=1)
 
 
+def ray_bands(profile, coordinate: int | None, basis: TruncatedBasis,
+              axis: int, support: float | None = None,
+              degree: int | None = None) -> list:
+    """T_h for h = g(|z|) (``coordinate`` None) or h = z_j g(|z|)
+    (j = ``coordinate``) as triples along the rays of ``axis``.
+
+    T_h is diagonal with (n + k) I_k at total degree k, or the single
+    band beta = alpha + e_j with (n + k) I_k ||z^beta|| / ||z^alpha||
+    = I_k sqrt((n + k) beta_j) at k = |beta|.  A ray is the
+    positions of alpha = (alpha', a), a = 0..d - |alpha'|, for one
+    off-axis multi-index alpha' (``TruncatedBasis.ray_positions``).  The
+    diagonal, and a band along the axis (row a + 1 from column a), stay
+    on a ray and depend on s = |alpha'| alone; a band off the axis takes
+    ray alpha' to ray alpha' + e_j and depends on s and alpha'_j.  Each
+    such band is formed once, as (offset, values): values[i] sits at
+    row offset + i and column i of each placement.  A triple
+    (rows, cols, band) places it at every ray that shares it, with rows
+    and cols (placements, ray length) arrays of basis positions
+    (``apply_blocks``, ``_scatter``).
+
+    The values are those of T_h truncated at ``degree`` (the basis
+    degree by default), and a band empty there has no triple.  Above the
+    basis degree they run past their placement, which only the exact
+    Moebius route reads, through V (``unitaries._compress_moebius``).
+    """
+    n = basis.n
+    if coordinate is not None and not 0 <= coordinate < n:
+        raise ValueError(f"coordinate {coordinate} out of range for n = {n}")
+    top = basis.degree if degree is None else degree
+    ints = _profile_integrals(profile, n, top, support)
+    k = np.arange(top + 1)
+    diag = (n + k) * ints
+    off = coordinate is not None and coordinate != axis
+    j = coordinate - (coordinate > axis) if off else None  # place in alpha'
+    positions = basis.ray_positions(axis)
+    bands, places = {}, {}
+    for rest, pos in positions.items():
+        s = sum(rest)
+        key, rows = s, pos
+        if off:
+            key = (s, rest[j])
+            rows = positions.get(rest[:j] + (rest[j] + 1,) + rest[j + 1:])
+            if rows is None:
+                continue  # the band leaves the truncation
+        if key not in bands:
+            kk = k[s + 1:]
+            if coordinate is None:
+                bands[key] = (0, diag[s:])
+            elif not off:
+                bands[key] = (1, ints[kk] * np.sqrt((n + kk) * (kk - s)))
+            else:
+                bands[key] = (0, ints[kk] * np.sqrt((n + kk) * (rest[j] + 1)))
+        places.setdefault(key, []).append((rows, pos))
+    return [(np.array([r for r, _ in pairs]), np.array([c for _, c in pairs]),
+             bands[key]) for key, pairs in places.items()
+            if len(bands[key][1])]
+
+
+def _scatter(triples: list, basis: TruncatedBasis) -> OperatorMatrix:
+    """The dense matrix of (rows, cols, block) triples on ``basis``; a
+    block is a dense array or a band (offset, values) (``ray_bands``)."""
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for rows, cols, block in triples:
+        if isinstance(block, tuple):
+            offset, vals = block
+            m = len(vals)
+            out[rows[:, offset:offset + m], cols[:, :m]] += vals
+        else:
+            out[rows[:, :, None], cols[:, None, :]] += block
+    return OperatorMatrix(basis, out)
+
+
+def apply_blocks(triples: list, x: np.ndarray) -> np.ndarray:
+    """T x for T held as (rows, cols, block) triples (``ray_bands``,
+    ``unitaries.toeplitz_blocks``) and x of shape (B, M): one product per
+    triple, over every placement and column at once."""
+    out = np.zeros(x.shape, dtype=complex)
+    for rows, cols, block in triples:
+        if isinstance(block, tuple):
+            offset, vals = block
+            m = len(vals)
+            out[rows[:, offset:offset + m].T] += (vals[:, None, None]
+                                                  * x[cols[:, :m].T])
+            continue
+        y = block @ x[cols.T].reshape(cols.shape[1], -1)
+        out[rows.T] += y.reshape(rows.shape[1], rows.shape[0], -1)
+    return out
+
+
 def toeplitz_radial(profile, basis: TruncatedBasis,
                     support: float | None = None) -> OperatorMatrix:
-    """Fast path for radial symbols f(z) = g(|z|): diagonal matrix with
-    entries (n + k) I_k at total degree k."""
-    n = basis.n
-    integrals = _profile_integrals(profile, n, basis.degree, support)
-    degs = basis.degrees
-    diag = (n + degs) * integrals[degs]
-    return OperatorMatrix(basis, np.diag(diag.astype(complex)))
+    """Fast path for radial symbols f(z) = g(|z|): the diagonal matrix
+    with entries (n + k) I_k at total degree k (``ray_bands``)."""
+    return _scatter(ray_bands(profile, None, basis, 0, support), basis)
 
 
 def toeplitz_monomial_radial(coordinate: int, profile, basis: TruncatedBasis,
                              support: float | None = None) -> OperatorMatrix:
-    """Fast path for f(z) = z_j g(|z|): single band beta = alpha + e_j.
-
-    The entry at (beta, alpha) is <f e_alpha, e_beta> = (n + |beta|)
-    I_{|beta|} ||z^beta|| / ||z^alpha||, and the norm ratio is
-    ||z^beta||^2 / ||z^alpha||^2 = (alpha_j + 1) / (n + |alpha| + 1), so
-    the entry is I_{|alpha|+1} sqrt((n + |alpha| + 1)(alpha_j + 1)).
-    """
-    n = basis.n
-    if not 0 <= coordinate < n:
-        raise ValueError(f"coordinate {coordinate} out of range for n = {n}")
-    integrals = _profile_integrals(profile, n, basis.degree + 1, support)
-    pos = {alpha: i for i, alpha in enumerate(basis.indices)}
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, alpha in enumerate(basis.indices):
-        beta = list(alpha)
-        beta[coordinate] += 1
-        j = pos.get(tuple(beta))
-        if j is None:
-            continue  # band exits the truncation at top degree
-        k = sum(alpha) + 1
-        mat[j, i] = integrals[k] * math.sqrt((n + k) * beta[coordinate])
-    return OperatorMatrix(basis, mat)
+    """Fast path for f(z) = z_j g(|z|): the single band beta = alpha + e_j
+    with entries I_k sqrt((n + k) beta_j) at k = |beta| (``ray_bands``,
+    along the rays of axis j)."""
+    return _scatter(ray_bands(profile, coordinate, basis, coordinate,
+                              support), basis)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

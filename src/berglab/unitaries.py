@@ -20,20 +20,20 @@ a tensor Gauss sum in coordinates centred on e_j (``_cutoff_blocks``).
 Every Toeplitz matrix whose route depends on its symbol is chosen here:
 ``toeplitz_route`` reads ``Symbol.kind`` once and returns the route's
 record (the radial or banded fast path, the exact V* T_h V, the exact
-cutoff, or quadrature), and the assembly takes that record.
+cutoff, or quadrature), and ``toeplitz_blocks`` gives that record and
+T_f as (rows, cols, block) triples.
 
-One block kernel, two consumers.  On the axis-aligned routes (radial,
-"moebius", "cutoff") T_f is held as (rows, cols, block) triples
-(``toeplitz_blocks``): T_f keeps the off-axis multi-index alpha' of a
-coordinate axis, each distinct block is formed once, and one triple
-places it at every alpha' that shares it.  ``toeplitz_auto`` scatters
-the "moebius" and "cutoff" triples into the dense ``OperatorMatrix``
-that the two-route probe and the suite checks use (on the radial route
-``toeplitz_radial`` gives that same matrix), and ``apply_blocks``
+One band kernel.  On the fast paths T_h is diagonal or one band, and
+``toeplitz.ray_bands`` forms it once per ray of a coordinate axis (the
+positions of one off-axis multi-index alpha'), or per pair of rays for
+a band off the axis, each triple placing it at every ray that shares
+it.  The "moebius" route multiplies each such band by two blocks of V;
+the "cutoff" route has its own block per off-axis degree.  Only
+quadrature is one block over the whole basis.  ``toeplitz.apply_blocks``
 applies triples to a block of vectors, which is all Proposition 1's
-decay curves need, with no B x B array.  The quadrature route and the
-banded fast path stay one dense block.  The two-route probe takes
-U_c and T_{h o phi_c} from one set of blocks of U_c (``moebius_pair``).
+decay curves need, and ``toeplitz._scatter`` makes a dense matrix: the
+fast paths' and the two-route probe's, which takes U_c and
+T_{h o phi_c} from one set of blocks of U_c (``moebius_pair``).
 
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
@@ -51,14 +51,13 @@ import numpy as np
 from .basis import TruncatedBasis, kernel, kernel_expansion
 from .geometry import _gap, _norm2, as_point, inner, moebius
 from .quadrature import QuadratureRule, _gauss_legendre
-from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
-                       toeplitz_matrix, toeplitz_monomial_radial,
-                       toeplitz_radial)
+from .toeplitz import (OperatorMatrix, Symbol, _scatter, ray_bands,
+                       toeplitz_matrix)
 
 __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
            "unitary_matrix_exact", "exact_available", "core_degree",
-           "toeplitz_route", "toeplitz_auto", "toeplitz_blocks",
-           "apply_blocks", "moebius_pair", "weak_pairing_exact"]
+           "toeplitz_route", "toeplitz_blocks", "moebius_pair",
+           "weak_pairing_exact"]
 
 # invariant guards on exact compressions, which the recurrence meets to ~1e-15
 _GUARD_TOL = 1e-10
@@ -135,6 +134,15 @@ def exact_available(z, n: int) -> bool:
     return abs(z[j].imag) == 0.0 and z[j].real >= 0.0
 
 
+def _ray_axis(z, n: int) -> int:
+    """The axis j of a point z = t e_j (0 at the origin and when n = 1);
+    raises ValueError unless exact entries exist (``exact_available``)."""
+    if not exact_available(z, n):
+        raise ValueError(
+            "exact entries for n >= 2 require z on a coordinate ray t e_j")
+    return int(np.argmax(np.abs(np.asarray(z)) > 0.0))
+
+
 def _ray_blocks(zeta: complex, n: int, rows: int, cols: int) -> list:
     """Blocks of P_rows U_z P_cols for z = zeta e_axis, one per off-axis
     degree s <= min(rows, cols) (only s = 0 when n = 1).
@@ -171,10 +179,7 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     z = as_point(z, name="z")
     if z.ndim != 1 or z.shape[0] != basis.n:
         raise ValueError("z must be a single point of the basis dimension")
-    if not exact_available(z, basis.n):
-        raise ValueError(
-            "exact entries for n >= 2 require z on a coordinate ray t e_j")
-    axis = int(np.argmax(np.abs(z) > 0.0))
+    axis = _ray_axis(z, basis.n)
     return _ray_unitary(z, basis, axis, _ray_blocks(
         complex(z[axis]), basis.n, basis.degree, basis.degree))
 
@@ -323,7 +328,7 @@ def _cutoff_blocks(profile, radius: float, n: int, degree: int,
 
 def toeplitz_route(f: Symbol, basis: TruncatedBasis,
                    rule: QuadratureRule | None = None) -> dict:
-    """The route by which ``toeplitz_auto`` assembles T_f on ``basis``.
+    """The route by which ``toeplitz_blocks`` assembles T_f on ``basis``.
 
     This is the one place a route is chosen from ``Symbol.kind``.
     "radial" and "monomial_radial" are the one-dimensional fast paths,
@@ -365,74 +370,32 @@ def toeplitz_route(f: Symbol, basis: TruncatedBasis,
     return {"route": "quadrature", "nodes": len(rule), "defect": None}
 
 
-def toeplitz_auto(f: Symbol, basis: TruncatedBasis,
-                  rule: QuadratureRule | None = None) -> OperatorMatrix:
-    """T_f compressed to ``basis`` by the route ``toeplitz_route`` names:
-    ``toeplitz_radial``, ``toeplitz_monomial_radial`` or
-    ``toeplitz_matrix`` over ``rule``, or, on the "moebius" and "cutoff"
-    routes, the scatter (``_scatter``) of the triples that
-    ``_compress_moebius`` and ``_assemble_cutoff`` give."""
-    route = toeplitz_route(f, basis, rule)
-    if route["route"] in ("moebius", "cutoff"):
-        return OperatorMatrix(basis, _scatter(
-            toeplitz_blocks(f, basis, rule, route), len(basis)))
-    return _unblocked(f, basis, rule, route["route"])
-
-
-def _unblocked(f: Symbol, basis: TruncatedBasis, rule: QuadratureRule | None,
-               route: str) -> OperatorMatrix:
-    """T_f as one dense matrix on the routes that assemble it whole."""
-    if route == "radial":
-        return toeplitz_radial(f.profile, basis, support=f.support)
-    if route == "monomial_radial":
-        return toeplitz_monomial_radial(f.coordinate, f.profile, basis,
-                                        support=f.support)
-    return toeplitz_matrix(f, basis, rule)
-
-
 def toeplitz_blocks(f: Symbol, basis: TruncatedBasis,
-                    rule: QuadratureRule | None, route: dict) -> list:
-    """T_f as (rows, cols, block) triples, by the route of the record
-    ``route`` that ``toeplitz_route`` gave for f.
+                    rule: QuadratureRule | None = None) -> tuple[dict, list]:
+    """T_f on ``basis`` by the route ``toeplitz_route`` picks: its record
+    and T_f as (rows, cols, block) triples.
 
     T_f is the sum over triples of block placed at rows[i] x cols[i] for
     each i: rows and cols are (placements, size) arrays of basis
     positions, and the placements of one triple never share a row.  The
-    radial route gives the diagonal of T_f by off-axis degree
-    (``_radial_blocks``), "moebius" and "cutoff" their blocks by
+    radial and banded fast paths give their bands along a coordinate
+    axis (``ray_bands``), "moebius" and "cutoff" their blocks by
     off-axis multi-index (``_compress_moebius``, ``_assemble_cutoff``),
-    and the routes with no such structure one block over the whole
-    basis.  ``apply_blocks`` applies the triples and ``_scatter`` makes
-    the dense matrix.
+    and quadrature one block over the whole basis (``toeplitz_matrix``
+    over ``rule``, which must then be given).  ``apply_blocks`` applies
+    the triples and ``_scatter`` makes the dense matrix.
     """
+    route = toeplitz_route(f, basis, rule)
     kind = route["route"]
-    if kind == "radial":
-        return _radial_blocks(f, basis)
+    if kind in ("radial", "monomial_radial"):
+        j = f.coordinate if kind == "monomial_radial" else None
+        return route, ray_bands(f.profile, j, basis, j or 0, f.support)
     if kind == "moebius":
-        return _compress_moebius(f, basis, route["core_degree"])
+        return route, _compress_moebius(f, basis, route["core_degree"])
     if kind == "cutoff":
-        return _assemble_cutoff(f, basis, route["p"])
+        return route, _assemble_cutoff(f, basis, route["p"])
     whole = np.arange(len(basis))[None, :]
-    return [(whole, whole, _unblocked(f, basis, rule, kind).mat)]
-
-
-def _scatter(triples: list, size: int) -> np.ndarray:
-    """The dense size x size matrix of (rows, cols, block) triples."""
-    out = np.zeros((size, size), dtype=complex)
-    for rows, cols, block in triples:
-        out[rows[:, :, None], cols[:, None, :]] += block
-    return out
-
-
-def apply_blocks(triples: list, x: np.ndarray) -> np.ndarray:
-    """T x for T held as (rows, cols, block) triples (``toeplitz_blocks``)
-    and x of shape (B, M): one matrix product per triple, over every
-    placement and column at once."""
-    out = np.zeros(x.shape, dtype=complex)
-    for rows, cols, block in triples:
-        y = block @ x[cols.T].reshape(cols.shape[1], -1)
-        out[rows.T] += y.reshape(rows.shape[1], rows.shape[0], -1)
-    return out
+    return route, [(whole, whole, toeplitz_matrix(f, basis, rule).mat)]
 
 
 def _ray_degrees(basis: TruncatedBasis, axis: int) -> dict:
@@ -442,17 +405,6 @@ def _ray_degrees(basis: TruncatedBasis, axis: int) -> dict:
     for rest, pos in basis.ray_positions(axis).items():
         groups.setdefault(sum(rest), []).append(pos)
     return {s: np.array(pos) for s, pos in groups.items()}
-
-
-def _radial_blocks(f: Symbol, basis: TruncatedBasis) -> list:
-    """T_f for radial f: the diagonal (n + k) I_k at total degree k
-    (``toeplitz_radial``), one diagonal block per off-axis degree s
-    along the first axis, over k = s..d."""
-    n = basis.n
-    diag = (n + np.arange(basis.degree + 1)) * _profile_integrals(
-        f.profile, n, basis.degree, f.support)
-    return [(pos, pos, np.diag(diag[s:]))
-            for s, pos in _ray_degrees(basis, 0).items()]
 
 
 def _assemble_cutoff(f: Symbol, basis: TruncatedBasis, p: int) -> list:
@@ -474,66 +426,39 @@ def _assemble_cutoff(f: Symbol, basis: TruncatedBasis, p: int) -> list:
 def _compress_moebius(f: Symbol, basis: TruncatedBasis, core: int,
                       v: list | None = None) -> list:
     """The triples of V* T_h V with V = P_core U_c P_d.  U_c keeps the
-    off-axis multi-index alpha' (``_ray_blocks``) and T_h is diagonal
-    (radial h) or the single band beta = alpha + e_j (h = z_j g), so each
-    block of the result is a product of one or two blocks of V around a
-    diagonal.  That product depends on the off-axis degree s alone, or,
-    for a band off the axis, on s and alpha'_j, and is formed once for
-    all alpha' that share it.  V is held as its blocks ``v``, one per
-    off-axis degree (``_ray_blocks`` unless given), and no array has
-    B_core^2 entries."""
-    h, n = f.inner, basis.n
-    c = np.asarray(f.center)
-    axis = int(np.argmax(np.abs(c) > 0.0))
+    off-axis multi-index alpha' of the axis of c (``_ray_blocks``) and
+    T_h at degree core is one band per ray, or per pair of rays
+    (``ray_bands``), so each block of the result is that band between
+    two blocks of V, formed once for every placement of the band.  V is
+    held as its blocks ``v``, one per off-axis degree (``_ray_blocks``
+    unless given), and no array has B_core^2 entries."""
+    h, n, d = f.inner, basis.n, basis.degree
+    axis = _ray_axis(f.center, n)
     if v is None:
-        v = _ray_blocks(complex(c[axis]), n, core, basis.degree)
+        v = _ray_blocks(complex(f.center[axis]), n, core, d)
     # each column of V is P_core of a unit vector U_c e_alpha
     excess = max(float(np.max(np.linalg.norm(b, axis=0))) for b in v)
     if not excess - 1.0 <= _GUARD_TOL:  # also catches NaN
         raise ValueError(
-            f"exact V at c={list(f.center)} (n={n}, degree {basis.degree}, "
+            f"exact V at c={list(f.center)} (n={n}, degree {d}, "
             f"core {core}): column norm excess {excess - 1.0:.3g} exceeds "
             f"{_GUARD_TOL:g}")
-    ints = _profile_integrals(h.profile, n, core, h.support)
-    k = np.arange(core + 1)
-    positions = basis.ray_positions(axis)
-    blocks, places = {}, {}
-    for rest, pos in positions.items():
-        s = sum(rest)
-        if s >= len(v):
-            continue  # no degree <= core in this block
-        kk = k[s + 1:]
-        if h.kind == "radial":  # T_h = (n + k) I_k at total degree k
-            key, rows = s, pos
-            if key not in blocks:
-                diag = ((n + k) * ints)[s:]
-                blocks[key] = v[s].conj().T @ (diag[:, None] * v[s])
-        elif h.coordinate == axis:  # within the block: row a + 1 from a
-            # entry of T_h at beta = alpha + e_j: I_k sqrt((n + k)(alpha_j
-            # + 1)), k = |alpha| + 1, as in ``toeplitz_monomial_radial``
-            key, rows = s, pos
-            if key not in blocks:
-                band = ints[kk] * np.sqrt((n + kk) * (kk - s))
-                blocks[key] = v[s][1:].conj().T @ (band[:, None] * v[s][:-1])
-        else:
-            j = h.coordinate - (h.coordinate > axis)  # its place in alpha'
-            up = rest[:j] + (rest[j] + 1,) + rest[j + 1:]
-            if up not in positions or s + 1 >= len(v):
-                continue  # the band leaves the truncation
-            key, rows = (s, rest[j]), positions[up]
-            if key not in blocks:
-                band = ints[kk] * np.sqrt((n + kk) * (rest[j] + 1))
-                blocks[key] = v[s + 1].conj().T @ (band[:, None] * v[s][:-1])
-        places.setdefault(key, []).append((rows, pos))
-    return [(np.array([r for r, _ in pairs]), np.array([c for _, c in pairs]),
-             blocks[key]) for key, pairs in places.items()]
+    out = []
+    for rows, cols, (offset, vals) in ray_bands(
+            h.profile, h.coordinate, basis, axis, h.support, core):
+        m = len(vals)
+        # a ray of off-axis degree s has d - s + 1 positions
+        vr, vc = v[d + 1 - rows.shape[1]], v[d + 1 - cols.shape[1]]
+        out.append((rows, cols, vr[offset:offset + m].conj().T
+                    @ (vals[:, None] * vc[:m])))
+    return out
 
 
 def moebius_pair(f: Symbol, basis: TruncatedBasis) -> tuple[
         dict, OperatorMatrix, OperatorMatrix]:
     """The route record of f = h o phi_c (``toeplitz_route``), P U_c P
-    (``unitary_matrix_exact``) and T_f (``toeplitz_auto``), from one
-    ``_ray_blocks`` call.
+    (``unitary_matrix_exact``) and T_f (the scatter of
+    ``toeplitz_blocks``), from one ``_ray_blocks`` call.
 
     P_d U_c P_d and V = P_K U_c P_d at the core degree K are the first
     d - s + 1 and K - s + 1 rows of the blocks of P_max(K,d) U_c P_d:
@@ -544,18 +469,15 @@ def moebius_pair(f: Symbol, basis: TruncatedBasis) -> tuple[
     rays.
     """
     c = np.asarray(f.center)
-    if not exact_available(c, basis.n):
-        raise ValueError(
-            "exact entries for n >= 2 require z on a coordinate ray t e_j")
+    axis = _ray_axis(c, basis.n)
     route = toeplitz_route(f, basis)
     core, d = route["core_degree"], basis.degree
-    axis = int(np.argmax(np.abs(c) > 0.0))
     blocks = _ray_blocks(complex(c[axis]), basis.n, max(core, d), d)
     u = _ray_unitary(c, basis, axis,
                      [b[:d - s + 1] for s, b in enumerate(blocks)])
     t = _compress_moebius(f, basis, core, [b[:core - s + 1] for s, b
                                            in enumerate(blocks[:core + 1])])
-    return route, u, OperatorMatrix(basis, _scatter(t, len(basis)))
+    return route, u, _scatter(t, basis)
 
 
 def weak_pairing_exact(zm, z, w) -> tuple[np.ndarray, np.ndarray]:

@@ -39,10 +39,9 @@ from .quadrature import QuadratureRule, integrate
 from .sequences import SeparatedSequence, build_sequence, pairwise_rho
 # toeplitz_matrix is unused here, but the benchmark tracer patches it here
 from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
-                       commutator, op_norm, toeplitz_matrix,
+                       apply_blocks, commutator, op_norm, toeplitz_matrix,
                        toeplitz_monomial_radial)
-from .unitaries import (apply_blocks, core_degree, moebius_pair,
-                        toeplitz_blocks, toeplitz_route)
+from .unitaries import core_degree, moebius_pair, toeplitz_blocks
 
 __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "boundary_trace_check", "exclusion_radius", "witness_symbol",
@@ -443,8 +442,8 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     columns are stacked into one (B, M) block K, and each operator is
     held as its block triples (``unitaries.toeplitz_blocks``) and
     applied to it from the right, T_{g1}(T_{g2}(T_{g3} K))
-    (``unitaries.apply_blocks``), as is T_eta: no operator is multiplied
-    by another, and on the axis-aligned routes no B x B array is formed.
+    (``toeplitz.apply_blocks``), as is T_eta: no operator is multiplied
+    by another, and off the quadrature route no B x B array is formed.
     Checks,
     per product prefix (k <= 3): decay of the curve below ``decay_frac``
     of its first value; the cutoff-factor bound
@@ -457,7 +456,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     plus the error of the assembled T_eta, so the slack is that plus the
     defect of T_eta's route (none on quadrature, which is not measured).
     ``routes`` and ``eta_route`` record how each panel matrix and T_eta
-    were assembled (``unitaries.toeplitz_route``); ``eta_route`` is None
+    were assembled (``unitaries.toeplitz_blocks``); ``eta_route`` is None
     when F is empty and T_eta is 0.
     """
     pts = seq.points()
@@ -471,10 +470,8 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
 
     kz = np.stack([kernel_expansion(p, basis).coeffs for p in pts], axis=1)
 
-    panel = g_symbols[:3]
-    routes = [toeplitz_route(g, basis, rule) for g in panel]
-    ops = [toeplitz_blocks(g, basis, rule, route)
-           for g, route in zip(panel, routes)]
+    built = [toeplitz_blocks(g, basis, rule) for g in g_symbols[:3]]
+    routes, ops = [r for r, _ in built], [t for _, t in built]
     curves = []
     decay_ok = []
     for k in range(1, len(ops) + 1):
@@ -490,8 +487,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
 
     eta_route = None
     if len(cfg.f_set):
-        eta_route = toeplitz_route(cfg.eta, basis, rule)
-        t_eta = toeplitz_blocks(cfg.eta, basis, rule, eta_route)
+        eta_route, t_eta = toeplitz_blocks(cfg.eta, basis, rule)
         lhs = np.asarray([float(np.linalg.norm(v))
                           for v in apply_blocks(t_eta, kz).T])
         knorms = [float(np.linalg.norm(v)) for v in kz.T]

@@ -20,6 +20,14 @@ class TestIndices:
     def test_graded_lex_order(self):
         idx = multi_indices(2, 2)
         assert idx == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+        for n, degree in ((3, 9), (4, 7)):
+            idx = multi_indices(n, degree)
+            degs = [sum(a) for a in idx]
+            assert degs == sorted(degs)
+            for k in range(degree + 1):
+                block = [a for a in idx if sum(a) == k]
+                assert block == sorted(block)
+                assert len(block) == math.comb(k + n - 1, n - 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

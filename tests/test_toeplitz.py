@@ -1,5 +1,6 @@
 """Tests for Toeplitz matrices, fast paths, commutators, operator norms."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,47 @@ from berglab.basis import TruncatedBasis, project
 from berglab.geometry import moebius
 from berglab.quadrature import build_rule, integrate, rule_for_basis
 from berglab.toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
-                              commutator, op_norm, toeplitz_matrix,
-                              toeplitz_monomial_radial, toeplitz_radial)
-from berglab.unitaries import toeplitz_auto
+                              _scatter, commutator, op_norm, ray_bands,
+                              toeplitz_matrix, toeplitz_monomial_radial,
+                              toeplitz_radial)
+from berglab.unitaries import toeplitz_blocks
 from berglab.witness import (SphereSet, build_prop1_config, default_panel,
                              witness_symbol)
 
 R = 0.5
+
+
+def toeplitz_dense(f, basis, rule=None):
+    """T_f as one dense matrix: the scatter of its triples."""
+    return _scatter(toeplitz_blocks(f, basis, rule)[1], basis)
+
+
+def radial_diag(profile, basis, support=None):
+    """The np.diag assembly that the scatter of ``ray_bands`` replaced in
+    ``toeplitz_radial``, kept as its oracle."""
+    n = basis.n
+    integrals = _profile_integrals(profile, n, basis.degree, support)
+    degs = basis.degrees
+    diag = (n + degs) * integrals[degs]
+    return np.diag(diag.astype(complex))
+
+
+def band_loop(coordinate, profile, basis, support=None):
+    """The per-index loop that the scatter of ``ray_bands`` replaced in
+    ``toeplitz_monomial_radial``, kept as its oracle."""
+    n = basis.n
+    integrals = _profile_integrals(profile, n, basis.degree + 1, support)
+    pos = {alpha: i for i, alpha in enumerate(basis.indices)}
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, alpha in enumerate(basis.indices):
+        beta = list(alpha)
+        beta[coordinate] += 1
+        j = pos.get(tuple(beta))
+        if j is None:
+            continue  # band exits the truncation at top degree
+        k = sum(alpha) + 1
+        mat[j, i] = integrals[k] * math.sqrt((n + k) * beta[coordinate])
+    return mat
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +165,56 @@ class TestFastPaths:
         assert np.max(np.abs(gen.mat - fast.mat)) < 1e-10
 
 
+PROFILES = [
+    (lambda u: np.clip(1 - (np.asarray(u) / R) ** 2, 0, None), R),
+    (lambda u: np.ones_like(u), None),
+    (lambda u: (1.0 + 2.0j) * np.exp(-np.asarray(u) ** 2), None)]
+SIZES = [(1, 16), (2, 10), (3, 7), (4, 5)]
+
+
+class TestRayBands:
+    """The fast paths are the scatter of ``ray_bands``: bit for bit the
+    dense assemblies it replaced, along any axis."""
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    @pytest.mark.parametrize("profile, support", PROFILES,
+                             ids=["bump", "unit", "complex"])
+    def test_radial_is_the_diagonal(self, n, d, profile, support):
+        b = TruncatedBasis.create(n, d)
+        want = radial_diag(profile, b, support).tobytes()
+        assert toeplitz_radial(profile, b, support).mat.tobytes() == want
+        for axis in range(n):
+            triples = ray_bands(profile, None, b, axis, support)
+            assert len(triples) == (d + 1 if n > 1 else 1)
+            assert _scatter(triples, b).mat.tobytes() == want
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    @pytest.mark.parametrize("profile, support", PROFILES,
+                             ids=["bump", "unit", "complex"])
+    def test_band_is_the_loop(self, n, d, profile, support):
+        b = TruncatedBasis.create(n, d)
+        top = b.degrees == d
+        for j in range(n):
+            want = band_loop(j, profile, b, support)
+            got = toeplitz_monomial_radial(j, profile, b, support).mat
+            assert got.tobytes() == want.tobytes()
+            assert np.all(got[:, top] == 0.0)  # the band exits at degree d
+            assert np.count_nonzero(got) == np.count_nonzero(~top)
+            # on the axis one band per off-axis degree below d, off it
+            # one per (s, alpha'_j), and the same matrix either way
+            for axis in range(n):
+                triples = ray_bands(profile, j, b, axis, support)
+                if axis == j:
+                    assert len(triples) == (d if n > 1 else 1)
+                assert _scatter(triples, b).mat.tobytes() == want.tobytes()
+
+    def test_coordinate_out_of_range(self):
+        b = TruncatedBasis.create(2, 3)
+        for j in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                toeplitz_monomial_radial(j, lambda u: np.ones_like(u), b)
+
+
 class TestCommutatorAndNorm:
     def test_self_commutator_vanishes(self, basis, rule):
         t = toeplitz_matrix(Symbol.radial(lambda u: u ** 2, 1.0), basis, rule)
@@ -198,8 +283,8 @@ class TestSymbolSemantics:
         ids=["monomial_radial", "complex_radial"])
     def test_conjugate_gives_adjoint(self, sym, basis, rule):
         # T_{conj f} = T_f*, whichever route each side takes
-        t = toeplitz_auto(sym, basis, rule)
-        tc = toeplitz_auto(sym.conjugate(), basis, rule)
+        t = toeplitz_dense(sym, basis, rule)
+        tc = toeplitz_dense(sym.conjugate(), basis, rule)
         assert np.max(np.abs(tc.mat - t.mat.conj().T)) < 1e-12
 
     def test_nonfinite_symbol_rejected(self, basis, rule):
@@ -362,7 +447,7 @@ class TestInvariantAssembly:
         # eta of F = {e2} is invariant along the angle of z_1, so T_eta
         # pairs only indices with the same alpha_1
         basis = TruncatedBasis.create(2, 6)
-        got = toeplitz_auto(_eta(2, [1]), basis).mat
+        got = toeplitz_dense(_eta(2, [1]), basis).mat
         idx = np.asarray(basis.indices)
         other = idx[:, None, 0] != idx[None, :, 0]
         assert np.all(got[other] == 0.0)

@@ -14,9 +14,9 @@ from berglab.geometry import pseudo_metric, sample_ball
 from berglab.quadrature import rule_for_basis
 from berglab.sequences import build_sequence
 from berglab.suites import run_witness
-from berglab.toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
-                              toeplitz_monomial_radial)
-from berglab.unitaries import toeplitz_auto, unitary_matrix
+from berglab.toeplitz import (Symbol, _scatter, commutator, op_norm,
+                              toeplitz_matrix, toeplitz_monomial_radial)
+from berglab.unitaries import toeplitz_blocks, unitary_matrix
 from berglab.witness import (SphereSet, boundary_trace_check,
                              build_prop1_config, default_panel,
                              exclusion_radius, in_region_W, lens_volume,
@@ -25,6 +25,11 @@ from berglab.witness import (SphereSet, boundary_trace_check,
                              witness_symbol)
 
 R = 0.5
+
+
+def toeplitz_dense(f, basis, rule=None):
+    """T_f as one dense matrix: the scatter of its triples."""
+    return _scatter(toeplitz_blocks(f, basis, rule)[1], basis)
 # the DEFAULT_TOLERANCES values the suites pass
 DECAY = {"decay_frac": 0.05, "slope_rel": 0.10}
 
@@ -242,7 +247,7 @@ class TestWitnessOperator:
                                                   (2, 8, 1), (3, 6, 0)])
     def test_two_route_defects_match_separate_routes(self, n, degree, axis):
         # U_z and T_{f o phi_z} built apart, by ``unitary_matrix`` and
-        # ``toeplitz_auto``: the same defects, bit for bit
+        # ``toeplitz_blocks``: the same defects, bit for bit
         basis = TruncatedBasis.create(n, degree)
         zeta = np.eye(n, dtype=complex)[axis]
         w = witness_operator(zeta, R, 5, basis)
@@ -251,7 +256,7 @@ class TestWitnessOperator:
                                     w.two_route_defects,
                                     w.two_route_routes):
             u = unitary_matrix(p, basis)
-            b = toeplitz_auto(f.compose_moebius(p), basis)
+            b = toeplitz_dense(f.compose_moebius(p), basis)
             cc = commutator(b, b.adjoint())
             assert defect == op_norm(u @ w.S @ u.adjoint() - cc @ cc)
             assert route == unitaries.toeplitz_route(f.compose_moebius(p),
@@ -462,7 +467,7 @@ class TestCutoffVolume:
         basis = TruncatedBasis.create(2, 4)
         eta = build_prop1_config(SphereSet.create([e2(2)]), 0.5,
                                  rule_for_basis(2, 4)).eta
-        exact = toeplitz_auto(eta, basis)
+        exact = toeplitz_dense(eta, basis)
         errs = [op_norm(toeplitz_matrix(
                     eta, basis,
                     rule_for_basis(2, 4 + extra, radial_breaks=(R * R,)))
@@ -492,16 +497,16 @@ class TestCutoffVolume:
 
 def dense_prop1(panel, seq, cfg, basis, rule):
     """The panel curves and the eta lhs by dense B x B products
-    ``prod @ tmat`` of ``toeplitz_auto`` matrices: the route the block
+    ``prod @ tmat`` of ``toeplitz_dense`` matrices: the route the block
     application replaced, kept as its oracle."""
     kz = [kernel_expansion(p, basis).coeffs for p in seq.points()]
     curves, prod = [], None
-    for tmat in [toeplitz_auto(g, basis, rule) for g in panel[:3]]:
+    for tmat in [toeplitz_dense(g, basis, rule) for g in panel[:3]]:
         prod = tmat if prod is None else prod @ tmat
         curves.append([float(np.linalg.norm(prod.apply(v))) for v in kz])
     lhs = [0.0] * len(kz)
     if len(cfg.f_set):
-        t_eta = toeplitz_auto(cfg.eta, basis, rule)
+        t_eta = toeplitz_dense(cfg.eta, basis, rule)
         lhs = [float(np.linalg.norm(t_eta.apply(v))) for v in kz]
     return curves, lhs
 
