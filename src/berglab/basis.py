@@ -5,11 +5,15 @@ The monomials z^alpha are orthogonal; their norms satisfy
 ||z^alpha||^2 = n! alpha! / (n + |alpha|)!, a ratio of integers rounded
 once, so every norm is within one ulp at any degree.  A truncated
 basis collects all normalized monomials e_alpha with |alpha| <= d in
-graded lexicographic order.
+graded lexicographic order, as one read-only (count, n) integer array
+whose rows are the multi-indices.  Operators that keep the off-axis
+multi-index alpha' of a coordinate axis act ray by ray, on the positions
+of (alpha', a), a = 0..d - |alpha'|: ``TruncatedBasis.rays``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,24 +28,22 @@ __all__ = ["multi_indices", "monomial_norm", "TruncatedBasis", "Expansion",
 _BLOCK = 1 << 17  # complex entries per gathered (rows, B, slices) block
 
 
-def multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
-    """All multi-indices of length n with total degree <= degree,
-    ordered by (total degree, lexicographic): ``of_degree`` yields each
-    degree in lexicographic order."""
+def multi_indices(n: int, degree: int) -> np.ndarray:
+    """All multi-indices of length n with total degree <= degree, as a
+    read-only (count, n) integer array ordered by (total degree,
+    lexicographic).
+
+    |alpha| <= d in n parts is d in n + 1 parts, the last the slack
+    d - |alpha|; n bars among d + n slots give those in lexicographic
+    order, and a stable sort by degree keeps that order within each."""
     if n < 1 or degree < 0:
         raise ValueError(f"need n >= 1 and degree >= 0, got {n}, {degree}")
-
-    def of_degree(dim: int, total: int):
-        if dim == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in of_degree(dim - 1, total - head):
-                yield (head, *rest)
-
-    out: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        out.extend(of_degree(n, total))
+    count = math.comb(n + degree, n)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(degree + n), n)), dtype=np.intp, count=count * n)
+    parts = np.diff(bars.reshape(count, n), axis=1, prepend=-1) - 1
+    out = parts[np.argsort(parts.sum(axis=1), kind="stable")]
+    out.setflags(write=False)
     return out
 
 
@@ -54,56 +56,67 @@ def monomial_norm(alpha: tuple[int, ...], n: int) -> float:
     return math.sqrt(num / math.factorial(n + sum(alpha)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedBasis:
-    """Orthonormal monomial basis e_alpha = z^alpha / ||z^alpha||, |alpha| <= d."""
+    """Orthonormal monomial basis e_alpha = z^alpha / ||z^alpha||, |alpha| <= d.
+
+    ``indices`` is the read-only (count, n) array of ``multi_indices``;
+    (n, degree) determine it and the norms, so they alone decide equality.
+    """
 
     n: int
     degree: int
-    indices: tuple[tuple[int, ...], ...]
+    indices: np.ndarray
     norms: np.ndarray
-    _rays: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _rays: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def create(cls, n: int, degree: int) -> "TruncatedBasis":
         """The basis of degree <= ``degree``; each norm is
         ``monomial_norm``'s, from one table of exact factorials."""
-        idx = tuple(multi_indices(n, degree))
+        idx = multi_indices(n, degree)
         fact = [math.factorial(k) for k in range(n + degree + 1)]
         norms = np.array([
             math.sqrt(fact[n] * math.prod([fact[a] for a in alpha])
-                      / fact[n + sum(alpha)]) for alpha in idx])
+                      / fact[n + sum(alpha)]) for alpha in idx.tolist()])
         return cls(n=n, degree=degree, indices=idx, norms=norms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruncatedBasis):
+            return NotImplemented
+        return (self.n, self.degree) == (other.n, other.degree)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.degree))
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def ray_positions(self, axis: int) -> dict:
-        """Per off-axis multi-index alpha' (alpha without its ``axis``
-        component), the positions of alpha = (alpha', a) for
-        a = 0..d - |alpha'|, in a; the alpha' in order of first position.
+    def rays(self, axis: int) -> tuple[np.ndarray, ...]:
+        """The rays of ``axis`` grouped by off-axis degree: entry s is the
+        read-only (count_s, d - s + 1) array whose row is one ray, the
+        positions of alpha = (alpha', a) for a = 0..d - s at one off-axis
+        multi-index alpha' (alpha without its ``axis`` component) of
+        degree s, the rows in lexicographic order of alpha'.  When n = 1
+        there is only s = 0.
 
-        One sort of the index array per axis, kept with the basis; the
-        position arrays are read-only.
+        One sort of the index array by (s, alpha', a) per axis, kept with
+        the basis.
         """
         if axis not in self._rays:
-            idx = np.array(self.indices)
-            rest = np.delete(idx, axis, axis=1)
-            order = np.lexsort((idx[:, axis], *rest.T[::-1]))
+            rest = np.delete(self.indices, axis, axis=1)
+            s = rest.sum(axis=1)
+            order = np.lexsort((self.indices[:, axis], *rest.T[::-1], s))
             order.setflags(write=False)
-            cuts = np.flatnonzero(
-                np.any(rest[order[1:]] != rest[order[:-1]], axis=1)) + 1
-            groups = sorted(np.split(order, cuts), key=lambda g: g[0])
-            self._rays[axis] = {
-                self.indices[g[0]][:axis] + self.indices[g[0]][axis + 1:]: g
-                for g in groups}
+            self._rays[axis] = tuple(
+                part.reshape(-1, self.degree - k + 1) for k, part in
+                enumerate(np.split(order, np.cumsum(np.bincount(s))[:-1])))
         return self._rays[axis]
 
     @property
     def degrees(self) -> np.ndarray:
         """Total degree |alpha| per basis element."""
-        return np.array([sum(a) for a in self.indices])
+        return self.indices.sum(axis=1)
 
     def eval(self, points) -> np.ndarray:
         """Matrix of basis values, shape (N, count); column j is e_{alpha_j}."""
@@ -111,10 +124,9 @@ class TruncatedBasis:
         pts = pts.reshape(-1, self.n)
         powers = [pts[:, j][:, None] ** np.arange(self.degree + 1)[None, :]
                   for j in range(self.n)]
-        idx = np.asarray(self.indices)
         out = np.ones((pts.shape[0], len(self.indices)), dtype=complex)
         for j in range(self.n):
-            out *= powers[j][:, idx[:, j]]
+            out *= powers[j][:, self.indices[:, j]]
         out /= self.norms[None, :]
         return out
 
@@ -191,7 +203,7 @@ def weighted_gram(basis: TruncatedBasis, rule: QuadratureRule,
     # frequency-major, so a gather reads whole rows of P slice values
     spec = np.ascontiguousarray(spec.reshape(slices, -1).T)
     rho = basis.eval(rule.moduli).real.T  # (B, P) at the angle-zero nodes
-    idx = np.asarray(basis.indices)
+    idx = basis.indices
     diff = (idx[:, None, :] - idx[None, :, :]) % rule.angular
     freq = np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)),
                                 (rule.angular,) * n)

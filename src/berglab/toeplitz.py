@@ -164,10 +164,7 @@ class OperatorMatrix:
                 f"matrix shape {self.mat.shape} does not match basis size {b}")
 
     def _check(self, other: "OperatorMatrix") -> None:
-        if self.basis is not other.basis and (
-                self.basis.n != other.basis.n
-                or self.basis.degree != other.basis.degree
-                or self.basis.indices != other.basis.indices):
+        if self.basis != other.basis:
             raise ValueError("operator matrices live on different bases")
 
     def __matmul__(self, other):
@@ -248,7 +245,7 @@ def ray_bands(profile, coordinate: int | None, basis: TruncatedBasis,
     band beta = alpha + e_j with (n + k) I_k ||z^beta|| / ||z^alpha||
     = I_k sqrt((n + k) beta_j) at k = |beta|.  A ray is the
     positions of alpha = (alpha', a), a = 0..d - |alpha'|, for one
-    off-axis multi-index alpha' (``TruncatedBasis.ray_positions``).  The
+    off-axis multi-index alpha' (``TruncatedBasis.rays``).  The
     diagonal, and a band along the axis (row a + 1 from column a), stay
     on a ray and depend on s = |alpha'| alone; a band off the axis takes
     ray alpha' to ray alpha' + e_j and depends on s and alpha'_j.  Each
@@ -270,30 +267,27 @@ def ray_bands(profile, coordinate: int | None, basis: TruncatedBasis,
     ints = _profile_integrals(profile, n, top, support)
     k = np.arange(top + 1)
     diag = (n + k) * ints
-    off = coordinate is not None and coordinate != axis
-    j = coordinate - (coordinate > axis) if off else None  # place in alpha'
-    positions = basis.ray_positions(axis)
-    bands, places = {}, {}
-    for rest, pos in positions.items():
-        s = sum(rest)
-        key, rows = s, pos
-        if off:
-            key = (s, rest[j])
-            rows = positions.get(rest[:j] + (rest[j] + 1,) + rest[j + 1:])
-            if rows is None:
-                continue  # the band leaves the truncation
-        if key not in bands:
-            kk = k[s + 1:]
-            if coordinate is None:
-                bands[key] = (0, diag[s:])
-            elif not off:
-                bands[key] = (1, ints[kk] * np.sqrt((n + kk) * (kk - s)))
-            else:
-                bands[key] = (0, ints[kk] * np.sqrt((n + kk) * (rest[j] + 1)))
-        places.setdefault(key, []).append((rows, pos))
-    return [(np.array([r for r, _ in pairs]), np.array([c for _, c in pairs]),
-             bands[key]) for key, pairs in places.items()
-            if len(bands[key][1])]
+    rays = basis.rays(axis)
+    out = []
+    for s, pos in enumerate(rays[:top + 1]):
+        kk = k[s + 1:]
+        if coordinate is None:
+            out.append((pos, pos, (0, diag[s:])))
+        elif coordinate == axis:
+            band = ints[kk] * np.sqrt((n + kk) * (kk - s))
+            out.append((pos, pos, (1, band)))
+        elif s < min(top, basis.degree):
+            # alpha' -> alpha' + e_j keeps lexicographic order, so the
+            # rays of degree s + 1 with alpha'_j > 0 are the images of
+            # the rays of degree s, row for row
+            nxt = rays[s + 1]
+            up = nxt[basis.indices[nxt[:, 0], coordinate] > 0]
+            aj = basis.indices[pos[:, 0], coordinate]
+            for v in dict.fromkeys(aj.tolist()):  # in order of first row
+                on = aj == v
+                out.append((up[on], pos[on],
+                            (0, ints[kk] * np.sqrt((n + kk) * (v + 1)))))
+    return [t for t in out if len(t[2][1])]
 
 
 def _scatter(triples: list, basis: TruncatedBasis) -> OperatorMatrix:

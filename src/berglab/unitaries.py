@@ -24,9 +24,9 @@ cutoff, or quadrature), and ``toeplitz_blocks`` gives that record and
 T_f as (rows, cols, block) triples.
 
 One band kernel.  On the fast paths T_h is diagonal or one band, and
-``toeplitz.ray_bands`` forms it once per ray of a coordinate axis (the
-positions of one off-axis multi-index alpha'), or per pair of rays for
-a band off the axis, each triple placing it at every ray that shares
+``toeplitz.ray_bands`` forms it once per off-axis degree s of a
+coordinate axis, or per (s, alpha'_j) for a band off the axis, each
+triple placing it at every ray (``TruncatedBasis.rays``) that shares
 it.  The "moebius" route multiplies each such band by two blocks of V;
 the "cutoff" route has its own block per off-axis degree.  Only
 quadrature is one block over the whole basis.  ``toeplitz.apply_blocks``
@@ -195,8 +195,8 @@ def _ray_unitary(z: np.ndarray, basis: TruncatedBasis, axis: int,
     to the kernel expansion of k_z.
     """
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for rest, pos in basis.ray_positions(axis).items():
-        mat[np.ix_(pos, pos)] = blocks[sum(rest)]
+    for pos, block in zip(basis.rays(axis), blocks):
+        mat[pos[:, :, None], pos[:, None, :]] = block
 
     where = f"exact U_z at z={z.tolist()} (n={basis.n}, degree {basis.degree})"
     if not np.all(np.isfinite(mat)):
@@ -398,15 +398,6 @@ def toeplitz_blocks(f: Symbol, basis: TruncatedBasis,
     return route, [(whole, whole, toeplitz_matrix(f, basis, rule).mat)]
 
 
-def _ray_degrees(basis: TruncatedBasis, axis: int) -> dict:
-    """Per off-axis degree s, the positions (``basis.ray_positions``) of
-    every alpha' of degree s, stacked into a (count, d - s + 1) array."""
-    groups: dict = {}
-    for rest, pos in basis.ray_positions(axis).items():
-        groups.setdefault(sum(rest), []).append(pos)
-    return {s: np.array(pos) for s, pos in groups.items()}
-
-
 def _assemble_cutoff(f: Symbol, basis: TruncatedBasis, p: int) -> list:
     """The cutoff's triples: for each point c e_j, its block at p around
     e_j for off-axis degree k (``_cutoff_blocks``), placed at every
@@ -417,7 +408,7 @@ def _assemble_cutoff(f: Symbol, basis: TruncatedBasis, p: int) -> list:
     out = []
     for axis, c in _cutoff_axes(f, basis.n):
         phase = np.outer(np.conj(c) ** a, c ** a)
-        for k, pos in _ray_degrees(basis, axis).items():
+        for k, pos in enumerate(basis.rays(axis)):
             m = pos.shape[1]
             out.append((pos, pos, blocks[k] * phase[:m, :m]))
     return out

@@ -246,7 +246,7 @@ def _s_diagonal(r: float, basis: TruncatedBasis) -> np.ndarray:
     ints = _profile_integrals(witness_symbol(r).profile, n, basis.degree + 1,
                               r).real
     k = basis.degrees
-    a1 = np.asarray(basis.indices)[:, 0]
+    a1 = basis.indices[:, 0]
     c = (ints[k] ** 2 * (n + k) * a1
          - ints[k + 1] ** 2 * (n + k + 1) * (a1 + 1))
     return c * c

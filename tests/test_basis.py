@@ -12,16 +12,31 @@ from berglab.basis import (Expansion, TruncatedBasis, kernel,
 from berglab.quadrature import integrate, rule_for_basis
 
 
+def indices_recursive(n, degree):
+    """The recursive generator that ``multi_indices`` replaced, kept as its
+    oracle: each degree's compositions in lexicographic order."""
+    def of_degree(dim, total):
+        if dim == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in of_degree(dim - 1, total - head):
+                yield (head, *rest)
+
+    return [a for total in range(degree + 1) for a in of_degree(n, total)]
+
+
 class TestIndices:
     def test_count_is_binomial(self):
         for n, d in [(1, 12), (2, 8), (3, 5)]:
-            assert len(multi_indices(n, d)) == math.comb(n + d, n)
+            assert multi_indices(n, d).shape == (math.comb(n + d, n), n)
 
     def test_graded_lex_order(self):
         idx = multi_indices(2, 2)
-        assert idx == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+        assert idx.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1],
+                                [2, 0]]
         for n, degree in ((3, 9), (4, 7)):
-            idx = multi_indices(n, degree)
+            idx = list(map(tuple, multi_indices(n, degree).tolist()))
             degs = [sum(a) for a in idx]
             assert degs == sorted(degs)
             for k in range(degree + 1):
@@ -29,9 +44,41 @@ class TestIndices:
                 assert block == sorted(block)
                 assert len(block) == math.comb(k + n - 1, n - 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_recursive_generator(self, n):
+        for degree in range(14):
+            got = multi_indices(n, degree)
+            assert got.dtype == np.intp
+            assert got.tolist() == [list(a) for a in
+                                    indices_recursive(n, degree)]
+
+    def test_read_only_and_shared_by_the_basis(self):
+        b = TruncatedBasis.create(3, 4)
+        assert np.array_equal(b.indices, multi_indices(3, 4))
+        with pytest.raises(ValueError):
+            b.indices[1, 0] = 7
+        assert np.array_equal(b.degrees, b.indices.sum(axis=1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             multi_indices(0, 3)
+        with pytest.raises(ValueError):
+            multi_indices(2, -1)
+
+
+class TestBasisEquality:
+    def test_equal_bases_compare_and_hash_equal(self):
+        a, b = TruncatedBasis.create(2, 3), TruncatedBasis.create(2, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a != TruncatedBasis.create(2, 4)
+        assert a != TruncatedBasis.create(3, 3)
+        assert a != (2, 3)
+
+    def test_same_size_on_different_bases_is_not_equal(self):
+        # both have 10 elements: only (n, degree) tells them apart
+        a, b = TruncatedBasis.create(2, 3), TruncatedBasis.create(3, 2)
+        assert len(a) == len(b) == 10
+        assert a != b
 
 
 class TestNorms:

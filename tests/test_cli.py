@@ -121,6 +121,32 @@ class TestCli:
             [2.75115e-11, 2.80419e-11, 2.69717e-11, 2.70123e-11,
              2.64425e-11], rel=1e-5)
 
+    def test_separate_then_witness_repeat_in_one_process(self, tmp_path):
+        # separate then witness at n = 2, d = 10, twice in one process:
+        # every check passes both times and the report trees are equal
+        # byte for byte, so no state carried between runs moves a report
+        e1, e2 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 2, "degree": 10,
+                                       "d_sweep": [6, 10], "zeta": e1,
+                                       "F1": [e2], "F2": [e1, e2]}))
+        trees = []
+        for run in ("first", "second"):
+            files = {}
+            for suite in ("separate", "witness"):
+                out = tmp_path / run / suite
+                assert main([suite, "--config", str(cfgfile),
+                             "--out", str(out)]) == 0
+                report = json.loads(
+                    (out / f"{suite}.json").read_text())["report"]
+                assert report["checks"]
+                assert all(c["ok"] for c in report["checks"]), suite
+                files.update({str(p.relative_to(tmp_path / run)):
+                              p.read_bytes()
+                              for p in out.rglob("*") if p.is_file()})
+            trees.append(files)
+        assert trees[0] == trees[1]
+
     def test_failing_check_exits_nonzero_with_partial_results(
             self, tmp_path, capsys):
         # an absurd tolerance forces a recorded failure, not a crash

@@ -94,9 +94,9 @@ def test_monomial_moments_exact(n, breaks):
     alphas = multi_indices(n, degree)
     mono = np.ones((len(rule), len(alphas)), dtype=complex)
     for j in range(n):
-        mono *= rule.nodes[:, j][:, None] ** np.array([a[j] for a in alphas])
+        mono *= rule.nodes[:, j][:, None] ** alphas[:, j]
     got = mono.conj().T @ (rule.weights[:, None] * mono)
-    expect = np.diag([monomial_norm(a, n) ** 2 for a in alphas])
+    expect = np.diag([monomial_norm(a, n) ** 2 for a in alphas.tolist()])
     assert np.max(np.abs(got - expect)) <= 1e-14
 
 

@@ -40,9 +40,10 @@ def band_loop(coordinate, profile, basis, support=None):
     ``toeplitz_monomial_radial``, kept as its oracle."""
     n = basis.n
     integrals = _profile_integrals(profile, n, basis.degree + 1, support)
-    pos = {alpha: i for i, alpha in enumerate(basis.indices)}
+    alphas = list(map(tuple, basis.indices.tolist()))
+    pos = {alpha: i for i, alpha in enumerate(alphas)}
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, alpha in enumerate(basis.indices):
+    for i, alpha in enumerate(alphas):
         beta = list(alpha)
         beta[coordinate] += 1
         j = pos.get(tuple(beta))
@@ -141,10 +142,11 @@ class TestFastPaths:
         # T_{z_j} e_alpha = sqrt((alpha_j + 1) / (n + |alpha| + 1)) e_{alpha+e_j}
         mp = pytest.importorskip("mpmath")
         b = TruncatedBasis.create(n, d)
-        pos = {alpha: i for i, alpha in enumerate(b.indices)}
+        alphas = list(map(tuple, b.indices.tolist()))
+        pos = {alpha: i for i, alpha in enumerate(alphas)}
         for j in range(n):
             t = toeplitz_monomial_radial(j, lambda u: np.ones_like(u), b)
-            for i, alpha in enumerate(b.indices):
+            for i, alpha in enumerate(alphas):
                 beta = list(alpha)
                 beta[j] += 1
                 k = pos.get(tuple(beta))
@@ -265,6 +267,23 @@ class TestOperatorMatrix:
         b = OperatorMatrix(other, np.eye(len(other)))
         with pytest.raises(ValueError):
             _ = a @ b
+
+    def test_same_size_on_another_basis_raises(self):
+        # n = 2, d = 3 and n = 3, d = 2 both have 10 elements, so only the
+        # basis check tells the matrices apart
+        a = OperatorMatrix(TruncatedBasis.create(2, 3), np.eye(10))
+        b = OperatorMatrix(TruncatedBasis.create(3, 2), np.eye(10))
+        for op in (a.__matmul__, a.__add__, a.__sub__):
+            with pytest.raises(ValueError, match="live on different bases"):
+                op(b)
+
+    def test_equal_bases_combine(self):
+        # two separately built bases of the same (n, degree) are one basis
+        a = OperatorMatrix(TruncatedBasis.create(2, 3), 2.0 * np.eye(10))
+        b = OperatorMatrix(TruncatedBasis.create(2, 3), np.eye(10))
+        assert np.array_equal((a @ b).mat, 2.0 * np.eye(10))
+        assert np.array_equal((a + b).mat, 3.0 * np.eye(10))
+        assert np.array_equal((a - b).mat, np.eye(10))
 
 
 class TestSymbolSemantics:
@@ -402,7 +421,7 @@ def _one_group_gram(basis, rule, values) -> np.ndarray:
                        out=grid if grid.dtype == complex else None)
     spec = np.ascontiguousarray(spec.reshape(slices, -1).T)
     rho = basis.eval(rule.moduli).real.T
-    idx = np.asarray(basis.indices)
+    idx = basis.indices
     diff = (idx[:, None, :] - idx[None, :, :]) % rule.angular
     freq = np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)),
                                 (rule.angular,) * n)
@@ -448,7 +467,7 @@ class TestInvariantAssembly:
         # pairs only indices with the same alpha_1
         basis = TruncatedBasis.create(2, 6)
         got = toeplitz_dense(_eta(2, [1]), basis).mat
-        idx = np.asarray(basis.indices)
+        idx = basis.indices
         other = idx[:, None, 0] != idx[None, :, 0]
         assert np.all(got[other] == 0.0)
         assert np.all(np.abs(np.diag(got)) > 0.0)

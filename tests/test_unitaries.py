@@ -147,7 +147,8 @@ def closed_form(zeta, axis, basis, dps=60):
     mp = pytest.importorskip("mpmath")
     n, d = basis.n, basis.degree
     out = np.zeros((len(basis), len(basis)), dtype=complex)
-    pos = {alpha: i for i, alpha in enumerate(basis.indices)}
+    alphas = list(map(tuple, basis.indices.tolist()))
+    pos = {alpha: i for i, alpha in enumerate(alphas)}
     with mp.workdps(dps):
         zeta = mp.mpc(zeta)
         zp = [zeta ** k for k in range(d + 1)]
@@ -155,9 +156,9 @@ def closed_form(zeta, axis, basis, dps=60):
         gap = 1 - abs(zeta) ** 2
         norms = [mp.sqrt(mp.factorial(n) * mp.fprod(map(mp.factorial, alpha))
                          / mp.factorial(n + sum(alpha)))
-                 for alpha in basis.indices]
+                 for alpha in alphas]
         sums = {}
-        for ia, alpha in enumerate(basis.indices):
+        for ia, alpha in enumerate(alphas):
             a = alpha[axis]
             s = sum(alpha) - a
             for b in range(d - s + 1):
@@ -475,8 +476,7 @@ class TestCutoffRoute:
     def test_blocks_depend_on_the_off_axis_degree(self, n, degree):
         b = TruncatedBasis.create(n, degree)
         mat = toeplitz_dense(eta([np.eye(n)[0]]), b).mat
-        idx = np.asarray(b.indices)
-        rest = [tuple(a[1:]) for a in idx]
+        rest = [tuple(a[1:]) for a in b.indices.tolist()]
         same = np.array([[r == q for q in rest] for r in rest])
         assert np.all(mat[~same] == 0.0)
         assert np.all(mat.imag == 0.0)
@@ -494,7 +494,7 @@ class TestCutoffRoute:
         b = TruncatedBasis.create(2, 6)
         plain = toeplitz_dense(eta([[0.0, 1.0]]), b).mat
         turned = toeplitz_dense(eta([[0.0, 1j]]), b).mat
-        a2 = np.asarray(b.indices)[:, 1]
+        a2 = b.indices[:, 1]
         phase = np.conj(1j) ** a2[:, None] * 1j ** a2[None, :]
         assert np.max(np.abs(turned - phase * plain)) <= 1e-16
         rule = rule_for_basis(2, 14)
@@ -541,10 +541,12 @@ class TestCutoffRoute:
 
 
 def ray_positions_loop(basis, axis):
-    """The per-index loop that ``TruncatedBasis.ray_positions`` replaced,
-    kept as its oracle and as the positions of the dense oracles below."""
+    """Per off-axis multi-index alpha', the positions of its ray in a,
+    the alpha' in order of first position: the per-index loop that
+    ``TruncatedBasis.rays`` replaced, kept as its oracle and as the
+    positions of the dense oracles below."""
     groups = {}
-    for i, alpha in enumerate(basis.indices):
+    for i, alpha in enumerate(map(tuple, basis.indices.tolist())):
         rest = alpha[:axis] + alpha[axis + 1:]
         groups.setdefault(rest, []).append((alpha[axis], i))
     return {rest: np.array([i for _, i in sorted(pairs)])
@@ -606,22 +608,30 @@ class TestRayPositions:
     @pytest.mark.parametrize("n, degree", [(1, 40), (2, 30), (3, 20),
                                            (4, 12)])
     def test_match_the_loop(self, n, degree):
+        # per off-axis degree s, the loop's rays in their order
         b = TruncatedBasis.create(n, degree)
         for axis in range(n):
-            got, want = b.ray_positions(axis), ray_positions_loop(b, axis)
-            assert list(got) == list(want)  # same keys, in the same order
-            for rest, pos in want.items():
-                assert np.array_equal(got[rest], pos)
-                assert got[rest].dtype == pos.dtype
+            got = b.rays(axis)
+            want = {}
+            for rest, pos in ray_positions_loop(b, axis).items():
+                want.setdefault(sum(rest), []).append(pos)
+            assert len(got) == len(want) == (degree + 1 if n > 1 else 1)
+            for s, pos in want.items():
+                assert got[s].shape == (len(pos), degree - s + 1)
+                assert np.array_equal(got[s], np.array(pos))
+                assert got[s].dtype == pos[0].dtype
 
     def test_kept_with_the_basis_and_read_only(self):
         b = TruncatedBasis.create(3, 6)
-        first = b.ray_positions(1)
-        assert b.ray_positions(1) is first
+        first = b.rays(1)
+        assert b.rays(1) is first
+        for table in first:
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
         with pytest.raises(ValueError):
-            first[(0, 0)][0] = 1
+            b.indices[0, 0] = 1
         # a new basis of the same size computes its own
-        assert TruncatedBasis.create(3, 6).ray_positions(1) is not first
+        assert TruncatedBasis.create(3, 6).rays(1) is not first
 
 
 def on_ray(n, axis, t):
