@@ -73,12 +73,12 @@ class TruncatedBasis:
     @classmethod
     def create(cls, n: int, degree: int) -> "TruncatedBasis":
         """The basis of degree <= ``degree``; each norm is
-        ``monomial_norm``'s, from one table of exact factorials."""
+        ``monomial_norm``'s, from an object array of exact factorials."""
         idx = multi_indices(n, degree)
-        fact = [math.factorial(k) for k in range(n + degree + 1)]
-        norms = np.array([
-            math.sqrt(fact[n] * math.prod([fact[a] for a in alpha])
-                      / fact[n + sum(alpha)]) for alpha in idx.tolist()])
+        fact = np.array([math.factorial(k) for k in range(n + degree + 1)],
+                        dtype=object)
+        norms = np.sqrt((fact[idx].prod(axis=1) * fact[n]
+                         / fact[n + idx.sum(axis=1)]).astype(float))
         return cls(n=n, degree=degree, indices=idx, norms=norms)
 
     def __eq__(self, other) -> bool:

@@ -4,11 +4,12 @@ U_z f = (f o phi_z) k_z is a self-adjoint unitary involution of the
 Bergman space, and U_z T_f U_z* = T_{f o phi_z}.  The truncated matrix is
 the compression P U_z P.  ``unitary_matrix`` (also reachable as
 ``unitary_matrix_exact``) builds it from exact entries, Jacobi
-polynomials in 1 - 2|z|^2 at roundoff at any degree, for every z when
-n = 1 and on the coordinate rays t e_j (t >= 0) when n >= 2; any other
-point raises ValueError.  ``unitary_matrix_quadrature`` integrates
-e_alpha(phi_z(w)) k_z(w) conj(e_beta(w)) over a rule and serves only as
-the reference the exact route is compared against at moderate |z|.
+polynomials in 1 - 2|z|^2 at roundoff at any degree, at every z = c e_j
+on a coordinate axis, c complex (``_axis_point``, the one test of every
+exact route); any other point raises ValueError.
+``unitary_matrix_quadrature`` integrates e_alpha(phi_z(w)) k_z(w)
+conj(e_beta(w)) over a rule and serves only as the reference the exact
+route is compared against at moderate |z|.
 
 The same exact entries give the Toeplitz compression of a
 Moebius-composed symbol h o phi_c with h radial or monomial-times-radial
@@ -55,7 +56,7 @@ from .toeplitz import (OperatorMatrix, Symbol, _scatter, ray_bands,
                        toeplitz_matrix)
 
 __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
-           "unitary_matrix_exact", "exact_available", "core_degree",
+           "unitary_matrix_exact", "core_degree",
            "toeplitz_route", "toeplitz_blocks", "moebius_pair",
            "weak_pairing_exact"]
 
@@ -119,37 +120,33 @@ def _diagonals(zeta: complex, beta: np.ndarray, size: int) -> np.ndarray:
     return (-1.0) ** a * np.cumprod(amp, axis=0) * y
 
 
-def exact_available(z, n: int) -> bool:
-    """Exact entries exist for every z when n = 1, and for points on a
-    coordinate ray t e_j (t >= 0 real) when n >= 2."""
+def _axis_point(z) -> tuple[int, complex] | None:
+    """(j, z_j) when at most one coordinate of z is nonzero, so that
+    z = c e_j on a coordinate axis (axis 0 at the origin, and always when
+    n = 1); None otherwise."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if n == 1:
-        return True
-    nz = np.abs(z) > 0.0
-    if np.count_nonzero(nz) > 1:
-        return False
-    if not np.any(nz):
-        return True
-    j = int(np.argmax(nz))
-    return abs(z[j].imag) == 0.0 and z[j].real >= 0.0
+    on = np.flatnonzero(z)
+    if len(on) > 1:
+        return None
+    j = int(on[0]) if len(on) else 0
+    return j, complex(z[j])
 
 
-def _ray_axis(z, n: int) -> int:
-    """The axis j of a point z = t e_j (0 at the origin and when n = 1);
-    raises ValueError unless exact entries exist (``exact_available``)."""
-    if not exact_available(z, n):
-        raise ValueError(
-            "exact entries for n >= 2 require z on a coordinate ray t e_j")
-    return int(np.argmax(np.abs(np.asarray(z)) > 0.0))
+def _off_axis(z):
+    """Raise the ValueError for a z off every coordinate axis."""
+    raise ValueError(f"exact entries at z={np.asarray(z).tolist()} for "
+                     "n >= 2 require z on a coordinate axis c e_j: a "
+                     "coordinate ray t e_j turned by the phase of c")
 
 
 def _ray_blocks(zeta: complex, n: int, rows: int, cols: int) -> list:
-    """Blocks of P_rows U_z P_cols for z = zeta e_axis, one per off-axis
+    """Blocks of P_rows U_z P_cols for z = zeta e_j, one per off-axis
     degree s <= min(rows, cols) (only s = 0 when n = 1).
 
     U_z maps z^alpha to (-1)^s w'^alpha' (1 - |zeta|^2)^((s+n+1)/2)
-    (zeta - w_axis)^a (1 - conj(zeta) w_axis)^(-(a+s+n+1)), with a the
-    axis component of alpha, alpha' the rest and s = |alpha'|.  So the
+    (zeta - w_j)^a (1 - conj(zeta) w_j)^(-(a+s+n+1)), with a the axis
+    component of alpha, alpha' the rest and s = |alpha'|, for complex
+    zeta as for real (phi_{Vz} = V phi_z V* for every unitary V).  So the
     entry at (beta, alpha) vanishes unless beta' = alpha', and every
     alpha' of degree s shares block s: rows a = 0..rows - s, columns
     a = 0..cols - s, from ``_diagonals`` at b = s + n (its basis carries
@@ -169,9 +166,9 @@ def _ray_blocks(zeta: complex, n: int, rows: int, cols: int) -> list:
 def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     """Exact compression P U_z P (no quadrature error source).
 
-    For z = zeta e_axis the matrix is block diagonal in the off-axis
-    multi-index alpha', with one block per off-axis degree
-    (``_ray_blocks``); n = 1 is the single block s = 0.
+    For z = c e_j the matrix is block diagonal in the off-axis
+    multi-index alpha', one block per off-axis degree (``_ray_blocks``;
+    n = 1 is the single block s = 0); any other z raises ValueError.
 
     Raises ValueError when the result breaks an invariant every
     compression of U_z keeps (``_ray_unitary``).
@@ -179,9 +176,9 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     z = as_point(z, name="z")
     if z.ndim != 1 or z.shape[0] != basis.n:
         raise ValueError("z must be a single point of the basis dimension")
-    axis = _ray_axis(z, basis.n)
+    axis, c = _axis_point(z) or _off_axis(z)
     return _ray_unitary(z, basis, axis, _ray_blocks(
-        complex(z[axis]), basis.n, basis.degree, basis.degree))
+        c, basis.n, basis.degree, basis.degree))
 
 
 def _ray_unitary(z: np.ndarray, basis: TruncatedBasis, axis: int,
@@ -249,19 +246,19 @@ def _core_degree(h: Symbol, n: int) -> tuple[int, float]:
 
 
 def _cutoff_axes(f: Symbol, n: int) -> list[tuple[int, complex]] | None:
-    """(j, c) for each point c e_j of a cutoff symbol (unit vectors, so
-    |c| = 1), or None unless every point is such a point and they are at
-    least twice the support radius apart: their supports are disjoint."""
+    """(j, c) for each point c e_j of a cutoff symbol (``_axis_point``;
+    |c| = 1), or None unless every point is one and they are at least
+    twice the support radius apart: their supports are disjoint."""
     pts = np.asarray(f.points, dtype=complex)
     if pts.shape[1] != n:
         raise ValueError(f"cutoff points have dimension {pts.shape[1]}, "
                          f"expected {n}")
-    on = np.abs(pts) > 0.0
+    axes = [_axis_point(p) for p in pts]
     dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    if (np.any(np.count_nonzero(on, axis=1) != 1)
+    if (None in axes
             or np.any(dists[~np.eye(len(pts), dtype=bool)] < 2 * f.support)):
         return None
-    return [(int(j), complex(p[j])) for j, p in zip(np.argmax(on, 1), pts)]
+    return axes
 
 
 @lru_cache(maxsize=8)
@@ -333,7 +330,7 @@ def toeplitz_route(f: Symbol, basis: TruncatedBasis,
     This is the one place a route is chosen from ``Symbol.kind``.
     "radial" and "monomial_radial" are the one-dimensional fast paths,
     and "moebius" is the exact compression V* T_h V of f = h o phi_c,
-    which needs c on a coordinate ray (``exact_available``); their
+    which needs c = c_j e_j on a coordinate axis (``_axis_point``); their
     records give the core degree K and tail bound of a "moebius" route
     (``_core_degree``) and None for the others.  "cutoff" is the exact
     assembly of a cutoff symbol whose points are c e_j with disjoint
@@ -352,7 +349,7 @@ def toeplitz_route(f: Symbol, basis: TruncatedBasis,
         if len(f.center) != n:
             raise ValueError(f"symbol centre has dimension {len(f.center)}, "
                              f"expected {n}")
-        if exact_available(f.center, n):
+        if _axis_point(f.center) is not None:
             k, tail = _core_degree(f.inner, n)
             return {"route": "moebius", "core_degree": k, "tail_bound": tail}
     if f.kind == "cutoff" and _cutoff_axes(f, n) is not None:
@@ -422,11 +419,12 @@ def _compress_moebius(f: Symbol, basis: TruncatedBasis, core: int,
     (``ray_bands``), so each block of the result is that band between
     two blocks of V, formed once for every placement of the band.  V is
     held as its blocks ``v``, one per off-axis degree (``_ray_blocks``
-    unless given), and no array has B_core^2 entries."""
+    unless given), and no array has B_core^2 entries.  A centre off the
+    coordinate axes raises ValueError."""
     h, n, d = f.inner, basis.n, basis.degree
-    axis = _ray_axis(f.center, n)
+    axis, c = _axis_point(f.center) or _off_axis(f.center)
     if v is None:
-        v = _ray_blocks(complex(f.center[axis]), n, core, d)
+        v = _ray_blocks(c, n, core, d)
     # each column of V is P_core of a unit vector U_c e_alpha
     excess = max(float(np.max(np.linalg.norm(b, axis=0))) for b in v)
     if not excess - 1.0 <= _GUARD_TOL:  # also catches NaN
@@ -457,14 +455,13 @@ def moebius_pair(f: Symbol, basis: TruncatedBasis) -> tuple[
     diagonal offset and runs its recurrence down the rows, so a larger
     call repeats the entries of a smaller one.  Raises ValueError as
     ``unitary_matrix_exact`` does, and for a centre off the coordinate
-    rays.
+    axes.
     """
-    c = np.asarray(f.center)
-    axis = _ray_axis(c, basis.n)
+    axis, c = _axis_point(f.center) or _off_axis(f.center)
     route = toeplitz_route(f, basis)
     core, d = route["core_degree"], basis.degree
-    blocks = _ray_blocks(complex(c[axis]), basis.n, max(core, d), d)
-    u = _ray_unitary(c, basis, axis,
+    blocks = _ray_blocks(c, basis.n, max(core, d), d)
+    u = _ray_unitary(np.asarray(f.center), basis, axis,
                      [b[:d - s + 1] for s, b in enumerate(blocks)])
     t = _compress_moebius(f, basis, core, [b[:core - s + 1] for s, b
                                            in enumerate(blocks[:core + 1])])

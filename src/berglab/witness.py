@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import TruncatedBasis, kernel_expansion
+from .basis import TruncatedBasis
 from .geometry import (_norm2, as_point, inner, pseudo_metric,
                        random_sphere_points, sample_ball)
 from .quadrature import QuadratureRule, integrate
@@ -207,8 +207,8 @@ def witness_operator(zeta, r: float, M: int,
     identity U_z [T_f, T_conj(f)] U_z* = [T_{f o phi_z}, T_{conj(f) o phi_z}].
 
     The Toeplitz factor uses the banded fast path (exact for the witness
-    profile), and U_{z_m} has exact entries, so zeta must be a
-    coordinate direction e_j when n >= 2.
+    profile), and U_{z_m} has exact entries, so zeta must be a point
+    c e_j of a coordinate axis, |c| = 1, when n >= 2.
     The left side is a product of compressions, (P U_z P) S (P U_z P),
     and the right side the compression of a product, [B, B*]^2 with
     B = P U_z T_f U_z P, the exact compression of the composed symbol.
@@ -438,15 +438,15 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     ``cfg.f_set``.
 
     U_{z_m} 1 = k_{z_m}, so the panel acts on the closed-form kernel
-    columns P k_{z_m} (``kernel_expansion``) and builds no U_z.  The
-    columns are stacked into one (B, M) block K, and each operator is
-    held as its block triples (``unitaries.toeplitz_blocks``) and
-    applied to it from the right, T_{g1}(T_{g2}(T_{g3} K))
-    (``toeplitz.apply_blocks``), as is T_eta: no operator is multiplied
-    by another, and off the quadrature route no B x B array is formed.
-    Checks,
-    per product prefix (k <= 3): decay of the curve below ``decay_frac``
-    of its first value; the cutoff-factor bound
+    columns P k_{z_m} = (1 - t_m^2)^((n+1)/2) conj(e_alpha(z_m)), with
+    1 - t_m^2 from the sequence's exact gaps, and builds no U_z.  The
+    columns are one (B, M) block K, and each operator is held as its
+    block triples (``unitaries.toeplitz_blocks``) and applied to it from
+    the right, T_{g1}(T_{g2}(T_{g3} K)) (``toeplitz.apply_blocks``), as
+    is T_eta: no operator is multiplied by another, and off the
+    quadrature route no B x B array is formed.  Checks, per product
+    prefix (k <= 3): decay of the curve below ``decay_frac`` of its
+    first value; the cutoff-factor bound
     ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
     plus a slack; and, for every product curve, the log-log slope of the
     curve against 1 - |z_m|^2 within ``slope_rel`` of (n+1)/2.
@@ -468,7 +468,10 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
             f"sequence point {int(bad[0])} is within eps of the direction set "
             f"(dist = {float(dists[bad[0]]):.6g} < {cfg.eps})")
 
-    kz = np.stack([kernel_expansion(p, basis).coeffs for p in pts], axis=1)
+    one_minus = seq.gaps * (2.0 - seq.gaps)  # 1 - t_m^2 from the exact gaps
+    # scalar pows, as in kernel_expansion: numpy's vector pow can round apart
+    kz = np.conj(basis.eval(pts)).T * [x ** (0.5 * (n + 1))
+                                       for x in one_minus.tolist()]
 
     built = [toeplitz_blocks(g, basis, rule) for g in g_symbols[:3]]
     routes, ops = [r for r, _ in built], [t for _, t in built]
@@ -482,7 +485,6 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         curves.append(curve)
         decay_ok.append(bool(curve[-1] <= decay_frac * curve[0]))
 
-    one_minus = seq.gaps * (2.0 - seq.gaps)  # 1 - t_m^2 from the exact gaps
     factors = one_minus ** (0.5 * (n + 1))
 
     eta_route = None

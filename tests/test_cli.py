@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from berglab.cli import main
@@ -146,6 +147,43 @@ class TestCli:
                               for p in out.rglob("*") if p.is_file()})
             trees.append(files)
         assert trees[0] == trees[1]
+
+    def test_witness_at_a_phased_direction(self, tmp_path):
+        # zeta = i e2 takes the exact routes, and the two-route defects
+        # are those at e2: V = diag(1, i) keeps f = z_1 eta and S, so both
+        # sides of the probed identity are conjugated by C_V
+        defects = []
+        for zeta in ([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]):
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"n": 2, "degree": 10,
+                                           "d_sweep": [6, 10],
+                                           "zeta": zeta, "F2": [zeta]}))
+            out = tmp_path / str(len(defects))
+            assert main(["witness", "--config", str(cfgfile),
+                         "--out", str(out)]) == 0
+            report = json.loads((out / "witness.json").read_text())["report"]
+            assert report["checks"]
+            assert all(c["ok"] for c in report["checks"])
+            defects.append([report["two_route_defects"][d]
+                            for d in ("6", "10")])
+        turned, plain = np.asarray(defects)
+        assert np.all(np.abs(turned - plain) <= 1e-12 * np.abs(plain))
+
+    def test_separate_with_a_phased_f1_point(self, tmp_path):
+        # F1 = {(0, (1+i)/sqrt 2)}: the three rho-bumps take the exact
+        # "moebius" route and T_eta the "cutoff" route
+        e1, w = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2 ** -0.5] * 2]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 2, "degree": 16, "d_sweep": [16],
+                                       "zeta": e1, "F1": [w],
+                                       "F2": [e1, w]}))
+        assert main(["separate", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "separate.json").read_text())["report"]
+        assert report["passed"]
+        assert [r["route"] for r in report["prop1"]["routes"]] == [
+            "moebius"] * 3
+        assert report["prop1"]["eta_route"]["route"] == "cutoff"
 
     def test_failing_check_exits_nonzero_with_partial_results(
             self, tmp_path, capsys):

@@ -15,9 +15,8 @@ from berglab.sequences import build_sequence
 from berglab import unitaries
 from berglab.toeplitz import (Symbol, _profile_integrals, _scatter,
                               apply_blocks, toeplitz_matrix, toeplitz_radial)
-from berglab.unitaries import (exact_available, toeplitz_blocks,
-                               toeplitz_route, unitary_matrix,
-                               unitary_matrix_exact,
+from berglab.unitaries import (toeplitz_blocks, toeplitz_route,
+                               unitary_matrix, unitary_matrix_exact,
                                unitary_matrix_quadrature, weak_pairing_exact)
 from berglab.witness import (SphereSet, build_prop1_config, default_panel,
                              lens_volume, witness_symbol)
@@ -90,23 +89,33 @@ class TestMatrixRoutes:
         assert np.max(np.abs(ue.mat - uq.mat)) < 1e-10
 
     def test_exact_availability(self):
-        assert exact_available([0.3 + 0.2j], 1)
-        assert exact_available([0.5, 0.0], 2)
-        assert exact_available([0.0, 0.0], 2)
-        assert not exact_available([0.3, 0.2], 2)
-        assert not exact_available([0.3j, 0.0], 2)
+        # exact entries exist at every point c e_j of a coordinate axis,
+        # whatever the phase of c, and at no other point
+        axis_point = unitaries._axis_point
+        assert axis_point([0.3 + 0.2j]) == (0, 0.3 + 0.2j)
+        assert axis_point([0.5, 0.0]) == (0, 0.5)
+        assert axis_point([0.0, 0.0]) == (0, 0.0)
+        assert axis_point([0.3j, 0.0]) == (0, 0.3j)
+        assert axis_point([0.0, -0.5]) == (1, -0.5)
+        assert axis_point([0.0, 0.0, 0.4 * np.exp(2j)]) == (
+            2, 0.4 * np.exp(2j))
+        assert axis_point([0.3, 0.2]) is None
 
     def test_ray_axis(self):
-        # one helper names the axis for U_z, V* T_h V and the two-route probe
-        assert unitaries._ray_axis([0.3 + 0.2j], 1) == 0
-        assert unitaries._ray_axis([0.0, 0.0], 2) == 0
-        assert unitaries._ray_axis([0.0, 0.0, 0.5], 3) == 2
-        for z in ([0.3, 0.2], [0.0, -0.5], [0.0, 0.5j]):
-            with pytest.raises(ValueError, match="coordinate ray t e_j"):
-                unitaries._ray_axis(z, 2)
+        # one helper names the axis for U_z, V* T_h V, the two-route probe
+        # and the cutoff: phased and negative points take every exact route
+        b = TruncatedBasis.create(2, 4)
+        for z in ([0.0, -0.5], [0.0, 0.5j], [0.3j, 0.0]):
+            unitary_matrix_exact(z, b)
+            g = witness_symbol(0.5).compose_moebius(z)
+            assert toeplitz_route(g, b)["route"] == "moebius"
+            unitaries.moebius_pair(g, b)
+        assert toeplitz_route(eta([[0.0, -1j]]), b)["route"] == "cutoff"
         g = bump(BUMP_R).compose_moebius([0.3, 0.2])
-        with pytest.raises(ValueError, match="coordinate ray t e_j"):
-            unitaries._compress_moebius(g, TruncatedBasis.create(2, 4), 10)
+        with pytest.raises(ValueError, match="coordinate axis c e_j"):
+            unitary_matrix_exact([0.3, 0.2], b)
+        with pytest.raises(ValueError, match="coordinate axis c e_j"):
+            unitaries._compress_moebius(g, b, 10)
 
     def test_auto_route_policy(self, basis, rule):
         z_near = [1.0 - 1e-6]
@@ -744,6 +753,41 @@ class TestBlockTriples:
         got = apply_blocks(toeplitz_blocks(f, b, rule)[1], x)
         want = toeplitz_dense(f, b, rule).mat @ x
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestAxisPhase:
+    """phi_{Vz} = V phi_z V* for every unitary V, so at z = c e_j the
+    exact entries are those at |c| e_j conjugated by V = omega on axis j,
+    omega = c / |c|: the entry at (beta, alpha) picks up
+    omega^alpha_j conj(omega)^beta_j, for U_z and for T_{h o phi_z} with
+    h radial."""
+
+    @pytest.mark.parametrize("n, degree", [(1, 16), (2, 10), (3, 6)])
+    @pytest.mark.parametrize("omega", [
+        1j, -1.0, np.exp(2j), (1 + 1j) / np.sqrt(2.0)],
+        ids=["i", "minus_one", "e2i", "diagonal"])
+    def test_entries_pick_up_the_phase(self, n, degree, omega):
+        b = TruncatedBasis.create(n, degree)
+        for axis in range(n):
+            a = b.indices[:, axis]
+            phase = np.conj(omega) ** a[:, None] * omega ** a[None, :]
+            for t in (0.4, 0.9):
+                plain = unitary_matrix_exact(on_ray(n, axis, t), b).mat
+                turned = unitary_matrix_exact(on_ray(n, axis, t * omega), b)
+                assert np.max(np.abs(turned.mat - phase * plain)) <= 1e-13
+            plain, turned = (bump(BUMP_R).compose_moebius(
+                on_ray(n, axis, 0.6 * w)) for w in (1.0, omega))
+            assert toeplitz_route(turned, b)["route"] == "moebius"
+            assert np.max(np.abs(toeplitz_dense(turned, b).mat - phase
+                                 * toeplitz_dense(plain, b).mat)) <= 1e-13
+
+    def test_matches_quadrature_off_the_positive_ray(self):
+        # the reference and bound the positive ray is checked against
+        b = TruncatedBasis.create(2, 5)
+        z = np.array([0.0, 0.4 * np.exp(2j)])
+        gap = unitary_matrix_exact(z, b).mat - unitary_matrix_quadrature(
+            z, b, build_rule(2, 14, angular=64)).mat
+        assert np.max(np.abs(gap)) < 1e-10
 
 
 class TestMoebiusPair:

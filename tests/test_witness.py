@@ -14,8 +14,9 @@ from berglab.geometry import pseudo_metric, sample_ball
 from berglab.quadrature import rule_for_basis
 from berglab.sequences import build_sequence
 from berglab.suites import run_witness
-from berglab.toeplitz import (Symbol, _scatter, commutator, op_norm,
-                              toeplitz_matrix, toeplitz_monomial_radial)
+from berglab.toeplitz import (Symbol, _scatter, apply_blocks, commutator,
+                              op_norm, toeplitz_matrix,
+                              toeplitz_monomial_radial)
 from berglab.unitaries import toeplitz_blocks, unitary_matrix
 from berglab.witness import (SphereSet, boundary_trace_check,
                              build_prop1_config, default_panel,
@@ -499,7 +500,10 @@ def dense_prop1(panel, seq, cfg, basis, rule):
     """The panel curves and the eta lhs by dense B x B products
     ``prod @ tmat`` of ``toeplitz_dense`` matrices: the route the block
     application replaced, kept as its oracle."""
-    kz = [kernel_expansion(p, basis).coeffs for p in seq.points()]
+    # P k_{z_m} from the exact gaps 1 - t_m^2, as prop1_decay takes it
+    one_minus = seq.gaps * (2.0 - seq.gaps)
+    kz = [x ** (0.5 * (basis.n + 1)) * np.conj(e) for x, e in
+          zip(one_minus.tolist(), basis.eval(seq.points()))]
     curves, prod = [], None
     for tmat in [toeplitz_dense(g, basis, rule) for g in panel[:3]]:
         prod = tmat if prod is None else prod @ tmat
@@ -537,6 +541,28 @@ class TestBlockApplication:
         got = np.asarray(rep["curves"] + [rep["eta_bound"]["lhs"]])
         want = np.asarray(curves + [lhs])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ray_columns_are_the_kernel_expansion(self, n):
+        # on a coordinate ray 1 - t_m^2 from the exact gaps is the value
+        # kernel_expansion rounds, and each column takes its scalar pow:
+        # the curves are those of its columns bit for bit
+        empty = SphereSet.create([], n=n)
+        basis = TruncatedBasis.create(n, 6)
+        panel = default_panel(empty, R, n)
+        seq = build_sequence(e1(n), R, 10)
+        rep = prop1_decay(panel, seq, build_prop1_config(empty, 0.5, None),
+                          basis, None, **DECAY)
+        kz = np.stack([kernel_expansion(p, basis).coeffs
+                       for p in seq.points()], axis=1)
+        ops = [toeplitz_blocks(g, basis)[1] for g in panel]
+        curves = []
+        for k in range(1, 4):
+            prod = kz
+            for op in reversed(ops[:k]):
+                prod = apply_blocks(op, prod)
+            curves.append([float(np.linalg.norm(v)) for v in prod.T])
+        assert rep["curves"] == curves
 
     def test_n3_separation_holds_no_dense_matrix(self):
         # B = 969: one dense complex B x B matrix is 16 B^2 bytes
@@ -600,6 +626,32 @@ class TestSeparation:
             basis, rule, eps=0.5, rng=np.random.default_rng(62),
             decay_M=10, separation_factor=10.0, **DECAY)
         assert rep["ok"]
+
+    def test_invariant_under_axis_phases(self):
+        # every point of F1, F2 and zeta turned on its axis by omega: the
+        # configuration is the image of the first under a diagonal
+        # unitary, every panel symbol still takes the exact "moebius"
+        # route, and every reported quantity is unchanged
+        e = np.eye(2, dtype=complex)
+        omega = (1 + 1j) / np.sqrt(2.0)
+        basis = TruncatedBasis.create(2, 16)
+        rule = rule_for_basis(2, 16, radial_breaks=(R * R,))
+        reps = [separation_experiment(
+            SphereSet.create([w * e[0]]), SphereSet.create([w * e[1],
+                                                            w * e[0]]),
+            R, 5, basis, rule, eps=0.5, rng=np.random.default_rng(65),
+            decay_M=10, separation_factor=10.0, **DECAY)
+            for w in (1.0, omega)]
+        assert all(rep["ok"] for rep in reps)
+        assert [g["route"] for g in reps[1]["prop1"]["routes"]] == [
+            "moebius"] * 3
+        assert reps[1]["prop1"]["eta_route"]["route"] == "cutoff"
+        for get in (lambda r: r["prop1"]["curves"],
+                    lambda r: r["prop1"]["eta_bound"]["lhs"],
+                    lambda r: r["lemma3"]["values"],
+                    lambda r: r["separation_factor"]):
+            plain, turned = (np.asarray(get(rep)) for rep in reps)
+            assert np.all(np.abs(turned - plain) <= 1e-13 * np.abs(plain))
 
     def test_two_dimensional_configuration(self):
         basis = TruncatedBasis.create(2, 8)
