@@ -2,11 +2,13 @@
 
 Subcommands map one-to-one onto the experiment suites; ``all`` runs every
 suite.  Reports are written as canonical JSON (plus CSV files for
-curves), embed the full configuration, its hash and the quadrature
-metadata, and are byte-identical for identical configurations.  --jobs is
-reserved: it is validated and then ignored, since no suite runs work in
-parallel.  Exit status is 0 iff every check in scope passed; on failure
-a machine-readable failure list is written alongside the partial results.
+curves), embed the full configuration and its hash (the basis and
+toeplitz reports also give the metadata of the quadrature rules they
+integrate over), and are byte-identical for identical configurations.
+--jobs is reserved: it is validated and then ignored, since no suite
+runs work in parallel.  Exit status is 0 iff every check in scope
+passed; on failure a machine-readable failure list is written alongside
+the partial results.
 """
 
 from __future__ import annotations

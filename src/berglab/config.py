@@ -60,8 +60,6 @@ class ExperimentConfig:
     F1: list = field(default_factory=list)
     F2: list = field(default_factory=lambda: [[[1.0, 0.0]]])
     eps: float = 0.5
-    radial_points: int = 40
-    angular: int = 192
     seed: int = 20240
     jobs: int = 1  # reserved: validated, read by no suite
     out_dir: str = "reports"
@@ -77,8 +75,6 @@ class ExperimentConfig:
         if self.M < 1 or self.decay_M < self.M:
             raise ValueError(f"need 1 <= M <= decay_M, got M = {self.M}, "
                              f"decay_M = {self.decay_M}")
-        if self.radial_points < 4:
-            raise ValueError("radial_points must be >= 4")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if any(d < 1 for d in self.d_sweep):

@@ -465,7 +465,7 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
     z_half = np.array([0.5 + 0.0j])
     f_sq = Symbol.radial(lambda u: u ** 2, 1.0, label="|z|^2")
 
-    rule = build_rule(1, cfg.radial_points, angular=cfg.angular)
+    rule = build_rule(1, 40, angular=192)
     unit_defects = []
     conj_defects = []
     for d in sweep:
@@ -620,12 +620,11 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
 
     # one-dimensional compact-support panel over the long sequence
     basis = TruncatedBasis.create(1, 12)
-    rule = rule_for_basis(1, 12, radial_breaks=(r * r,))
     F_empty = SphereSet.create([], n=1)
     seq = build_sequence(np.array([1.0 + 0j]), r, cfg.decay_M)
-    cfg1 = build_prop1_config(F_empty, cfg.eps, rule)
+    cfg1 = build_prop1_config(F_empty, cfg.eps)
     panel = default_panel(F_empty, r, 1)
-    rep1 = prop1_decay(panel, seq, cfg1, basis, rule,
+    rep1 = prop1_decay(panel, seq, cfg1, basis,
                        decay_frac=cfg.tol("decay_fraction"),
                        slope_rel=cfg.tol("slope_rel"))
     checks.append(check("decay_below_fraction_n1", all(rep1["decay_ok"]),
@@ -636,12 +635,11 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
 
     # two dimensions: nonempty direction set, real cutoff bound
     basis2 = TruncatedBasis.create(2, 8)
-    rule2 = rule_for_basis(2, 8, radial_breaks=(r * r,))
     F1 = SphereSet.create([[0.0 + 0j, 1.0 + 0j]])
     seq2 = build_sequence(np.array([1.0 + 0j, 0.0 + 0j]), r, 8)
-    cfg2 = build_prop1_config(F1, cfg.eps, rule2)
+    cfg2 = build_prop1_config(F1, cfg.eps)
     panel2 = default_panel(F1, r, 2)
-    rep2 = prop1_decay(panel2, seq2, cfg2, basis2, rule2,
+    rep2 = prop1_decay(panel2, seq2, cfg2, basis2,
                        decay_frac=cfg.tol("decay_fraction"),
                        slope_rel=cfg.tol("slope_rel"))
     checks.append(check("slope_within_tolerance_n2", rep2["slope_ok"],
@@ -675,11 +673,10 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
 def run_separate(cfg: ExperimentConfig) -> dict:
     rng = _rng(cfg, 6)
     basis = TruncatedBasis.create(cfg.n, cfg.degree)
-    rule = rule_for_basis(cfg.n, cfg.degree, radial_breaks=(cfg.r * cfg.r,))
     F1 = SphereSet.create(cfg.f1_vecs, n=cfg.n)
     F2 = SphereSet.create(cfg.f2_vecs, n=cfg.n)
     rep = separation_experiment(
-        F1, F2, cfg.r, cfg.M, basis, rule, eps=cfg.eps, rng=rng,
+        F1, F2, cfg.r, cfg.M, basis, eps=cfg.eps, rng=rng,
         decay_M=cfg.decay_M,
         separation_factor=cfg.tol("separation_factor"),
         decay_frac=cfg.tol("decay_fraction"),
@@ -704,7 +701,6 @@ def run_separate(cfg: ExperimentConfig) -> dict:
     report = summarize_checks(checks)
     curves = rep["prop1"]["curves"]
     report.update(rep)
-    report["quadrature"] = rule.meta()
     report["csv"] = {
         "separation_curves": (
             ["m", "witness_normalized"]

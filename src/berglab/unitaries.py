@@ -51,7 +51,7 @@ import numpy as np
 
 from .basis import TruncatedBasis, kernel, kernel_expansion
 from .geometry import _gap, _norm2, as_point, inner, moebius
-from .quadrature import QuadratureRule, _gauss_legendre
+from .quadrature import QuadratureRule, _gauss_legendre, rule_for_basis
 from .toeplitz import (OperatorMatrix, Symbol, _scatter, ray_bands,
                        toeplitz_matrix)
 
@@ -323,8 +323,7 @@ def _cutoff_blocks(profile, radius: float, n: int, degree: int,
     return tuple(blocks)
 
 
-def toeplitz_route(f: Symbol, basis: TruncatedBasis,
-                   rule: QuadratureRule | None = None) -> dict:
+def toeplitz_route(f: Symbol, basis: TruncatedBasis) -> dict:
     """The route by which ``toeplitz_blocks`` assembles T_f on ``basis``.
 
     This is the one place a route is chosen from ``Symbol.kind``.
@@ -338,9 +337,10 @@ def toeplitz_route(f: Symbol, basis: TruncatedBasis,
     p = 12 + d // 4 of ``_cutoff_blocks`` and the defect: |F| times the
     Frobenius norm over the whole matrix (block k once per alpha' of
     degree k) of the change from p - 4.  Everything else is
-    "quadrature" over ``rule``, which must then be given; its record
-    gives the number of nodes f is evaluated at (``toeplitz_matrix``)
-    and no defect (None), since quadrature error is not measured.
+    "quadrature" over ``rule_for_basis(n, d)``, the only route that
+    builds a rule; its record gives the number of nodes f is evaluated
+    at (``toeplitz_matrix``) and no defect (None), since quadrature
+    error is not measured.
     """
     n = basis.n
     if f.kind in ("radial", "monomial_radial") and f.profile is not None:
@@ -361,14 +361,11 @@ def toeplitz_route(f: Symbol, basis: TruncatedBasis,
             * float(np.sum((a - b) ** 2))
             for k, (a, b) in enumerate(zip(fine, coarse))))
         return {"route": "cutoff", "p": p, "defect": len(f.points) * defect}
-    if rule is None:
-        raise ValueError(f"symbol {f.label or f.kind!r} takes the quadrature "
-                         "route: T_f needs a quadrature rule")
-    return {"route": "quadrature", "nodes": len(rule), "defect": None}
+    return {"route": "quadrature",
+            "nodes": len(rule_for_basis(n, basis.degree)), "defect": None}
 
 
-def toeplitz_blocks(f: Symbol, basis: TruncatedBasis,
-                    rule: QuadratureRule | None = None) -> tuple[dict, list]:
+def toeplitz_blocks(f: Symbol, basis: TruncatedBasis) -> tuple[dict, list]:
     """T_f on ``basis`` by the route ``toeplitz_route`` picks: its record
     and T_f as (rows, cols, block) triples.
 
@@ -379,10 +376,11 @@ def toeplitz_blocks(f: Symbol, basis: TruncatedBasis,
     axis (``ray_bands``), "moebius" and "cutoff" their blocks by
     off-axis multi-index (``_compress_moebius``, ``_assemble_cutoff``),
     and quadrature one block over the whole basis (``toeplitz_matrix``
-    over ``rule``, which must then be given).  ``apply_blocks`` applies
-    the triples and ``_scatter`` makes the dense matrix.
+    over ``rule_for_basis(n, d)``, built here and only here).
+    ``apply_blocks`` applies the triples and ``_scatter`` makes the
+    dense matrix.
     """
-    route = toeplitz_route(f, basis, rule)
+    route = toeplitz_route(f, basis)
     kind = route["route"]
     if kind in ("radial", "monomial_radial"):
         j = f.coordinate if kind == "monomial_radial" else None
@@ -392,6 +390,7 @@ def toeplitz_blocks(f: Symbol, basis: TruncatedBasis,
     if kind == "cutoff":
         return route, _assemble_cutoff(f, basis, route["p"])
     whole = np.arange(len(basis))[None, :]
+    rule = rule_for_basis(basis.n, basis.degree)
     return route, [(whole, whole, toeplitz_matrix(f, basis, rule).mat)]
 
 

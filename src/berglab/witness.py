@@ -35,7 +35,6 @@ import numpy as np
 from .basis import TruncatedBasis
 from .geometry import (_norm2, as_point, inner, pseudo_metric,
                        random_sphere_points, sample_ball)
-from .quadrature import QuadratureRule, integrate
 from .sequences import SeparatedSequence, build_sequence, pairwise_rho
 # toeplitz_matrix is unused here, but the benchmark tracer patches it here
 from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
@@ -323,8 +322,9 @@ class Prop1Config:
 
     eta is 1 on the eps/3-neighborhood of F, 0 outside the eps/2-
     neighborhood, linear in Euclidean distance between; nu_v2 is the
-    measure of the eps/2-neighborhood within the ball, found by
-    ``nu_v2_method`` ("lens", "quadrature", or None when F is empty).
+    measure of the eps/2-neighborhood within the ball ("lens", exact),
+    or an upper bound on it ("lens_bound"), as ``nu_v2_method`` says
+    (None when F is empty).
     delta is the certified lower bound eps^2 / 8 on |1 - <z, w>| for z
     in the closed ball within eps/2 of F and w in the closed ball at
     distance >= eps from F (see ``build_prop1_config``).
@@ -386,8 +386,7 @@ def lens_volume(n: int, s: float) -> float:
                   + s ** (2 * n) * _beta_half(1.0 - q, n))
 
 
-def build_prop1_config(F: SphereSet, eps: float,
-                       rule: QuadratureRule) -> Prop1Config:
+def build_prop1_config(F: SphereSet, eps: float) -> Prop1Config:
     """Realize the cutoff construction for a finite direction set F.
 
     delta = eps^2 / 8 is a proven bound: for z, w in the closed ball,
@@ -395,10 +394,14 @@ def build_prop1_config(F: SphereSet, eps: float,
     and |z - w| >= eps / 2 when z is within eps/2 of F and w is at
     distance >= eps, so |1 - <z, w>| >= Re(1 - <z, w>) >= eps^2 / 8.
 
-    eta is a "cutoff" symbol (``Symbol``), 0 when F is empty.  nu_v2 is a
-    sum of closed-form lenses (``lens_volume``) when the points of F are at
-    least eps apart, so their eps/2-neighborhoods are disjoint; otherwise
-    it is integrated over ``rule``.
+    eta is a "cutoff" symbol (``Symbol``), 0 when F is empty.  nu_v2 is
+    min(1, |F| lens), with lens the closed-form measure of one
+    eps/2-neighborhood (``lens_volume``), or 1 when (eps/2)^2 > 2, past
+    the lens formula.  A union measures at most the sum of its parts and
+    nu(ball) = 1, so that is an upper bound, which is all the decay bound
+    needs ("lens_bound"); it is exact ("lens") when the points of F are at
+    least eps apart, so their eps/2-neighborhoods are disjoint, and
+    (eps/2)^2 <= 2.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -420,27 +423,24 @@ def build_prop1_config(F: SphereSet, eps: float,
     dists = np.linalg.norm(F.points[:, None, :] - F.points[None, :, :],
                            axis=2)
     apart = bool(np.all(dists[~np.eye(len(F), dtype=bool)] >= eps))
-    if apart and hi * hi <= 2.0:
-        nu_v2, method = len(F) * lens_volume(F.n, hi), "lens"
-    else:
-        nu_v2 = float(np.real(integrate(
-            lambda pts: (F.min_dist(pts) < hi).astype(complex), rule)))
-        method = "quadrature"
+    fits = hi * hi <= 2.0  # within the lens formula
+    nu_v2 = min(1.0, len(F) * lens_volume(F.n, hi)) if fits else 1.0
+    method = "lens" if apart and fits else "lens_bound"
     return Prop1Config(eps=eps, eta=eta, delta=eps * eps / 8.0, nu_v2=nu_v2,
                        f_set=F, nu_v2_method=method)
 
 
 def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
-                cfg: Prop1Config, basis: TruncatedBasis,
-                rule: QuadratureRule, *, decay_frac: float,
+                cfg: Prop1Config, basis: TruncatedBasis, *, decay_frac: float,
                 slope_rel: float) -> dict:
     """Decay of ||T_{g1}..T_{gk} U_{z_m} 1|| along a sequence avoiding
     ``cfg.f_set``.
 
     U_{z_m} 1 = k_{z_m}, so the panel acts on the closed-form kernel
     columns P k_{z_m} = (1 - t_m^2)^((n+1)/2) conj(e_alpha(z_m)), with
-    1 - t_m^2 from the sequence's exact gaps, and builds no U_z.  The
-    columns are one (B, M) block K, and each operator is held as its
+    1 - t_m^2 from the sequence's exact gaps, and builds no U_z; the
+    factors (1 - t_m^2)^((n+1)/2), rounded once, also scale the bound.
+    The columns are one (B, M) block K, and each operator is held as its
     block triples (``unitaries.toeplitz_blocks``) and applied to it from
     the right, T_{g1}(T_{g2}(T_{g3} K)) (``toeplitz.apply_blocks``), as
     is T_eta: no operator is multiplied by another, and off the
@@ -456,8 +456,9 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     plus the error of the assembled T_eta, so the slack is that plus the
     defect of T_eta's route (none on quadrature, which is not measured).
     ``routes`` and ``eta_route`` record how each panel matrix and T_eta
-    were assembled (``unitaries.toeplitz_blocks``); ``eta_route`` is None
-    when F is empty and T_eta is 0.
+    were assembled (``unitaries.toeplitz_blocks``, which builds a
+    quadrature rule only on that route); ``eta_route`` is None when F
+    is empty and T_eta is 0.
     """
     pts = seq.points()
     n = basis.n
@@ -470,10 +471,10 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
 
     one_minus = seq.gaps * (2.0 - seq.gaps)  # 1 - t_m^2 from the exact gaps
     # scalar pows, as in kernel_expansion: numpy's vector pow can round apart
-    kz = np.conj(basis.eval(pts)).T * [x ** (0.5 * (n + 1))
-                                       for x in one_minus.tolist()]
+    factors = np.array([x ** (0.5 * (n + 1)) for x in one_minus.tolist()])
+    kz = np.conj(basis.eval(pts)).T * factors
 
-    built = [toeplitz_blocks(g, basis, rule) for g in g_symbols[:3]]
+    built = [toeplitz_blocks(g, basis) for g in g_symbols[:3]]
     routes, ops = [r for r, _ in built], [t for _, t in built]
     curves = []
     decay_ok = []
@@ -485,11 +486,9 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         curves.append(curve)
         decay_ok.append(bool(curve[-1] <= decay_frac * curve[0]))
 
-    factors = one_minus ** (0.5 * (n + 1))
-
     eta_route = None
     if len(cfg.f_set):
-        eta_route, t_eta = toeplitz_blocks(cfg.eta, basis, rule)
+        eta_route, t_eta = toeplitz_blocks(cfg.eta, basis)
         lhs = np.asarray([float(np.linalg.norm(v))
                           for v in apply_blocks(t_eta, kz).T])
         knorms = [float(np.linalg.norm(v)) for v in kz.T]
@@ -565,10 +564,10 @@ def default_panel(F1: SphereSet, r: float, n: int) -> list[Symbol]:
 
 
 def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
-                          basis: TruncatedBasis, rule: QuadratureRule, *,
-                          eps: float, rng: np.random.Generator,
-                          decay_M: int, separation_factor: float,
-                          decay_frac: float, slope_rel: float) -> dict:
+                          basis: TruncatedBasis, *, eps: float,
+                          rng: np.random.Generator, decay_M: int,
+                          separation_factor: float, decay_frac: float,
+                          slope_rel: float) -> dict:
     """The flagship experiment: witness floor against ideal-sample decay.
 
     Runs the lower-bound check (``lemma3_lower_bound``, no U_z) over the
@@ -581,7 +580,9 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     panel curve, both at the witness horizon M.
 
     Also verifies region monotonicity (F1 inside F2), the boundary
-    traces, and that every panel symbol vanishes off W_{F1}.
+    traces, and that every panel symbol vanishes off W_{F1}.  No
+    quadrature rule is built unless a panel symbol or eta takes the
+    quadrature route (``unitaries.toeplitz_blocks``).
     """
     n = basis.n
     if len(F2) == 0:
@@ -617,8 +618,8 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     trace2 = boundary_trace_check(F2, r, 200, 0.999, rng)
 
     seq_decay = build_sequence(zeta, r, decay_M)
-    cfg = build_prop1_config(F1, eps, rule)
-    prop1 = prop1_decay(symbols, seq_decay, cfg, basis, rule,
+    cfg = build_prop1_config(F1, eps)
+    prop1 = prop1_decay(symbols, seq_decay, cfg, basis,
                         decay_frac=decay_frac, slope_rel=slope_rel)
 
     values = np.asarray(lemma3["values"])

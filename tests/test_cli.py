@@ -11,6 +11,7 @@ import pytest
 
 from berglab.cli import main
 from berglab.config import ExperimentConfig, load_config
+from berglab.quadrature import rule_for_basis
 from berglab.reports import canonical_json, config_hash, write_csv, write_report
 
 
@@ -184,6 +185,23 @@ class TestCli:
         assert [r["route"] for r in report["prop1"]["routes"]] == [
             "moebius"] * 3
         assert report["prop1"]["eta_route"]["route"] == "cutoff"
+
+    def test_off_axis_routes_build_the_rule_of_the_basis(self, tmp_path):
+        # F1 = {(0.3, sqrt 0.91)} is off the axes: the panel and T_eta take
+        # quadrature over the rule of the basis, which no report describes
+        e1, w = [[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.91 ** 0.5, 0.0]]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 2, "degree": 8, "d_sweep": [8],
+                                       "zeta": e1, "F1": [w],
+                                       "F2": [e1, w]}))
+        assert main(["separate", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "separate.json").read_text())["report"]
+        assert "quadrature" not in report
+        routes = report["prop1"]["routes"] + [report["prop1"]["eta_route"]]
+        nodes = len(rule_for_basis(2, 8))
+        assert routes == [{"route": "quadrature", "nodes": nodes,
+                           "defect": None}] * 4
 
     def test_failing_check_exits_nonzero_with_partial_results(
             self, tmp_path, capsys):

@@ -22,9 +22,9 @@ from berglab.witness import (SphereSet, build_prop1_config, default_panel,
                              lens_volume, witness_symbol)
 
 
-def toeplitz_dense(f, basis, rule=None):
+def toeplitz_dense(f, basis):
     """T_f as one dense matrix: the scatter of its triples."""
-    return _scatter(toeplitz_blocks(f, basis, rule)[1], basis)
+    return _scatter(toeplitz_blocks(f, basis)[1], basis)
 
 
 def window(mat, basis, probe):
@@ -282,13 +282,13 @@ class TestConjugation:
         g = bump(BUMP_R).compose_moebius([0.0])
         rule = rule_for_basis(1, 12, radial_breaks=(BUMP_R ** 2,))
         assert toeplitz_route(g, basis)["route"] == "moebius"
-        exact = toeplitz_dense(g, basis, rule)
+        exact = toeplitz_dense(g, basis)
         quad = toeplitz_matrix(g, basis, rule)
         assert np.max(np.abs(exact.mat - quad.mat)) < 1e-12
 
     def test_bump_off_origin(self, basis, rule):
         g = bump(BUMP_R).compose_moebius([0.5])
-        exact = toeplitz_dense(g, basis, rule)
+        exact = toeplitz_dense(g, basis)
         quad = toeplitz_matrix(g, basis, rule)
         # the kink of g is not on a radial slice, so quadrature converges
         # slowly; the exact route is Hermitian to roundoff
@@ -301,7 +301,7 @@ class TestConjugation:
         for d in (6, 8, 10, 12):
             b = TruncatedBasis.create(1, d)
             rule = build_rule(1, 4 * d, angular=16 * d)
-            exact = toeplitz_dense(g, b, rule).mat
+            exact = toeplitz_dense(g, b).mat
             defects.append(window(exact - toeplitz_matrix(g, b, rule).mat,
                                   b, 3))
         assert all(a > b for a, b in zip(defects, defects[1:]))
@@ -344,7 +344,7 @@ class TestMoebiusRoute:
         b = TruncatedBasis.create(2, 8)
         g = witness_symbol(0.5).compose_moebius([0.0, 0.5])
         rule = rule_for_basis(2, 16, radial_breaks=(0.25,))
-        exact = toeplitz_dense(g, b, rule).mat
+        exact = toeplitz_dense(g, b).mat
         assert np.max(np.abs(exact - toeplitz_matrix(g, b, rule).mat)) < 2e-6
 
     def test_rho_bump_three_variables(self):
@@ -352,21 +352,18 @@ class TestMoebiusRoute:
         g = rho_bump(0.5, 0.35, n=3, axis=2)
         rule = rule_for_basis(3, 3, radial_breaks=(BUMP_R ** 2,))
         assert toeplitz_route(g, b)["route"] == "moebius"
-        exact = toeplitz_dense(g, b, rule).mat
+        exact = toeplitz_dense(g, b).mat
         assert np.max(np.abs(exact - toeplitz_matrix(g, b, rule).mat)) < 2e-5
 
     def test_off_ray_centre_takes_quadrature(self):
         b = TruncatedBasis.create(2, 4)
         g = bump(BUMP_R).compose_moebius([0.3, 0.3])
+        # the route builds the rule of its basis itself
         rule = rule_for_basis(2, 4)
-        assert toeplitz_route(g, b, rule) == {
+        assert toeplitz_route(g, b) == {
             "route": "quadrature", "nodes": len(rule), "defect": None}
-        assert np.array_equal(toeplitz_dense(g, b, rule).mat,
+        assert np.array_equal(toeplitz_dense(g, b).mat,
                               toeplitz_matrix(g, b, rule).mat)
-        with pytest.raises(ValueError, match="quadrature rule"):
-            toeplitz_route(g, b)
-        with pytest.raises(ValueError, match="quadrature rule"):
-            toeplitz_dense(g, b)
 
     def test_core_degree_cap_names_radius(self):
         g = bump(0.99).compose_moebius([0.0, 0.5])
@@ -391,8 +388,7 @@ class TestMoebiusRoute:
 
 def eta(points, eps=0.5):
     """Proposition 1's cutoff around the rows of ``points``."""
-    return build_prop1_config(SphereSet.create(points), eps,
-                              rule_for_basis(len(points[0]), 4)).eta
+    return build_prop1_config(SphereSet.create(points), eps).eta
 
 
 def eta_e2():
@@ -427,11 +423,11 @@ class TestRouteRecord:
             return f(pts)
 
         g = Symbol.sampled(counted, f.sup_norm_bound)
-        route = toeplitz_route(f, b, rule)
-        assert route == toeplitz_route(g, b, rule)
+        route = toeplitz_route(f, b)
+        assert route == toeplitz_route(g, b)
         assert route == {"route": "quadrature", "nodes": len(rule),
                          "defect": None}
-        toeplitz_dense(g, b, rule)
+        toeplitz_dense(g, b)
         assert sum(points) == route["nodes"]
 
     @pytest.mark.parametrize("f, expect", [
@@ -443,7 +439,6 @@ class TestRouteRecord:
         ids=["radial", "monomial_radial", "moebius", "cutoff", "quadrature"])
     def test_auto_calls_what_the_record_names(self, monkeypatch, f, expect):
         b = TruncatedBasis.create(2, 4)
-        rule = rule_for_basis(2, 4)
         called = []
         for name in {n for names in ASSEMBLERS.values() for n in names}:
             def spy(*args, _name=name, _orig=getattr(unitaries, name),
@@ -451,9 +446,9 @@ class TestRouteRecord:
                 called.append(_name)
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(unitaries, name, spy)
-        route = toeplitz_route(f, b, rule)
+        route = toeplitz_route(f, b)
         assert route["route"] == expect
-        assert toeplitz_blocks(f, b, rule)[0] == route
+        assert toeplitz_blocks(f, b)[0] == route
         assert called == ASSEMBLERS[expect]
 
 
@@ -521,11 +516,9 @@ class TestCutoffRoute:
 
     def test_overlapping_or_off_axis_points_take_quadrature(self):
         b = TruncatedBasis.create(2, 3)
-        rule = rule_for_basis(2, 3)
         near = [[1.0, 0.0], [np.cos(0.2), np.sin(0.2)]]  # 0.2 < eps apart
         for points in (near, OFF_AXIS):
-            assert toeplitz_route(eta(points), b, rule)["route"] == \
-                "quadrature"
+            assert toeplitz_route(eta(points), b)["route"] == "quadrature"
 
     @pytest.mark.parametrize("eps", [4.0, 6.0])
     def test_support_past_the_ball(self, eps):
@@ -747,11 +740,10 @@ class TestBlockTriples:
              "n3_moebius", "n3_moebius_band_off_axis"])
     def test_apply_is_the_dense_product(self, f, n):
         b = TruncatedBasis.create(n, 6)
-        rule = rule_for_basis(n, 6)
         x = (np.random.default_rng(5).standard_normal((len(b), 3, 2))
              @ [1.0, 1j])
-        got = apply_blocks(toeplitz_blocks(f, b, rule)[1], x)
-        want = toeplitz_dense(f, b, rule).mat @ x
+        got = apply_blocks(toeplitz_blocks(f, b)[1], x)
+        want = toeplitz_dense(f, b).mat @ x
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 

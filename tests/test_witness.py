@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from berglab import unitaries, witness
+from berglab import quadrature, unitaries, witness
 from berglab.basis import TruncatedBasis, kernel_expansion
 from berglab.config import ExperimentConfig
 from berglab.geometry import pseudo_metric, sample_ball
-from berglab.quadrature import rule_for_basis
+from berglab.quadrature import integrate, rule_for_basis
 from berglab.sequences import build_sequence
-from berglab.suites import run_witness
+from berglab.suites import run_prop1, run_separate, run_witness
 from berglab.toeplitz import (Symbol, _scatter, apply_blocks, commutator,
                               op_norm, toeplitz_matrix,
                               toeplitz_monomial_radial)
@@ -28,9 +28,9 @@ from berglab.witness import (SphereSet, boundary_trace_check,
 R = 0.5
 
 
-def toeplitz_dense(f, basis, rule=None):
+def toeplitz_dense(f, basis):
     """T_f as one dense matrix: the scatter of its triples."""
-    return _scatter(toeplitz_blocks(f, basis, rule)[1], basis)
+    return _scatter(toeplitz_blocks(f, basis)[1], basis)
 # the DEFAULT_TOLERANCES values the suites pass
 DECAY = {"decay_frac": 0.05, "slope_rel": 0.10}
 
@@ -205,22 +205,20 @@ class TestWitnessSymbol:
 
 @pytest.fixture(scope="module")
 def flagship():
-    basis = TruncatedBasis.create(1, 12)
-    rule = rule_for_basis(1, 12, radial_breaks=(R * R,))
-    return basis, rule
+    return TruncatedBasis.create(1, 12)
 
 
 class TestWitnessOperator:
     def test_single_term_spectrum_close_to_s(self, flagship):
         # one term: the Berezin value is S~(0), the top eigenvalue of S
-        basis, _ = flagship
+        basis = flagship
         w = witness_operator(e1(1), R, 1, basis)
         top_s = float(np.max(np.linalg.eigvalsh(w.S.mat)))
         value = lemma3_lower_bound(build_sequence(e1(1), R, 1))["values"][0]
         assert abs(value - top_s) / top_s < 1e-12
 
     def test_s_positive_semidefinite(self, flagship):
-        basis, _ = flagship
+        basis = flagship
         w = witness_operator(e1(1), R, 3, basis)
         assert float(np.min(np.linalg.eigvalsh(w.S.mat))) >= -1e-10
 
@@ -330,52 +328,49 @@ class TestLemma3:
 
 class TestProp1:
     def test_sequence_too_close_rejected(self, flagship):
-        basis, rule = flagship
+        basis = flagship
         f = SphereSet.create([e1(1)])
         seq = build_sequence(e1(1), R, 3)
-        cfg = build_prop1_config(f, 0.5, rule)
+        cfg = build_prop1_config(f, 0.5)
         with pytest.raises(ValueError, match="within eps"):
             prop1_decay(default_panel(SphereSet.create([], n=1), R, 1),
-                        seq, cfg, basis, rule, **DECAY)
+                        seq, cfg, basis, **DECAY)
 
     def test_zero_symbol_gives_zero_curve(self, flagship):
-        basis, rule = flagship
+        basis = flagship
         f_empty = SphereSet.create([], n=1)
         seq = build_sequence(e1(1), R, 4)
-        cfg = build_prop1_config(f_empty, 0.5, rule)
+        cfg = build_prop1_config(f_empty, 0.5)
         zero = Symbol.sampled(lambda pts: np.zeros(pts.shape[0], complex),
                               0.0)
-        rep = prop1_decay([zero], seq, cfg, basis, rule, **DECAY)
+        rep = prop1_decay([zero], seq, cfg, basis, **DECAY)
         assert np.max(np.abs(rep["curves"][0])) == 0.0
 
     def test_off_ray_direction_decays(self):
         # U_{z_m} 1 = k_{z_m} needs no U_z, so any direction of the sphere
         # works, also off the coordinate rays and past 1 - |z| < 0.05
         basis = TruncatedBasis.create(2, 6)
-        rule = rule_for_basis(2, 6, radial_breaks=(R * R,))
         f_empty = SphereSet.create([], n=2)
         seq = build_sequence(np.array([1.0, 1.0], complex) / np.sqrt(2.0),
                              R, 6)
         assert seq.gaps[-1] < 0.05
-        cfg = build_prop1_config(f_empty, 0.5, rule)
+        cfg = build_prop1_config(f_empty, 0.5)
         rep = prop1_decay(default_panel(f_empty, R, 2), seq, cfg, basis,
-                          rule, **DECAY)
+                          **DECAY)
         curves = np.asarray(rep["curves"])
         assert curves.shape == (3, 6)
         assert np.all(np.isfinite(curves))
         assert np.all(curves[:, -1] <= 0.05 * curves[:, 0])
 
     def test_empty_config_trivial(self, flagship):
-        _, rule = flagship
-        cfg = build_prop1_config(SphereSet.create([], n=1), 0.5, rule)
+        cfg = build_prop1_config(SphereSet.create([], n=1), 0.5)
         assert cfg.delta == 1.0
         assert cfg.nu_v2 == 0.0
         assert cfg.nu_v2_method is None
 
     def test_nonempty_config_values(self):
-        rule = rule_for_basis(2, 6)
         f = SphereSet.create([e2(2)])
-        cfg = build_prop1_config(f, 0.5, rule)
+        cfg = build_prop1_config(f, 0.5)
         assert cfg.delta > 0.0
         assert 0.0 < cfg.nu_v2 < 0.2
         near = (1.0 - 0.05) * e2(2)
@@ -387,8 +382,7 @@ class TestProp1:
         # z at distance eps/2 and w at distance eps from e2, both on the
         # sphere and in one real plane, nearly attain min |1 - <z, w>|
         eps = 0.5
-        cfg = build_prop1_config(SphereSet.create([e2(2)]), eps,
-                                 rule_for_basis(2, 4))
+        cfg = build_prop1_config(SphereSet.create([e2(2)]), eps)
         a = np.arccos(1.0 - eps ** 2 / 8.0)
         b = np.arccos(1.0 - eps ** 2 / 2.0)
         z = np.array([np.sin(a), np.cos(a)], dtype=complex)
@@ -425,36 +419,38 @@ class TestCutoffVolume:
             lens_volume(2, 1.5)
 
     def test_default_n2_config(self):
-        cfg = build_prop1_config(SphereSet.create([e2(2)]), 0.5,
-                                 rule_for_basis(2, 8, radial_breaks=(R * R,)))
+        cfg = build_prop1_config(SphereSet.create([e2(2)]), 0.5)
         assert cfg.nu_v2_method == "lens"
         assert cfg.nu_v2 == pytest.approx(1.7049088221851e-3, rel=1e-12)
 
     def test_points_apart_add_their_lenses(self):
         f = SphereSet.create([e1(2), e2(2)])  # sqrt(2) >= eps apart
-        cfg = build_prop1_config(f, 0.5, rule_for_basis(2, 4))
+        cfg = build_prop1_config(f, 0.5)
         assert cfg.nu_v2_method == "lens"
         assert cfg.nu_v2 == 2.0 * lens_volume(2, 0.25)
 
-    def test_overlapping_points_take_quadrature(self):
+    def test_overlapping_points_bound_by_their_lenses(self):
+        # the union of two overlapping lenses measures at most their sum:
+        # an upper bound on nu(V2), at least the quadrature estimate
         near = np.array([np.cos(0.2), np.sin(0.2)], dtype=complex)
         f = SphereSet.create([e1(2), near])  # 0.2 < eps apart
-        cfg = build_prop1_config(f, 0.5, rule_for_basis(2, 12))
-        assert cfg.nu_v2_method == "quadrature"
-        one = lens_volume(2, 0.25)
-        assert one < cfg.nu_v2 < 2.0 * one
-        # a neighborhood past the hemisphere of the ball is no lens either
-        wide = build_prop1_config(SphereSet.create([e2(2)]), 3.0,
-                                  rule_for_basis(2, 4))
-        assert wide.nu_v2_method == "quadrature"
+        cfg = build_prop1_config(f, 0.5)
+        assert cfg.nu_v2_method == "lens_bound"
+        assert cfg.nu_v2 == 2.0 * lens_volume(2, 0.25)
+        estimate = integrate(
+            lambda pts: (f.min_dist(pts) < 0.25).astype(float),
+            rule_for_basis(2, 40)).real
+        assert lens_volume(2, 0.25) < estimate <= cfg.nu_v2
+        # a neighborhood past the lens formula is bounded by nu(ball) = 1
+        wide = build_prop1_config(SphereSet.create([e2(2)]), 3.0)
+        assert wide.nu_v2_method == "lens_bound"
+        assert wide.nu_v2 == 1.0
 
     def test_prop1_reports_eta_route(self):
         basis = TruncatedBasis.create(2, 6)
-        rule = rule_for_basis(2, 6, radial_breaks=(R * R,))
-        cfg = build_prop1_config(SphereSet.create([e2(2)]), 0.5, rule)
+        cfg = build_prop1_config(SphereSet.create([e2(2)]), 0.5)
         rep = prop1_decay(default_panel(SphereSet.create([e2(2)]), R, 2),
-                          build_sequence(e1(2), R, 4), cfg, basis, rule,
-                          **DECAY)
+                          build_sequence(e1(2), R, 4), cfg, basis, **DECAY)
         assert rep["eta_route"]["route"] == "cutoff"
         assert rep["eta_route"]["p"] == 12 + 6 // 4
         assert rep["eta_route"]["defect"] <= 1e-12
@@ -466,8 +462,7 @@ class TestCutoffVolume:
         # eps/2: full-torus quadrature of T_eta converges to the exact
         # cutoff route slowly as the rule is refined past the basis degree
         basis = TruncatedBasis.create(2, 4)
-        eta = build_prop1_config(SphereSet.create([e2(2)]), 0.5,
-                                 rule_for_basis(2, 4)).eta
+        eta = build_prop1_config(SphereSet.create([e2(2)]), 0.5).eta
         exact = toeplitz_dense(eta, basis)
         errs = [op_norm(toeplitz_matrix(
                     eta, basis,
@@ -481,12 +476,11 @@ class TestCutoffVolume:
         # quadrature; the cutoff route assembles it from its blocks
         e = np.eye(3, dtype=complex)
         basis = TruncatedBasis.create(3, 8)
-        rule = rule_for_basis(3, 8, radial_breaks=(R * R,))
         tracemalloc.start()
         try:
             rep = separation_experiment(
                 SphereSet.create([e[1]]), SphereSet.create([e[0], e[1]]), R,
-                5, basis, rule, eps=0.5, rng=np.random.default_rng(64),
+                5, basis, eps=0.5, rng=np.random.default_rng(64),
                 decay_M=10, separation_factor=10.0, **DECAY)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -496,7 +490,7 @@ class TestCutoffVolume:
         assert peak < 100 * 2 ** 20
 
 
-def dense_prop1(panel, seq, cfg, basis, rule):
+def dense_prop1(panel, seq, cfg, basis):
     """The panel curves and the eta lhs by dense B x B products
     ``prod @ tmat`` of ``toeplitz_dense`` matrices: the route the block
     application replaced, kept as its oracle."""
@@ -505,12 +499,12 @@ def dense_prop1(panel, seq, cfg, basis, rule):
     kz = [x ** (0.5 * (basis.n + 1)) * np.conj(e) for x, e in
           zip(one_minus.tolist(), basis.eval(seq.points()))]
     curves, prod = [], None
-    for tmat in [toeplitz_dense(g, basis, rule) for g in panel[:3]]:
+    for tmat in [toeplitz_dense(g, basis) for g in panel[:3]]:
         prod = tmat if prod is None else prod @ tmat
         curves.append([float(np.linalg.norm(prod.apply(v))) for v in kz])
     lhs = [0.0] * len(kz)
     if len(cfg.f_set):
-        t_eta = toeplitz_dense(cfg.eta, basis, rule)
+        t_eta = toeplitz_dense(cfg.eta, basis)
         lhs = [float(np.linalg.norm(t_eta.apply(v))) for v in kz]
     return curves, lhs
 
@@ -531,13 +525,12 @@ class TestBlockApplication:
         ids=["n1", "n2_e2", "n3_e2", "off_axis_zeta", "off_axis_f1"])
     def test_curves_match_dense_products(self, n, degree, zeta, f1, length):
         basis = TruncatedBasis.create(n, degree)
-        rule = rule_for_basis(n, degree, radial_breaks=(R * R,))
         f_set = SphereSet.create(f1, n=n)
-        cfg = build_prop1_config(f_set, 0.5, rule)
+        cfg = build_prop1_config(f_set, 0.5)
         panel = default_panel(f_set, R, n)
         seq = build_sequence(zeta, R, length)
-        rep = prop1_decay(panel, seq, cfg, basis, rule, **DECAY)
-        curves, lhs = dense_prop1(panel, seq, cfg, basis, rule)
+        rep = prop1_decay(panel, seq, cfg, basis, **DECAY)
+        curves, lhs = dense_prop1(panel, seq, cfg, basis)
         got = np.asarray(rep["curves"] + [rep["eta_bound"]["lhs"]])
         want = np.asarray(curves + [lhs])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
@@ -551,8 +544,8 @@ class TestBlockApplication:
         basis = TruncatedBasis.create(n, 6)
         panel = default_panel(empty, R, n)
         seq = build_sequence(e1(n), R, 10)
-        rep = prop1_decay(panel, seq, build_prop1_config(empty, 0.5, None),
-                          basis, None, **DECAY)
+        rep = prop1_decay(panel, seq, build_prop1_config(empty, 0.5),
+                          basis, **DECAY)
         kz = np.stack([kernel_expansion(p, basis).coeffs
                        for p in seq.points()], axis=1)
         ops = [toeplitz_blocks(g, basis)[1] for g in panel]
@@ -564,16 +557,28 @@ class TestBlockApplication:
             curves.append([float(np.linalg.norm(v)) for v in prod.T])
         assert rep["curves"] == curves
 
+    @pytest.mark.parametrize("n, r", [(4, 0.5), (2, 0.4)])
+    def test_bound_takes_the_column_factors(self, n, r):
+        # (1 - t_m^2)^((n+1)/2) is rounded once, by the scalar pow of the
+        # kernel columns; numpy's vector pow rounds apart here
+        f_set = SphereSet.create([e2(n)])
+        cfg = build_prop1_config(f_set, 0.5)
+        seq = build_sequence(e1(n), r, 10)
+        rep = prop1_decay(default_panel(f_set, r, n), seq, cfg,
+                          TruncatedBasis.create(n, 4), **DECAY)
+        assert rep["eta_bound"]["rhs"] == [
+            np.sqrt(cfg.nu_v2) * x ** (0.5 * (n + 1)) / cfg.delta ** (n + 1)
+            for x in rep["one_minus_sq"]]
+
     def test_n3_separation_holds_no_dense_matrix(self):
         # B = 969: one dense complex B x B matrix is 16 B^2 bytes
         e = np.eye(3, dtype=complex)
         basis = TruncatedBasis.create(3, 16)
-        rule = rule_for_basis(3, 16, radial_breaks=(R * R,))
         tracemalloc.start()
         try:
             rep = separation_experiment(
                 SphereSet.create([e[1]]), SphereSet.create([e[0], e[1]]), R,
-                5, basis, rule, eps=0.5, rng=np.random.default_rng(64),
+                5, basis, eps=0.5, rng=np.random.default_rng(64),
                 decay_M=10, separation_factor=10.0, **DECAY)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -584,19 +589,19 @@ class TestBlockApplication:
 
 class TestSeparation:
     def test_rejects_equal_sets(self, flagship):
-        basis, rule = flagship
+        basis = flagship
         rng = np.random.default_rng(61)
         f = SphereSet.create([e1(1)])
         with pytest.raises(ValueError, match="2 eps"):
-            separation_experiment(f, f, R, 3, basis, rule, eps=0.5, rng=rng,
+            separation_experiment(f, f, R, 3, basis, eps=0.5, rng=rng,
                                   decay_M=10, separation_factor=10.0, **DECAY)
 
     def test_flagship_report(self, flagship):
-        basis, rule = flagship
+        basis = flagship
         rng = np.random.default_rng(62)
         rep = separation_experiment(
             SphereSet.create([], n=1), SphereSet.create([e1(1)]), R, 5,
-            basis, rule, eps=0.5, rng=rng, decay_M=10, separation_factor=10.0,
+            basis, eps=0.5, rng=rng, decay_M=10, separation_factor=10.0,
             **DECAY)
         assert rep["ok"]
         assert rep["separation_factor"] >= 10.0
@@ -620,10 +625,10 @@ class TestSeparation:
             for key, value in list(vars(mod).items()):
                 if value is orig:
                     monkeypatch.setattr(mod, key, refuse)
-        basis, rule = flagship
+        basis = flagship
         rep = separation_experiment(
             SphereSet.create([], n=1), SphereSet.create([e1(1)]), R, 5,
-            basis, rule, eps=0.5, rng=np.random.default_rng(62),
+            basis, eps=0.5, rng=np.random.default_rng(62),
             decay_M=10, separation_factor=10.0, **DECAY)
         assert rep["ok"]
 
@@ -635,11 +640,10 @@ class TestSeparation:
         e = np.eye(2, dtype=complex)
         omega = (1 + 1j) / np.sqrt(2.0)
         basis = TruncatedBasis.create(2, 16)
-        rule = rule_for_basis(2, 16, radial_breaks=(R * R,))
         reps = [separation_experiment(
             SphereSet.create([w * e[0]]), SphereSet.create([w * e[1],
                                                             w * e[0]]),
-            R, 5, basis, rule, eps=0.5, rng=np.random.default_rng(65),
+            R, 5, basis, eps=0.5, rng=np.random.default_rng(65),
             decay_M=10, separation_factor=10.0, **DECAY)
             for w in (1.0, omega)]
         assert all(rep["ok"] for rep in reps)
@@ -655,11 +659,10 @@ class TestSeparation:
 
     def test_two_dimensional_configuration(self):
         basis = TruncatedBasis.create(2, 8)
-        rule = rule_for_basis(2, 8, radial_breaks=(R * R,))
         rng = np.random.default_rng(63)
         f1 = SphereSet.create([e2(2)])
         f2 = SphereSet.create([e1(2), e2(2)])
-        rep = separation_experiment(f1, f2, R, 4, basis, rule, eps=0.5,
+        rep = separation_experiment(f1, f2, R, 4, basis, eps=0.5,
                                     rng=rng, decay_M=8,
                                     separation_factor=10.0, **DECAY)
         assert rep["ok"]
@@ -670,3 +673,41 @@ class TestSeparation:
         assert rep["prop1"]["slopes"] == pytest.approx(
             [1.4992297661024403, 1.499987733408488, 1.4999998705908717],
             rel=1e-6)
+
+
+def axis_config(n, degree):
+    """The frontier config: zeta = e1, F1 = {e2}, F2 = {e1, e2}."""
+    e = [[[float(i == j), 0.0] for j in range(n)] for i in range(2)]
+    return ExperimentConfig(n=n, degree=degree, d_sweep=(degree,),
+                            zeta=e[0], F1=[e[1]], F2=[e[0], e[1]])
+
+
+class TestRuleOnDemand:
+    """Only the quadrature route reads a quadrature rule, and it builds
+    its own: axis-aligned runs build none."""
+
+    def test_axis_aligned_suites_build_no_rule(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a quadrature rule was built")
+
+        # every name bound to build_rule, which rule_for_basis calls
+        orig = quadrature.build_rule
+        for mod in [m for k, m in list(sys.modules.items())
+                    if k.startswith("berglab") and m is not None]:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, refuse)
+        assert run_prop1(ExperimentConfig())["passed"]
+        assert run_separate(axis_config(4, 8))["passed"]
+
+    def test_separate_frontier_memory(self):
+        # n = 5, d = 16: the rule separate built and never read held
+        # about 750 MiB
+        tracemalloc.start()
+        try:
+            report = run_separate(axis_config(5, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["passed"]
+        assert peak < 128 * 2 ** 20
