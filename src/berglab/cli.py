@@ -5,10 +5,11 @@ suite.  Reports are written as canonical JSON (plus CSV files for
 curves), embed the full configuration and its hash (the basis and
 toeplitz reports also give the metadata of the quadrature rules they
 integrate over), and are byte-identical for identical configurations.
---jobs is reserved: it is validated and then ignored, since no suite
-runs work in parallel.  Exit status is 0 iff every check in scope
-passed; on failure a machine-readable failure list is written alongside
-the partial results.
+With --jobs 2 or more the geometry suite runs its inclusion checks in
+one forked child beside the rest (no other suite reads --jobs); every
+--jobs value writes the same bytes.  Exit status is 0 iff every check
+in scope passed; on failure a machine-readable failure list is written
+alongside the partial results.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="seed override")
     p.add_argument("--jobs", type=int,
-                   help="reserved; validated (>= 1) but has no effect")
+                   help="worker processes (>= 1); 2 or more runs the "
+                        "geometry suite's inclusion checks in one forked "
+                        "child")
     return p
 
 

@@ -61,7 +61,7 @@ class ExperimentConfig:
     F2: list = field(default_factory=lambda: [[[1.0, 0.0]]])
     eps: float = 0.5
     seed: int = 20240
-    jobs: int = 1  # reserved: validated, read by no suite
+    jobs: int = 1  # >= 2: run_geometry forks its inclusion half
     out_dir: str = "reports"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
@@ -125,9 +125,8 @@ class ExperimentConfig:
 
     def provenance_json(self) -> dict:
         """The experiment-defining parameters: everything except the
-        execution-only fields (output directory and the reserved worker
-        count), so that reports stay byte-identical across --out and
-        --jobs."""
+        execution-only fields (output directory and worker count), so
+        that reports stay byte-identical across --out and --jobs."""
         d = self.to_json()
         d.pop("out_dir")
         d.pop("jobs")

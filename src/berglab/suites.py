@@ -80,7 +80,10 @@ def _combined_metric_violation(n: int, rng: np.random.Generator) -> float:
                (metric_combined_bound(*block) for block in zip(z, w, u)))
 
 
-def run_geometry(cfg: ExperimentConfig) -> dict:
+def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
+    """The Möbius and metric checks: eq. 4, involution, isometry and
+    disjointness.  Their values depend on the draws, so they keep the
+    suite's stream and its order."""
     rng = _rng(cfg, 1)
     checks = []
     payload: dict = {}
@@ -128,7 +131,9 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
         keep = rho > 0.3
         rho = rho[keep]
         radii = 0.999 * (1.0 - np.sqrt(1.0 - rho * rho)) / rho
-        assert all(ri >= disjoint_threshold(r, r) for ri, r in zip(rho, radii))
+        if any(p < disjoint_threshold(s, s) for p, s in zip(rho, radii)):
+            raise ValueError("disjointness radii too large: some pair is "
+                             "closer than disjoint_threshold of its radii")
         centers = np.stack([z[keep], w[keep]], axis=1)  # (K, 2, n)
         step = _SAMPLE_ROWS // 2000  # pairs per block of points
         for k in range(0, len(centers), step):
@@ -140,6 +145,16 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
     payload["disjointness_configs"] = tested
     payload["disjointness_overlaps"] = overlap
     checks.append(check("ball_disjointness", overlap == 0, overlap, 0))
+    return checks, payload
+
+
+def _geometry_inclusion(cfg: ExperimentConfig) -> tuple[list, dict]:
+    """Membership agreement and the delta-inclusion grid.  They report
+    only violation counts (0) and the draw-free delta_for inequality, so
+    they take a stream of their own and can run apart from the rest."""
+    rng = np.random.default_rng([cfg.seed, 1, 1])
+    checks = []
+    payload: dict = {}
 
     # metric vs ellipsoid membership, away from the boundary band
     band = cfg.tol("membership_band")
@@ -189,9 +204,66 @@ def run_geometry(cfg: ExperimentConfig) -> dict:
                         inclusion_violations, 0))
     checks.append(check("euclidean_inclusion_2rsqrt_s",
                         euclid_violations == 0, euclid_violations, 0))
+    return checks, payload
 
-    report = summarize_checks(checks)
+
+def _run_halves(cfg: ExperimentConfig, first, second) -> tuple:
+    """``(first(cfg), second(cfg))``.  With ``cfg.jobs >= 2`` and
+    ``os.fork`` available, ``second`` runs in one forked child while this
+    process runs ``first``; its result, or the exception it raised, comes
+    back pickled through a pipe.  The child inherits no BLAS threads, so
+    ``second`` must call no BLAS or LAPACK routine."""
+    import os
+    import pickle
+
+    if cfg.jobs < 2 or not hasattr(os, "fork"):
+        return first(cfg), second(cfg)
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()  # the child has this thread only: no BLAS pool
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                out = (True, second(cfg))
+            except BaseException as exc:  # sent to the parent, raised there
+                out = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(out))
+            status = 0
+        finally:
+            os._exit(status)  # no atexit, no flush of inherited buffers
+    os.close(write_fd)
+    try:
+        result = first(cfg)
+    finally:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"forked half exited with code {code} and sent "
+                           "no result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return result, value
+
+
+def run_geometry(cfg: ExperimentConfig) -> dict:
+    # The inclusion half is the one forked: it calls ufuncs, einsum and
+    # the Generator only, no BLAS, so forking after OpenBLAS has started
+    # its threads is safe.
+    (checks, payload), (more_checks, more_payload) = _run_halves(
+        cfg, _geometry_metrics, _geometry_inclusion)
+    report = summarize_checks(checks + more_checks)
     report.update(payload)
+    report.update(more_payload)
     return report
 
 

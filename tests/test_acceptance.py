@@ -11,9 +11,9 @@ import pytest
 
 from berglab.cli import main
 from berglab.config import ExperimentConfig
-from berglab.suites import (run_basis, run_geometry, run_prop1, run_separate,
-                            run_sequence, run_toeplitz, run_unitary,
-                            run_witness)
+from berglab.suites import (_geometry_inclusion, run_basis, run_geometry,
+                            run_prop1, run_separate, run_sequence,
+                            run_toeplitz, run_unitary, run_witness)
 
 CFG = ExperimentConfig()
 
@@ -63,14 +63,29 @@ def test_criterion_02_boundary_inclusion(reports):
 
 
 def test_geometry_sample_counts(reports):
-    # the batched suite draws every sample in the serial order, so the
-    # configuration count and the zero violation counts are pinned
+    # the metric half (eq. 4, involution, isometry, disjointness) draws
+    # from the suite's stream in the serial order, so its values are
+    # pinned bit for bit; the inclusion half draws from a stream of its
+    # own and reports only violation counts, which are 0
     rep = reports("geometry", run_geometry)
+    assert rep["eq4_max_violation"] == 0.0
+    assert rep["involution_max_error"] == 4.5094055844222076e-15
+    assert rep["isometry_max_error"] == 6.772360450213455e-15
     assert rep["disjointness_configs"] == 120
     for key in ("disjointness_overlaps", "membership_disagreements",
                 "delta_inclusion_violations",
                 "euclidean_inclusion_violations"):
         assert rep[key] == 0, key
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_geometry_inclusion_counts_zero(seed):
+    # the inclusion half's report is draw-free only while it finds nothing
+    checks, payload = _geometry_inclusion(ExperimentConfig(seed=seed))
+    assert all(c["ok"] for c in checks)
+    assert payload == {"membership_disagreements": 0,
+                       "delta_inclusion_violations": 0,
+                       "euclidean_inclusion_violations": 0}
 
 
 def test_criterion_03_separated_sequence(reports):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from berglab import suites
 from berglab.cli import main
 from berglab.config import ExperimentConfig, load_config
 from berglab.quadrature import rule_for_basis
@@ -250,3 +251,47 @@ class TestCli:
         finally:
             tr.restore()
         assert witness.region_infimum is orig
+
+
+class TestGeometryJobs:
+    """With --jobs >= 2 the geometry suite runs its inclusion half in one
+    forked child: the report, errors and process table must not show it."""
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("seed", [3, 11, 20240])
+    def test_jobs_do_not_change_the_report(self, seed):
+        serial = suites.run_geometry(ExperimentConfig(seed=seed))
+        forked = suites.run_geometry(ExperimentConfig(seed=seed, jobs=2))
+        assert forked == serial
+        self._no_child_left()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_child_half_error_reaches_the_caller(self, jobs, monkeypatch):
+        def fail(*args):
+            raise OverflowError("in the inclusion half")
+
+        monkeypatch.setattr(suites, "in_ellipsoid", fail)
+        with pytest.raises(OverflowError, match="inclusion half"):
+            suites.run_geometry(ExperimentConfig(jobs=jobs))
+        self._no_child_left()
+
+    def test_child_exit_without_result_raises(self, monkeypatch):
+        monkeypatch.setattr(suites, "in_ellipsoid",
+                            lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="code 3 "):
+            suites.run_geometry(ExperimentConfig(jobs=2))
+        self._no_child_left()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_disjointness_radii_checked_without_assert(self, jobs,
+                                                       monkeypatch):
+        # an explicit error, kept under python -O; with jobs = 2 it is
+        # raised by the parent's half and the child is still reaped
+        monkeypatch.setattr(suites, "disjoint_threshold", lambda r1, r2: 2.0)
+        with pytest.raises(ValueError, match="disjoint_threshold"):
+            suites.run_geometry(ExperimentConfig(jobs=jobs))
+        self._no_child_left()
