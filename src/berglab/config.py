@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .sequences import SequenceUnderflowError, build_sequence
+
 __all__ = ["ExperimentConfig", "DEFAULT_TOLERANCES", "load_config",
            "complex_vector"]
 
@@ -75,12 +77,20 @@ class ExperimentConfig:
         if self.M < 1 or self.decay_M < self.M:
             raise ValueError(f"need 1 <= M <= decay_M, got M = {self.M}, "
                              f"decay_M = {self.decay_M}")
+        try:  # the suites build sequences at r of length M, decay_M and 8
+            build_sequence([1.0], self.r, max(self.decay_M, 8))
+        except SequenceUnderflowError as exc:
+            raise ValueError(f"r = {self.r} leaves only {len(exc.achieved)} "
+                             "separated radii in double precision; the "
+                             f"suites need {exc.requested}") from None
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not self.d_sweep:
+            raise ValueError("d_sweep must be non-empty")
         if any(d < 1 for d in self.d_sweep):
             raise ValueError("d_sweep entries must be >= 1")
-        if list(self.d_sweep) != sorted(self.d_sweep):
-            raise ValueError("d_sweep must be increasing")
+        if any(a >= b for a, b in zip(self.d_sweep, self.d_sweep[1:])):
+            raise ValueError("d_sweep must be strictly increasing")
         z = complex_vector(self.zeta)
         if z.size != self.n:
             raise ValueError(f"zeta has dimension {z.size}, expected {self.n}")

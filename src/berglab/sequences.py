@@ -13,7 +13,7 @@ alongside the radii and reused for cancellation-free metric evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class SeparatedSequence:
     r: float
     radii: np.ndarray
     gaps: np.ndarray  # 1 - t_m, exact dyadics
-    threshold: float = field(default=0.0)
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -106,10 +105,8 @@ def build_sequence(zeta, r: float, M: int) -> SeparatedSequence:
         radii.append(t)
         gaps.append(gap)
 
-    return SeparatedSequence(
-        zeta=zeta, r=r,
-        radii=np.asarray(radii), gaps=np.asarray(gaps),
-        threshold=thr)
+    return SeparatedSequence(zeta=zeta, r=r, radii=np.asarray(radii),
+                             gaps=np.asarray(gaps))
 
 
 def pairwise_rho(seq: SeparatedSequence) -> np.ndarray:

@@ -17,9 +17,9 @@ symbols f(z) = z_j g(|z|) populate the single band beta = alpha + e_j
 (``toeplitz_monomial_radial``).  Both are the scatter of one kernel,
 ``ray_bands``, which holds T_f as bands along the rays of a coordinate
 axis; the exact compression of a Moebius-composed symbol multiplies
-those same bands by blocks of U_c.  ``unitaries.toeplitz_route`` decides
-which route a symbol takes: one of these two, quadrature, the exact
-compression of a Moebius-composed symbol, or the exact assembly of
+those same bands by blocks of U_c.  ``unitaries.toeplitz_blocks``
+decides which route a symbol takes: one of these two, quadrature, the
+exact compression of a Moebius-composed symbol, or the exact assembly of
 Proposition 1's cutoff eta around points c e_j of the sphere.
 
 Both fast paths reduce to I_k(g) = integral over [0,1] of t^(n+k-1)

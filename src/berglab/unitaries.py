@@ -18,11 +18,11 @@ V* T_h V with V = P_K U_c P_d, block by block, with no quadrature.
 Proposition 1's cutoff eta around points c e_j has the same blocks, each
 a tensor Gauss sum in coordinates centred on e_j (``_cutoff_blocks``).
 
-Every Toeplitz matrix whose route depends on its symbol is chosen here:
-``toeplitz_route`` reads ``Symbol.kind`` once and returns the route's
-record (the radial or banded fast path, the exact V* T_h V, the exact
-cutoff, or quadrature), and ``toeplitz_blocks`` gives that record and
-T_f as (rows, cols, block) triples.
+Every Toeplitz matrix whose route depends on its symbol is chosen here,
+in one function: ``toeplitz_blocks`` reads ``Symbol.kind`` once, builds
+each input of the route it picks once, and gives the route's record (the
+radial or banded fast path, the exact V* T_h V, the exact cutoff, or
+quadrature) and T_f as (rows, cols, block) triples.
 
 One band kernel.  On the fast paths T_h is diagonal or one band, and
 ``toeplitz.ray_bands`` forms it once per off-axis degree s of a
@@ -45,7 +45,6 @@ laboratory's checks always sweep the degree.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,9 +55,8 @@ from .toeplitz import (OperatorMatrix, Symbol, _scatter, ray_bands,
                        toeplitz_matrix)
 
 __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
-           "unitary_matrix_exact", "core_degree",
-           "toeplitz_route", "toeplitz_blocks", "moebius_pair",
-           "weak_pairing_exact"]
+           "unitary_matrix_exact", "core_degree", "toeplitz_blocks",
+           "moebius_pair", "weak_pairing_exact"]
 
 # invariant guards on exact compressions, which the recurrence meets to ~1e-15
 _GUARD_TOL = 1e-10
@@ -261,12 +259,11 @@ def _cutoff_axes(f: Symbol, n: int) -> list[tuple[int, complex]] | None:
     return axes
 
 
-@lru_cache(maxsize=8)
 def _cutoff_blocks(profile, radius: float, n: int, degree: int,
-                   p: int) -> tuple[np.ndarray, ...]:
+                   p: int) -> list:
     """Blocks k = 0..d of T_g for g(|z - e_j|), g linear on [0, 2R/3] and
     [2R/3, R] and 0 beyond R = ``radius``, by p Gauss points per u-panel
-    and per theta-interval; memoised, so they are read-only.
+    and per theta-interval.
 
     The angles of z' keep alpha', and alpha'! cancels against the basis
     norms, so the entry at ((alpha', b), (alpha', a)) depends on
@@ -318,91 +315,87 @@ def _cutoff_blocks(profile, radius: float, n: int, degree: int,
         c = np.sqrt([2.0 / math.pi * math.comb(n + k + a, a) * scale
                      for a in range(m)])
         blocks.append(np.outer(c, c) * (parts[:m] @ parts[:m].T))
-        blocks[-1].flags.writeable = False
         parts[:m - 1] *= s  # the weight of block k + 1
-    return tuple(blocks)
+    return blocks
 
 
-def toeplitz_route(f: Symbol, basis: TruncatedBasis) -> dict:
-    """The route by which ``toeplitz_blocks`` assembles T_f on ``basis``.
+def toeplitz_blocks(f: Symbol, basis: TruncatedBasis) -> tuple[dict, list]:
+    """T_f on ``basis``: the record of the route it takes and T_f as
+    (rows, cols, block) triples.
 
-    This is the one place a route is chosen from ``Symbol.kind``.
-    "radial" and "monomial_radial" are the one-dimensional fast paths,
-    and "moebius" is the exact compression V* T_h V of f = h o phi_c,
-    which needs c = c_j e_j on a coordinate axis (``_axis_point``); their
-    records give the core degree K and tail bound of a "moebius" route
-    (``_core_degree``) and None for the others.  "cutoff" is the exact
-    assembly of a cutoff symbol whose points are c e_j with disjoint
-    supports (``_cutoff_axes``); its record gives the Gauss size
-    p = 12 + d // 4 of ``_cutoff_blocks`` and the defect: |F| times the
-    Frobenius norm over the whole matrix (block k once per alpha' of
-    degree k) of the change from p - 4.  Everything else is
-    "quadrature" over ``rule_for_basis(n, d)``, the only route that
-    builds a rule; its record gives the number of nodes f is evaluated
-    at (``toeplitz_matrix``) and no defect (None), since quadrature
-    error is not measured.
+    This is the one place a route is chosen from ``Symbol.kind``, and
+    every input of a route is built once here and passed down.
+    "radial" and "monomial_radial" are the fast paths, bands along a
+    coordinate axis (``ray_bands``).  "moebius" is the exact V* T_h V of
+    f = h o phi_c for c = c_j e_j on a coordinate axis
+    (``_compress_moebius``); its record (``_moebius_route``) gives the
+    core degree K and tail bound, which are None on the fast paths.
+    "cutoff" is the exact assembly of a cutoff symbol whose points are
+    c e_j with disjoint supports (``_cutoff_axes``, ``_assemble_cutoff``);
+    its record gives the Gauss size p = 12 + d // 4 of ``_cutoff_blocks``
+    and the defect: |F| times the Frobenius norm over the whole matrix
+    (block k once per alpha' of degree k) of the change from p - 4.
+    Everything else is "quadrature", one block over the whole basis
+    (``toeplitz_matrix`` over ``rule_for_basis(n, d)``, the only rule any
+    route builds); its record gives the number of nodes f is evaluated
+    at and no defect (None), since quadrature error is not measured.
+
+    T_f is the sum over triples of block placed at rows[i] x cols[i] for
+    each i: rows and cols are (placements, size) arrays of basis
+    positions, and the placements of one triple never share a row.
+    ``apply_blocks`` applies the triples and ``_scatter`` makes the
+    dense matrix.
     """
-    n = basis.n
+    n, d = basis.n, basis.degree
     if f.kind in ("radial", "monomial_radial") and f.profile is not None:
-        return {"route": f.kind, "core_degree": None, "tail_bound": None}
-    if f.kind == "moebius":
-        if len(f.center) != n:
-            raise ValueError(f"symbol centre has dimension {len(f.center)}, "
-                             f"expected {n}")
-        if _axis_point(f.center) is not None:
-            k, tail = _core_degree(f.inner, n)
-            return {"route": "moebius", "core_degree": k, "tail_bound": tail}
-    if f.kind == "cutoff" and _cutoff_axes(f, n) is not None:
-        p = 12 + basis.degree // 4
-        fine, coarse = (_cutoff_blocks(f.profile, f.support, n, basis.degree,
-                                       q) for q in (p, p - 4))
+        j = f.coordinate if f.kind == "monomial_radial" else None
+        return ({"route": f.kind, "core_degree": None, "tail_bound": None},
+                ray_bands(f.profile, j, basis, j or 0, f.support))
+    on = _moebius_route(f, n) if f.kind == "moebius" else None
+    if on is not None:
+        route, (axis, c) = on
+        core = route["core_degree"]
+        return route, _compress_moebius(f, basis, core, axis,
+                                        _ray_blocks(c, n, core, d))
+    axes = _cutoff_axes(f, n) if f.kind == "cutoff" else None
+    if axes is not None:
+        p = 12 + d // 4
+        fine, coarse = (_cutoff_blocks(f.profile, f.support, n, d, q)
+                        for q in (p, p - 4))
         defect = math.sqrt(sum(
             (math.comb(k + n - 2, n - 2) if n > 1 else 1)
             * float(np.sum((a - b) ** 2))
             for k, (a, b) in enumerate(zip(fine, coarse))))
-        return {"route": "cutoff", "p": p, "defect": len(f.points) * defect}
-    return {"route": "quadrature",
-            "nodes": len(rule_for_basis(n, basis.degree)), "defect": None}
-
-
-def toeplitz_blocks(f: Symbol, basis: TruncatedBasis) -> tuple[dict, list]:
-    """T_f on ``basis`` by the route ``toeplitz_route`` picks: its record
-    and T_f as (rows, cols, block) triples.
-
-    T_f is the sum over triples of block placed at rows[i] x cols[i] for
-    each i: rows and cols are (placements, size) arrays of basis
-    positions, and the placements of one triple never share a row.  The
-    radial and banded fast paths give their bands along a coordinate
-    axis (``ray_bands``), "moebius" and "cutoff" their blocks by
-    off-axis multi-index (``_compress_moebius``, ``_assemble_cutoff``),
-    and quadrature one block over the whole basis (``toeplitz_matrix``
-    over ``rule_for_basis(n, d)``, built here and only here).
-    ``apply_blocks`` applies the triples and ``_scatter`` makes the
-    dense matrix.
-    """
-    route = toeplitz_route(f, basis)
-    kind = route["route"]
-    if kind in ("radial", "monomial_radial"):
-        j = f.coordinate if kind == "monomial_radial" else None
-        return route, ray_bands(f.profile, j, basis, j or 0, f.support)
-    if kind == "moebius":
-        return route, _compress_moebius(f, basis, route["core_degree"])
-    if kind == "cutoff":
-        return route, _assemble_cutoff(f, basis, route["p"])
+        return ({"route": "cutoff", "p": p, "defect": len(f.points) * defect},
+                _assemble_cutoff(fine, axes, basis))
+    rule = rule_for_basis(n, d)
     whole = np.arange(len(basis))[None, :]
-    rule = rule_for_basis(basis.n, basis.degree)
-    return route, [(whole, whole, toeplitz_matrix(f, basis, rule).mat)]
+    return ({"route": "quadrature", "nodes": len(rule), "defect": None},
+            [(whole, whole, toeplitz_matrix(f, basis, rule).mat)])
 
 
-def _assemble_cutoff(f: Symbol, basis: TruncatedBasis, p: int) -> list:
-    """The cutoff's triples: for each point c e_j, its block at p around
-    e_j for off-axis degree k (``_cutoff_blocks``), placed at every
-    alpha' of degree k off axis j, each block once per point; rotating
-    z_j by c multiplies the entry at (b, a) by c^a conj(c)^b."""
-    blocks = _cutoff_blocks(f.profile, f.support, basis.n, basis.degree, p)
+def _moebius_route(f: Symbol, n: int) -> tuple[dict, tuple] | None:
+    """The "moebius" record of f = h o phi_c (``_core_degree``) and the
+    (axis, c_j) of its centre c = c_j e_j (``_axis_point``), or None for
+    a centre off the coordinate axes."""
+    if len(f.center) != n:
+        raise ValueError(f"symbol centre has dimension {len(f.center)}, "
+                         f"expected {n}")
+    on = _axis_point(f.center)
+    if on is None:
+        return None
+    k, tail = _core_degree(f.inner, n)
+    return {"route": "moebius", "core_degree": k, "tail_bound": tail}, on
+
+
+def _assemble_cutoff(blocks: list, axes: list, basis: TruncatedBasis) -> list:
+    """The cutoff's triples: for each point c e_j of ``axes``, block k of
+    ``blocks`` (``_cutoff_blocks`` around e_j) placed at every alpha' of
+    degree k off axis j, each block once per point; rotating z_j by c
+    multiplies the entry at (b, a) by c^a conj(c)^b."""
     a = np.arange(basis.degree + 1)
     out = []
-    for axis, c in _cutoff_axes(f, basis.n):
+    for axis, c in axes:
         phase = np.outer(np.conj(c) ** a, c ** a)
         for k, pos in enumerate(basis.rays(axis)):
             m = pos.shape[1]
@@ -411,19 +404,15 @@ def _assemble_cutoff(f: Symbol, basis: TruncatedBasis, p: int) -> list:
 
 
 def _compress_moebius(f: Symbol, basis: TruncatedBasis, core: int,
-                      v: list | None = None) -> list:
-    """The triples of V* T_h V with V = P_core U_c P_d.  U_c keeps the
-    off-axis multi-index alpha' of the axis of c (``_ray_blocks``) and
-    T_h at degree core is one band per ray, or per pair of rays
-    (``ray_bands``), so each block of the result is that band between
-    two blocks of V, formed once for every placement of the band.  V is
-    held as its blocks ``v``, one per off-axis degree (``_ray_blocks``
-    unless given), and no array has B_core^2 entries.  A centre off the
-    coordinate axes raises ValueError."""
+                      axis: int, v: list) -> list:
+    """The triples of V* T_h V with V = P_core U_c P_d for c on the ray
+    of ``axis``.  U_c keeps the off-axis multi-index alpha' of that axis
+    (``_ray_blocks``) and T_h at degree core is one band per ray, or per
+    pair of rays (``ray_bands``), so each block of the result is that
+    band between two blocks of V, formed once for every placement of the
+    band.  V is held as its blocks ``v``, one per off-axis degree, and no
+    array has B_core^2 entries."""
     h, n, d = f.inner, basis.n, basis.degree
-    axis, c = _axis_point(f.center) or _off_axis(f.center)
-    if v is None:
-        v = _ray_blocks(c, n, core, d)
     # each column of V is P_core of a unit vector U_c e_alpha
     excess = max(float(np.max(np.linalg.norm(b, axis=0))) for b in v)
     if not excess - 1.0 <= _GUARD_TOL:  # also catches NaN
@@ -444,9 +433,10 @@ def _compress_moebius(f: Symbol, basis: TruncatedBasis, core: int,
 
 def moebius_pair(f: Symbol, basis: TruncatedBasis) -> tuple[
         dict, OperatorMatrix, OperatorMatrix]:
-    """The route record of f = h o phi_c (``toeplitz_route``), P U_c P
-    (``unitary_matrix_exact``) and T_f (the scatter of
-    ``toeplitz_blocks``), from one ``_ray_blocks`` call.
+    """The route record of f = h o phi_c (``_moebius_route``, as
+    ``toeplitz_blocks`` gives it), P U_c P (``unitary_matrix_exact``) and
+    T_f (the scatter of ``toeplitz_blocks``), from one ``_ray_blocks``
+    call.
 
     P_d U_c P_d and V = P_K U_c P_d at the core degree K are the first
     d - s + 1 and K - s + 1 rows of the blocks of P_max(K,d) U_c P_d:
@@ -456,14 +446,13 @@ def moebius_pair(f: Symbol, basis: TruncatedBasis) -> tuple[
     ``unitary_matrix_exact`` does, and for a centre off the coordinate
     axes.
     """
-    axis, c = _axis_point(f.center) or _off_axis(f.center)
-    route = toeplitz_route(f, basis)
+    route, (axis, c) = _moebius_route(f, basis.n) or _off_axis(f.center)
     core, d = route["core_degree"], basis.degree
     blocks = _ray_blocks(c, basis.n, max(core, d), d)
     u = _ray_unitary(np.asarray(f.center), basis, axis,
                      [b[:d - s + 1] for s, b in enumerate(blocks)])
-    t = _compress_moebius(f, basis, core, [b[:core - s + 1] for s, b
-                                           in enumerate(blocks[:core + 1])])
+    t = _compress_moebius(f, basis, core, axis, [
+        b[:core - s + 1] for s, b in enumerate(blocks[:core + 1])])
     return route, u, _scatter(t, basis)
 
 

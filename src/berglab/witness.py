@@ -192,8 +192,8 @@ def witness_symbol(r: float) -> Symbol:
 @dataclass(frozen=True)
 class WitnessOperator:
     """S = [T_f, T_conj(f)]^2 on the truncation and the two-route probe
-    along the sequence: its defects and the route of each composed
-    assembly (``unitaries.toeplitz_route``)."""
+    along the sequence: its defects and the route record of each composed
+    assembly (``unitaries.moebius_pair``)."""
 
     S: OperatorMatrix
     two_route_defects: tuple[float, ...]

@@ -48,6 +48,13 @@ class TestConfig:
     def test_sweep_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             ExperimentConfig(d_sweep=(8, 6)).validate()
+        ExperimentConfig(d_sweep=(8,)).validate()  # one degree is a sweep
+
+    def test_radius_must_leave_every_sequence(self):
+        # the suites build sequences of length M, decay_M and 8 at r
+        with pytest.raises(ValueError, match="only 10 .* need 12"):
+            ExperimentConfig(r=0.65, decay_M=12).validate()
+        ExperimentConfig(r=0.65).validate()
 
     def test_provenance_excludes_execution_fields(self):
         cfg = ExperimentConfig()
@@ -95,6 +102,22 @@ class TestCli:
         assert code == 2
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["unitary", "witness"])
+    @pytest.mark.parametrize("bad, why", [
+        ({"d_sweep": []}, "d_sweep must be non-empty"),
+        ({"d_sweep": [8, 8]}, "d_sweep must be strictly increasing"),
+        ({"r": 0.99}, "r = 0.99 leaves only 4 separated radii")],
+        ids=["empty_sweep", "repeated_degree", "underflowing_radius"])
+    def test_invalid_config_exits_before_compute(self, tmp_path, capsys,
+                                                 suite, bad, why):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(bad))
+        out = tmp_path / "rep"
+        code = main([suite, "--config", str(cfgfile), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert f"configuration error: {why}" in capsys.readouterr().err
 
     def test_decay_horizon_below_witness_horizon_rejected(
             self, tmp_path, capsys):

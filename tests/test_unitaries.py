@@ -15,8 +15,8 @@ from berglab.sequences import build_sequence
 from berglab import unitaries
 from berglab.toeplitz import (Symbol, _profile_integrals, _scatter,
                               apply_blocks, toeplitz_matrix, toeplitz_radial)
-from berglab.unitaries import (toeplitz_blocks, toeplitz_route,
-                               unitary_matrix, unitary_matrix_exact,
+from berglab.unitaries import (toeplitz_blocks, unitary_matrix,
+                               unitary_matrix_exact,
                                unitary_matrix_quadrature, weak_pairing_exact)
 from berglab.witness import (SphereSet, build_prop1_config, default_panel,
                              lens_volume, witness_symbol)
@@ -25,6 +25,15 @@ from berglab.witness import (SphereSet, build_prop1_config, default_panel,
 def toeplitz_dense(f, basis):
     """T_f as one dense matrix: the scatter of its triples."""
     return _scatter(toeplitz_blocks(f, basis)[1], basis)
+
+
+def compress_moebius(g, basis, core):
+    """The triples of V* T_h V at core degree ``core``, with V's blocks
+    built as ``toeplitz_blocks`` builds them."""
+    axis, c = unitaries._axis_point(g.center)
+    return unitaries._compress_moebius(
+        g, basis, core, axis,
+        unitaries._ray_blocks(c, basis.n, core, basis.degree))
 
 
 def window(mat, basis, probe):
@@ -108,14 +117,15 @@ class TestMatrixRoutes:
         for z in ([0.0, -0.5], [0.0, 0.5j], [0.3j, 0.0]):
             unitary_matrix_exact(z, b)
             g = witness_symbol(0.5).compose_moebius(z)
-            assert toeplitz_route(g, b)["route"] == "moebius"
+            assert toeplitz_blocks(g, b)[0]["route"] == "moebius"
             unitaries.moebius_pair(g, b)
-        assert toeplitz_route(eta([[0.0, -1j]]), b)["route"] == "cutoff"
+        route = toeplitz_blocks(eta([[0.0, -1j]]), b)[0]["route"]
+        assert route == "cutoff"
+        # off the axes U_z raises, and V* T_h V is not tried
         g = bump(BUMP_R).compose_moebius([0.3, 0.2])
         with pytest.raises(ValueError, match="coordinate axis c e_j"):
             unitary_matrix_exact([0.3, 0.2], b)
-        with pytest.raises(ValueError, match="coordinate axis c e_j"):
-            unitaries._compress_moebius(g, b, 10)
+        assert toeplitz_blocks(g, b)[0]["route"] == "quadrature"
 
     def test_auto_route_policy(self, basis, rule):
         z_near = [1.0 - 1e-6]
@@ -281,7 +291,7 @@ class TestConjugation:
         # break at R^2 integrates exactly
         g = bump(BUMP_R).compose_moebius([0.0])
         rule = rule_for_basis(1, 12, radial_breaks=(BUMP_R ** 2,))
-        assert toeplitz_route(g, basis)["route"] == "moebius"
+        assert toeplitz_blocks(g, basis)[0]["route"] == "moebius"
         exact = toeplitz_dense(g, basis)
         quad = toeplitz_matrix(g, basis, rule)
         assert np.max(np.abs(exact.mat - quad.mat)) < 1e-12
@@ -322,11 +332,10 @@ class TestMoebiusRoute:
         ids=["rho_bump", "monomial_on_axis", "monomial_off_axis"])
     def test_core_degree_is_converged(self, g):
         b = TruncatedBasis.create(2, 10)
-        k = toeplitz_route(g, b)["core_degree"]
+        k = toeplitz_blocks(g, b)[0]["core_degree"]
         at_k = toeplitz_dense(g, b).mat
         for more in (10, 20):
-            wider = _scatter(unitaries._compress_moebius(g, b, k + more),
-                             b).mat
+            wider = _scatter(compress_moebius(g, b, k + more), b).mat
             assert np.max(np.abs(wider - at_k)) < 1e-17
 
     def test_gap_to_quadrature_shrinks_with_rule(self):
@@ -351,7 +360,7 @@ class TestMoebiusRoute:
         b = TruncatedBasis.create(3, 3)
         g = rho_bump(0.5, 0.35, n=3, axis=2)
         rule = rule_for_basis(3, 3, radial_breaks=(BUMP_R ** 2,))
-        assert toeplitz_route(g, b)["route"] == "moebius"
+        assert toeplitz_blocks(g, b)[0]["route"] == "moebius"
         exact = toeplitz_dense(g, b).mat
         assert np.max(np.abs(exact - toeplitz_matrix(g, b, rule).mat)) < 2e-5
 
@@ -360,7 +369,7 @@ class TestMoebiusRoute:
         g = bump(BUMP_R).compose_moebius([0.3, 0.3])
         # the route builds the rule of its basis itself
         rule = rule_for_basis(2, 4)
-        assert toeplitz_route(g, b) == {
+        assert toeplitz_blocks(g, b)[0] == {
             "route": "quadrature", "nodes": len(rule), "defect": None}
         assert np.array_equal(toeplitz_dense(g, b).mat,
                               toeplitz_matrix(g, b, rule).mat)
@@ -368,13 +377,13 @@ class TestMoebiusRoute:
     def test_core_degree_cap_names_radius(self):
         g = bump(0.99).compose_moebius([0.0, 0.5])
         with pytest.raises(ValueError, match="R = 0.99"):
-            toeplitz_route(g, TruncatedBasis.create(2, 4))
+            toeplitz_blocks(g, TruncatedBasis.create(2, 4))[0]
 
     def test_assembly_memory_below_core_square(self):
         # no array of B_K^2 entries: V is applied block by block
         b = TruncatedBasis.create(2, 24)
         g = rho_bump(0.6, 0.6)
-        k = toeplitz_route(g, b)["core_degree"]
+        k = toeplitz_blocks(g, b)[0]["core_degree"]
         assert k > b.degree
         size_k = (k + 1) * (k + 2) // 2
         tracemalloc.start()
@@ -406,9 +415,21 @@ ASSEMBLERS = {"radial": ["ray_bands"],
               "quadrature": ["toeplitz_matrix"]}
 
 
+def spy(monkeypatch, name, log):
+    """Replace unitaries.<name> by a wrapper that appends (name, args) to
+    ``log`` on every call."""
+    orig = getattr(unitaries, name)
+
+    def wrapper(*args, **kwargs):
+        log.append((name, args))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(unitaries, name, wrapper)
+
+
 class TestRouteRecord:
-    """The record ``toeplitz_route`` gives is what ``toeplitz_blocks``
-    does."""
+    """One ``toeplitz_blocks`` call picks the route, names it in its
+    record and builds each input of that route once."""
 
     @pytest.mark.parametrize("f", [
         eta(OFF_AXIS), bump(BUMP_R).compose_moebius([0.3, 0.2j])],
@@ -422,13 +443,12 @@ class TestRouteRecord:
             points.append(len(pts))
             return f(pts)
 
-        g = Symbol.sampled(counted, f.sup_norm_bound)
-        route = toeplitz_route(f, b)
-        assert route == toeplitz_route(g, b)
+        route, _ = toeplitz_blocks(Symbol.sampled(counted, f.sup_norm_bound),
+                                   b)
         assert route == {"route": "quadrature", "nodes": len(rule),
                          "defect": None}
-        toeplitz_dense(g, b)
         assert sum(points) == route["nodes"]
+        assert toeplitz_blocks(f, b)[0] == route
 
     @pytest.mark.parametrize("f, expect", [
         (bump(BUMP_R), "radial"),
@@ -439,17 +459,44 @@ class TestRouteRecord:
         ids=["radial", "monomial_radial", "moebius", "cutoff", "quadrature"])
     def test_auto_calls_what_the_record_names(self, monkeypatch, f, expect):
         b = TruncatedBasis.create(2, 4)
-        called = []
+        log = []
         for name in {n for names in ASSEMBLERS.values() for n in names}:
-            def spy(*args, _name=name, _orig=getattr(unitaries, name),
-                    **kwargs):
-                called.append(_name)
-                return _orig(*args, **kwargs)
-            monkeypatch.setattr(unitaries, name, spy)
-        route = toeplitz_route(f, b)
+            spy(monkeypatch, name, log)
+        route, _ = toeplitz_blocks(f, b)
         assert route["route"] == expect
-        assert toeplitz_blocks(f, b)[0] == route
-        assert called == ASSEMBLERS[expect]
+        assert [name for name, _ in log] == ASSEMBLERS[expect]
+
+    def test_quadrature_builds_one_rule(self, monkeypatch):
+        log = []
+        spy(monkeypatch, "rule_for_basis", log)
+        route, _ = toeplitz_blocks(eta(OFF_AXIS), TruncatedBasis.create(2, 4))
+        assert route["route"] == "quadrature"
+        assert log == [("rule_for_basis", (2, 4))]
+
+    def test_cutoff_sums_once_per_gauss_size(self, monkeypatch):
+        log = []
+        for name in ("_cutoff_axes", "_cutoff_blocks"):
+            spy(monkeypatch, name, log)
+        route, _ = toeplitz_blocks(eta_e2(), TruncatedBasis.create(2, 8))
+        assert route["route"] == "cutoff"
+        assert [(name, args[-1]) for name, args in log] == [
+            ("_cutoff_axes", 2), ("_cutoff_blocks", route["p"]),
+            ("_cutoff_blocks", route["p"] - 4)]
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["blocks", "pair"])
+    def test_moebius_finds_the_axis_once(self, monkeypatch, pair):
+        # toeplitz_blocks and moebius_pair: one axis test, one core
+        # degree and one set of blocks of U_c
+        log = []
+        for name in ("_axis_point", "_core_degree", "_ray_blocks"):
+            spy(monkeypatch, name, log)
+        g = rho_bump(0.5, 0.6)
+        b = TruncatedBasis.create(2, 4)
+        route = (unitaries.moebius_pair(g, b) if pair
+                 else toeplitz_blocks(g, b))[0]
+        assert route["route"] == "moebius"
+        assert [name for name, _ in log] == [
+            "_axis_point", "_core_degree", "_ray_blocks"]
 
 
 def cutoff_mean(n, eps):
@@ -508,7 +555,7 @@ class TestCutoffRoute:
     def test_points_apart_add(self):
         b = TruncatedBasis.create(2, 6)
         both = eta([[1.0, 0.0], [0.0, -1.0]])
-        assert toeplitz_route(both, b)["route"] == "cutoff"
+        assert toeplitz_blocks(both, b)[0]["route"] == "cutoff"
         one = toeplitz_dense(eta([[1.0, 0.0]]), b).mat
         two = toeplitz_dense(eta([[0.0, -1.0]]), b).mat
         assert np.max(np.abs(toeplitz_dense(both, b).mat - (one + two))) \
@@ -518,7 +565,8 @@ class TestCutoffRoute:
         b = TruncatedBasis.create(2, 3)
         near = [[1.0, 0.0], [np.cos(0.2), np.sin(0.2)]]  # 0.2 < eps apart
         for points in (near, OFF_AXIS):
-            assert toeplitz_route(eta(points), b)["route"] == "quadrature"
+            route = toeplitz_blocks(eta(points), b)[0]["route"]
+            assert route == "quadrature"
 
     @pytest.mark.parametrize("eps", [4.0, 6.0])
     def test_support_past_the_ball(self, eps):
@@ -526,7 +574,7 @@ class TestCutoffRoute:
         # at 2; at eps = 6, eta = 1 on the ball and T_eta = I
         b = TruncatedBasis.create(2, 4)
         f = eta([[0.0, 1.0]], eps)
-        route = toeplitz_route(f, b)
+        route = toeplitz_blocks(f, b)[0]
         mat = toeplitz_dense(f, b).mat
         assert np.all(np.isfinite(mat))
         quad = toeplitz_matrix(f, b, rule_for_basis(2, 14)).mat
@@ -536,7 +584,7 @@ class TestCutoffRoute:
 
     def test_default_config_defect(self):
         # the prop1 suite's n = 2 config: F = {e2}, eps = 0.5, degree 8
-        route = toeplitz_route(eta_e2(), TruncatedBasis.create(2, 8))
+        route, _ = toeplitz_blocks(eta_e2(), TruncatedBasis.create(2, 8))
         assert route["route"] == "cutoff"
         assert route["p"] == 14
         assert 0.0 < route["defect"] <= 1e-12
@@ -661,8 +709,8 @@ class TestBlockTriples:
              "n3_band_off_axis"])
     def test_moebius_scatter_is_the_dense_assembly(self, n, degree, g):
         b = TruncatedBasis.create(n, degree)
-        k = toeplitz_route(g, b)["core_degree"]
-        triples = unitaries._compress_moebius(g, b, k)
+        k = toeplitz_blocks(g, b)[0]["core_degree"]
+        triples = compress_moebius(g, b, k)
         oracle = dense_moebius(g, b, k)
         assert _scatter(triples, b).mat.tobytes() == \
             oracle.tobytes()
@@ -692,8 +740,10 @@ class TestBlockTriples:
     def test_cutoff_scatter_is_the_dense_assembly(self, n, degree, points):
         b = TruncatedBasis.create(n, degree)
         f = eta(points)
-        p = toeplitz_route(f, b)["p"]
-        triples = unitaries._assemble_cutoff(f, b, p)
+        p = toeplitz_blocks(f, b)[0]["p"]
+        triples = unitaries._assemble_cutoff(
+            unitaries._cutoff_blocks(f.profile, f.support, n, degree, p),
+            unitaries._cutoff_axes(f, n), b)
         oracle = dense_cutoff(f, b, p)
         assert _scatter(triples, b).mat.tobytes() == \
             oracle.tobytes()
@@ -769,7 +819,7 @@ class TestAxisPhase:
                 assert np.max(np.abs(turned.mat - phase * plain)) <= 1e-13
             plain, turned = (bump(BUMP_R).compose_moebius(
                 on_ray(n, axis, 0.6 * w)) for w in (1.0, omega))
-            assert toeplitz_route(turned, b)["route"] == "moebius"
+            assert toeplitz_blocks(turned, b)[0]["route"] == "moebius"
             assert np.max(np.abs(toeplitz_dense(turned, b).mat - phase
                                  * toeplitz_dense(plain, b).mat)) <= 1e-13
 
@@ -794,7 +844,7 @@ class TestMoebiusPair:
         for p in build_sequence(zeta, 0.5, 5).points():
             g = witness_symbol(0.5).compose_moebius(p)
             route, u, t = unitaries.moebius_pair(g, b)
-            assert route == toeplitz_route(g, b)
+            assert route == toeplitz_blocks(g, b)[0]
             assert u.mat.tobytes() == unitary_matrix(p, b).mat.tobytes()
             assert t.mat.tobytes() == toeplitz_dense(g, b).mat.tobytes()
 

@@ -258,8 +258,8 @@ class TestWitnessOperator:
             b = toeplitz_dense(f.compose_moebius(p), basis)
             cc = commutator(b, b.adjoint())
             assert defect == op_norm(u @ w.S @ u.adjoint() - cc @ cc)
-            assert route == unitaries.toeplitz_route(f.compose_moebius(p),
-                                                     basis)
+            assert route == unitaries.toeplitz_blocks(
+                f.compose_moebius(p), basis)[0]
 
     def test_conditioning_warning(self):
         rep = lemma3_lower_bound(build_sequence(e1(1), R, 6))
