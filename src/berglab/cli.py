@@ -57,9 +57,8 @@ def _emit(out_dir: str, name: str, cfg: ExperimentConfig,
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = cfg.with_overrides(out_dir=args.out, seed=args.seed,
-                                 jobs=args.jobs)
+        cfg = load_config(args.config, out_dir=args.out, seed=args.seed,
+                          jobs=args.jobs)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -4,12 +4,13 @@ lossless JSON round-trip."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .sequences import SequenceUnderflowError, build_sequence
+from .witness import SphereSet
 
 __all__ = ["ExperimentConfig", "DEFAULT_TOLERANCES", "load_config",
            "complex_vector"]
@@ -107,6 +108,14 @@ class ExperimentConfig:
             raise ValueError("F2 must be non-empty")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.eps > np.sqrt(1.25):
+            raise ValueError(f"eps = {self.eps} exceeds sqrt(5)/2, the gap "
+                             "from prop1's first point e1/2 to F1 = {e2}")
+        dists = SphereSet.create(self.f1_vecs, n=self.n).min_dist(self.f2_vecs)
+        if not dists.max() >= 2 * self.eps:
+            raise ValueError("no direction of F2 is at distance >= 2 eps = "
+                             f"{2 * self.eps} from F1 (best is "
+                             f"{dists.max():.6g})")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
@@ -158,18 +167,15 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        cfg = replace(self, **{k: v for k, v in kwargs.items()
-                               if v is not None})
-        cfg.validate()
-        return cfg
 
-
-def load_config(path: str | Path | None) -> ExperimentConfig:
-    """Load a config file, or the defaults when path is None."""
-    if path is None:
-        cfg = ExperimentConfig()
-        cfg.validate()
-        return cfg
-    with open(path, encoding="utf-8") as fh:
-        return ExperimentConfig.from_json(json.load(fh))
+def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
+    """The config of a JSON file (the defaults when path is None) with
+    every override that is not None on top, validated once."""
+    data = {}
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+    return ExperimentConfig.from_json(
+        {**data, **{k: v for k, v in overrides.items() if v is not None}})

@@ -84,24 +84,21 @@ def _gauss_legendre(p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def panel_gauss_legendre(points_per_panel: int,
-                         breaks: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [0, 1] split at ``breaks``.
+def panel_gauss_legendre(points_per_panel: int, edges: tuple[float, ...]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes/weights, p per panel between
+    consecutive ``edges``, none on an empty panel.
 
     Exact for polynomials of degree <= 2p - 1 on each panel, hence for
     global polynomials of that degree and for piecewise polynomials with
-    kinks at the break points.  The exactness holds to roundoff (moments
-    of t^k within a few ulp times k + 1) because the weights are refined
-    from the Legendre recurrence rather than taken from numpy as is.
+    kinks at the edges.  The exactness holds to roundoff (moments of t^k
+    within a few ulp times k + 1) because the weights are refined from
+    the Legendre recurrence rather than taken from numpy as is.
     """
-    edges = [0.0, *sorted(b for b in breaks if 0.0 < b < 1.0), 1.0]
     x, w = _gauss_legendre(points_per_panel)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs.append(a + half * (x + 1.0))
-        ws.append(half * w)
-    return np.concatenate(xs), np.concatenate(ws)
+    panels = [(a, 0.5 * (b - a)) for a, b in zip(edges, edges[1:]) if b > a]
+    return (np.concatenate([a + half * (x + 1.0) for a, half in panels]),
+            np.concatenate([half * w for _, half in panels]))
 
 
 @dataclass(frozen=True)
@@ -239,11 +236,11 @@ def build_rule(n: int, radial_points: int, angular: int | None = None,
     if angular is None:
         angular = 4 * radial_points if n == 1 else 2 * radial_points + 1
 
-    t, wt = panel_gauss_legendre(radial_points, breaks)
+    t, wt = panel_gauss_legendre(radial_points, (0.0, *breaks, 1.0))
     radius = np.sqrt(t)
     moduli = radius[:, None]
     slice_weights = wt * n * t ** (n - 1)  # radial factor n t^(n-1) dt
-    u, wu = panel_gauss_legendre(radial_points)
+    u, wu = panel_gauss_legendre(radial_points, (0.0, 1.0))
     for k in range(1, n):
         # coordinate k + 1 takes a Beta(1, k) share u of t, the others 1 - u
         share = wu * k * (1.0 - u) ** (k - 1)

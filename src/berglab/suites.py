@@ -52,6 +52,12 @@ def _window_norm(mat: np.ndarray, basis: TruncatedBasis,
     return float(np.linalg.norm(mat[np.ix_(keep, keep)], 2))
 
 
+def _decreasing(values) -> bool:
+    """True iff there are at least two values and each is below the one
+    before: a sweep of one degree shows no convergence."""
+    return len(values) >= 2 and bool(np.all(np.diff(values) < 0))
+
+
 def _near_boundary_points(zetas: np.ndarray, delta: float,
                           rng: np.random.Generator) -> np.ndarray:
     """One point a per direction with |a - zeta| < delta and |a| < 1."""
@@ -549,12 +555,10 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
         lhs = (u @ tf @ u.adjoint()).mat
         rhs = toeplitz_matrix(f_sq.compose_moebius(z_half), basis, rule).mat
         conj_defects.append(_window_norm(lhs - rhs, basis, probe))
-    unit_dec = bool(np.all(np.diff(unit_defects) < 0))
-    conj_dec = bool(np.all(np.diff(conj_defects) < 0))
-    checks.append(check("unitarity_defect_decreasing", unit_dec,
-                        unit_defects))
-    checks.append(check("conjugation_defect_decreasing", conj_dec,
-                        conj_defects))
+    checks.append(check("unitarity_defect_decreasing",
+                        _decreasing(unit_defects), unit_defects))
+    checks.append(check("conjugation_defect_decreasing",
+                        _decreasing(conj_defects), conj_defects))
 
     # d_sweep is increasing: the loop left u, basis at max(sweep)
     u_q = unitary_matrix_quadrature(z_half, basis, rule)
@@ -600,8 +604,8 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
         kz = kernel_expansion(zp, bd).coeffs
         kw = kernel_expansion(wp, bd).coeffs
         pair_errs.append(abs(complex(np.vdot(kw, ud.mat @ kz)) - target))
-    pair_dec = bool(np.all(np.diff(pair_errs) < 0))
-    checks.append(check("pairing_matrix_converges", pair_dec, pair_errs))
+    checks.append(check("pairing_matrix_converges", _decreasing(pair_errs),
+                        pair_errs))
 
     # decay along a separated sequence: values vanish, log-bound is linear
     zeta = np.zeros(cfg.n, dtype=complex)
@@ -654,10 +658,8 @@ def run_witness(cfg: ExperimentConfig) -> dict:
                                   TruncatedBasis.create(cfg.n, d))
               for d in (sweep[0], sweep[-1])}
     first_defects = [probes[d].two_route_defects[0] for d in sorted(probes)]
-    route_ok = (len(first_defects) == 2
-                and first_defects[-1] < first_defects[0])
-    checks.append(check("two_route_defect_shrinks_m1", route_ok,
-                        first_defects))
+    checks.append(check("two_route_defect_shrinks_m1",
+                        _decreasing(first_defects), first_defects))
 
     # PSD of S itself at the flagship degree: the sweep ends there
     s_min = float(np.linalg.eigvalsh(probes[sweep[-1]].S.mat).min())

@@ -214,18 +214,13 @@ def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
 
 def _profile_integrals(profile, n: int, max_k: int,
                        support: float | None) -> np.ndarray:
-    """I_k = integral of t^(n+k-1) g(sqrt(t)) dt on [0,1] for k = 0..max_k."""
+    """I_k = integral of t^(n+k-1) g(sqrt(t)) dt on [0,1] for k = 0..max_k,
+    by one Gauss-Legendre panel on [0, min(R^2, 1)]: g is zero beyond
+    the support radius R."""
     if support is not None and not 0.0 < support:
         raise ValueError(f"support radius must be positive, got {support}")
-    breaks: tuple[float, ...] = ()
-    upper = 1.0
-    if support is not None and support < 1.0:
-        upper = support * support
-        breaks = (upper,)
-    t, w = panel_gauss_legendre(_PROFILE_POINTS, breaks)
-    if support is not None and support < 1.0:
-        keep = t <= upper
-        t, w = t[keep], w[keep]
+    upper = 1.0 if support is None else min(support * support, 1.0)
+    t, w = panel_gauss_legendre(_PROFILE_POINTS, (0.0, upper))
     g = np.asarray(profile(np.sqrt(t)), dtype=complex)
     if not np.all(np.isfinite(g)):
         raise ValueError("profile is not finite on (0, 1)")

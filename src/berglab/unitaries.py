@@ -50,7 +50,8 @@ import numpy as np
 
 from .basis import TruncatedBasis, kernel, kernel_expansion
 from .geometry import _gap, _norm2, as_point, inner, moebius
-from .quadrature import QuadratureRule, _gauss_legendre, rule_for_basis
+from .quadrature import (QuadratureRule, _gauss_legendre, panel_gauss_legendre,
+                         rule_for_basis)
 from .toeplitz import (OperatorMatrix, Symbol, _scatter, ray_bands,
                        toeplitz_matrix)
 
@@ -280,12 +281,16 @@ def _cutoff_blocks(profile, radius: float, n: int, degree: int,
     converge geometrically while R < 2.  t -> -t conjugates z_j, so the
     blocks are real symmetric, and the t >= 0 nodes of the (d+n)-point
     rule, doubled, sum the polynomial in t exactly.
+
+    One real (d+1, 2, N) array C (``parts``) holds Re and Im of z_j^a at
+    the N nodes times the root of each weight, so that block k, exactly
+    symmetric, is c_a c_b (C C^T)[a, b] on the first d - k + 1 rows of C
+    read as (d+1, 2N); those rows times |z'| = Y sqrt(1 - t^2) at each
+    node weigh block k + 1.
     """
     x, wx = _gauss_legendre(p)
-    edges = np.minimum([0.0, 2.0 * radius / 3.0, radius], 2.0)
-    u, wu = (np.concatenate(v) for v in zip(*[
-        (lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * wx)
-        for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]))
+    u, wu = panel_gauss_legendre(
+        p, (0.0, min(2.0 * radius / 3.0, 2.0), min(radius, 2.0)))
     top = 0.5 * np.arccos(0.5 * u)[:, None]  # half of each theta interval
     theta = top * (x + 1.0)
     y = u[:, None] * np.sin(theta)
@@ -298,23 +303,21 @@ def _cutoff_blocks(profile, radius: float, n: int, degree: int,
         wt = wt * (1.0 - t * t) ** (n - 2)
     w = ((1.0 - u[:, None] * np.cos(theta))[..., None]
          + 1j * y[..., None] * t).ravel()
-    powers = np.empty((degree + 1, len(w)), dtype=complex)
-    powers[0] = 1.0
-    for a in range(degree):
-        powers[a + 1] = powers[a] * w
-    # Re(w^a conj(w)^b) = Re w^a Re w^b + Im w^a Im w^b, so a block is
-    # c_a c_b (C C^T)[a, b], exactly symmetric, for C the real and
-    # imaginary parts of w^a times the root of each weight
-    parts = np.concatenate([powers.real, powers.imag], axis=1)
-    parts *= np.tile(np.sqrt((base[..., None] * wt).ravel()), 2)
-    s = np.tile((y[..., None] * np.sqrt(1.0 - t * t)).ravel(), 2)
+    parts = np.empty((degree + 1, 2, len(w)))
+    power = np.ones_like(w)
+    for a in range(degree + 1):
+        parts[a, 0], parts[a, 1] = power.real, power.imag
+        power *= w
+    parts *= np.sqrt((base[..., None] * wt).ravel())
+    s = (y[..., None] * np.sqrt(1.0 - t * t)).ravel()
+    flat = parts.reshape(degree + 1, -1)
     blocks = []
     for k in range(degree + 1 if n > 1 else 1):
         m = degree - k + 1
         scale = math.perm(n + k, 2) if n > 1 else 1
         c = np.sqrt([2.0 / math.pi * math.comb(n + k + a, a) * scale
                      for a in range(m)])
-        blocks.append(np.outer(c, c) * (parts[:m] @ parts[:m].T))
+        blocks.append(np.outer(c, c) * (flat[:m] @ flat[:m].T))
         parts[:m - 1] *= s  # the weight of block k + 1
     return blocks
 
@@ -334,11 +337,12 @@ def toeplitz_blocks(f: Symbol, basis: TruncatedBasis) -> tuple[dict, list]:
     c e_j with disjoint supports (``_cutoff_axes``, ``_assemble_cutoff``);
     its record gives the Gauss size p = 12 + d // 4 of ``_cutoff_blocks``
     and the defect: |F| times the Frobenius norm over the whole matrix
-    (block k once per alpha' of degree k) of the change from p - 4.
-    Everything else is "quadrature", one block over the whole basis
-    (``toeplitz_matrix`` over ``rule_for_basis(n, d)``, the only rule any
-    route builds); its record gives the number of nodes f is evaluated
-    at and no defect (None), since quadrature error is not measured.
+    (block k once per alpha' of degree k, a row of ``basis.rays``) of the
+    change from p - 4.  Everything else is "quadrature", one block over
+    the whole basis (``toeplitz_matrix`` over ``rule_for_basis(n, d)``,
+    the only rule any route builds); its record gives the number of
+    nodes f is evaluated at and no defect (None), since quadrature error
+    is not measured.
 
     T_f is the sum over triples of block placed at rows[i] x cols[i] for
     each i: rows and cols are (placements, size) arrays of basis
@@ -363,9 +367,8 @@ def toeplitz_blocks(f: Symbol, basis: TruncatedBasis) -> tuple[dict, list]:
         fine, coarse = (_cutoff_blocks(f.profile, f.support, n, d, q)
                         for q in (p, p - 4))
         defect = math.sqrt(sum(
-            (math.comb(k + n - 2, n - 2) if n > 1 else 1)
-            * float(np.sum((a - b) ** 2))
-            for k, (a, b) in enumerate(zip(fine, coarse))))
+            len(pos) * float(np.sum((a - b) ** 2))
+            for pos, a, b in zip(basis.rays(axes[0][0]), fine, coarse)))
         return ({"route": "cutoff", "p": p, "defect": len(f.points) * defect},
                 _assemble_cutoff(fine, axes, basis))
     rule = rule_for_basis(n, d)

@@ -149,10 +149,7 @@ def boundary_trace_check(F: SphereSet, r: float, samples: int,
 
     xi = random_sphere_points(F.n, samples, rng)
     dist = F.min_dist(xi)
-    if len(F) == 0:
-        testable = np.ones(samples, dtype=bool)
-    else:
-        testable = dist >= excl
+    testable = dist >= excl
     tested = int(np.count_nonzero(testable))
     violations = 0
     if tested:
@@ -587,8 +584,7 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     n = basis.n
     if len(F2) == 0:
         raise ValueError("F2 must be non-empty")
-    dists = (np.full(len(F2), np.inf) if len(F1) == 0
-             else F1.min_dist(F2.points))
+    dists = F1.min_dist(F2.points)
     order = np.argsort(-dists)
     best = int(order[0])
     if not (dists[best] >= 2.0 * eps):

@@ -15,6 +15,11 @@ from berglab.config import ExperimentConfig, load_config
 from berglab.quadrature import rule_for_basis
 from berglab.reports import canonical_json, config_hash, write_csv, write_report
 
+# n = 2, zeta = e1, F1 = {e2}, F2 = {e1, e2}: F2's best distance is sqrt(2)
+E12 = {"n": 2, "zeta": [[1.0, 0.0], [0.0, 0.0]],
+       "F1": [[[0.0, 0.0], [1.0, 0.0]]],
+       "F2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+
 
 class TestConfig:
     def test_defaults_validate(self):
@@ -61,11 +66,25 @@ class TestConfig:
         prov = cfg.provenance_json()
         assert "out_dir" not in prov and "jobs" not in prov
         assert config_hash(prov) == config_hash(
-            cfg.with_overrides(jobs=5, out_dir="elsewhere").provenance_json())
+            load_config(None, jobs=5, out_dir="elsewhere").provenance_json())
 
     def test_load_missing_file_fails(self, tmp_path):
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.json")
+
+    def test_load_merges_overrides_that_are_set(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 3, "M": 4}))
+        cfg = load_config(path, seed=9, jobs=None, out_dir="there")
+        assert (cfg.seed, cfg.M, cfg.jobs, cfg.out_dir) == (9, 4, 1, "there")
+        with pytest.raises(ValueError, match="jobs must be"):
+            load_config(path, jobs=0)
+
+    def test_load_rejects_a_file_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_config(path)
 
 
 class TestReports:
@@ -107,8 +126,11 @@ class TestCli:
     @pytest.mark.parametrize("bad, why", [
         ({"d_sweep": []}, "d_sweep must be non-empty"),
         ({"d_sweep": [8, 8]}, "d_sweep must be strictly increasing"),
-        ({"r": 0.99}, "r = 0.99 leaves only 4 separated radii")],
-        ids=["empty_sweep", "repeated_degree", "underflowing_radius"])
+        ({"r": 0.99}, "r = 0.99 leaves only 4 separated radii"),
+        ({"eps": 1.2}, "eps = 1.2 exceeds sqrt(5)/2"),
+        (dict(E12, eps=0.8), "no direction of F2 is at distance >= 2 eps")],
+        ids=["empty_sweep", "repeated_degree", "underflowing_radius",
+             "eps_beyond_prop1_sequence", "f2_within_2eps_of_f1"])
     def test_invalid_config_exits_before_compute(self, tmp_path, capsys,
                                                  suite, bad, why):
         cfgfile = tmp_path / "bad.json"
@@ -118,6 +140,23 @@ class TestCli:
         assert code == 2
         assert not out.exists()
         assert f"configuration error: {why}" in capsys.readouterr().err
+
+    def test_config_validated_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        validate = ExperimentConfig.validate
+
+        def counted(cfg):
+            calls.append(cfg)
+            validate(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counted)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"M": 4}))
+        for argv in (["sequence"], ["sequence", "--config", str(cfgfile),
+                                    "--seed", "7", "--jobs", "2"]):
+            calls.clear()
+            assert main([*argv, "--out", str(tmp_path / "rep")]) == 0
+            assert len(calls) == 1
 
     def test_decay_horizon_below_witness_horizon_rejected(
             self, tmp_path, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from berglab.basis import monomial_norm, multi_indices
-from berglab.quadrature import (build_rule, integrate, panel_gauss_legendre,
-                                rule_for_basis)
+from berglab.quadrature import (_gauss_legendre, build_rule, integrate,
+                                panel_gauss_legendre, rule_for_basis)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -141,7 +141,7 @@ def test_meta_roundtrip():
 def test_panel_rule_moments_to_roundoff(p, breaks):
     # exactness for degree <= 2p - 1 must hold to roundoff, not to the
     # weight error of the underlying library rule
-    t, w = panel_gauss_legendre(p, breaks)
+    t, w = panel_gauss_legendre(p, (0.0, *breaks, 1.0))
     eps = np.finfo(float).eps
     for k in range(2 * p):
         err = abs((k + 1) * np.sum(w * t ** k) - 1.0)
@@ -158,7 +158,7 @@ def _legendre_mp(mp, p, x):
 @pytest.mark.parametrize("p", [9, 40, 120])
 def test_panel_rule_matches_high_precision_rule(p):
     mp = pytest.importorskip("mpmath")
-    t, w = panel_gauss_legendre(p)
+    t, w = panel_gauss_legendre(p, (0.0, 1.0))
     eps = np.finfo(float).eps
     with mp.workdps(40):
         for ti, wi in zip(t, w):
@@ -173,6 +173,35 @@ def test_panel_rule_matches_high_precision_rule(p):
             # node's own rounding limits the relative accuracy of a weight
             assert abs(ti - float((x + 1) / 2)) <= eps
             assert abs(wi - float(1 / ((1 - x) * (1 + x) * der * der))) <= 2 * eps
+
+
+def _breaks_rule(p, breaks):
+    """The composite rule on [0, 1] split at ``breaks``, built panel by
+    panel as ``panel_gauss_legendre`` did when it took break points."""
+    x, w = _gauss_legendre(p)
+    edges = [0.0, *sorted(b for b in breaks if 0.0 < b < 1.0), 1.0]
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        xs.append(a + half * (x + 1.0))
+        ws.append(half * w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+@pytest.mark.parametrize("breaks", [(), (0.36,), (0.25, 0.81)])
+@pytest.mark.parametrize("p", [1, 12, 120])
+def test_panel_rule_is_the_breaks_rule(p, breaks):
+    # edges (0, *breaks, 1) give the nodes and weights bit for bit
+    for got, want in zip(panel_gauss_legendre(p, (0.0, *breaks, 1.0)),
+                         _breaks_rule(p, breaks)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_panel_rule_skips_empty_panels():
+    t, w = panel_gauss_legendre(8, (0.0, 2.0, 2.0))
+    ref_t, ref_w = panel_gauss_legendre(8, (0.0, 2.0))
+    assert t.tobytes() == ref_t.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert len(t) == 8 and np.sum(w) == pytest.approx(2.0, rel=1e-15)
 
 
 def _complex_symbol(pts):

@@ -8,9 +8,10 @@ import pytest
 
 from berglab.basis import TruncatedBasis, project
 from berglab.geometry import moebius
-from berglab.quadrature import build_rule, integrate, rule_for_basis
-from berglab.toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
-                              _scatter, commutator, op_norm, ray_bands,
+from berglab.quadrature import (build_rule, integrate, panel_gauss_legendre,
+                                rule_for_basis)
+from berglab.toeplitz import (_PROFILE_POINTS, OperatorMatrix, Symbol,
+                              _profile_integrals, _scatter, commutator, op_norm, ray_bands,
                               toeplitz_matrix, toeplitz_monomial_radial,
                               toeplitz_radial)
 from berglab.unitaries import toeplitz_blocks
@@ -480,3 +481,21 @@ class TestProfileIntegrals:
         for narrow, wide in zip(ints, ints[1:]):
             assert np.array_equal(narrow, wide[:len(narrow)])
         assert abs(ints[0][1] - R ** 4 / 6.0) <= np.spacing(R ** 4 / 6.0)
+
+    @pytest.mark.parametrize("support", [0.3, 1.0, 1.5, None])
+    def test_one_panel_is_the_filtered_rule(self, support):
+        # the panel on [0, min(R^2, 1)] gives the bytes of the rule on
+        # [0, 1] split at R^2 and cut back to its first panel
+        def profile(u):
+            return np.exp(-u) * np.cos(3.0 * u)
+
+        inside = support is not None and support < 1.0
+        upper = support * support if inside else 1.0
+        t, w = panel_gauss_legendre(
+            _PROFILE_POINTS, (0.0, upper, 1.0) if inside else (0.0, 1.0))
+        keep = t <= upper
+        t, w = t[keep], w[keep]
+        g = np.asarray(profile(np.sqrt(t)), dtype=complex)
+        want = (t[None, :] ** (1 + np.arange(31))[:, None] * (w * g)).sum(axis=1)
+        got = _profile_integrals(profile, 2, 30, support)
+        assert got.tobytes() == want.tobytes()

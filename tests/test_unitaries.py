@@ -10,7 +10,7 @@ import pytest
 
 from berglab.basis import TruncatedBasis, kernel_expansion
 from berglab.geometry import sample_ball
-from berglab.quadrature import build_rule, rule_for_basis
+from berglab.quadrature import _gauss_legendre, build_rule, rule_for_basis
 from berglab.sequences import build_sequence
 from berglab import unitaries
 from berglab.toeplitz import (Symbol, _profile_integrals, _scatter,
@@ -509,9 +509,60 @@ def cutoff_mean(n, eps):
     return 0.5 * sum(wi * lens_volume(n, ui) for wi, ui in zip(w, u))
 
 
+def cutoff_blocks_table(profile, radius, n, degree, p):
+    """The blocks of ``_cutoff_blocks`` from a complex table of the
+    powers z_j^a, its real and imaginary parts concatenated, and tiled
+    weights (reference)."""
+    x, wx = _gauss_legendre(p)
+    edges = np.minimum([0.0, 2.0 * radius / 3.0, radius], 2.0)
+    u, wu = (np.concatenate(v) for v in zip(*[
+        (lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * wx)
+        for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]))
+    top = 0.5 * np.arccos(0.5 * u)[:, None]
+    theta = top * (x + 1.0)
+    y = u[:, None] * np.sin(theta)
+    base = (wu * profile(u) * u)[:, None] * (top * wx) * y ** (2 * n - 2)
+    t, wt = np.ones(1), np.ones(1)
+    if n > 1:
+        t, wt = _gauss_legendre(degree + n)
+        half = t >= 0.0
+        t, wt = t[half], np.where(t > 0.0, 2.0, 1.0)[half] * wt[half]
+        wt = wt * (1.0 - t * t) ** (n - 2)
+    w = ((1.0 - u[:, None] * np.cos(theta))[..., None]
+         + 1j * y[..., None] * t).ravel()
+    powers = np.empty((degree + 1, len(w)), dtype=complex)
+    powers[0] = 1.0
+    for a in range(degree):
+        powers[a + 1] = powers[a] * w
+    parts = np.concatenate([powers.real, powers.imag], axis=1)
+    parts *= np.tile(np.sqrt((base[..., None] * wt).ravel()), 2)
+    s = np.tile((y[..., None] * np.sqrt(1.0 - t * t)).ravel(), 2)
+    blocks = []
+    for k in range(degree + 1 if n > 1 else 1):
+        m = degree - k + 1
+        scale = math.perm(n + k, 2) if n > 1 else 1
+        c = np.sqrt([2.0 / math.pi * math.comb(n + k + a, a) * scale
+                     for a in range(m)])
+        blocks.append(np.outer(c, c) * (parts[:m] @ parts[:m].T))
+        parts[:m - 1] *= s
+    return blocks
+
+
 class TestCutoffRoute:
     """Proposition 1's cutoff eta around points c e_j of the sphere,
     assembled from its blocks with no quadrature over the ball."""
+
+    @pytest.mark.parametrize("degree", [5, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_are_the_power_table_sum(self, n, degree):
+        # one real work array gives the bytes of the complex power table
+        f = eta([np.eye(n)[-1]])
+        p = 12 + degree // 4
+        got = unitaries._cutoff_blocks(f.profile, f.support, n, degree, p)
+        want = cutoff_blocks_table(f.profile, f.support, n, degree, p)
+        assert len(got) == len(want) == (degree + 1 if n > 1 else 1)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0, 2.0])

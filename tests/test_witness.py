@@ -13,7 +13,7 @@ from berglab.config import ExperimentConfig
 from berglab.geometry import pseudo_metric, sample_ball
 from berglab.quadrature import integrate, rule_for_basis
 from berglab.sequences import build_sequence
-from berglab.suites import run_prop1, run_separate, run_witness
+from berglab.suites import run_prop1, run_separate, run_unitary, run_witness
 from berglab.toeplitz import (Symbol, _scatter, apply_blocks, commutator,
                               op_norm, toeplitz_matrix,
                               toeplitz_monomial_radial)
@@ -241,6 +241,14 @@ class TestWitnessOperator:
         assert verdict["two_route_defect_shrinks_m1"]
         routes = [r for rs in rep["two_route_assembly"].values() for r in rs]
         assert [r["route"] for r in routes] == ["moebius"] * 2 * cfg.M
+
+    def test_one_degree_sweep_fails_every_sweep_check(self):
+        # one value shows no decrease: np.diff of it is empty
+        cfg = ExperimentConfig(d_sweep=(8,))
+        assert {"unitarity_defect_decreasing",
+                "conjugation_defect_decreasing",
+                "pairing_matrix_converges"} <= set(run_unitary(cfg)["failures"])
+        assert "two_route_defect_shrinks_m1" in run_witness(cfg)["failures"]
 
     @pytest.mark.parametrize("n, degree, axis", [(1, 64, 0), (2, 10, 0),
                                                   (2, 8, 1), (3, 6, 0)])
@@ -711,3 +719,15 @@ class TestRuleOnDemand:
             tracemalloc.stop()
         assert report["passed"]
         assert peak < 128 * 2 ** 20
+
+    def test_separate_cutoff_memory(self):
+        # n = 2, d = 48: T_eta's Gauss sum held a complex table of the
+        # powers beside a real copy, about 48 MiB traced
+        tracemalloc.start()
+        try:
+            report = run_separate(axis_config(2, 48))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["passed"]
+        assert peak < 36 * 2 ** 20
