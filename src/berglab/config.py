@@ -1,42 +1,36 @@
-"""Experiment configuration: explicit keys, validated before computation,
-lossless JSON round-trip."""
+"""Experiment configuration: the parameters of an experiment, explicit
+keys of checked types, validated before computation, lossless JSON
+round-trip.  The bounds the checks read are not parameters: each is a
+constant beside the code that checks it, recorded in that check's
+``tolerance`` field."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .sequences import SequenceUnderflowError, build_sequence
+from .unitaries import _axis_point
 from .witness import SphereSet
 
-__all__ = ["ExperimentConfig", "DEFAULT_TOLERANCES", "load_config",
-           "complex_vector"]
+__all__ = ["ExperimentConfig", "load_config", "complex_vector"]
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "eq4_violation": 1e-12,
-    "moebius_involution": 1e-12,
-    "rho_isometry": 1e-12,
-    "gram_defect_n1": 1e-10,
-    "gram_defect_n2": 1e-6,
-    "kernel_norm": 1e-9,
-    "fast_path": 1e-8,
-    "norm_contraction": 1e-8,
-    "toeplitz_diag": 1e-10,
-    "lemma1_value": 1e-12,
-    "membership_band": 1e-9,
-    "psd_floor": 1e-10,
-    "decay_fraction": 0.05,
-    "slope_rel": 0.10,
-    "separation_factor": 10.0,
-}
+# the JSON types each field accepts (a bool is not an int here)
+_TYPES = {**dict.fromkeys(("n", "degree", "M", "decay_M", "seed", "jobs"),
+                          (int,)),
+          "r": (int, float), "eps": (int, float), "d_sweep": (list, tuple),
+          "zeta": (list,), "F1": (list,), "F2": (list,), "out_dir": (str,)}
 
 
 def complex_vector(pairs) -> np.ndarray:
     """Decode [[re, im], ...] into a complex vector."""
-    arr = np.asarray(pairs, dtype=float)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except TypeError:  # an entry that is no number, such as an object
+        raise ValueError(f"expected [[re, im], ...], got {pairs!r}") from None
     if arr.ndim == 1 and arr.size == 2:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -46,7 +40,9 @@ def complex_vector(pairs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Driving parameters for the experiment suites.
+    """The parameters of the experiment suites: dimension, degrees,
+    radius, sequence lengths, direction sets, seed and execution fields.
+    The check bounds are fixed in code, not here.
 
     Directions (zeta and the members of F1/F2) are stored as lists of
     [re, im] coordinate pairs so the configuration serializes to plain
@@ -66,9 +62,17 @@ class ExperimentConfig:
     seed: int = 20240
     jobs: int = 1  # >= 2: run_geometry forks its inclusion half
     out_dir: str = "reports"
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def validate(self) -> None:
+        for name, types in _TYPES.items():
+            value = getattr(self, name)
+            if type(value) not in types:
+                raise ValueError(f"{name} must be "
+                                 f"{' or '.join(t.__name__ for t in types)}"
+                                 f", got {value!r}")
+        if any(type(d) is not int for d in self.d_sweep):
+            raise ValueError(f"d_sweep entries must be int, got "
+                             f"{list(self.d_sweep)!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.degree < 1:
@@ -95,14 +99,18 @@ class ExperimentConfig:
         z = complex_vector(self.zeta)
         if z.size != self.n:
             raise ValueError(f"zeta has dimension {z.size}, expected {self.n}")
-        if abs(np.linalg.norm(z) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(z) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("zeta must be a unit vector")
+        if _axis_point(z) is None:
+            raise ValueError("zeta must lie on a coordinate axis: the "
+                             "witness suite builds U_zeta exactly only at "
+                             "zeta = c e_j")
         for name, group in (("F1", self.F1), ("F2", self.F2)):
             for vec in group:
                 v = complex_vector(vec)
                 if v.size != self.n:
                     raise ValueError(f"{name} member has wrong dimension")
-                if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+                if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
                     raise ValueError(f"{name} members must be unit vectors")
         if not self.F2:
             raise ValueError("F2 must be non-empty")
@@ -116,12 +124,6 @@ class ExperimentConfig:
             raise ValueError("no direction of F2 is at distance >= 2 eps = "
                              f"{2 * self.eps} from F1 (best is "
                              f"{dists.max():.6g})")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
     @property
     def zeta_vec(self) -> np.ndarray:
@@ -157,15 +159,9 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged = dict(data)
-        if "d_sweep" in merged:
-            merged["d_sweep"] = tuple(merged["d_sweep"])
-        if "tolerances" in merged:
-            merged["tolerances"] = {**DEFAULT_TOLERANCES,
-                                    **merged["tolerances"]}
-        cfg = cls(**merged)
+        cfg = cls(**data)
         cfg.validate()
-        return cfg
+        return replace(cfg, d_sweep=tuple(cfg.d_sweep))
 
 
 def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:

@@ -23,9 +23,9 @@ from .toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
                        toeplitz_monomial_radial, toeplitz_radial)
 from .unitaries import (unitary_matrix_exact, unitary_matrix_quadrature,
                         weak_pairing_exact)
-from .witness import (SphereSet, build_prop1_config, default_panel,
-                      lemma3_lower_bound, prop1_decay,
-                      separation_experiment, witness_operator,
+from .witness import (DECAY_FRACTION, SEPARATION_FACTOR, SphereSet,
+                      build_prop1_config, default_panel, lemma3_lower_bound,
+                      prop1_decay, separation_experiment, witness_operator,
                       witness_symbol)
 from .reports import check, summarize_checks
 
@@ -40,6 +40,14 @@ _GEOM_DIMS = (1, 2, 3)
 # by malloc around small blocks left over from earlier work, so the peak
 # RSS of a run moved by up to 5 MiB with the seed.
 _SAMPLE_ROWS = 10_000
+# The bounds of the suites' checks (membership_band: the width of the
+# boundary band the membership check skips); the decay and separation
+# bounds live beside their checks in witness.
+_TOL = {"eq4_violation": 1e-12, "moebius_involution": 1e-12,
+        "rho_isometry": 1e-12, "membership_band": 1e-9,
+        "gram_defect_n1": 1e-10, "gram_defect_n2": 1e-6, "kernel_norm": 1e-9,
+        "toeplitz_diag": 1e-10, "fast_path": 1e-8, "norm_contraction": 1e-8,
+        "psd_floor": 1e-10, "lemma1_value": 1e-12}
 
 
 def _rng(cfg: ExperimentConfig, suite: int) -> np.random.Generator:
@@ -50,6 +58,11 @@ def _window_norm(mat: np.ndarray, basis: TruncatedBasis,
                  probe_degree: int) -> float:
     keep = basis.degrees <= probe_degree
     return float(np.linalg.norm(mat[np.ix_(keep, keep)], 2))
+
+
+def _within(name: str, err: float, key: str) -> dict:
+    """The check that err is at most the bound _TOL[key]."""
+    return check(name, err <= _TOL[key], err, _TOL[key])
 
 
 def _decreasing(values) -> bool:
@@ -94,15 +107,12 @@ def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
     checks = []
     payload: dict = {}
 
-    eq4_tol = cfg.tol("eq4_violation")
     worst_eq4 = 0.0
     for n in _GEOM_DIMS:
         worst_eq4 = max(worst_eq4, _combined_metric_violation(n, rng))
     payload["eq4_max_violation"] = worst_eq4
-    checks.append(check("eq4_combined_metric", worst_eq4 <= eq4_tol,
-                        worst_eq4, eq4_tol))
+    checks.append(_within("eq4_combined_metric", worst_eq4, "eq4_violation"))
 
-    inv_tol = cfg.tol("moebius_involution")
     worst_inv = 0.0
     for n in _GEOM_DIMS:
         a = sample_ball(n, 10_000, rng, 0.9)
@@ -111,10 +121,9 @@ def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
         worst_inv = max(worst_inv,
                         float(np.max(np.linalg.norm(back - z, axis=1))))
     payload["involution_max_error"] = worst_inv
-    checks.append(check("moebius_involution", worst_inv <= inv_tol,
-                        worst_inv, inv_tol))
+    checks.append(_within("moebius_involution", worst_inv,
+                          "moebius_involution"))
 
-    iso_tol = cfg.tol("rho_isometry")
     worst_iso = 0.0
     for n in _GEOM_DIMS:
         u = sample_ball(n, 10_000, rng, 0.9)
@@ -124,8 +133,7 @@ def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
         after = pseudo_metric(moebius(u, z), moebius(u, w))
         worst_iso = max(worst_iso, float(np.max(np.abs(after - before))))
     payload["isometry_max_error"] = worst_iso
-    checks.append(check("rho_moebius_isometry", worst_iso <= iso_tol,
-                        worst_iso, iso_tol))
+    checks.append(_within("rho_moebius_isometry", worst_iso, "rho_isometry"))
 
     # ball disjointness under the threshold: pair k samples E(z_k), E(w_k)
     overlap = 0
@@ -163,7 +171,7 @@ def _geometry_inclusion(cfg: ExperimentConfig) -> tuple[list, dict]:
     payload: dict = {}
 
     # metric vs ellipsoid membership, away from the boundary band
-    band = cfg.tol("membership_band")
+    band = _TOL["membership_band"]
     disagreements = 0
     for n in _GEOM_DIMS:
         draws = [(sample_ball(n, 1, rng, 0.85)[0], rng.uniform(0.2, 0.8),
@@ -333,23 +341,18 @@ def run_basis(cfg: ExperimentConfig) -> dict:
     rule1 = rule_for_basis(1, 12)
     gram = weighted_gram(basis1, rule1, np.ones(len(rule1)))
     defect1 = float(np.max(np.abs(gram - np.eye(len(basis1)))))
-    checks.append(check("gram_identity_n1_d12",
-                        defect1 <= cfg.tol("gram_defect_n1"), defect1,
-                        cfg.tol("gram_defect_n1")))
+    checks.append(_within("gram_identity_n1_d12", defect1, "gram_defect_n1"))
 
     basis2 = TruncatedBasis.create(2, 8)
     rule2 = rule_for_basis(2, 8)
     gram2 = weighted_gram(basis2, rule2, np.ones(len(rule2)))
     defect2 = float(np.max(np.abs(gram2 - np.eye(len(basis2)))))
-    checks.append(check("gram_identity_n2_d8",
-                        defect2 <= cfg.tol("gram_defect_n2"), defect2,
-                        cfg.tol("gram_defect_n2")))
+    checks.append(_within("gram_identity_n2_d8", defect2, "gram_defect_n2"))
 
     z6 = np.array([0.6 + 0.0j])
     knorm = integrate(lambda pts: np.abs(kernel(z6, pts)) ** 2, rule1)
     kerr = abs(float(np.real(knorm)) - 1.0)
-    checks.append(check("kernel_norm_one", kerr <= cfg.tol("kernel_norm"),
-                        kerr, cfg.tol("kernel_norm")))
+    checks.append(_within("kernel_norm_one", kerr, "kernel_norm"))
 
     # reproducing identity for a random polynomial of full degree
     rng = _rng(cfg, 3)
@@ -438,11 +441,8 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     ks = np.arange(13)
     t_r2 = toeplitz_matrix(Symbol.radial(lambda u: u ** 2, 1.0), basis, rule)
     diag_err = float(np.max(np.abs(np.diag(t_r2.mat) - (ks + 1) / (ks + 2))))
-    checks.append(check("diag_radius_squared",
-                        diag_err <= cfg.tol("toeplitz_diag"), diag_err,
-                        cfg.tol("toeplitz_diag")))
+    checks.append(_within("diag_radius_squared", diag_err, "toeplitz_diag"))
 
-    fast_tol = cfg.tol("fast_path")
     worst_fast = 0.0
     for profile, support, label in (
             (lambda u: u ** 2, None, "u^2"),
@@ -455,15 +455,13 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
         fast = toeplitz_radial(profile, basis, support=support)
         worst_fast = max(worst_fast,
                          float(np.max(np.abs(gen.mat - fast.mat))))
-    checks.append(check("radial_fast_path", worst_fast <= fast_tol,
-                        worst_fast, fast_tol))
+    checks.append(_within("radial_fast_path", worst_fast, "fast_path"))
 
     wit = witness_symbol(r)
     band_gen = toeplitz_matrix(wit, basis, rule)
     band_fast = toeplitz_monomial_radial(0, wit.profile, basis, support=r)
     band_err = float(np.max(np.abs(band_gen.mat - band_fast.mat)))
-    checks.append(check("band_fast_path", band_err <= fast_tol, band_err,
-                        fast_tol))
+    checks.append(_within("band_fast_path", band_err, "fast_path"))
 
     # also in two variables (band entries carry sphere moments there)
     basis2 = TruncatedBasis.create(2, 6)
@@ -471,17 +469,15 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     wit2_gen = toeplitz_matrix(wit, basis2, rule2)
     wit2_fast = toeplitz_monomial_radial(0, wit.profile, basis2, support=r)
     band2_err = float(np.max(np.abs(wit2_gen.mat - wit2_fast.mat)))
-    checks.append(check("band_fast_path_n2", band2_err <= fast_tol,
-                        band2_err, fast_tol))
+    checks.append(_within("band_fast_path_n2", band2_err, "fast_path"))
 
-    contraction_tol = cfg.tol("norm_contraction")
     worst_excess = -np.inf
     for sym in _symbol_panel(r):
         tm = toeplitz_matrix(sym, basis, rule)
         excess = op_norm(tm) - sym.sup_norm_bound
         worst_excess = max(worst_excess, excess)
-    checks.append(check("norm_contraction", worst_excess <= contraction_tol,
-                        worst_excess, contraction_tol))
+    checks.append(_within("norm_contraction", worst_excess,
+                          "norm_contraction"))
 
     ns = Symbol.sampled(
         lambda pts: pts[:, 0] * np.exp(-np.sum(np.abs(pts) ** 2, axis=-1)),
@@ -507,8 +503,8 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     checks.append(check("witness_commutator_nonzero", comm_norm > 0.0,
                         comm_norm))
     checks.append(check("squared_commutator_psd",
-                        min_eig >= -cfg.tol("psd_floor"), min_eig,
-                        -cfg.tol("psd_floor")))
+                        min_eig >= -_TOL["psd_floor"], min_eig,
+                        -_TOL["psd_floor"]))
 
     # compactly supported radial symbols have geometrically decaying diagonal
     small = toeplitz_radial(
@@ -578,9 +574,7 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
                                   np.array([0.0 + 0j]),
                                   np.array([0.0 + 0j]))
     bench_err = abs(complex(value) - 0.19)
-    checks.append(check("pairing_benchmark",
-                        bench_err <= cfg.tol("lemma1_value"), bench_err,
-                        cfg.tol("lemma1_value")))
+    checks.append(_within("pairing_benchmark", bench_err, "lemma1_value"))
 
     worst_gap = -np.inf
     for n in _GEOM_DIMS:
@@ -664,7 +658,7 @@ def run_witness(cfg: ExperimentConfig) -> dict:
     # PSD of S itself at the flagship degree: the sweep ends there
     s_min = float(np.linalg.eigvalsh(probes[sweep[-1]].S.mat).min())
     checks.append(check("s_positive_semidefinite",
-                        s_min >= -cfg.tol("psd_floor"), s_min))
+                        s_min >= -_TOL["psd_floor"], s_min))
 
     report = summarize_checks(checks)
     report.update({key: rep[key] for key in (
@@ -698,12 +692,10 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     seq = build_sequence(np.array([1.0 + 0j]), r, cfg.decay_M)
     cfg1 = build_prop1_config(F_empty, cfg.eps)
     panel = default_panel(F_empty, r, 1)
-    rep1 = prop1_decay(panel, seq, cfg1, basis,
-                       decay_frac=cfg.tol("decay_fraction"),
-                       slope_rel=cfg.tol("slope_rel"))
+    rep1 = prop1_decay(panel, seq, cfg1, basis)
     checks.append(check("decay_below_fraction_n1", all(rep1["decay_ok"]),
                         [c[-1] / c[0] for c in rep1["curves"]],
-                        cfg.tol("decay_fraction")))
+                        DECAY_FRACTION))
     checks.append(check("slope_within_tolerance_n1", rep1["slope_ok"],
                         rep1["slopes"], rep1["slope_target"]))
 
@@ -713,9 +705,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     seq2 = build_sequence(np.array([1.0 + 0j, 0.0 + 0j]), r, 8)
     cfg2 = build_prop1_config(F1, cfg.eps)
     panel2 = default_panel(F1, r, 2)
-    rep2 = prop1_decay(panel2, seq2, cfg2, basis2,
-                       decay_frac=cfg.tol("decay_fraction"),
-                       slope_rel=cfg.tol("slope_rel"))
+    rep2 = prop1_decay(panel2, seq2, cfg2, basis2)
     checks.append(check("slope_within_tolerance_n2", rep2["slope_ok"],
                         rep2["slopes"], rep2["slope_target"]))
     eta = rep2["eta_bound"]
@@ -751,15 +741,12 @@ def run_separate(cfg: ExperimentConfig) -> dict:
     F2 = SphereSet.create(cfg.f2_vecs, n=cfg.n)
     rep = separation_experiment(
         F1, F2, cfg.r, cfg.M, basis, eps=cfg.eps, rng=rng,
-        decay_M=cfg.decay_M,
-        separation_factor=cfg.tol("separation_factor"),
-        decay_frac=cfg.tol("decay_fraction"),
-        slope_rel=cfg.tol("slope_rel"))
+        decay_M=cfg.decay_M)
 
     checks = [
         check("separation_factor",
               rep["separation_ok"], rep["separation_factor"],
-              cfg.tol("separation_factor")),
+              SEPARATION_FACTOR),
         check("witness_floor_positive", rep["lemma3"]["floor_positive"],
               rep["lemma3"]["floor_c"]),
         check("panel_vanishes_off_region", rep["vanish_ok"],

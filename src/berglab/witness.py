@@ -48,6 +48,15 @@ __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "Prop1Config", "build_prop1_config", "lens_volume", "prop1_decay",
            "default_panel", "separation_experiment"]
 
+# The bounds of the decay and separation verdicts.  A panel curve must
+# fall below DECAY_FRACTION of its first value, its log-log slope must
+# lie within SLOPE_REL of (n+1)/2, and the witness floor must exceed the
+# largest panel curve by SEPARATION_FACTOR at the witness horizon.
+DECAY_FRACTION = 0.05
+SLOPE_REL = 0.10
+SEPARATION_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class SphereSet:
     """A finite (hence closed) set of boundary directions; may be empty."""
@@ -428,8 +437,7 @@ def build_prop1_config(F: SphereSet, eps: float) -> Prop1Config:
 
 
 def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
-                cfg: Prop1Config, basis: TruncatedBasis, *, decay_frac: float,
-                slope_rel: float) -> dict:
+                cfg: Prop1Config, basis: TruncatedBasis) -> dict:
     """Decay of ||T_{g1}..T_{gk} U_{z_m} 1|| along a sequence avoiding
     ``cfg.f_set``.
 
@@ -442,11 +450,11 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     the right, T_{g1}(T_{g2}(T_{g3} K)) (``toeplitz.apply_blocks``), as
     is T_eta: no operator is multiplied by another, and off the
     quadrature route no B x B array is formed.  Checks, per product
-    prefix (k <= 3): decay of the curve below ``decay_frac`` of its
+    prefix (k <= 3): decay of the curve below ``DECAY_FRACTION`` of its
     first value; the cutoff-factor bound
     ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
     plus a slack; and, for every product curve, the log-log slope of the
-    curve against 1 - |z_m|^2 within ``slope_rel`` of (n+1)/2.
+    curve against 1 - |z_m|^2 within ``SLOPE_REL`` of (n+1)/2.
 
     ||P T_eta P k_{z_m}|| exceeds ||T_eta k_{z_m}|| by at most
     ||T_eta|| ||(I - P) k_{z_m}|| <= sup eta sqrt(1 - ||P k_{z_m}||^2)
@@ -481,7 +489,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
             prod = apply_blocks(op, prod)
         curve = [float(np.linalg.norm(v)) for v in prod.T]
         curves.append(curve)
-        decay_ok.append(bool(curve[-1] <= decay_frac * curve[0]))
+        decay_ok.append(bool(curve[-1] <= DECAY_FRACTION * curve[0]))
 
     eta_route = None
     if len(cfg.f_set):
@@ -507,7 +515,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
               else None for curve in curves]
     slope_target = 0.5 * (n + 1)
     slope_ok = all(v is not None and abs(v - slope_target)
-                   <= slope_rel * slope_target for v in slopes)
+                   <= SLOPE_REL * slope_target for v in slopes)
 
     return {
         "radii": seq.radii.tolist(),
@@ -562,9 +570,7 @@ def default_panel(F1: SphereSet, r: float, n: int) -> list[Symbol]:
 
 def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
                           basis: TruncatedBasis, *, eps: float,
-                          rng: np.random.Generator, decay_M: int,
-                          separation_factor: float, decay_frac: float,
-                          slope_rel: float) -> dict:
+                          rng: np.random.Generator, decay_M: int) -> dict:
     """The flagship experiment: witness floor against ideal-sample decay.
 
     Runs the lower-bound check (``lemma3_lower_bound``, no U_z) over the
@@ -573,8 +579,10 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     decay suite's horizon ``decay_M`` (the deterministic schedule makes
     the M-term sequence a prefix).  The witness curve is the Berezin
     values <T k_{z_m}, k_{z_m}>; every curve is normalized at its first
-    point.  The verdict compares the witness floor against the largest
-    panel curve, both at the witness horizon M.
+    point.  The verdict asks the witness floor to exceed the largest
+    panel curve, both at the witness horizon M, by ``SEPARATION_FACTOR``;
+    the panel is judged by ``prop1_decay`` against ``DECAY_FRACTION`` and
+    ``SLOPE_REL``.
 
     Also verifies region monotonicity (F1 inside F2), the boundary
     traces, and that every panel symbol vanishes off W_{F1}.  No
@@ -615,8 +623,7 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
 
     seq_decay = build_sequence(zeta, r, decay_M)
     cfg = build_prop1_config(F1, eps)
-    prop1 = prop1_decay(symbols, seq_decay, cfg, basis,
-                        decay_frac=decay_frac, slope_rel=slope_rel)
+    prop1 = prop1_decay(symbols, seq_decay, cfg, basis)
 
     values = np.asarray(lemma3["values"])
     wcurve = values / values[0]
@@ -624,7 +631,7 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     ceiling = float(max(curve[M - 1] / curve[0]
                         for curve in prop1["curves"]))
     factor = floor / ceiling if ceiling > 0 else math.inf
-    separation_ok = bool(factor >= separation_factor)
+    separation_ok = bool(factor >= SEPARATION_FACTOR)
 
     ok = (separation_ok and vanish_ok and monotone_violations == 0
           and trace1["ok"] and trace2["ok"] and lemma3["ok"] and prop1["ok"])

@@ -19,6 +19,8 @@ from berglab.reports import canonical_json, config_hash, write_csv, write_report
 E12 = {"n": 2, "zeta": [[1.0, 0.0], [0.0, 0.0]],
        "F1": [[[0.0, 0.0], [1.0, 0.0]]],
        "F2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+# (e1 + e2) / sqrt 2, off both coordinate axes
+DIAG2 = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
 
 
 class TestConfig:
@@ -47,8 +49,13 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config"):
             ExperimentConfig.from_json({"nonsense": 1})
-        with pytest.raises(ValueError, match="tolerance"):
-            ExperimentConfig(tolerances={"bogus": 1.0}).validate()
+        with pytest.raises(ValueError, match=r"unknown config keys: \['tol"):
+            ExperimentConfig.from_json({"tolerances": {"bogus": 1.0}})
+
+    def test_out_dir_must_be_a_string(self):
+        # the CLI's --out always overrides it with a string
+        with pytest.raises(ValueError, match="out_dir must be str, got 3"):
+            ExperimentConfig(out_dir=3).validate()
 
     def test_sweep_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -122,15 +129,34 @@ class TestCli:
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["unitary", "witness"])
+    @pytest.mark.parametrize("suite", ["unitary", "witness", "all"])
     @pytest.mark.parametrize("bad, why", [
         ({"d_sweep": []}, "d_sweep must be non-empty"),
         ({"d_sweep": [8, 8]}, "d_sweep must be strictly increasing"),
         ({"r": 0.99}, "r = 0.99 leaves only 4 separated radii"),
         ({"eps": 1.2}, "eps = 1.2 exceeds sqrt(5)/2"),
-        (dict(E12, eps=0.8), "no direction of F2 is at distance >= 2 eps")],
+        (dict(E12, eps=0.8), "no direction of F2 is at distance >= 2 eps"),
+        ({"tolerances": {"separation_factor": 0}},
+         "unknown config keys: ['tolerances']"),
+        ({"n": "2"}, "n must be int, got '2'"),
+        ({"d_sweep": 8}, "d_sweep must be list or tuple, got 8"),
+        ({"d_sweep": [4, 6.5]}, "d_sweep entries must be int"),
+        ({"r": None}, "r must be int or float, got None"),
+        ({"M": 2.5}, "M must be int, got 2.5"),
+        ({"eps": "0.5"}, "eps must be int or float, got '0.5'"),
+        ({"degree": True}, "degree must be int, got True"),
+        ({"zeta": "e1"}, "zeta must be list, got 'e1'"),
+        ({"zeta": [[float("nan"), 0.0]]}, "zeta must be a unit vector"),
+        ({"F2": [[[float("nan"), 0.0]]]}, "F2 members must be unit vectors"),
+        ({"F1": [{"re": 1.0}]}, "expected [[re, im], ...], got {'re'"),
+        ({"n": 2, "d_sweep": [4, 6], "zeta": DIAG2, "F2": [DIAG2]},
+         "zeta must lie on a coordinate axis")],
         ids=["empty_sweep", "repeated_degree", "underflowing_radius",
-             "eps_beyond_prop1_sequence", "f2_within_2eps_of_f1"])
+             "eps_beyond_prop1_sequence", "f2_within_2eps_of_f1",
+             "tolerances_key", "string_n", "scalar_sweep", "float_degree",
+             "null_radius", "float_M", "string_eps", "bool_degree",
+             "string_zeta", "nan_zeta", "nan_f2", "object_f1",
+             "off_axis_zeta"])
     def test_invalid_config_exits_before_compute(self, tmp_path, capsys,
                                                  suite, bad, why):
         cfgfile = tmp_path / "bad.json"
@@ -170,12 +196,13 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
 
     def test_separate_runs_off_axis(self, tmp_path):
-        # the witness side is a Berezin sum and builds no U_z, so the
-        # direction need not be a coordinate ray
-        zeta = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
+        # separate takes its direction from F2, and the witness side is a
+        # Berezin sum that builds no U_z, so that direction need not be a
+        # coordinate ray (zeta, which the witness suite reads, must be)
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"n": 2, "degree": 10, "zeta": zeta,
-                                       "F1": [], "F2": [zeta]}))
+        cfgfile.write_text(json.dumps({"n": 2, "degree": 10,
+                                       "zeta": E12["zeta"], "F1": [],
+                                       "F2": [DIAG2]}))
         out = tmp_path / "rep"
         assert main(["separate", "--config", str(cfgfile),
                      "--out", str(out)]) == 0
@@ -187,30 +214,40 @@ class TestCli:
              2.64425e-11], rel=1e-5)
 
     def test_separate_then_witness_repeat_in_one_process(self, tmp_path):
-        # separate then witness at n = 2, d = 10, twice in one process:
-        # every check passes both times and the report trees are equal
-        # byte for byte, so no state carried between runs moves a report
+        # each input's steps twice in one process: every check passes
+        # both times and the report trees are equal byte for byte, so no
+        # state carried between runs moves a report.  The inputs are
+        # separate then witness at n = 2, d = 10, and witness and
+        # separate at n = 1 up to d = 64, then separate at n = 2, d = 24,
+        # at two seeds
         e1, e2 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"n": 2, "degree": 10,
-                                       "d_sweep": [6, 10], "zeta": e1,
-                                       "F1": [e2], "F2": [e1, e2]}))
-        trees = []
-        for run in ("first", "second"):
-            files = {}
-            for suite in ("separate", "witness"):
-                out = tmp_path / run / suite
-                assert main([suite, "--config", str(cfgfile),
-                             "--out", str(out)]) == 0
-                report = json.loads(
-                    (out / f"{suite}.json").read_text())["report"]
-                assert report["checks"]
-                assert all(c["ok"] for c in report["checks"]), suite
-                files.update({str(p.relative_to(tmp_path / run)):
-                              p.read_bytes()
-                              for p in out.rglob("*") if p.is_file()})
-            trees.append(files)
-        assert trees[0] == trees[1]
+        ball2 = {"n": 2, "degree": 10, "d_sweep": [6, 10], "zeta": e1,
+                 "F1": [e2], "F2": [e1, e2]}
+        disk64 = {"n": 1, "degree": 64, "d_sweep": [16, 32, 48, 64]}
+        ray24 = {"n": 2, "degree": 24, "zeta": e1, "F1": [], "F2": [e1]}
+        inputs = [[("separate", ball2), ("witness", ball2)]] + [
+            [(suite, dict(cfg, seed=seed)) for suite, cfg in (
+                ("witness", disk64), ("separate", disk64),
+                ("separate", ray24))] for seed in (7, 2499)]
+        for i, steps in enumerate(inputs):
+            trees = []
+            for run in ("first", "second"):
+                files = {}
+                for k, (suite, cfg) in enumerate(steps):
+                    cfgfile = tmp_path / f"cfg{i}_{k}.json"
+                    cfgfile.write_text(json.dumps(cfg))
+                    out = tmp_path / f"{i}" / run / f"{k}"
+                    assert main([suite, "--config", str(cfgfile),
+                                 "--out", str(out)]) == 0
+                    report = json.loads(
+                        (out / f"{suite}.json").read_text())["report"]
+                    assert report["checks"]
+                    assert all(c["ok"] for c in report["checks"]), suite
+                    files.update({str(p.relative_to(out.parent)):
+                                  p.read_bytes()
+                                  for p in out.rglob("*") if p.is_file()})
+                trees.append(files)
+            assert trees[0] == trees[1]
 
     def test_witness_at_a_phased_direction(self, tmp_path):
         # zeta = i e2 takes the exact routes, and the two-route defects
@@ -268,16 +305,17 @@ class TestCli:
 
     def test_failing_check_exits_nonzero_with_partial_results(
             self, tmp_path, capsys):
-        # an absurd tolerance forces a recorded failure, not a crash
+        # a one-degree sweep shows no convergence: a recorded failure of
+        # a valid config, not a crash
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(
-            {"tolerances": {"gram_defect_n1": 1e-30}}))
+        cfgfile.write_text(json.dumps({"d_sweep": [8]}))
         out = tmp_path / "rep"
-        code = main(["basis", "--config", str(cfgfile), "--out", str(out)])
+        code = main(["unitary", "--config", str(cfgfile), "--out", str(out)])
         assert code == 1
-        payload = json.loads((out / "basis.json").read_text())
+        payload = json.loads((out / "unitary.json").read_text())
         assert not payload["report"]["passed"]
-        assert "basis:gram_identity_n1_d12" in capsys.readouterr().err
+        assert ("unitary:unitarity_defect_decreasing"
+                in capsys.readouterr().err)
 
     def test_seed_override_changes_hash(self, tmp_path):
         out1 = tmp_path / "a"

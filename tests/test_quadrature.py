@@ -1,5 +1,6 @@
 """Tests for quadrature rules on the ball."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -157,7 +158,6 @@ def _legendre_mp(mp, p, x):
 
 @pytest.mark.parametrize("p", [9, 40, 120])
 def test_panel_rule_matches_high_precision_rule(p):
-    mp = pytest.importorskip("mpmath")
     t, w = panel_gauss_legendre(p, (0.0, 1.0))
     eps = np.finfo(float).eps
     with mp.workdps(40):

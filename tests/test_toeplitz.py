@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -141,7 +142,6 @@ class TestFastPaths:
     @pytest.mark.parametrize("n, d", [(1, 64), (2, 24), (3, 10)])
     def test_unit_profile_is_norm_ratio(self, n, d):
         # T_{z_j} e_alpha = sqrt((alpha_j + 1) / (n + |alpha| + 1)) e_{alpha+e_j}
-        mp = pytest.importorskip("mpmath")
         b = TruncatedBasis.create(n, d)
         alphas = list(map(tuple, b.indices.tolist()))
         pos = {alpha: i for i, alpha in enumerate(alphas)}

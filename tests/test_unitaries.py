@@ -163,7 +163,6 @@ def closed_form(zeta, axis, basis, dps=60):
     with a, b the axis components and s the off-axis degree, times
     (-1)^s (1 - |zeta|^2)^((s+n+1)/2) ||z^beta|| / ||z^alpha||.
     """
-    mp = pytest.importorskip("mpmath")
     n, d = basis.n, basis.degree
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     alphas = list(map(tuple, basis.indices.tolist()))

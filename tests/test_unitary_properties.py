@@ -1,13 +1,10 @@
 """Property tests of the exact compression P U_z P over random points."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from berglab.basis import TruncatedBasis, kernel_expansion  # noqa: E402
-from berglab.unitaries import unitary_matrix_exact  # noqa: E402
+from berglab.basis import TruncatedBasis, kernel_expansion
+from berglab.unitaries import unitary_matrix_exact
 
 # |z| <= 1 - 1e-9, with as many draws near the sphere as in the bulk
 radius = st.one_of(st.floats(0.0, 1.0 - 1e-9),

@@ -4,6 +4,7 @@ the separation experiment."""
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -31,8 +32,6 @@ R = 0.5
 def toeplitz_dense(f, basis):
     """T_f as one dense matrix: the scatter of its triples."""
     return _scatter(toeplitz_blocks(f, basis)[1], basis)
-# the DEFAULT_TOLERANCES values the suites pass
-DECAY = {"decay_frac": 0.05, "slope_rel": 0.10}
 
 
 def e1(n):
@@ -101,7 +100,6 @@ class TestRegionMembership:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_infimum_matches_mpmath(self, n, k):
         # rho at the closed-form ray minimiser t*, evaluated in 40 digits
-        mp = pytest.importorskip("mpmath")
         from berglab.geometry import random_sphere_points
         rng = np.random.default_rng(50 + 10 * n + k)
         dirs = random_sphere_points(n, k, rng)
@@ -342,7 +340,7 @@ class TestProp1:
         cfg = build_prop1_config(f, 0.5)
         with pytest.raises(ValueError, match="within eps"):
             prop1_decay(default_panel(SphereSet.create([], n=1), R, 1),
-                        seq, cfg, basis, **DECAY)
+                        seq, cfg, basis)
 
     def test_zero_symbol_gives_zero_curve(self, flagship):
         basis = flagship
@@ -351,7 +349,7 @@ class TestProp1:
         cfg = build_prop1_config(f_empty, 0.5)
         zero = Symbol.sampled(lambda pts: np.zeros(pts.shape[0], complex),
                               0.0)
-        rep = prop1_decay([zero], seq, cfg, basis, **DECAY)
+        rep = prop1_decay([zero], seq, cfg, basis)
         assert np.max(np.abs(rep["curves"][0])) == 0.0
 
     def test_off_ray_direction_decays(self):
@@ -363,8 +361,7 @@ class TestProp1:
                              R, 6)
         assert seq.gaps[-1] < 0.05
         cfg = build_prop1_config(f_empty, 0.5)
-        rep = prop1_decay(default_panel(f_empty, R, 2), seq, cfg, basis,
-                          **DECAY)
+        rep = prop1_decay(default_panel(f_empty, R, 2), seq, cfg, basis)
         curves = np.asarray(rep["curves"])
         assert curves.shape == (3, 6)
         assert np.all(np.isfinite(curves))
@@ -406,7 +403,6 @@ class TestCutoffVolume:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0, 2.0])
     def test_lens_matches_mpmath(self, n, eps):
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         s = mp.mpf(eps) / 2
         a, b = n + mp.mpf(1) / 2, mp.mpf(1) / 2
@@ -458,7 +454,7 @@ class TestCutoffVolume:
         basis = TruncatedBasis.create(2, 6)
         cfg = build_prop1_config(SphereSet.create([e2(2)]), 0.5)
         rep = prop1_decay(default_panel(SphereSet.create([e2(2)]), R, 2),
-                          build_sequence(e1(2), R, 4), cfg, basis, **DECAY)
+                          build_sequence(e1(2), R, 4), cfg, basis)
         assert rep["eta_route"]["route"] == "cutoff"
         assert rep["eta_route"]["p"] == 12 + 6 // 4
         assert rep["eta_route"]["defect"] <= 1e-12
@@ -489,7 +485,7 @@ class TestCutoffVolume:
             rep = separation_experiment(
                 SphereSet.create([e[1]]), SphereSet.create([e[0], e[1]]), R,
                 5, basis, eps=0.5, rng=np.random.default_rng(64),
-                decay_M=10, separation_factor=10.0, **DECAY)
+                decay_M=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -537,7 +533,7 @@ class TestBlockApplication:
         cfg = build_prop1_config(f_set, 0.5)
         panel = default_panel(f_set, R, n)
         seq = build_sequence(zeta, R, length)
-        rep = prop1_decay(panel, seq, cfg, basis, **DECAY)
+        rep = prop1_decay(panel, seq, cfg, basis)
         curves, lhs = dense_prop1(panel, seq, cfg, basis)
         got = np.asarray(rep["curves"] + [rep["eta_bound"]["lhs"]])
         want = np.asarray(curves + [lhs])
@@ -553,7 +549,7 @@ class TestBlockApplication:
         panel = default_panel(empty, R, n)
         seq = build_sequence(e1(n), R, 10)
         rep = prop1_decay(panel, seq, build_prop1_config(empty, 0.5),
-                          basis, **DECAY)
+                          basis)
         kz = np.stack([kernel_expansion(p, basis).coeffs
                        for p in seq.points()], axis=1)
         ops = [toeplitz_blocks(g, basis)[1] for g in panel]
@@ -573,7 +569,7 @@ class TestBlockApplication:
         cfg = build_prop1_config(f_set, 0.5)
         seq = build_sequence(e1(n), r, 10)
         rep = prop1_decay(default_panel(f_set, r, n), seq, cfg,
-                          TruncatedBasis.create(n, 4), **DECAY)
+                          TruncatedBasis.create(n, 4))
         assert rep["eta_bound"]["rhs"] == [
             np.sqrt(cfg.nu_v2) * x ** (0.5 * (n + 1)) / cfg.delta ** (n + 1)
             for x in rep["one_minus_sq"]]
@@ -587,7 +583,7 @@ class TestBlockApplication:
             rep = separation_experiment(
                 SphereSet.create([e[1]]), SphereSet.create([e[0], e[1]]), R,
                 5, basis, eps=0.5, rng=np.random.default_rng(64),
-                decay_M=10, separation_factor=10.0, **DECAY)
+                decay_M=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -602,15 +598,14 @@ class TestSeparation:
         f = SphereSet.create([e1(1)])
         with pytest.raises(ValueError, match="2 eps"):
             separation_experiment(f, f, R, 3, basis, eps=0.5, rng=rng,
-                                  decay_M=10, separation_factor=10.0, **DECAY)
+                                  decay_M=10)
 
     def test_flagship_report(self, flagship):
         basis = flagship
         rng = np.random.default_rng(62)
         rep = separation_experiment(
             SphereSet.create([], n=1), SphereSet.create([e1(1)]), R, 5,
-            basis, eps=0.5, rng=rng, decay_M=10, separation_factor=10.0,
-            **DECAY)
+            basis, eps=0.5, rng=rng, decay_M=10)
         assert rep["ok"]
         assert rep["separation_factor"] >= 10.0
         assert rep["monotone_violations"] == 0
@@ -637,7 +632,7 @@ class TestSeparation:
         rep = separation_experiment(
             SphereSet.create([], n=1), SphereSet.create([e1(1)]), R, 5,
             basis, eps=0.5, rng=np.random.default_rng(62),
-            decay_M=10, separation_factor=10.0, **DECAY)
+            decay_M=10)
         assert rep["ok"]
 
     def test_invariant_under_axis_phases(self):
@@ -652,7 +647,7 @@ class TestSeparation:
             SphereSet.create([w * e[0]]), SphereSet.create([w * e[1],
                                                             w * e[0]]),
             R, 5, basis, eps=0.5, rng=np.random.default_rng(65),
-            decay_M=10, separation_factor=10.0, **DECAY)
+            decay_M=10)
             for w in (1.0, omega)]
         assert all(rep["ok"] for rep in reps)
         assert [g["route"] for g in reps[1]["prop1"]["routes"]] == [
@@ -671,8 +666,7 @@ class TestSeparation:
         f1 = SphereSet.create([e2(2)])
         f2 = SphereSet.create([e1(2), e2(2)])
         rep = separation_experiment(f1, f2, R, 4, basis, eps=0.5,
-                                    rng=rng, decay_M=8,
-                                    separation_factor=10.0, **DECAY)
+                                    rng=rng, decay_M=8)
         assert rep["ok"]
         # zeta must be the direction of F2 farthest from F1
         zeta = np.asarray(rep["zeta"])
