@@ -25,16 +25,18 @@ _TYPES = {**dict.fromkeys(("n", "degree", "M", "decay_M", "seed", "jobs"),
           "zeta": (list,), "F1": (list,), "F2": (list,), "out_dir": (str,)}
 
 
-def complex_vector(pairs) -> np.ndarray:
-    """Decode [[re, im], ...] into a complex vector."""
+def complex_vector(name: str, pairs) -> np.ndarray:
+    """Decode the [[re, im], ...] of field ``name`` into a complex vector."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except TypeError:  # an entry that is no number, such as an object
-        raise ValueError(f"expected [[re, im], ...], got {pairs!r}") from None
+        raise ValueError(f"{name}: expected [[re, im], ...], got "
+                         f"{pairs!r}") from None
     if arr.ndim == 1 and arr.size == 2:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected [[re, im], ...], got shape {arr.shape}")
+        raise ValueError(f"{name}: expected [[re, im], ...], got shape "
+                         f"{arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -77,6 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
+        if self.seed < 0:  # numpy's seed sequences take no negative entry
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
         if self.M < 1 or self.decay_M < self.M:
@@ -96,7 +100,7 @@ class ExperimentConfig:
             raise ValueError("d_sweep entries must be >= 1")
         if any(a >= b for a, b in zip(self.d_sweep, self.d_sweep[1:])):
             raise ValueError("d_sweep must be strictly increasing")
-        z = complex_vector(self.zeta)
+        z = complex_vector("zeta", self.zeta)
         if z.size != self.n:
             raise ValueError(f"zeta has dimension {z.size}, expected {self.n}")
         if not abs(np.linalg.norm(z) - 1.0) <= 1e-12:  # NaN fails too
@@ -106,8 +110,8 @@ class ExperimentConfig:
                              "witness suite builds U_zeta exactly only at "
                              "zeta = c e_j")
         for name, group in (("F1", self.F1), ("F2", self.F2)):
-            for vec in group:
-                v = complex_vector(vec)
+            for i, vec in enumerate(group):
+                v = complex_vector(f"{name}[{i}]", vec)
                 if v.size != self.n:
                     raise ValueError(f"{name} member has wrong dimension")
                 if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
@@ -127,17 +131,17 @@ class ExperimentConfig:
 
     @property
     def zeta_vec(self) -> np.ndarray:
-        return complex_vector(self.zeta)
+        return complex_vector("zeta", self.zeta)
 
     @property
     def f1_vecs(self) -> np.ndarray:
         if not self.F1:
             return np.zeros((0, self.n), dtype=complex)
-        return np.stack([complex_vector(v) for v in self.F1])
+        return np.stack([complex_vector("F1", v) for v in self.F1])
 
     @property
     def f2_vecs(self) -> np.ndarray:
-        return np.stack([complex_vector(v) for v in self.F2])
+        return np.stack([complex_vector("F2", v) for v in self.F2])
 
     def to_json(self) -> dict:
         d = asdict(self)

@@ -50,6 +50,11 @@ class SeparatedSequence:
     def __len__(self) -> int:
         return len(self.radii)
 
+    @property
+    def one_minus_sq(self) -> np.ndarray:
+        """1 - t_m^2 = gap (2 - gap), with no cancellation near t = 1."""
+        return self.gaps * (2.0 - self.gaps)
+
     def points(self) -> np.ndarray:
         """The sequence points z_m = t_m * zeta, shape (M, n)."""
         return self.radii[:, None] * self.zeta[None, :]

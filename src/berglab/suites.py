@@ -23,10 +23,10 @@ from .toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
                        toeplitz_monomial_radial, toeplitz_radial)
 from .unitaries import (unitary_matrix_exact, unitary_matrix_quadrature,
                         weak_pairing_exact)
-from .witness import (DECAY_FRACTION, SEPARATION_FACTOR, SphereSet,
-                      build_prop1_config, default_panel, lemma3_lower_bound,
-                      prop1_decay, separation_experiment, witness_operator,
-                      witness_symbol)
+from .witness import (DECAY_FRACTION, SEPARATION_FACTOR, SLOPE_REL,
+                      VANISH_BOUND, SphereSet, build_prop1_config,
+                      default_panel, lemma3_lower_bound, prop1_decay,
+                      separation_experiment, witness_operator, witness_symbol)
 from .reports import check, summarize_checks
 
 __all__ = ["run_geometry", "run_sequence", "run_basis", "run_toeplitz",
@@ -40,14 +40,6 @@ _GEOM_DIMS = (1, 2, 3)
 # by malloc around small blocks left over from earlier work, so the peak
 # RSS of a run moved by up to 5 MiB with the seed.
 _SAMPLE_ROWS = 10_000
-# The bounds of the suites' checks (membership_band: the width of the
-# boundary band the membership check skips); the decay and separation
-# bounds live beside their checks in witness.
-_TOL = {"eq4_violation": 1e-12, "moebius_involution": 1e-12,
-        "rho_isometry": 1e-12, "membership_band": 1e-9,
-        "gram_defect_n1": 1e-10, "gram_defect_n2": 1e-6, "kernel_norm": 1e-9,
-        "toeplitz_diag": 1e-10, "fast_path": 1e-8, "norm_contraction": 1e-8,
-        "psd_floor": 1e-10, "lemma1_value": 1e-12}
 
 
 def _rng(cfg: ExperimentConfig, suite: int) -> np.random.Generator:
@@ -60,9 +52,17 @@ def _window_norm(mat: np.ndarray, basis: TruncatedBasis,
     return float(np.linalg.norm(mat[np.ix_(keep, keep)], 2))
 
 
-def _within(name: str, err: float, key: str) -> dict:
-    """The check that err is at most the bound _TOL[key]."""
-    return check(name, err <= _TOL[key], err, _TOL[key])
+def _within(name: str, value, bound) -> dict:
+    """The check that value is at most bound; a list value passes only if
+    every entry is a number within the bound."""
+    values = value if isinstance(value, list) else [value]
+    return check(name, all(v is not None and v <= bound for v in values),
+                 value, bound)
+
+
+def _at_least(name: str, value, bound) -> dict:
+    """The check that value is at least bound."""
+    return check(name, value >= bound, value, bound)
 
 
 def _decreasing(values) -> bool:
@@ -90,9 +90,10 @@ def _near_boundary_points(zetas: np.ndarray, delta: float,
 
 def _combined_metric_violation(n: int, rng: np.random.Generator) -> float:
     """Largest lhs - rhs of the combined-metric inequality over 100k
-    triples.  The kernel runs one block of triples at a time, but all
-    three lists of blocks are held at once (3 x 4.8 MB at n = 3), since
-    every z is drawn before the first w and u."""
+    triples.  All three lists of blocks are held at once (3 x 4.8 MB at
+    n = 3), since every z is drawn before the first w and u, but the
+    sampler's and the kernel's temporaries stay one block in size
+    (``sample_ball_blocks``)."""
     z, w, u = (sample_ball_blocks(n, 100_000, rng, 0.95, _SAMPLE_ROWS)
                for _ in range(3))
     return max(float(np.max(lhs - rhs)) for lhs, rhs in
@@ -111,7 +112,7 @@ def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
     for n in _GEOM_DIMS:
         worst_eq4 = max(worst_eq4, _combined_metric_violation(n, rng))
     payload["eq4_max_violation"] = worst_eq4
-    checks.append(_within("eq4_combined_metric", worst_eq4, "eq4_violation"))
+    checks.append(_within("eq4_combined_metric", worst_eq4, 1e-12))
 
     worst_inv = 0.0
     for n in _GEOM_DIMS:
@@ -121,8 +122,7 @@ def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
         worst_inv = max(worst_inv,
                         float(np.max(np.linalg.norm(back - z, axis=1))))
     payload["involution_max_error"] = worst_inv
-    checks.append(_within("moebius_involution", worst_inv,
-                          "moebius_involution"))
+    checks.append(_within("moebius_involution", worst_inv, 1e-12))
 
     worst_iso = 0.0
     for n in _GEOM_DIMS:
@@ -133,7 +133,7 @@ def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
         after = pseudo_metric(moebius(u, z), moebius(u, w))
         worst_iso = max(worst_iso, float(np.max(np.abs(after - before))))
     payload["isometry_max_error"] = worst_iso
-    checks.append(_within("rho_moebius_isometry", worst_iso, "rho_isometry"))
+    checks.append(_within("rho_moebius_isometry", worst_iso, 1e-12))
 
     # ball disjointness under the threshold: pair k samples E(z_k), E(w_k)
     overlap = 0
@@ -158,7 +158,7 @@ def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
         tested += len(rho)
     payload["disjointness_configs"] = tested
     payload["disjointness_overlaps"] = overlap
-    checks.append(check("ball_disjointness", overlap == 0, overlap, 0))
+    checks.append(_within("ball_disjointness", overlap, 0))
     return checks, payload
 
 
@@ -171,7 +171,7 @@ def _geometry_inclusion(cfg: ExperimentConfig) -> tuple[list, dict]:
     payload: dict = {}
 
     # metric vs ellipsoid membership, away from the boundary band
-    band = _TOL["membership_band"]
+    band = 1e-9  # the width of the boundary band the check skips
     disagreements = 0
     for n in _GEOM_DIMS:
         draws = [(sample_ball(n, 1, rng, 0.85)[0], rng.uniform(0.2, 0.8),
@@ -183,8 +183,7 @@ def _geometry_inclusion(cfg: ExperimentConfig) -> tuple[list, dict]:
             m2 = in_ellipsoid(a, r, z[off_band])
             disagreements += int(np.count_nonzero(m1 != m2))
     payload["membership_disagreements"] = disagreements
-    checks.append(check("membership_agreement", disagreements == 0,
-                        disagreements, 0))
+    checks.append(_within("membership_agreement", disagreements, 0))
 
     # delta_for: inclusion of E(a, r) in the eps-ball at zeta, plus the
     # Euclidean inclusion E(a, r) within B(a, 2 r sqrt(s))
@@ -214,10 +213,9 @@ def _geometry_inclusion(cfg: ExperimentConfig) -> tuple[list, dict]:
     payload["delta_inclusion_violations"] = inclusion_violations
     payload["euclidean_inclusion_violations"] = euclid_violations
     checks.append(check("delta_for_inequality", bool(ineq_ok)))
-    checks.append(check("lemma_delta_inclusion", inclusion_violations == 0,
-                        inclusion_violations, 0))
-    checks.append(check("euclidean_inclusion_2rsqrt_s",
-                        euclid_violations == 0, euclid_violations, 0))
+    checks.append(_within("lemma_delta_inclusion", inclusion_violations, 0))
+    checks.append(_within("euclidean_inclusion_2rsqrt_s", euclid_violations,
+                          0))
     return checks, payload
 
 
@@ -298,16 +296,14 @@ def run_sequence(cfg: ExperimentConfig) -> dict:
     checks.append(check("radii_above_floor", floors))
 
     rho = pairwise_rho(seq)
-    off = rho[np.triu_indices(10, 1)]
-    min_rho = float(off.min())
-    checks.append(check("pairwise_rho_above_threshold", min_rho >= thr,
-                        min_rho, thr))
+    min_rho = float(rho[np.triu_indices(10, 1)].min())
+    checks.append(_at_least("pairwise_rho_above_threshold", min_rho, thr))
 
     pts = seq.points()
     samples = sample_metric_ball(pts, r, 1000, rng)  # (10, 1000, n)
     inside = in_metric_ball(pts[None, :, None, :], r, samples[:, None])
     overlaps = int(np.count_nonzero(inside[~np.eye(10, dtype=bool)]))
-    checks.append(check("ball_overlap_samples", overlaps == 0, overlaps, 0))
+    checks.append(_within("ball_overlap_samples", overlaps, 0))
 
     prefix = build_sequence(zeta, r, 6)
     prefix_ok = bool(np.array_equal(prefix.radii, seq.radii[:6]))
@@ -335,24 +331,23 @@ def run_sequence(cfg: ExperimentConfig) -> dict:
 
 def run_basis(cfg: ExperimentConfig) -> dict:
     checks = []
-    payload: dict = {}
 
     basis1 = TruncatedBasis.create(1, 12)
     rule1 = rule_for_basis(1, 12)
     gram = weighted_gram(basis1, rule1, np.ones(len(rule1)))
     defect1 = float(np.max(np.abs(gram - np.eye(len(basis1)))))
-    checks.append(_within("gram_identity_n1_d12", defect1, "gram_defect_n1"))
+    checks.append(_within("gram_identity_n1_d12", defect1, 1e-10))
 
     basis2 = TruncatedBasis.create(2, 8)
     rule2 = rule_for_basis(2, 8)
     gram2 = weighted_gram(basis2, rule2, np.ones(len(rule2)))
     defect2 = float(np.max(np.abs(gram2 - np.eye(len(basis2)))))
-    checks.append(_within("gram_identity_n2_d8", defect2, "gram_defect_n2"))
+    checks.append(_within("gram_identity_n2_d8", defect2, 1e-6))
 
     z6 = np.array([0.6 + 0.0j])
     knorm = integrate(lambda pts: np.abs(kernel(z6, pts)) ** 2, rule1)
     kerr = abs(float(np.real(knorm)) - 1.0)
-    checks.append(_within("kernel_norm_one", kerr, "kernel_norm"))
+    checks.append(_within("kernel_norm_one", kerr, 1e-9))
 
     # reproducing identity for a random polynomial of full degree
     rng = _rng(cfg, 3)
@@ -364,8 +359,7 @@ def run_basis(cfg: ExperimentConfig) -> dict:
                      rule1)
     expect = (1.0 - float(np.sum(np.abs(zz) ** 2))) * g.eval(zz)
     rep_err = abs(complex(pair) - complex(expect))
-    checks.append(check("reproducing_identity", rep_err <= 1e-10,
-                        rep_err, 1e-10))
+    checks.append(_within("reproducing_identity", rep_err, 1e-10))
 
     # kernel diagonal partial sums increase toward (1-|z|^2)^(-(n+1))
     zdiag = np.array([0.4 + 0.1j])
@@ -377,7 +371,7 @@ def run_basis(cfg: ExperimentConfig) -> dict:
     monotone = bool(np.all(np.diff(sums) > 0)) and bool(sums[-1] < limit)
     tail = abs(sums[-1] - limit) / limit
     checks.append(check("kernel_diagonal_monotone", monotone))
-    checks.append(check("kernel_diagonal_limit", tail <= 1e-6, tail, 1e-6))
+    checks.append(_within("kernel_diagonal_limit", tail, 1e-6))
 
     # projection: orthonormality, anti-analytic annihilation, kernel match
     e_beta = Expansion(basis1,
@@ -385,21 +379,21 @@ def run_basis(cfg: ExperimentConfig) -> dict:
     proj = project(e_beta.eval, basis1, rule1)
     unit_err = float(np.max(np.abs(proj.coeffs
                                    - e_beta.coeffs)))
-    checks.append(check("projection_orthonormal", unit_err <= 1e-12,
-                        unit_err, 1e-12))
+    checks.append(_within("projection_orthonormal", unit_err, 1e-12))
 
     anti = project(lambda pts: np.conj(pts[:, 0]), basis1, rule1)
     anti_err = float(np.max(np.abs(anti.coeffs)))
-    checks.append(check("projection_kills_antianalytic", anti_err <= 1e-12,
-                        anti_err, 1e-12))
+    checks.append(_within("projection_kills_antianalytic", anti_err,
+                          1e-12))
 
     kexp = project(lambda pts: kernel(z6, pts), basis1, rule1)
     kclosed = kernel_expansion(z6, basis1)
     kerr2 = float(np.max(np.abs(kexp.coeffs - kclosed.coeffs)))
-    checks.append(check("projection_matches_kernel_series", kerr2 <= 1e-10,
-                        kerr2, 1e-10))
+    checks.append(_within("projection_matches_kernel_series", kerr2,
+                          1e-10))
 
-    payload.update({
+    report = summarize_checks(checks)
+    report.update({
         "gram_defect_n1": defect1,
         "gram_defect_n2": defect2,
         "kernel_norm_error": kerr,
@@ -407,8 +401,6 @@ def run_basis(cfg: ExperimentConfig) -> dict:
         "rule_n1": rule1.meta(),
         "rule_n2": rule2.meta(),
     })
-    report = summarize_checks(checks)
-    report.update(payload)
     return report
 
 
@@ -436,12 +428,12 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
 
     t_one = toeplitz_matrix(Symbol.constant(1.0), basis, rule)
     id_err = float(np.max(np.abs(t_one.mat - np.eye(len(basis)))))
-    checks.append(check("t_const_is_identity", id_err <= 1e-13, id_err, 1e-13))
+    checks.append(_within("t_const_is_identity", id_err, 1e-13))
 
     ks = np.arange(13)
     t_r2 = toeplitz_matrix(Symbol.radial(lambda u: u ** 2, 1.0), basis, rule)
     diag_err = float(np.max(np.abs(np.diag(t_r2.mat) - (ks + 1) / (ks + 2))))
-    checks.append(_within("diag_radius_squared", diag_err, "toeplitz_diag"))
+    checks.append(_within("diag_radius_squared", diag_err, 1e-10))
 
     worst_fast = 0.0
     for profile, support, label in (
@@ -455,13 +447,13 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
         fast = toeplitz_radial(profile, basis, support=support)
         worst_fast = max(worst_fast,
                          float(np.max(np.abs(gen.mat - fast.mat))))
-    checks.append(_within("radial_fast_path", worst_fast, "fast_path"))
+    checks.append(_within("radial_fast_path", worst_fast, 1e-8))
 
     wit = witness_symbol(r)
     band_gen = toeplitz_matrix(wit, basis, rule)
     band_fast = toeplitz_monomial_radial(0, wit.profile, basis, support=r)
     band_err = float(np.max(np.abs(band_gen.mat - band_fast.mat)))
-    checks.append(_within("band_fast_path", band_err, "fast_path"))
+    checks.append(_within("band_fast_path", band_err, 1e-8))
 
     # also in two variables (band entries carry sphere moments there)
     basis2 = TruncatedBasis.create(2, 6)
@@ -469,15 +461,14 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     wit2_gen = toeplitz_matrix(wit, basis2, rule2)
     wit2_fast = toeplitz_monomial_radial(0, wit.profile, basis2, support=r)
     band2_err = float(np.max(np.abs(wit2_gen.mat - wit2_fast.mat)))
-    checks.append(_within("band_fast_path_n2", band2_err, "fast_path"))
+    checks.append(_within("band_fast_path_n2", band2_err, 1e-8))
 
     worst_excess = -np.inf
     for sym in _symbol_panel(r):
         tm = toeplitz_matrix(sym, basis, rule)
         excess = op_norm(tm) - sym.sup_norm_bound
         worst_excess = max(worst_excess, excess)
-    checks.append(_within("norm_contraction", worst_excess,
-                          "norm_contraction"))
+    checks.append(_within("norm_contraction", worst_excess, 1e-8))
 
     ns = Symbol.sampled(
         lambda pts: pts[:, 0] * np.exp(-np.sum(np.abs(pts) ** 2, axis=-1)),
@@ -485,15 +476,14 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     t_ns = toeplitz_matrix(ns, basis, rule)
     t_conj = toeplitz_matrix(ns.conjugate(), basis, rule)
     adj_err = float(np.max(np.abs(t_conj.mat - t_ns.mat.conj().T)))
-    checks.append(check("adjoint_symmetry", adj_err <= 1e-12, adj_err, 1e-12))
+    checks.append(_within("adjoint_symmetry", adj_err, 1e-12))
 
     self_comm = commutator(t_r2, t_r2)
     radial_comm = commutator(t_r2, toeplitz_radial(
         lambda u: np.exp(-3.0 * np.asarray(u) ** 2), basis))
-    checks.append(check("self_commutator_zero",
-                        op_norm(self_comm) <= 1e-14))
-    checks.append(check("radial_symbols_commute",
-                        op_norm(radial_comm) <= 1e-12))
+    checks.append(_within("self_commutator_zero", op_norm(self_comm), 1e-14))
+    checks.append(_within("radial_symbols_commute", op_norm(radial_comm),
+                          1e-12))
 
     cmat = commutator(band_fast, band_fast.adjoint())
     smat = cmat @ cmat
@@ -501,18 +491,17 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     min_eig = float(eigs.min())
     comm_norm = op_norm(cmat)
     checks.append(check("witness_commutator_nonzero", comm_norm > 0.0,
-                        comm_norm))
-    checks.append(check("squared_commutator_psd",
-                        min_eig >= -_TOL["psd_floor"], min_eig,
-                        -_TOL["psd_floor"]))
+                        comm_norm, 0.0))
+    checks.append(_at_least("squared_commutator_psd", min_eig, -1e-10))
 
     # compactly supported radial symbols have geometrically decaying diagonal
     small = toeplitz_radial(
         lambda u: (np.asarray(u) < 0.4).astype(float), basis, support=0.4)
     diag = np.real(np.diag(small.mat))
-    decay_ok = bool(np.all(np.diff(diag) < 0)) and diag[-1] < 1e-6 * diag[0]
-    checks.append(check("compact_support_diagonal_decay", decay_ok,
-                        float(diag[-1] / diag[0])))
+    ratio = float(diag[-1] / diag[0])
+    checks.append(check("compact_support_diagonal_decay",
+                        bool(np.all(np.diff(diag) < 0)) and ratio < 1e-6,
+                        ratio, 1e-6))
 
     report = summarize_checks(checks)
     report.update({
@@ -559,22 +548,20 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
     # d_sweep is increasing: the loop left u, basis at max(sweep)
     u_q = unitary_matrix_quadrature(z_half, basis, rule)
     route_err = float(np.max(np.abs(u.mat - u_q.mat)))
-    checks.append(check("exact_matches_quadrature", route_err <= 1e-10,
-                        route_err, 1e-10))
+    checks.append(_within("exact_matches_quadrature", route_err, 1e-10))
 
     kexp = kernel_expansion(z_half, basis)
     col_err = float(np.max(np.abs(u.mat[:, 0] - kexp.coeffs)))
-    checks.append(check("u_e0_is_kernel", col_err <= 1e-13, col_err, 1e-13))
+    checks.append(_within("u_e0_is_kernel", col_err, 1e-13))
     e0_norm = float(np.linalg.norm(u.mat[:, 0]))
-    checks.append(check("u_e0_norm_one", abs(e0_norm - 1.0) <= 1e-6,
-                        abs(e0_norm - 1.0), 1e-6))
+    checks.append(_within("u_e0_norm_one", abs(e0_norm - 1.0), 1e-6))
 
     # closed-form pairing: exact value at the benchmark point
     value, _ = weak_pairing_exact(np.array([0.9 + 0j]),
                                   np.array([0.0 + 0j]),
                                   np.array([0.0 + 0j]))
     bench_err = abs(complex(value) - 0.19)
-    checks.append(_within("pairing_benchmark", bench_err, "lemma1_value"))
+    checks.append(_within("pairing_benchmark", bench_err, 1e-12))
 
     worst_gap = -np.inf
     for n in _GEOM_DIMS:
@@ -583,8 +570,7 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
         w = sample_ball(n, 3334, rng, 0.9)
         v, b = weak_pairing_exact(zm, z, w)
         worst_gap = max(worst_gap, float(np.max(np.abs(v) - b)))
-    checks.append(check("pairing_bound_dominates", worst_gap <= 1e-14,
-                        worst_gap, 1e-14))
+    checks.append(_within("pairing_bound_dominates", worst_gap, 1e-14))
 
     # matrix pairing converges to the closed form across the sweep
     zm = np.array([0.6 + 0.0j])
@@ -607,13 +593,12 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
     seq = build_sequence(zeta, cfg.r, 8)
     v, b = weak_pairing_exact(seq.points(), 0.2 * zeta, 0.1 * zeta)
     vals, bounds = np.abs(v).tolist(), b.tolist()
-    vals_dec = bool(np.all(np.diff(vals) < 0))
-    one_minus = seq.gaps * (1.0 + seq.radii)  # 1 - t^2 from exact gaps
-    slope = float(np.polyfit(np.log(one_minus), np.log(bounds), 1)[0])
+    slope = float(np.polyfit(np.log(seq.one_minus_sq), np.log(bounds), 1)[0])
     target_slope = 0.5 * (cfg.n + 1)
-    slope_ok = abs(slope - target_slope) <= 0.05 * target_slope
-    checks.append(check("pairing_decays_along_sequence", vals_dec, vals))
-    checks.append(check("bound_log_slope", slope_ok, slope, target_slope))
+    checks.append(check("pairing_decays_along_sequence", _decreasing(vals),
+                        vals))
+    checks.append(_within("bound_log_slope",
+                          abs(slope - target_slope) / target_slope, 0.05))
 
     report = summarize_checks(checks)
     report.update({
@@ -641,11 +626,10 @@ def run_witness(cfg: ExperimentConfig) -> dict:
     checks = []
     sweep = list(cfg.d_sweep)
     rep = lemma3_lower_bound(build_sequence(cfg.zeta_vec, cfg.r, cfg.M))
-    checks.append(check("floor_positive", rep["floor_positive"],
-                        rep["floor_c"], rep["lambda_max"]))
-    checks.append(check("core_degree_converged",
-                        rep["core_defect"] <= rep["tail_bound"],
-                        rep["core_defect"], rep["tail_bound"]))
+    checks.append(_at_least("floor_positive", rep["floor_c"],
+                            rep["lambda_max"]))
+    checks.append(_within("core_degree_converged", rep["core_defect"],
+                          rep["tail_bound"]))
 
     # two-route agreement at the first sequence point improves with degree
     probes = {d: witness_operator(cfg.zeta_vec, cfg.r, cfg.M,
@@ -657,8 +641,7 @@ def run_witness(cfg: ExperimentConfig) -> dict:
 
     # PSD of S itself at the flagship degree: the sweep ends there
     s_min = float(np.linalg.eigvalsh(probes[sweep[-1]].S.mat).min())
-    checks.append(check("s_positive_semidefinite",
-                        s_min >= -_TOL["psd_floor"], s_min))
+    checks.append(_at_least("s_positive_semidefinite", s_min, -1e-10))
 
     report = summarize_checks(checks)
     report.update({key: rep[key] for key in (
@@ -693,11 +676,11 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     cfg1 = build_prop1_config(F_empty, cfg.eps)
     panel = default_panel(F_empty, r, 1)
     rep1 = prop1_decay(panel, seq, cfg1, basis)
-    checks.append(check("decay_below_fraction_n1", all(rep1["decay_ok"]),
-                        [c[-1] / c[0] for c in rep1["curves"]],
-                        DECAY_FRACTION))
-    checks.append(check("slope_within_tolerance_n1", rep1["slope_ok"],
-                        rep1["slopes"], rep1["slope_target"]))
+    checks.append(_within("decay_below_fraction_n1",
+                          [c[-1] / c[0] for c in rep1["curves"]],
+                          DECAY_FRACTION))
+    checks.append(_within("slope_within_tolerance_n1",
+                          rep1["slope_deviations"], SLOPE_REL))
 
     # two dimensions: nonempty direction set, real cutoff bound
     basis2 = TruncatedBasis.create(2, 8)
@@ -706,14 +689,15 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     cfg2 = build_prop1_config(F1, cfg.eps)
     panel2 = default_panel(F1, r, 2)
     rep2 = prop1_decay(panel2, seq2, cfg2, basis2)
-    checks.append(check("slope_within_tolerance_n2", rep2["slope_ok"],
-                        rep2["slopes"], rep2["slope_target"]))
+    checks.append(_within("slope_within_tolerance_n2",
+                          rep2["slope_deviations"], SLOPE_REL))
     eta = rep2["eta_bound"]
-    checks.append(check("cutoff_bound_holds_n2", rep2["eta_bound_ok"],
-                        max(lhs - (rhs + slack) for lhs, rhs, slack in zip(
-                            eta["lhs"], eta["rhs"], eta["slack"])), 0.0))
-    checks.append(check("decay_below_fraction_n2", all(rep2["decay_ok"]),
-                        [c[-1] / c[0] for c in rep2["curves"]]))
+    checks.append(_within("cutoff_bound_holds_n2",
+                          max(lhs - (rhs + slack) for lhs, rhs, slack in zip(
+                              eta["lhs"], eta["rhs"], eta["slack"])), 0.0))
+    checks.append(_within("decay_below_fraction_n2",
+                          [c[-1] / c[0] for c in rep2["curves"]],
+                          DECAY_FRACTION))
 
     report = summarize_checks(checks)
     report.update({
@@ -744,15 +728,13 @@ def run_separate(cfg: ExperimentConfig) -> dict:
         decay_M=cfg.decay_M)
 
     checks = [
-        check("separation_factor",
-              rep["separation_ok"], rep["separation_factor"],
-              SEPARATION_FACTOR),
-        check("witness_floor_positive", rep["lemma3"]["floor_positive"],
-              rep["lemma3"]["floor_c"]),
-        check("panel_vanishes_off_region", rep["vanish_ok"],
-              rep["vanish_off_region_max"]),
-        check("monotone_region", rep["monotone_violations"] == 0,
-              rep["monotone_violations"], 0),
+        _at_least("separation_factor", rep["separation_factor"],
+                  SEPARATION_FACTOR),
+        _at_least("witness_floor_positive", rep["lemma3"]["floor_c"],
+                  rep["lemma3"]["lambda_max"]),
+        _within("panel_vanishes_off_region", rep["vanish_off_region_max"],
+                VANISH_BOUND),
+        _within("monotone_region", rep["monotone_violations"], 0),
         check("boundary_trace_F1", rep["boundary_trace_F1"]["ok"],
               rep["boundary_trace_F1"]["violations"], 0),
         check("boundary_trace_F2", rep["boundary_trace_F2"]["ok"],

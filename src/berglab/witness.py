@@ -50,11 +50,14 @@ __all__ = ["SphereSet", "in_region_W", "region_infimum",
 
 # The bounds of the decay and separation verdicts.  A panel curve must
 # fall below DECAY_FRACTION of its first value, its log-log slope must
-# lie within SLOPE_REL of (n+1)/2, and the witness floor must exceed the
-# largest panel curve by SEPARATION_FACTOR at the witness horizon.
+# lie within SLOPE_REL of (n+1)/2 (relative), the witness floor must
+# exceed the largest panel curve by SEPARATION_FACTOR at the witness
+# horizon, and every panel symbol must be within VANISH_BOUND of 0 off
+# its region.
 DECAY_FRACTION = 0.05
 SLOPE_REL = 0.10
 SEPARATION_FACTOR = 10.0
+VANISH_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -451,10 +454,11 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     is T_eta: no operator is multiplied by another, and off the
     quadrature route no B x B array is formed.  Checks, per product
     prefix (k <= 3): decay of the curve below ``DECAY_FRACTION`` of its
-    first value; the cutoff-factor bound
+    first value, judged on the ratio c[-1] / c[0]; the cutoff-factor bound
     ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
     plus a slack; and, for every product curve, the log-log slope of the
-    curve against 1 - |z_m|^2 within ``SLOPE_REL`` of (n+1)/2.
+    curve against 1 - |z_m|^2 within ``SLOPE_REL`` of (n+1)/2, relative
+    (``slope_deviations``; None for a curve with no slope).
 
     ||P T_eta P k_{z_m}|| exceeds ||T_eta k_{z_m}|| by at most
     ||T_eta|| ||(I - P) k_{z_m}|| <= sup eta sqrt(1 - ||P k_{z_m}||^2)
@@ -474,7 +478,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
             f"sequence point {int(bad[0])} is within eps of the direction set "
             f"(dist = {float(dists[bad[0]]):.6g} < {cfg.eps})")
 
-    one_minus = seq.gaps * (2.0 - seq.gaps)  # 1 - t_m^2 from the exact gaps
+    one_minus = seq.one_minus_sq
     # scalar pows, as in kernel_expansion: numpy's vector pow can round apart
     factors = np.array([x ** (0.5 * (n + 1)) for x in one_minus.tolist()])
     kz = np.conj(basis.eval(pts)).T * factors
@@ -482,14 +486,11 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     built = [toeplitz_blocks(g, basis) for g in g_symbols[:3]]
     routes, ops = [r for r, _ in built], [t for _, t in built]
     curves = []
-    decay_ok = []
     for k in range(1, len(ops) + 1):
         prod = kz
         for op in reversed(ops[:k]):  # T_{g1}(...(T_{gk} K))
             prod = apply_blocks(op, prod)
-        curve = [float(np.linalg.norm(v)) for v in prod.T]
-        curves.append(curve)
-        decay_ok.append(bool(curve[-1] <= DECAY_FRACTION * curve[0]))
+        curves.append([float(np.linalg.norm(v)) for v in prod.T])
 
     eta_route = None
     if len(cfg.f_set):
@@ -509,13 +510,17 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         eta_data = {"lhs": [0.0] * len(seq), "rhs": [0.0] * len(seq),
                     "slack": [0.0] * len(seq)}
 
-    # a curve that reaches 0 has no log-log slope (None), and fails
+    # a curve that starts at 0 has no decay ratio, and a curve of one
+    # point, or one that reaches 0, no log-log slope (None): both fail
+    decay_ok = [c[0] > 0.0 and c[-1] / c[0] <= DECAY_FRACTION for c in curves]
     x = np.log(one_minus)
-    slopes = [float(np.polyfit(x, np.log(curve), 1)[0]) if min(curve) > 0.0
-              else None for curve in curves]
+    slopes = [float(np.polyfit(x, np.log(curve), 1)[0])
+              if len(curve) >= 2 and min(curve) > 0.0 else None
+              for curve in curves]
     slope_target = 0.5 * (n + 1)
-    slope_ok = all(v is not None and abs(v - slope_target)
-                   <= SLOPE_REL * slope_target for v in slopes)
+    deviations = [None if v is None else abs(v - slope_target) / slope_target
+                  for v in slopes]
+    slope_ok = all(v is not None and v <= SLOPE_REL for v in deviations)
 
     return {
         "radii": seq.radii.tolist(),
@@ -529,6 +534,7 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
         "nu_v2_method": cfg.nu_v2_method,
         "slopes": slopes,
         "slope_target": slope_target,
+        "slope_deviations": deviations,
         "slope_ok": slope_ok,
         "routes": routes,
         "ok": all(decay_ok) and bound_ok and slope_ok,
@@ -612,7 +618,7 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     for g in symbols:
         if not np.all(m1):
             vanish_max = max(vanish_max, float(np.max(np.abs(g(probe[~m1])))))
-    vanish_ok = vanish_max <= 1e-12
+    vanish_ok = vanish_max <= VANISH_BOUND
 
     # monotone region: membership in W_{F1} implies membership in W_{F2}
     m2 = np.atleast_1d(in_region_W(F2, r, probe))

@@ -21,6 +21,16 @@ E12 = {"n": 2, "zeta": [[1.0, 0.0], [0.0, 0.0]],
        "F2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
 # (e1 + e2) / sqrt 2, off both coordinate axes
 DIAG2 = [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]
+# the steps of the benchmark's inputs: separate then witness at n = 2,
+# d = 10; witness and separate at n = 1 up to d = 64, then separate at
+# n = 2, d = 24
+BALL2 = dict(E12, degree=10, d_sweep=[6, 10])
+DISK64 = {"n": 1, "degree": 64, "d_sweep": [16, 32, 48, 64]}
+RAY24 = {"n": 2, "degree": 24, "zeta": E12["zeta"], "F1": [],
+         "F2": [E12["zeta"]]}
+BALL2_STEPS = [("separate", BALL2), ("witness", BALL2)]
+EXACT_STEPS = [("witness", DISK64), ("separate", DISK64),
+               ("separate", RAY24)]
 
 
 class TestConfig:
@@ -148,21 +158,33 @@ class TestCli:
         ({"zeta": "e1"}, "zeta must be list, got 'e1'"),
         ({"zeta": [[float("nan"), 0.0]]}, "zeta must be a unit vector"),
         ({"F2": [[[float("nan"), 0.0]]]}, "F2 members must be unit vectors"),
-        ({"F1": [{"re": 1.0}]}, "expected [[re, im], ...], got {'re'"),
+        ({"F1": [{"re": 1.0}]}, "F1[0]: expected [[re, im], ...], got {'re'"),
         ({"n": 2, "d_sweep": [4, 6], "zeta": DIAG2, "F2": [DIAG2]},
-         "zeta must lie on a coordinate axis")],
+         "zeta must lie on a coordinate axis"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ("--seed -1", "seed must be >= 0, got -1"),
+        ({"zeta": [[1.0, 0.0, 3.0]]},
+         "zeta: expected [[re, im], ...], got shape (1, 3)"),
+        ({"F1": [[[1.0, 0.0, 3.0]]]},
+         "F1[0]: expected [[re, im], ...], got shape (1, 3)"),
+        ({"F2": [[[1.0, 0.0]], [[1.0, 0.0, 3.0]]]},
+         "F2[1]: expected [[re, im], ...], got shape (1, 3)")],
         ids=["empty_sweep", "repeated_degree", "underflowing_radius",
              "eps_beyond_prop1_sequence", "f2_within_2eps_of_f1",
              "tolerances_key", "string_n", "scalar_sweep", "float_degree",
              "null_radius", "float_M", "string_eps", "bool_degree",
              "string_zeta", "nan_zeta", "nan_f2", "object_f1",
-             "off_axis_zeta"])
+             "off_axis_zeta", "negative_seed", "negative_seed_override",
+             "zeta_shape", "f1_member_shape", "f2_member_shape"])
     def test_invalid_config_exits_before_compute(self, tmp_path, capsys,
                                                  suite, bad, why):
+        # a config file, or (a string) command-line overrides
         cfgfile = tmp_path / "bad.json"
-        cfgfile.write_text(json.dumps(bad))
+        cfgfile.write_text(json.dumps({} if isinstance(bad, str) else bad))
         out = tmp_path / "rep"
-        code = main([suite, "--config", str(cfgfile), "--out", str(out)])
+        args = bad.split() if isinstance(bad, str) else []
+        code = main([suite, "--config", str(cfgfile), *args,
+                     "--out", str(out)])
         assert code == 2
         assert not out.exists()
         assert f"configuration error: {why}" in capsys.readouterr().err
@@ -216,19 +238,11 @@ class TestCli:
     def test_separate_then_witness_repeat_in_one_process(self, tmp_path):
         # each input's steps twice in one process: every check passes
         # both times and the report trees are equal byte for byte, so no
-        # state carried between runs moves a report.  The inputs are
-        # separate then witness at n = 2, d = 10, and witness and
-        # separate at n = 1 up to d = 64, then separate at n = 2, d = 24,
-        # at two seeds
-        e1, e2 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
-        ball2 = {"n": 2, "degree": 10, "d_sweep": [6, 10], "zeta": e1,
-                 "F1": [e2], "F2": [e1, e2]}
-        disk64 = {"n": 1, "degree": 64, "d_sweep": [16, 32, 48, 64]}
-        ray24 = {"n": 2, "degree": 24, "zeta": e1, "F1": [], "F2": [e1]}
-        inputs = [[("separate", ball2), ("witness", ball2)]] + [
-            [(suite, dict(cfg, seed=seed)) for suite, cfg in (
-                ("witness", disk64), ("separate", disk64),
-                ("separate", ray24))] for seed in (7, 2499)]
+        # state carried between runs moves a report.  The inputs are the
+        # ball2 steps, and the exact-route steps at two seeds
+        inputs = [BALL2_STEPS] + [
+            [(suite, dict(cfg, seed=seed)) for suite, cfg in EXACT_STEPS]
+            for seed in (7, 2499)]
         for i, steps in enumerate(inputs):
             trees = []
             for run in ("first", "second"):
@@ -351,6 +365,49 @@ class TestCli:
         finally:
             tr.restore()
         assert witness.region_infimum is orig
+
+
+# the checks that hold no number to a bound: boolean verdicts, and lists
+# that must fall strictly
+UNBOUNDED_CHECKS = {
+    "kernel_diagonal_monotone", "delta_for_inequality",
+    "radii_strictly_increasing", "radii_above_floor", "prefix_determinism",
+    "ideal_panel_decays", "unitarity_defect_decreasing",
+    "conjugation_defect_decreasing", "pairing_matrix_converges",
+    "pairing_decays_along_sequence", "two_route_defect_shrinks_m1"}
+
+
+class TestCheckRecords:
+    @pytest.mark.parametrize("steps", [
+        [("all", {})],
+        [(suite, dict(cfg, seed=7)) for suite, cfg in BALL2_STEPS],
+        [(suite, dict(cfg, seed=7)) for suite, cfg in EXACT_STEPS]],
+        ids=["all", "ball2", "exact_route"])
+    def test_every_bounded_record_gives_its_bound(self, tmp_path, steps):
+        records = []
+        for k, (suite, cfg) in enumerate(steps):
+            cfgfile = tmp_path / f"cfg{k}.json"
+            cfgfile.write_text(json.dumps(cfg))
+            out = tmp_path / f"{k}"
+            main([suite, "--config", str(cfgfile), "--out", str(out)])
+            for path in out.glob("*.json"):
+                report = json.loads(path.read_text()).get("report")
+                if report is not None:  # not the summary of ``all``
+                    records += report["checks"]
+        assert records
+        missing = [c["name"] for c in records
+                   if c["name"] not in UNBOUNDED_CHECKS
+                   and not {"value", "tolerance"} <= set(c)]
+        assert missing == []
+
+    def test_within_and_at_least(self):
+        assert suites._within("x", [0.1, 0.2], 0.2) == {
+            "name": "x", "ok": True, "value": [0.1, 0.2], "tolerance": 0.2}
+        for value in ([0.1, None], [0.1, 0.3], 0.3, float("nan")):
+            assert not suites._within("x", value, 0.2)["ok"]
+        assert suites._at_least("x", 2.0, 2.0) == {
+            "name": "x", "ok": True, "value": 2.0, "tolerance": 2.0}
+        assert not suites._at_least("x", 1.0, 2.0)["ok"]
 
 
 class TestGeometryJobs:

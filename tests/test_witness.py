@@ -351,6 +351,30 @@ class TestProp1:
                               0.0)
         rep = prop1_decay([zero], seq, cfg, basis)
         assert np.max(np.abs(rep["curves"][0])) == 0.0
+        # no ratio to its first value, no log-log slope: both fail
+        assert rep["decay_ok"] == [False]
+        assert rep["slopes"] == rep["slope_deviations"] == [None]
+        assert not rep["ok"]
+
+    def test_one_point_curve_has_no_slope(self):
+        # one point fits no line: no polyfit (which would warn), no slope
+        rep = run_prop1(ExperimentConfig(M=1, decay_M=1))
+        assert rep["n1"]["slopes"] == rep["n1"]["slope_deviations"] == [
+            None] * 3
+        assert {"decay_below_fraction_n1",
+                "slope_within_tolerance_n1"} <= set(rep["failures"])
+
+    def test_verdicts_read_the_recorded_numbers(self, flagship):
+        f_empty = SphereSet.create([], n=1)
+        rep = prop1_decay(default_panel(f_empty, R, 1),
+                          build_sequence(e1(1), R, 10),
+                          build_prop1_config(f_empty, 0.5), flagship)
+        assert rep["slope_deviations"] == [
+            abs(s - 1.0) / 1.0 for s in rep["slopes"]]
+        assert rep["slope_ok"] == all(
+            v <= witness.SLOPE_REL for v in rep["slope_deviations"])
+        assert rep["decay_ok"] == [c[-1] / c[0] <= witness.DECAY_FRACTION
+                                   for c in rep["curves"]]
 
     def test_off_ray_direction_decays(self):
         # U_{z_m} 1 = k_{z_m} needs no U_z, so any direction of the sphere
