@@ -118,6 +118,11 @@ class ExperimentConfig:
                     raise ValueError(f"{name} members must be unit vectors")
         if not self.F2:
             raise ValueError("F2 must be non-empty")
+        f2 = SphereSet.create(self.f2_vecs)
+        for i, gap in enumerate(f2.min_dist(self.f1_vecs)):
+            if not gap <= 1e-12:  # W_F1 lies in W_F2 only when F1 is in F2
+                raise ValueError(f"F1[{i}] is not a member of F2 (distance "
+                                 f"{gap:.6g})")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.eps > np.sqrt(1.25):

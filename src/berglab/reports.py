@@ -26,13 +26,15 @@ def config_hash(config_json: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def check(name: str, ok: bool, value=None, tol=None) -> dict:
-    """One pass/fail record for the machine-readable check list."""
+def check(name: str, ok: bool, value=None, tol=None, kind=None) -> dict:
+    """One pass/fail record for the check list; beside a tolerance,
+    ``kind`` ("<=", ">=", "<" or ">") says how value must compare to it."""
     entry: dict = {"name": name, "ok": bool(ok)}
     if value is not None:
         entry["value"] = value
     if tol is not None:
         entry["tolerance"] = tol
+        entry["kind"] = kind
     return entry
 
 

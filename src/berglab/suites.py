@@ -23,10 +23,9 @@ from .toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
                        toeplitz_monomial_radial, toeplitz_radial)
 from .unitaries import (unitary_matrix_exact, unitary_matrix_quadrature,
                         weak_pairing_exact)
-from .witness import (DECAY_FRACTION, SEPARATION_FACTOR, SLOPE_REL,
-                      VANISH_BOUND, SphereSet, build_prop1_config,
-                      default_panel, lemma3_lower_bound, prop1_decay,
-                      separation_experiment, witness_operator, witness_symbol)
+from .witness import (SphereSet, build_prop1_config, default_panel,
+                      lemma3_lower_bound, prop1_decay, separation_experiment,
+                      witness_operator, witness_symbol)
 from .reports import check, summarize_checks
 
 __all__ = ["run_geometry", "run_sequence", "run_basis", "run_toeplitz",
@@ -40,6 +39,14 @@ _GEOM_DIMS = (1, 2, 3)
 # by malloc around small blocks left over from earlier work, so the peak
 # RSS of a run moved by up to 5 MiB with the seed.
 _SAMPLE_ROWS = 10_000
+
+# The bounds of the decay and separation verdicts: a panel curve's decay
+# ratio and slope deviation, the witness floor over the panel ceiling at
+# the witness horizon, and every panel symbol off its region.
+DECAY_FRACTION = 0.05
+SLOPE_REL = 0.10
+SEPARATION_FACTOR = 10.0
+VANISH_BOUND = 1e-12
 
 
 def _rng(cfg: ExperimentConfig, suite: int) -> np.random.Generator:
@@ -57,12 +64,12 @@ def _within(name: str, value, bound) -> dict:
     every entry is a number within the bound."""
     values = value if isinstance(value, list) else [value]
     return check(name, all(v is not None and v <= bound for v in values),
-                 value, bound)
+                 value, bound, "<=")
 
 
 def _at_least(name: str, value, bound) -> dict:
     """The check that value is at least bound."""
-    return check(name, value >= bound, value, bound)
+    return check(name, value >= bound, value, bound, ">=")
 
 
 def _decreasing(values) -> bool:
@@ -491,7 +498,7 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     min_eig = float(eigs.min())
     comm_norm = op_norm(cmat)
     checks.append(check("witness_commutator_nonzero", comm_norm > 0.0,
-                        comm_norm, 0.0))
+                        comm_norm, 0.0, ">"))
     checks.append(_at_least("squared_commutator_psd", min_eig, -1e-10))
 
     # compactly supported radial symbols have geometrically decaying diagonal
@@ -501,7 +508,7 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     ratio = float(diag[-1] / diag[0])
     checks.append(check("compact_support_diagonal_decay",
                         bool(np.all(np.diff(diag) < 0)) and ratio < 1e-6,
-                        ratio, 1e-6))
+                        ratio, 1e-6, "<"))
 
     report = summarize_checks(checks)
     report.update({
@@ -553,8 +560,11 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
     kexp = kernel_expansion(z_half, basis)
     col_err = float(np.max(np.abs(u.mat[:, 0] - kexp.coeffs)))
     checks.append(_within("u_e0_is_kernel", col_err, 1e-13))
+    # ||P_d k_z||^2 = 1 - x^(d+1) ((d+2) - (d+1) x), x = |z|^2, at n = 1
+    d, x = basis.degree, float(abs(z_half[0]) ** 2)
     e0_norm = float(np.linalg.norm(u.mat[:, 0]))
-    checks.append(_within("u_e0_norm_one", abs(e0_norm - 1.0), 1e-6))
+    e0_exact = (1.0 - x ** (d + 1) * ((d + 2) - (d + 1) * x)) ** 0.5
+    checks.append(_within("u_e0_norm_one", abs(e0_norm - e0_exact), 1e-6))
 
     # closed-form pairing: exact value at the benchmark point
     value, _ = weak_pairing_exact(np.array([0.9 + 0j]),
@@ -639,8 +649,8 @@ def run_witness(cfg: ExperimentConfig) -> dict:
     checks.append(check("two_route_defect_shrinks_m1",
                         _decreasing(first_defects), first_defects))
 
-    # PSD of S itself at the flagship degree: the sweep ends there
-    s_min = float(np.linalg.eigvalsh(probes[sweep[-1]].S.mat).min())
+    # PSD of S, a diagonal, at the flagship degree: the sweep ends there
+    s_min = float(probes[sweep[-1]].S.min())
     checks.append(_at_least("s_positive_semidefinite", s_min, -1e-10))
 
     report = summarize_checks(checks)
@@ -665,6 +675,19 @@ def run_witness(cfg: ExperimentConfig) -> dict:
 
 # -------------------------------------------------------------------- prop1
 
+def _panel_checks(rep: dict, suffix: str) -> list[dict]:
+    """The decay, slope and cutoff verdicts on a ``prop1_decay`` report;
+    the cutoff excess is max(lhs - (rhs + slack))."""
+    eta = rep["eta_bound"]
+    excess = max(lhs - (rhs + slack) for lhs, rhs, slack in zip(
+        eta["lhs"], eta["rhs"], eta["slack"]))
+    return [_within(f"decay_below_fraction{suffix}", rep["decay_ratios"],
+                    DECAY_FRACTION),
+            _within(f"slope_within_tolerance{suffix}",
+                    rep["slope_deviations"], SLOPE_REL),
+            _within(f"cutoff_bound_holds{suffix}", excess, 0.0)]
+
+
 def run_prop1(cfg: ExperimentConfig) -> dict:
     checks = []
     r = cfg.r
@@ -676,11 +699,7 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     cfg1 = build_prop1_config(F_empty, cfg.eps)
     panel = default_panel(F_empty, r, 1)
     rep1 = prop1_decay(panel, seq, cfg1, basis)
-    checks.append(_within("decay_below_fraction_n1",
-                          [c[-1] / c[0] for c in rep1["curves"]],
-                          DECAY_FRACTION))
-    checks.append(_within("slope_within_tolerance_n1",
-                          rep1["slope_deviations"], SLOPE_REL))
+    checks += _panel_checks(rep1, "_n1")[:2]  # F is empty: T_eta = 0
 
     # two dimensions: nonempty direction set, real cutoff bound
     basis2 = TruncatedBasis.create(2, 8)
@@ -689,15 +708,8 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
     cfg2 = build_prop1_config(F1, cfg.eps)
     panel2 = default_panel(F1, r, 2)
     rep2 = prop1_decay(panel2, seq2, cfg2, basis2)
-    checks.append(_within("slope_within_tolerance_n2",
-                          rep2["slope_deviations"], SLOPE_REL))
-    eta = rep2["eta_bound"]
-    checks.append(_within("cutoff_bound_holds_n2",
-                          max(lhs - (rhs + slack) for lhs, rhs, slack in zip(
-                              eta["lhs"], eta["rhs"], eta["slack"])), 0.0))
-    checks.append(_within("decay_below_fraction_n2",
-                          [c[-1] / c[0] for c in rep2["curves"]],
-                          DECAY_FRACTION))
+    decay, slope, cutoff = _panel_checks(rep2, "_n2")
+    checks += [slope, cutoff, decay]
 
     report = summarize_checks(checks)
     report.update({
@@ -718,7 +730,31 @@ def run_prop1(cfg: ExperimentConfig) -> dict:
 
 # ----------------------------------------------------------------- separate
 
+def _separation_checks(rep: dict) -> list[dict]:
+    """The verdicts on a ``separation_experiment`` report: the separation
+    factor, the witness floor and its core degree, the panel off W_{F1},
+    region monotonicity, the boundary traces and ``_panel_checks``."""
+    traces = [_within(k, rep[k]["violations"] + rep[k]["directions_total"]
+                      - rep[k]["directions_confirmed"], 0)
+              for k in ("boundary_trace_F1", "boundary_trace_F2")]
+    return [
+        _at_least("separation_factor", rep["separation_factor"],
+                  SEPARATION_FACTOR),
+        _at_least("witness_floor_positive", rep["lemma3"]["floor_c"],
+                  rep["lemma3"]["lambda_max"]),
+        _within("core_degree_converged", rep["lemma3"]["core_defect"],
+                rep["lemma3"]["tail_bound"]),
+        _within("panel_vanishes_off_region", rep["vanish_off_region_max"],
+                VANISH_BOUND),
+        _within("monotone_region", rep["monotone_violations"], 0),
+        *traces,
+        check("ideal_panel_decays", all(
+            c["ok"] for c in _panel_checks(rep["prop1"], ""))),
+    ]
+
+
 def run_separate(cfg: ExperimentConfig) -> dict:
+    """``separation_experiment`` at the config, judged by its checks."""
     rng = _rng(cfg, 6)
     basis = TruncatedBasis.create(cfg.n, cfg.degree)
     F1 = SphereSet.create(cfg.f1_vecs, n=cfg.n)
@@ -727,21 +763,7 @@ def run_separate(cfg: ExperimentConfig) -> dict:
         F1, F2, cfg.r, cfg.M, basis, eps=cfg.eps, rng=rng,
         decay_M=cfg.decay_M)
 
-    checks = [
-        _at_least("separation_factor", rep["separation_factor"],
-                  SEPARATION_FACTOR),
-        _at_least("witness_floor_positive", rep["lemma3"]["floor_c"],
-                  rep["lemma3"]["lambda_max"]),
-        _within("panel_vanishes_off_region", rep["vanish_off_region_max"],
-                VANISH_BOUND),
-        _within("monotone_region", rep["monotone_violations"], 0),
-        check("boundary_trace_F1", rep["boundary_trace_F1"]["ok"],
-              rep["boundary_trace_F1"]["violations"], 0),
-        check("boundary_trace_F2", rep["boundary_trace_F2"]["ok"],
-              rep["boundary_trace_F2"]["violations"], 0),
-        check("ideal_panel_decays", rep["prop1"]["ok"]),
-    ]
-    report = summarize_checks(checks)
+    report = summarize_checks(_separation_checks(rep))
     curves = rep["prop1"]["curves"]
     report.update(rep)
     report["csv"] = {

@@ -21,8 +21,9 @@ The witness needs no truncated model: S is diagonal in the monomial
 basis, so each <T k_{z_m}, k_{z_m}> is a closed-form Berezin sum over the
 pairwise pseudo-hyperbolic distances, cut at a core degree with a proven
 tail bound (``lemma3_lower_bound``).  The decay side acts on the
-truncated kernel columns P_d k_{z_m}, and the separation verdict compares
-the two, each normalized at its first point, at the same horizon.
+truncated kernel columns P_d k_{z_m}, and the separation experiment
+measures the two, each normalized at its first point, at the same horizon.
+These functions return measurements; the suites hold the bounds and judge.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from .geometry import (_norm2, as_point, inner, pseudo_metric,
                        random_sphere_points, sample_ball)
 from .sequences import SeparatedSequence, build_sequence, pairwise_rho
 # toeplitz_matrix is unused here, but the benchmark tracer patches it here
-from .toeplitz import (OperatorMatrix, Symbol, _profile_integrals,
-                       apply_blocks, commutator, op_norm, toeplitz_matrix,
-                       toeplitz_monomial_radial)
+from .toeplitz import (Symbol, _profile_integrals, apply_blocks, commutator,
+                       op_norm, toeplitz_matrix, toeplitz_monomial_radial)
 from .unitaries import core_degree, moebius_pair, toeplitz_blocks
 
 __all__ = ["SphereSet", "in_region_W", "region_infimum",
@@ -47,17 +47,6 @@ __all__ = ["SphereSet", "in_region_W", "region_infimum",
            "WitnessOperator", "witness_operator", "lemma3_lower_bound",
            "Prop1Config", "build_prop1_config", "lens_volume", "prop1_decay",
            "default_panel", "separation_experiment"]
-
-# The bounds of the decay and separation verdicts.  A panel curve must
-# fall below DECAY_FRACTION of its first value, its log-log slope must
-# lie within SLOPE_REL of (n+1)/2 (relative), the witness floor must
-# exceed the largest panel curve by SEPARATION_FACTOR at the witness
-# horizon, and every panel symbol must be within VANISH_BOUND of 0 off
-# its region.
-DECAY_FRACTION = 0.05
-SLOPE_REL = 0.10
-SEPARATION_FACTOR = 10.0
-VANISH_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,7 +136,7 @@ def boundary_trace_check(F: SphereSet, r: float, samples: int,
     (b) random sphere directions farther from F than the certified
         exclusion radius give points (approach) xi outside W_F.
 
-    Returns counts; the contract is zero violations.
+    Returns counts; the contract is zero violations, all of F confirmed.
     """
     if not 0.0 < approach < 1.0:
         raise ValueError(f"approach must lie in (0, 1), got {approach}")
@@ -176,7 +165,6 @@ def boundary_trace_check(F: SphereSet, r: float, samples: int,
         "exclusion_radius": float(excl),
         "approach": float(approach),
         "violations": violations,
-        "ok": violations == 0 and confirmed == len(F),
     }
 
 
@@ -200,11 +188,11 @@ def witness_symbol(r: float) -> Symbol:
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """S = [T_f, T_conj(f)]^2 on the truncation and the two-route probe
-    along the sequence: its defects and the route record of each composed
-    assembly (``unitaries.moebius_pair``)."""
+    """S = [T_f, T_conj(f)]^2 on the truncation, as its real diagonal, and
+    the two-route probe along the sequence: its defects and the route
+    record of each composed assembly (``unitaries.moebius_pair``)."""
 
-    S: OperatorMatrix
+    S: np.ndarray
     two_route_defects: tuple[float, ...]
     two_route_routes: tuple[dict, ...]
 
@@ -222,17 +210,17 @@ def witness_operator(zeta, r: float, M: int,
     B = P U_z T_f U_z P, the exact compression of the composed symbol.
     Both come from one set of blocks of U_z
     (``unitaries.moebius_pair``), so the defect measures truncation
-    alone, and shrinks with the degree.
+    alone, and shrinks with the degree.  T_f is a shift, so its
+    commutator C and S = C^2 are exactly diagonal.
     """
     f = witness_symbol(r)
     a = toeplitz_monomial_radial(0, f.profile, basis, support=r)
-    c = commutator(a, a.adjoint())
-    s = c @ c
+    s = np.diag(commutator(a, a.adjoint()).mat).real ** 2
     defects, routes = [], []
     for p in build_sequence(zeta, r, M).points():
         route, u, b = moebius_pair(f.compose_moebius(p), basis)
         cc = commutator(b, b.adjoint())
-        defects.append(op_norm(u @ s @ u.adjoint() - cc @ cc))
+        defects.append(op_norm((u.mat * s) @ u.mat.conj().T - (cc @ cc).mat))
         routes.append(route)
     return WitnessOperator(S=s, two_route_defects=tuple(defects),
                            two_route_routes=tuple(routes))
@@ -291,7 +279,7 @@ def lemma3_lower_bound(seq: SeparatedSequence) -> dict:
     rest lowers each value by at most ``tail_bound`` (M terms, each
     within the per-term bound); ``core_defect`` is the largest part of
     a value carried by degrees K + 1 to K + 10, which must stay within
-    it.
+    it.  The suites judge that, and ``floor_c`` against ``lambda_max``.
     """
     n, r, M = len(seq.zeta), seq.r, len(seq)
     core, tail = _berezin_core(
@@ -309,19 +297,15 @@ def lemma3_lower_bound(seq: SeparatedSequence) -> dict:
     values = terms[:, kept].sum(axis=1).reshape(M, M).sum(axis=0)
     defect = float(terms[:, ~kept].sum(axis=1).reshape(M, M)
                    .sum(axis=0).max())
-    floor = float(values.min())
-    tail_bound = M * tail
     return {
         "lambda_max": lam,
         "values": values.tolist(),
         "margins": (values - lam).tolist(),
-        "floor_c": floor,
-        "floor_positive": floor >= lam,
+        "floor_c": float(values.min()),
         "core_degree": core,
-        "tail_bound": tail_bound,
+        "tail_bound": M * tail,
         "core_defect": defect,
         "conditioning_warning": bool(seq.gaps[-1] < 1e-6),
-        "ok": floor >= lam and defect <= tail_bound,
     }
 
 
@@ -452,13 +436,13 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     block triples (``unitaries.toeplitz_blocks``) and applied to it from
     the right, T_{g1}(T_{g2}(T_{g3} K)) (``toeplitz.apply_blocks``), as
     is T_eta: no operator is multiplied by another, and off the
-    quadrature route no B x B array is formed.  Checks, per product
-    prefix (k <= 3): decay of the curve below ``DECAY_FRACTION`` of its
-    first value, judged on the ratio c[-1] / c[0]; the cutoff-factor bound
+    quadrature route no B x B array is formed.  Measures, for the suites
+    to judge, per product prefix (k <= 3): the ratio c[-1] / c[0] of the
+    curve (``decay_ratios``; None where c[0] = 0); the sides of the bound
     ||T_eta k_{z_m}|| <= sqrt(nu_V2) (1-|z_m|^2)^((n+1)/2) / delta^(n+1)
-    plus a slack; and, for every product curve, the log-log slope of the
-    curve against 1 - |z_m|^2 within ``SLOPE_REL`` of (n+1)/2, relative
-    (``slope_deviations``; None for a curve with no slope).
+    plus a slack (``eta_bound``); and the log-log slope of the curve
+    against 1 - |z_m|^2, relative to (n+1)/2 (``slope_deviations``; None
+    for a curve with no slope).
 
     ||P T_eta P k_{z_m}|| exceeds ||T_eta k_{z_m}|| by at most
     ||T_eta|| ||(I - P) k_{z_m}|| <= sup eta sqrt(1 - ||P k_{z_m}||^2)
@@ -502,17 +486,15 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
                              for k in knorms])
         slack = cfg.eta.sup_norm_bound * escape + (eta_route["defect"] or 0.0)
         rhs = math.sqrt(max(cfg.nu_v2, 0.0)) * factors / cfg.delta ** (n + 1)
-        bound_ok = bool(np.all(lhs <= rhs + slack))
         eta_data = {"lhs": lhs.tolist(), "rhs": rhs.tolist(),
                     "slack": slack.tolist()}
     else:
-        bound_ok = True
         eta_data = {"lhs": [0.0] * len(seq), "rhs": [0.0] * len(seq),
                     "slack": [0.0] * len(seq)}
 
     # a curve that starts at 0 has no decay ratio, and a curve of one
-    # point, or one that reaches 0, no log-log slope (None): both fail
-    decay_ok = [c[0] > 0.0 and c[-1] / c[0] <= DECAY_FRACTION for c in curves]
+    # point, or one that reaches 0, no log-log slope (None)
+    ratios = [c[-1] / c[0] if c[0] > 0.0 else None for c in curves]
     x = np.log(one_minus)
     slopes = [float(np.polyfit(x, np.log(curve), 1)[0])
               if len(curve) >= 2 and min(curve) > 0.0 else None
@@ -520,24 +502,20 @@ def prop1_decay(g_symbols: list[Symbol], seq: SeparatedSequence,
     slope_target = 0.5 * (n + 1)
     deviations = [None if v is None else abs(v - slope_target) / slope_target
                   for v in slopes]
-    slope_ok = all(v is not None and v <= SLOPE_REL for v in deviations)
 
     return {
         "radii": seq.radii.tolist(),
         "one_minus_sq": one_minus.tolist(),
         "curves": curves,
-        "decay_ok": decay_ok,
+        "decay_ratios": ratios,
         "eta_bound": eta_data,
-        "eta_bound_ok": bound_ok,
         "eta_route": eta_route,
         "nu_v2": cfg.nu_v2,
         "nu_v2_method": cfg.nu_v2_method,
         "slopes": slopes,
         "slope_target": slope_target,
         "slope_deviations": deviations,
-        "slope_ok": slope_ok,
         "routes": routes,
-        "ok": all(decay_ok) and bound_ok and slope_ok,
     }
 
 
@@ -585,15 +563,14 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     decay suite's horizon ``decay_M`` (the deterministic schedule makes
     the M-term sequence a prefix).  The witness curve is the Berezin
     values <T k_{z_m}, k_{z_m}>; every curve is normalized at its first
-    point.  The verdict asks the witness floor to exceed the largest
-    panel curve, both at the witness horizon M, by ``SEPARATION_FACTOR``;
-    the panel is judged by ``prop1_decay`` against ``DECAY_FRACTION`` and
-    ``SLOPE_REL``.
+    point.  ``separation_factor`` is the witness floor over the largest
+    panel curve, both at the witness horizon M.
 
-    Also verifies region monotonicity (F1 inside F2), the boundary
-    traces, and that every panel symbol vanishes off W_{F1}.  No
-    quadrature rule is built unless a panel symbol or eta takes the
-    quadrature route (``unitaries.toeplitz_blocks``).
+    Also measures region monotonicity (points of W_{F1} outside W_{F2}),
+    the boundary traces, and the panel symbols off W_{F1}, for
+    ``suites.run_separate`` to judge.  No quadrature rule is built unless
+    a panel symbol or eta takes the quadrature route
+    (``unitaries.toeplitz_blocks``).
     """
     n = basis.n
     if len(F2) == 0:
@@ -618,7 +595,6 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     for g in symbols:
         if not np.all(m1):
             vanish_max = max(vanish_max, float(np.max(np.abs(g(probe[~m1])))))
-    vanish_ok = vanish_max <= VANISH_BOUND
 
     # monotone region: membership in W_{F1} implies membership in W_{F2}
     m2 = np.atleast_1d(in_region_W(F2, r, probe))
@@ -637,10 +613,6 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
     ceiling = float(max(curve[M - 1] / curve[0]
                         for curve in prop1["curves"]))
     factor = floor / ceiling if ceiling > 0 else math.inf
-    separation_ok = bool(factor >= SEPARATION_FACTOR)
-
-    ok = (separation_ok and vanish_ok and monotone_violations == 0
-          and trace1["ok"] and trace2["ok"] and lemma3["ok"] and prop1["ok"])
     return {
         "zeta": [[float(v.real), float(v.imag)] for v in zeta],
         "selected_distance": (None if math.isinf(float(dists[best]))
@@ -652,15 +624,12 @@ def separation_experiment(F1: SphereSet, F2: SphereSet, r: float, M: int,
         "witness_horizon": int(M),
         "decay_horizon": int(decay_M),
         "separation_factor": factor,
-        "separation_ok": separation_ok,
         "panel_labels": [g.label for g in symbols],
         "vanish_off_region_max": vanish_max,
-        "vanish_ok": vanish_ok,
         "monotone_violations": monotone_violations,
         "boundary_trace_F1": trace1,
         "boundary_trace_F2": trace2,
         "lemma3": lemma3,
         "prop1": prop1,
         "conditioning_warning": lemma3["conditioning_warning"],
-        "ok": ok,
     }

@@ -1,6 +1,7 @@
 """Tests for configuration handling, report emission and the CLI."""
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -168,14 +169,17 @@ class TestCli:
         ({"F1": [[[1.0, 0.0, 3.0]]]},
          "F1[0]: expected [[re, im], ...], got shape (1, 3)"),
         ({"F2": [[[1.0, 0.0]], [[1.0, 0.0, 3.0]]]},
-         "F2[1]: expected [[re, im], ...], got shape (1, 3)")],
+         "F2[1]: expected [[re, im], ...], got shape (1, 3)"),
+        (dict(E12, F2=[E12["zeta"]], d_sweep=[8]),
+         "F1[0] is not a member of F2 (distance 1.41421)")],
         ids=["empty_sweep", "repeated_degree", "underflowing_radius",
              "eps_beyond_prop1_sequence", "f2_within_2eps_of_f1",
              "tolerances_key", "string_n", "scalar_sweep", "float_degree",
              "null_radius", "float_M", "string_eps", "bool_degree",
              "string_zeta", "nan_zeta", "nan_f2", "object_f1",
              "off_axis_zeta", "negative_seed", "negative_seed_override",
-             "zeta_shape", "f1_member_shape", "f2_member_shape"])
+             "zeta_shape", "f1_member_shape", "f2_member_shape",
+             "f1_outside_f2"])
     def test_invalid_config_exits_before_compute(self, tmp_path, capsys,
                                                  suite, bad, why):
         # a config file, or (a string) command-line overrides
@@ -331,6 +335,17 @@ class TestCli:
         assert ("unitary:unitarity_defect_decreasing"
                 in capsys.readouterr().err)
 
+    def test_kernel_column_norm_read_against_its_truncation(self, tmp_path):
+        # at degree 10, ||P_10 k_{1/2}|| is 1 - 1.1e-6: the column's norm
+        # is held to that closed form, not to 1
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"d_sweep": [6, 10]}))
+        assert main(["unitary", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "unitary.json").read_text())["report"]
+        record = {c["name"]: c for c in report["checks"]}["u_e0_norm_one"]
+        assert record["ok"] and record["value"] < 1e-13
+
     def test_seed_override_changes_hash(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -377,36 +392,100 @@ UNBOUNDED_CHECKS = {
     "pairing_decays_along_sequence", "two_route_defect_shrinks_m1"}
 
 
+REPORT_SETS = {
+    "all": [("all", {})],
+    "ball2": [(suite, dict(cfg, seed=7)) for suite, cfg in BALL2_STEPS],
+    "exact_route": [(suite, dict(cfg, seed=7)) for suite, cfg in EXACT_STEPS]}
+COMPARISONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+               ">": operator.gt}
+
+
+@pytest.fixture(scope="class", params=list(REPORT_SETS))
+def payloads(request, tmp_path_factory):
+    """Every JSON file that one report set's steps write, by path; each
+    step passes."""
+    work = tmp_path_factory.mktemp(request.param)
+    files = {}
+    for k, (suite, cfg) in enumerate(REPORT_SETS[request.param]):
+        cfgfile = work / f"cfg{k}.json"
+        cfgfile.write_text(json.dumps(cfg))
+        out = work / f"{k}"
+        assert main([suite, "--config", str(cfgfile), "--out", str(out)]) == 0
+        files.update({f"{k}/{path.name}": json.loads(path.read_text())
+                      for path in out.glob("*.json")})
+    return files
+
+
+def _reports(payloads):
+    # the summary of ``all`` holds no report
+    return [p["report"] for p in payloads.values() if "report" in p]
+
+
+def _verdict_keys(obj, path=""):
+    """The paths of every ok, *_ok or floor_positive key outside the
+    check lists."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        if key == "checks":
+            continue
+        if key in ("ok", "floor_positive") or str(key).endswith("_ok"):
+            yield f"{path}.{key}"
+        yield from _verdict_keys(value, f"{path}.{key}")
+
+
 class TestCheckRecords:
-    @pytest.mark.parametrize("steps", [
-        [("all", {})],
-        [(suite, dict(cfg, seed=7)) for suite, cfg in BALL2_STEPS],
-        [(suite, dict(cfg, seed=7)) for suite, cfg in EXACT_STEPS]],
-        ids=["all", "ball2", "exact_route"])
-    def test_every_bounded_record_gives_its_bound(self, tmp_path, steps):
-        records = []
-        for k, (suite, cfg) in enumerate(steps):
-            cfgfile = tmp_path / f"cfg{k}.json"
-            cfgfile.write_text(json.dumps(cfg))
-            out = tmp_path / f"{k}"
-            main([suite, "--config", str(cfgfile), "--out", str(out)])
-            for path in out.glob("*.json"):
-                report = json.loads(path.read_text()).get("report")
-                if report is not None:  # not the summary of ``all``
-                    records += report["checks"]
+    def test_every_bounded_record_gives_its_bound(self, payloads):
+        records = [c for rep in _reports(payloads) for c in rep["checks"]]
         assert records
         missing = [c["name"] for c in records
                    if c["name"] not in UNBOUNDED_CHECKS
                    and not {"value", "tolerance"} <= set(c)]
         assert missing == []
 
+    def test_no_verdict_outside_the_check_lists(self, payloads):
+        found = [key for name, payload in payloads.items()
+                 for key in _verdict_keys(payload, name)]
+        assert found == []
+        for rep in _reports(payloads):  # passed summarizes the checks
+            failing = [c["name"] for c in rep["checks"] if not c["ok"]]
+            assert rep["failures"] == failing
+            assert rep["passed"] is (failing == [])
+
+    def test_bounded_records_give_their_comparison(self, payloads):
+        for record in (c for rep in _reports(payloads) for c in rep["checks"]):
+            if "tolerance" not in record:
+                assert "kind" not in record, record
+                continue
+            holds = COMPARISONS[record["kind"]]
+            value = record["value"]
+            values = value if isinstance(value, list) else [value]
+            if record["ok"] and all(isinstance(v, (int, float))
+                                    for v in values):
+                assert all(holds(v, record["tolerance"]) for v in values), \
+                    record
+
+    def test_separate_records_core_degree_converged(self, payloads):
+        separate = [p["report"] for p in payloads.values()
+                    if p.get("suite") == "separate"]
+        assert separate
+        for rep in separate:
+            record = {c["name"]: c for c in rep["checks"]}[
+                "core_degree_converged"]
+            assert record == {
+                "name": "core_degree_converged", "ok": True,
+                "value": rep["lemma3"]["core_defect"],
+                "tolerance": rep["lemma3"]["tail_bound"], "kind": "<="}
+
     def test_within_and_at_least(self):
         assert suites._within("x", [0.1, 0.2], 0.2) == {
-            "name": "x", "ok": True, "value": [0.1, 0.2], "tolerance": 0.2}
+            "name": "x", "ok": True, "value": [0.1, 0.2], "tolerance": 0.2,
+            "kind": "<="}
         for value in ([0.1, None], [0.1, 0.3], 0.3, float("nan")):
             assert not suites._within("x", value, 0.2)["ok"]
         assert suites._at_least("x", 2.0, 2.0) == {
-            "name": "x", "ok": True, "value": 2.0, "tolerance": 2.0}
+            "name": "x", "ok": True, "value": 2.0, "tolerance": 2.0,
+            "kind": ">="}
         assert not suites._at_least("x", 1.0, 2.0)["ok"]
 
 

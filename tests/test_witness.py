@@ -14,7 +14,9 @@ from berglab.config import ExperimentConfig
 from berglab.geometry import pseudo_metric, sample_ball
 from berglab.quadrature import integrate, rule_for_basis
 from berglab.sequences import build_sequence
-from berglab.suites import run_prop1, run_separate, run_unitary, run_witness
+from berglab.suites import (DECAY_FRACTION, SLOPE_REL, _panel_checks,
+                            _separation_checks, run_prop1, run_separate,
+                            run_unitary, run_witness)
 from berglab.toeplitz import (Symbol, _scatter, apply_blocks, commutator,
                               op_norm, toeplitz_matrix,
                               toeplitz_monomial_radial)
@@ -27,6 +29,11 @@ from berglab.witness import (SphereSet, boundary_trace_check,
                              witness_symbol)
 
 R = 0.5
+
+
+def failed(checks):
+    """The names of the failing records of a check list."""
+    return [c["name"] for c in checks if not c["ok"]]
 
 
 def toeplitz_dense(f, basis):
@@ -155,15 +162,14 @@ class TestBoundaryTrace:
         for n in (1, 2):
             f = SphereSet.create([e1(n)])
             rep = boundary_trace_check(f, R, 200, 0.999, rng)
-            assert rep["directions_confirmed"] == 1
+            assert rep["directions_confirmed"] == rep["directions_total"] == 1
             assert rep["violations"] == 0
-            assert rep["ok"]
 
     def test_empty_set(self):
         rng = np.random.default_rng(55)
         f = SphereSet.create([], n=2)
         rep = boundary_trace_check(f, R, 100, 0.999, rng)
-        assert rep["violations"] == 0 and rep["ok"]
+        assert rep["violations"] == rep["directions_total"] == 0
 
     def test_far_sphere_point_outside(self):
         f = SphereSet.create([e1(2)])
@@ -211,14 +217,20 @@ class TestWitnessOperator:
         # one term: the Berezin value is S~(0), the top eigenvalue of S
         basis = flagship
         w = witness_operator(e1(1), R, 1, basis)
-        top_s = float(np.max(np.linalg.eigvalsh(w.S.mat)))
+        top_s = float(w.S.max())
         value = lemma3_lower_bound(build_sequence(e1(1), R, 1))["values"][0]
         assert abs(value - top_s) / top_s < 1e-12
 
     def test_s_positive_semidefinite(self, flagship):
         basis = flagship
         w = witness_operator(e1(1), R, 3, basis)
-        assert float(np.min(np.linalg.eigvalsh(w.S.mat))) >= -1e-10
+        a = toeplitz_monomial_radial(0, witness_symbol(R).profile, basis,
+                                     support=R)
+        c = commutator(a, a.adjoint())
+        # S is the diagonal of C^2, all of it, and its smallest eigenvalue
+        assert np.array_equal(np.diag(w.S), (c @ c).mat)
+        assert float(w.S.min()) == float(
+            np.linalg.eigvalsh((c @ c).mat).min()) >= -1e-10
 
     def test_two_route_agreement_tightens(self, flagship):
         defects = {}
@@ -263,7 +275,8 @@ class TestWitnessOperator:
             u = unitary_matrix(p, basis)
             b = toeplitz_dense(f.compose_moebius(p), basis)
             cc = commutator(b, b.adjoint())
-            assert defect == op_norm(u @ w.S @ u.adjoint() - cc @ cc)
+            assert defect == op_norm((u.mat * w.S) @ u.mat.conj().T
+                                     - (cc @ cc).mat)
             assert route == unitaries.toeplitz_blocks(
                 f.compose_moebius(p), basis)[0]
 
@@ -276,10 +289,10 @@ def _direct_value(seq, basis, m):
     """<T k_{z_m}, k_{z_m}> from the truncated witness
     T = sum_k (P U_k P) S (P U_k P): the route the Berezin sum replaced."""
     s = witness_operator(seq.zeta, R, 1, basis).S
-    total = np.zeros_like(s.mat)
+    total = np.zeros((len(basis), len(basis)), dtype=complex)
     for p in seq.points():
-        u = unitary_matrix(p, basis)
-        total += (u @ s @ u.adjoint()).mat
+        u = unitary_matrix(p, basis).mat
+        total += (u * s) @ u.conj().T
     kz = kernel_expansion(seq.points()[m], basis).coeffs
     return float(np.real(np.vdot(kz, total @ kz)))
 
@@ -287,7 +300,6 @@ def _direct_value(seq, basis, m):
 class TestLemma3:
     def test_flagship_lower_bound(self):
         rep = lemma3_lower_bound(build_sequence(e1(1), R, 5))
-        assert rep["ok"]
         assert abs(rep["lambda_max"] - R ** 16 / 324.0) < 1e-18
         vals = np.asarray(rep["values"])
         assert np.all(vals >= rep["lambda_max"])
@@ -352,9 +364,10 @@ class TestProp1:
         rep = prop1_decay([zero], seq, cfg, basis)
         assert np.max(np.abs(rep["curves"][0])) == 0.0
         # no ratio to its first value, no log-log slope: both fail
-        assert rep["decay_ok"] == [False]
+        assert rep["decay_ratios"] == [None]
         assert rep["slopes"] == rep["slope_deviations"] == [None]
-        assert not rep["ok"]
+        assert failed(_panel_checks(rep, "")) == [
+            "decay_below_fraction", "slope_within_tolerance"]
 
     def test_one_point_curve_has_no_slope(self):
         # one point fits no line: no polyfit (which would warn), no slope
@@ -371,10 +384,15 @@ class TestProp1:
                           build_prop1_config(f_empty, 0.5), flagship)
         assert rep["slope_deviations"] == [
             abs(s - 1.0) / 1.0 for s in rep["slopes"]]
-        assert rep["slope_ok"] == all(
-            v <= witness.SLOPE_REL for v in rep["slope_deviations"])
-        assert rep["decay_ok"] == [c[-1] / c[0] <= witness.DECAY_FRACTION
-                                   for c in rep["curves"]]
+        assert rep["decay_ratios"] == [c[-1] / c[0] for c in rep["curves"]]
+        decay, slope, cutoff = _panel_checks(rep, "")
+        assert decay["value"] == rep["decay_ratios"]
+        assert decay["ok"] == all(
+            v <= DECAY_FRACTION for v in rep["decay_ratios"])
+        assert slope["value"] == rep["slope_deviations"]
+        assert slope["ok"] == all(
+            v <= SLOPE_REL for v in rep["slope_deviations"])
+        assert cutoff["value"] == 0.0 and cutoff["ok"]  # F is empty
 
     def test_off_ray_direction_decays(self):
         # U_{z_m} 1 = k_{z_m} needs no U_z, so any direction of the sphere
@@ -513,7 +531,7 @@ class TestCutoffVolume:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep["ok"]
+        assert failed(_separation_checks(rep)) == []
         assert rep["prop1"]["eta_route"]["route"] == "cutoff"
         assert peak < 100 * 2 ** 20
 
@@ -611,7 +629,7 @@ class TestBlockApplication:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep["ok"]
+        assert failed(_separation_checks(rep)) == []
         assert peak < 16 * len(basis) ** 2
 
 
@@ -630,10 +648,10 @@ class TestSeparation:
         rep = separation_experiment(
             SphereSet.create([], n=1), SphereSet.create([e1(1)]), R, 5,
             basis, eps=0.5, rng=rng, decay_M=10)
-        assert rep["ok"]
+        assert failed(_separation_checks(rep)) == []
         assert rep["separation_factor"] >= 10.0
         assert rep["monotone_violations"] == 0
-        assert rep["vanish_ok"]
+        assert rep["vanish_off_region_max"] <= 1e-12
         # both sides at the witness horizon M = 5
         assert rep["witness_floor_normalized"] == pytest.approx(
             0.9077768672, rel=1e-8)
@@ -657,7 +675,7 @@ class TestSeparation:
             SphereSet.create([], n=1), SphereSet.create([e1(1)]), R, 5,
             basis, eps=0.5, rng=np.random.default_rng(62),
             decay_M=10)
-        assert rep["ok"]
+        assert failed(_separation_checks(rep)) == []
 
     def test_invariant_under_axis_phases(self):
         # every point of F1, F2 and zeta turned on its axis by omega: the
@@ -673,7 +691,7 @@ class TestSeparation:
             R, 5, basis, eps=0.5, rng=np.random.default_rng(65),
             decay_M=10)
             for w in (1.0, omega)]
-        assert all(rep["ok"] for rep in reps)
+        assert [failed(_separation_checks(rep)) for rep in reps] == [[], []]
         assert [g["route"] for g in reps[1]["prop1"]["routes"]] == [
             "moebius"] * 3
         assert reps[1]["prop1"]["eta_route"]["route"] == "cutoff"
@@ -691,7 +709,7 @@ class TestSeparation:
         f2 = SphereSet.create([e1(2), e2(2)])
         rep = separation_experiment(f1, f2, R, 4, basis, eps=0.5,
                                     rng=rng, decay_M=8)
-        assert rep["ok"]
+        assert failed(_separation_checks(rep)) == []
         # zeta must be the direction of F2 farthest from F1
         zeta = np.asarray(rep["zeta"])
         assert abs(zeta[0][0] - 1.0) < 1e-14
