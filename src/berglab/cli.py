@@ -5,11 +5,10 @@ suite.  Reports are written as canonical JSON (plus CSV files for
 curves), embed the full configuration and its hash (the basis and
 toeplitz reports also give the metadata of the quadrature rules they
 integrate over), and are byte-identical for identical configurations.
-With --jobs 2 or more the geometry suite runs its inclusion checks in
-one forked child beside the rest (no other suite reads --jobs); every
---jobs value writes the same bytes.  Exit status is 0 iff every check
-in scope passed; on failure a machine-readable failure list is written
-alongside the partial results.
+Every suite runs in this process: --jobs is accepted for compatibility
+and has no effect.  Exit status is 0 iff every check in scope passed; on
+failure a machine-readable failure list is written alongside the
+partial results.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="seed override")
     p.add_argument("--jobs", type=int,
-                   help="worker processes (>= 1); 2 or more runs the "
-                        "geometry suite's inclusion checks in one forked "
-                        "child")
+                   help="accepted and ignored: every suite runs in this "
+                        "process")
     return p
 
 
@@ -57,8 +55,7 @@ def _emit(out_dir: str, name: str, cfg: ExperimentConfig,
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, out_dir=args.out, seed=args.seed,
-                          jobs=args.jobs)
+        cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

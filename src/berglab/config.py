@@ -19,8 +19,7 @@ from .witness import SphereSet
 __all__ = ["ExperimentConfig", "load_config", "complex_vector"]
 
 # the JSON types each field accepts (a bool is not an int here)
-_TYPES = {**dict.fromkeys(("n", "degree", "M", "decay_M", "seed", "jobs"),
-                          (int,)),
+_TYPES = {**dict.fromkeys(("n", "degree", "M", "decay_M", "seed"), (int,)),
           "r": (int, float), "eps": (int, float), "d_sweep": (list, tuple),
           "zeta": (list,), "F1": (list,), "F2": (list,), "out_dir": (str,)}
 
@@ -43,7 +42,7 @@ def complex_vector(name: str, pairs) -> np.ndarray:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The parameters of the experiment suites: dimension, degrees,
-    radius, sequence lengths, direction sets, seed and execution fields.
+    radius, sequence lengths, direction sets, seed and output directory.
     The check bounds are fixed in code, not here.
 
     Directions (zeta and the members of F1/F2) are stored as lists of
@@ -62,7 +61,6 @@ class ExperimentConfig:
     F2: list = field(default_factory=lambda: [[[1.0, 0.0]]])
     eps: float = 0.5
     seed: int = 20240
-    jobs: int = 1  # >= 2: run_geometry forks its inclusion half
     out_dir: str = "reports"
 
     def validate(self) -> None:
@@ -92,8 +90,6 @@ class ExperimentConfig:
             raise ValueError(f"r = {self.r} leaves only {len(exc.achieved)} "
                              "separated radii in double precision; the "
                              f"suites need {exc.requested}") from None
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if not self.d_sweep:
             raise ValueError("d_sweep must be non-empty")
         if any(d < 1 for d in self.d_sweep):
@@ -155,11 +151,10 @@ class ExperimentConfig:
 
     def provenance_json(self) -> dict:
         """The experiment-defining parameters: everything except the
-        execution-only fields (output directory and worker count), so
-        that reports stay byte-identical across --out and --jobs."""
+        output directory, so that reports stay byte-identical across
+        --out."""
         d = self.to_json()
         d.pop("out_dir")
-        d.pop("jobs")
         return d
 
     @classmethod

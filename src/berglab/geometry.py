@@ -33,7 +33,6 @@ __all__ = [
     "in_ellipsoid",
     "delta_for",
     "sample_ball",
-    "sample_ball_blocks",
     "sample_metric_ball",
     "random_sphere_points",
 ]
@@ -313,24 +312,6 @@ def sample_ball(n: int, count: int, rng: np.random.Generator,
     """
     x = rng.standard_normal((count, 2 * n))
     return _ball_points(x, radius * rng.random(count) ** (1.0 / (2 * n)))
-
-
-def sample_ball_blocks(n: int, count: int, rng: np.random.Generator,
-                       radius: float, rows: int) -> list[np.ndarray]:
-    """``sample_ball(n, count, rng, radius)`` as blocks of <= ``rows`` points.
-
-    The draws are sample_ball's, in its order (every direction, then every
-    radius), so the concatenated blocks are its points bit for bit and
-    ``rng`` ends in the same state.  The blocks together hold all ``count``
-    points, but ``_ball_points``' temporaries stay one block in size: whole
-    draws raise the peak RSS of ``berglab all --jobs 2`` by about 6 MiB.
-    """
-    blocks = [rng.standard_normal((min(rows, count - i), 2 * n))
-              for i in range(0, count, rows)]
-    for k, x in enumerate(blocks):
-        blocks[k] = _ball_points(
-            x, radius * rng.random(len(x)) ** (1.0 / (2 * n)))
-    return blocks
 
 
 def sample_metric_ball(a, r, count: int,

@@ -16,7 +16,7 @@ from .config import ExperimentConfig
 from .geometry import (_ellipsoid, _norm2, delta_for, disjoint_threshold,
                        in_ellipsoid, in_metric_ball, metric_combined_bound,
                        moebius, pseudo_metric, random_sphere_points,
-                       sample_ball, sample_ball_blocks, sample_metric_ball)
+                       sample_ball)
 from .quadrature import build_rule, integrate, rule_for_basis
 from .sequences import build_sequence, pairwise_rho
 from .toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
@@ -33,12 +33,17 @@ __all__ = ["run_geometry", "run_sequence", "run_basis", "run_toeplitz",
            "run_all", "SUITES"]
 
 _GEOM_DIMS = (1, 2, 3)
-# The geometry checks draw up to 100k points per dimension and take them
-# in blocks of at most this many points, from the same draws, so no array
-# exceeds about 0.5 MB.  Whole-sample arrays (4.8 MB at n = 3) were placed
-# by malloc around small blocks left over from earlier work, so the peak
-# RSS of a run moved by up to 5 MiB with the seed.
-_SAMPLE_ROWS = 10_000
+_SHELLS = (0.3, 0.6, 0.9)  # |z| of the metric checks' points
+_EQ4_T = np.array([0.25, 0.5, 0.75])  # where u sits on the geodesic
+_DISJOINT_RHO = (0.35, 0.6, 0.85, 0.95)  # centre distances of the pairs
+_MEMBERSHIP_RADII = (0.2, 0.5, 0.8)
+# membership is checked on the boundaries of E(a, (1 -+ tau) r) with
+# tau = 1e-9: just inside E(a, r), then just outside it
+_MEMBERSHIP_SIDES = np.array([1.0 - 1e-9, 1.0 + 1e-9])[:, None, None]
+# (r, eps) of the delta-inclusion checks
+_DELTA_GRID = [(0.3, 0.2), (0.3, 0.1), (0.3, 0.05),
+               (0.5, 0.2), (0.5, 0.1), (0.5, 0.05),
+               (0.7, 0.2), (0.7, 0.1), (0.7, 0.05)]
 
 # The bounds of the decay and separation verdicts: a panel curve's decay
 # ratio and slope deviation, the witness floor over the panel ceiling at
@@ -95,201 +100,119 @@ def _near_boundary_points(zetas: np.ndarray, delta: float,
 
 # ----------------------------------------------------------------- geometry
 
-def _combined_metric_violation(n: int, rng: np.random.Generator) -> float:
-    """Largest lhs - rhs of the combined-metric inequality over 100k
-    triples.  All three lists of blocks are held at once (3 x 4.8 MB at
-    n = 3), since every z is drawn before the first w and u, but the
-    sampler's and the kernel's temporaries stay one block in size
-    (``sample_ball_blocks``)."""
-    z, w, u = (sample_ball_blocks(n, 100_000, rng, 0.95, _SAMPLE_ROWS)
-               for _ in range(3))
-    return max(float(np.max(lhs - rhs)) for lhs, rhs in
-               (metric_combined_bound(*block) for block in zip(z, w, u)))
-
-
-def _geometry_metrics(cfg: ExperimentConfig) -> tuple[list, dict]:
-    """The Möbius and metric checks: eq. 4, involution, isometry and
-    disjointness.  Their values depend on the draws, so they keep the
-    suite's stream and its order."""
-    rng = _rng(cfg, 1)
-    checks = []
-    payload: dict = {}
-
-    worst_eq4 = 0.0
-    for n in _GEOM_DIMS:
-        worst_eq4 = max(worst_eq4, _combined_metric_violation(n, rng))
-    payload["eq4_max_violation"] = worst_eq4
-    checks.append(_within("eq4_combined_metric", worst_eq4, 1e-12))
-
-    worst_inv = 0.0
-    for n in _GEOM_DIMS:
-        a = sample_ball(n, 10_000, rng, 0.9)
-        z = sample_ball(n, 10_000, rng, 0.9)
-        back = moebius(a, moebius(a, z))
-        worst_inv = max(worst_inv,
-                        float(np.max(np.linalg.norm(back - z, axis=1))))
-    payload["involution_max_error"] = worst_inv
-    checks.append(_within("moebius_involution", worst_inv, 1e-12))
-
-    worst_iso = 0.0
-    for n in _GEOM_DIMS:
-        u = sample_ball(n, 10_000, rng, 0.9)
-        z = sample_ball(n, 10_000, rng, 0.9)
-        w = sample_ball(n, 10_000, rng, 0.9)
-        before = pseudo_metric(z, w)
-        after = pseudo_metric(moebius(u, z), moebius(u, w))
-        worst_iso = max(worst_iso, float(np.max(np.abs(after - before))))
-    payload["isometry_max_error"] = worst_iso
-    checks.append(_within("rho_moebius_isometry", worst_iso, 1e-12))
-
-    # ball disjointness under the threshold: pair k samples E(z_k), E(w_k)
-    overlap = 0
-    tested = 0
-    for n in _GEOM_DIMS:
-        z = sample_ball(n, 40, rng, 0.9)
-        w = sample_ball(n, 40, rng, 0.9)
-        rho = pseudo_metric(z, w)
-        keep = rho > 0.3
-        rho = rho[keep]
-        radii = 0.999 * (1.0 - np.sqrt(1.0 - rho * rho)) / rho
-        if any(p < disjoint_threshold(s, s) for p, s in zip(rho, radii)):
-            raise ValueError("disjointness radii too large: some pair is "
-                             "closer than disjoint_threshold of its radii")
-        centers = np.stack([z[keep], w[keep]], axis=1)  # (K, 2, n)
-        step = _SAMPLE_ROWS // 2000  # pairs per block of points
-        for k in range(0, len(centers), step):
-            c, rk = centers[k:k + step], radii[k:k + step, None]
-            pts = sample_metric_ball(c, rk, 1000, rng)
-            inside = pseudo_metric(pts, c[:, ::-1, None, :]) < rk[..., None]
-            overlap += int(np.count_nonzero(inside))
-        tested += len(rho)
-    payload["disjointness_configs"] = tested
-    payload["disjointness_overlaps"] = overlap
-    checks.append(_within("ball_disjointness", overlap, 0))
-    return checks, payload
-
-
-def _geometry_inclusion(cfg: ExperimentConfig) -> tuple[list, dict]:
-    """Membership agreement and the delta-inclusion grid.  They report
-    only violation counts (0) and the draw-free delta_for inequality, so
-    they take a stream of their own and can run apart from the rest."""
-    rng = np.random.default_rng([cfg.seed, 1, 1])
-    checks = []
-    payload: dict = {}
-
-    # metric vs ellipsoid membership, away from the boundary band
-    band = 1e-9  # the width of the boundary band the check skips
-    disagreements = 0
-    for n in _GEOM_DIMS:
-        draws = [(sample_ball(n, 1, rng, 0.85)[0], rng.uniform(0.2, 0.8),
-                  sample_ball(n, 4000, rng)) for _ in range(12)]
-        for a, r, z in draws:
-            rho = pseudo_metric(z, a)
-            off_band = np.abs(rho - r) > band
-            m1 = rho[off_band] < r  # in_metric_ball, same rho
-            m2 = in_ellipsoid(a, r, z[off_band])
-            disagreements += int(np.count_nonzero(m1 != m2))
-    payload["membership_disagreements"] = disagreements
-    checks.append(_within("membership_agreement", disagreements, 0))
-
-    # delta_for: inclusion of E(a, r) in the eps-ball at zeta, plus the
-    # Euclidean inclusion E(a, r) within B(a, 2 r sqrt(s))
-    grid = [(0.3, 0.2), (0.3, 0.1), (0.3, 0.05),
-            (0.5, 0.2), (0.5, 0.1), (0.5, 0.05),
-            (0.7, 0.2), (0.7, 0.1), (0.7, 0.05)]
-    inclusion_violations = 0
-    euclid_violations = 0
-    ineq_ok = True
-    for r, eps in grid:
-        delta = delta_for(r, eps)
-        ineq_ok &= 2 * r * np.sqrt(2 * delta / (1 - r * r)) + delta < eps
-        for n in _GEOM_DIMS:
-            count = 34 if n == 1 else 33
-            zetas = random_sphere_points(n, count, rng)
-            centers = _near_boundary_points(zetas, delta, rng)
-            s = _ellipsoid(_norm2(centers), r)[0]
-            step = _SAMPLE_ROWS // 1000  # centers per block of points
-            for k in range(0, count, step):
-                c = centers[k:k + step]
-                pts = sample_metric_ball(c, r, 1000, rng)
-                dist = np.sqrt(_norm2(pts - zetas[k:k + step, None, :]))
-                inclusion_violations += int(np.count_nonzero(dist >= eps))
-                da = np.sqrt(_norm2(pts - c[:, None, :]))
-                euclid_violations += int(np.count_nonzero(
-                    da >= 2 * r * np.sqrt(s[k:k + step])[:, None]))
-    payload["delta_inclusion_violations"] = inclusion_violations
-    payload["euclidean_inclusion_violations"] = euclid_violations
-    checks.append(check("delta_for_inequality", bool(ineq_ok)))
-    checks.append(_within("lemma_delta_inclusion", inclusion_violations, 0))
-    checks.append(_within("euclidean_inclusion_2rsqrt_s", euclid_violations,
-                          0))
-    return checks, payload
-
-
-def _run_halves(cfg: ExperimentConfig, first, second) -> tuple:
-    """``(first(cfg), second(cfg))``.  With ``cfg.jobs >= 2`` and
-    ``os.fork`` available, ``second`` runs in one forked child while this
-    process runs ``first``; its result, or the exception it raised, comes
-    back pickled through a pipe.  The child inherits no BLAS threads, so
-    ``second`` must call no BLAS or LAPACK routine."""
-    import os
-    import pickle
-
-    if cfg.jobs < 2 or not hasattr(os, "fork"):
-        return first(cfg), second(cfg)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()  # the child has this thread only: no BLAS pool
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                out = (True, second(cfg))
-            except BaseException as exc:  # sent to the parent, raised there
-                out = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(out))
-            status = 0
-        finally:
-            os._exit(status)  # no atexit, no flush of inherited buffers
-    os.close(write_fd)
-    try:
-        result = first(cfg)
-    finally:
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-    if not data:
-        code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(f"forked half exited with code {code} and sent "
-                           "no result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return result, value
+def _closest_point(a, r, w) -> np.ndarray:
+    """The rho-closest point phi_a(r u/|u|), u = phi_a(w), of E(a, r) to a
+    point w outside it; its rho-distance to w is (p - r)/(1 - p r) with
+    p = rho(a, w) (Rudin, Function Theory in the Unit Ball of C^n, 2.2)."""
+    u = moebius(a, w)
+    return moebius(a, u * (r / np.sqrt(_norm2(u)))[..., None])
 
 
 def run_geometry(cfg: ExperimentConfig) -> dict:
-    # The inclusion half is the one forked: it calls ufuncs, einsum and
-    # the Generator only, no BLAS, so forking after OpenBLAS has started
-    # its threads is safe.
-    (checks, payload), (more_checks, more_payload) = _run_halves(
-        cfg, _geometry_metrics, _geometry_inclusion)
-    report = summarize_checks(checks + more_checks)
-    report.update(payload)
-    report.update(more_payload)
+    """The metric-ball statements on the sets where they are extremal:
+    the boundary phi_a(r S) of E(a, r), the closest points of two balls
+    and the geodesics of eq. 4.  Centres reach |a| = 0.9; the
+    delta-inclusion centres lie within delta of the sphere."""
+    rng = _rng(cfg, 1)
+    worst = dict.fromkeys(("eq4_max_violation", "involution_max_error",
+                           "isometry_max_error", "boundary_rho_max_error",
+                           "closest_point_max_error"), 0.0)
+    counts = dict.fromkeys(("disjointness_configs", "disjointness_overlaps",
+                            "membership_disagreements",
+                            "delta_inclusion_violations",
+                            "euclidean_inclusion_violations"), 0)
+
+    def worse(key, values):
+        worst[key] = max(worst[key], float(np.max(values)))
+
+    for n in _GEOM_DIMS:
+        # the origin and 8 random directions on each shell
+        pts = np.concatenate([np.zeros((1, n)), *(
+            t * random_sphere_points(n, 8, rng) for t in _SHELLS)])
+        xi = random_sphere_points(n, 64, rng)
+        a, z = pts[:, None, :], pts[None, :, :]
+        rho = pseudo_metric(a, z)
+
+        # eq. 4 at equality: u = phi_a(t phi_a(z)) on the geodesic
+        v = moebius(a, z)
+        u = moebius(a, np.multiply.outer(_EQ4_T, v))
+        lhs, rhs = metric_combined_bound(a, z, u)
+        worse("eq4_max_violation", lhs - rhs)
+
+        worse("involution_max_error", np.sqrt(_norm2(moebius(a, v) - z)))
+        worse("isometry_max_error",
+              np.abs(pseudo_metric(v[:, :, None, :], v[:, None, :, :])
+                     - rho))
+
+        # disjointness past the threshold: w at rho-distance p from each
+        # centre, radii just below the ones whose threshold is p
+        for p in _DISJOINT_RHO:
+            w = moebius(a, p * random_sphere_points(n, len(pts),
+                                                    rng)[:, None])
+            rho_aw = pseudo_metric(a, w)
+            rad = 0.999 * (1.0 - np.sqrt(1.0 - p * p)) / p
+            if rho_aw.min() < disjoint_threshold(rad, rad):
+                raise ValueError("disjointness radii too large: some pair is "
+                                 "closer than disjoint_threshold of its radii")
+            gap = (rho_aw - rad) / (1.0 - rho_aw * rad)
+            for c, other in ((_closest_point(a, rad, w), w),
+                             (_closest_point(w, rad, a), a)):
+                dist = pseudo_metric(c, other)
+                counts["disjointness_overlaps"] += int(np.count_nonzero(
+                    dist < rad))
+                worse("closest_point_max_error", np.abs(dist - gap))
+            counts["disjointness_configs"] += len(pts)
+
+        # membership on either side of the boundary phi_a(r S) of E(a, r)
+        inside = _MEMBERSHIP_SIDES < 1.0
+        for r in _MEMBERSHIP_RADII:
+            rr = r * _MEMBERSHIP_SIDES
+            near = moebius(a, rr[..., None] * xi)  # (2, centres, xi, n)
+            rho_near = pseudo_metric(near, a)  # in_metric_ball's rho
+            worse("boundary_rho_max_error", np.abs(rho_near - rr))
+            counts["membership_disagreements"] += int(np.count_nonzero(
+                ((rho_near < r) != inside)
+                | (in_ellipsoid(a, r, near) != inside)))
+
+    # delta_for: E(a, r) lies in the eps-ball at zeta and in
+    # B(a, 2 r sqrt(s)); both distances are convex, so their sup over the
+    # ellipsoid E(a, r) is taken on its boundary phi_a(r S)
+    ineq_ok = True
+    for r, eps in _DELTA_GRID:
+        delta = delta_for(r, eps)
+        ineq_ok &= 2 * r * np.sqrt(2 * delta / (1 - r * r)) + delta < eps
+        for n in _GEOM_DIMS:
+            zetas = random_sphere_points(n, 8, rng)[:, None, :]
+            centers = _near_boundary_points(zetas[:, 0], delta, rng)[:, None]
+            bnd = moebius(centers, r * random_sphere_points(n, 128, rng))
+            to_zeta = np.sqrt(_norm2(bnd - zetas))
+            to_center = np.sqrt(_norm2(bnd - centers))
+            s = _ellipsoid(_norm2(centers), r)[0]
+            counts["delta_inclusion_violations"] += int(np.count_nonzero(
+                to_zeta >= eps))
+            counts["euclidean_inclusion_violations"] += int(np.count_nonzero(
+                to_center >= 2 * r * np.sqrt(s)))
+
+    report = summarize_checks([
+        _within("eq4_combined_metric", worst["eq4_max_violation"], 1e-12),
+        _within("moebius_involution", worst["involution_max_error"], 1e-12),
+        _within("rho_moebius_isometry", worst["isometry_max_error"], 1e-12),
+        _within("ball_disjointness", counts["disjointness_overlaps"], 0),
+        _within("membership_agreement", counts["membership_disagreements"],
+                0),
+        check("delta_for_inequality", bool(ineq_ok)),
+        _within("lemma_delta_inclusion",
+                counts["delta_inclusion_violations"], 0),
+        _within("euclidean_inclusion_2rsqrt_s",
+                counts["euclidean_inclusion_violations"], 0)])
+    report.update(worst)
+    report.update(counts)
     return report
 
 
 # ----------------------------------------------------------------- sequence
 
 def run_sequence(cfg: ExperimentConfig) -> dict:
-    rng = _rng(cfg, 2)
     checks = []
     r = 0.5
     zeta = np.zeros(cfg.n, dtype=complex)
@@ -306,10 +229,11 @@ def run_sequence(cfg: ExperimentConfig) -> dict:
     min_rho = float(rho[np.triu_indices(10, 1)].min())
     checks.append(_at_least("pairwise_rho_above_threshold", min_rho, thr))
 
+    # the point of E(z_k, r) closest to z_l lies outside E(z_l, r)
     pts = seq.points()
-    samples = sample_metric_ball(pts, r, 1000, rng)  # (10, 1000, n)
-    inside = in_metric_ball(pts[None, :, None, :], r, samples[:, None])
-    overlaps = int(np.count_nonzero(inside[~np.eye(10, dtype=bool)]))
+    k, l = np.nonzero(~np.eye(10, dtype=bool))
+    inside = in_metric_ball(pts[l], r, _closest_point(pts[k], r, pts[l]))
+    overlaps = int(np.count_nonzero(inside))
     checks.append(_within("ball_overlap_samples", overlaps, 0))
 
     prefix = build_sequence(zeta, r, 6)

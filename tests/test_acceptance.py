@@ -11,9 +11,9 @@ import pytest
 
 from berglab.cli import main
 from berglab.config import ExperimentConfig
-from berglab.suites import (_geometry_inclusion, run_basis, run_geometry,
-                            run_prop1, run_separate, run_sequence,
-                            run_toeplitz, run_unitary, run_witness)
+from berglab.suites import (run_basis, run_geometry, run_prop1,
+                            run_separate, run_sequence, run_toeplitz,
+                            run_unitary, run_witness)
 
 CFG = ExperimentConfig()
 
@@ -63,15 +63,15 @@ def test_criterion_02_boundary_inclusion(reports):
 
 
 def test_geometry_sample_counts(reports):
-    # the metric half (eq. 4, involution, isometry, disjointness) draws
-    # from the suite's stream in the serial order, so its values are
-    # pinned bit for bit; the inclusion half draws from a stream of its
-    # own and reports only violation counts, which are 0
+    # the point sets are built from the suite's one stream, so every
+    # value is pinned bit for bit
     rep = reports("geometry", run_geometry)
-    assert rep["eq4_max_violation"] == 0.0
-    assert rep["involution_max_error"] == 4.5094055844222076e-15
-    assert rep["isometry_max_error"] == 6.772360450213455e-15
-    assert rep["disjointness_configs"] == 120
+    assert rep["eq4_max_violation"] == 4.440892098500626e-16
+    assert rep["involution_max_error"] == 4.0614289095942324e-15
+    assert rep["isometry_max_error"] == 1.1213252548714081e-14
+    assert rep["boundary_rho_max_error"] == 4.551914400963142e-15
+    assert rep["closest_point_max_error"] == 9.658940314238862e-15
+    assert rep["disjointness_configs"] == 300
     for key in ("disjointness_overlaps", "membership_disagreements",
                 "delta_inclusion_violations",
                 "euclidean_inclusion_violations"):
@@ -80,12 +80,21 @@ def test_geometry_sample_counts(reports):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_geometry_inclusion_counts_zero(seed):
-    # the inclusion half's report is draw-free only while it finds nothing
-    checks, payload = _geometry_inclusion(ExperimentConfig(seed=seed))
-    assert all(c["ok"] for c in checks)
-    assert payload == {"membership_disagreements": 0,
-                       "delta_inclusion_violations": 0,
-                       "euclidean_inclusion_violations": 0}
+    # every check passes at every seed, every count is 0, and the
+    # residuals of the constructions stay at roundoff: centres reach
+    # |a| = 0.9 and the pairs rho = 0.95, where 1e-13 leaves a factor of
+    # about 7 over the worst residual seen (1.5e-14)
+    rep = run_geometry(ExperimentConfig(seed=seed))
+    assert rep["passed"] and not rep["failures"]
+    assert all(c["ok"] for c in rep["checks"])
+    for key in ("disjointness_overlaps", "membership_disagreements",
+                "delta_inclusion_violations",
+                "euclidean_inclusion_violations"):
+        assert rep[key] == 0, key
+    for key in ("eq4_max_violation", "involution_max_error",
+                "isometry_max_error", "boundary_rho_max_error",
+                "closest_point_max_error"):
+        assert rep[key] <= 1e-13, key
 
 
 def test_criterion_03_separated_sequence(reports):

@@ -82,9 +82,9 @@ class TestConfig:
     def test_provenance_excludes_execution_fields(self):
         cfg = ExperimentConfig()
         prov = cfg.provenance_json()
-        assert "out_dir" not in prov and "jobs" not in prov
+        assert "out_dir" not in prov and "jobs" not in cfg.to_json()
         assert config_hash(prov) == config_hash(
-            load_config(None, jobs=5, out_dir="elsewhere").provenance_json())
+            load_config(None, out_dir="elsewhere").provenance_json())
 
     def test_load_missing_file_fails(self, tmp_path):
         with pytest.raises(OSError):
@@ -93,10 +93,11 @@ class TestConfig:
     def test_load_merges_overrides_that_are_set(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 3, "M": 4}))
-        cfg = load_config(path, seed=9, jobs=None, out_dir="there")
-        assert (cfg.seed, cfg.M, cfg.jobs, cfg.out_dir) == (9, 4, 1, "there")
-        with pytest.raises(ValueError, match="jobs must be"):
-            load_config(path, jobs=0)
+        cfg = load_config(path, seed=9, M=None, out_dir="there")
+        assert (cfg.seed, cfg.M, cfg.out_dir) == (9, 4, "there")
+        # the worker count is no config field: every suite runs in process
+        with pytest.raises(ValueError, match=r"unknown config keys: \['jobs"):
+            load_config(path, jobs=2)
 
     def test_load_rejects_a_file_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -149,6 +150,7 @@ class TestCli:
         (dict(E12, eps=0.8), "no direction of F2 is at distance >= 2 eps"),
         ({"tolerances": {"separation_factor": 0}},
          "unknown config keys: ['tolerances']"),
+        ({"jobs": 2}, "unknown config keys: ['jobs']"),
         ({"n": "2"}, "n must be int, got '2'"),
         ({"d_sweep": 8}, "d_sweep must be list or tuple, got 8"),
         ({"d_sweep": [4, 6.5]}, "d_sweep entries must be int"),
@@ -174,12 +176,12 @@ class TestCli:
          "F1[0] is not a member of F2 (distance 1.41421)")],
         ids=["empty_sweep", "repeated_degree", "underflowing_radius",
              "eps_beyond_prop1_sequence", "f2_within_2eps_of_f1",
-             "tolerances_key", "string_n", "scalar_sweep", "float_degree",
-             "null_radius", "float_M", "string_eps", "bool_degree",
-             "string_zeta", "nan_zeta", "nan_f2", "object_f1",
-             "off_axis_zeta", "negative_seed", "negative_seed_override",
-             "zeta_shape", "f1_member_shape", "f2_member_shape",
-             "f1_outside_f2"])
+             "tolerances_key", "jobs_key", "string_n", "scalar_sweep",
+             "float_degree", "null_radius", "float_M", "string_eps",
+             "bool_degree", "string_zeta", "nan_zeta", "nan_f2",
+             "object_f1", "off_axis_zeta", "negative_seed",
+             "negative_seed_override", "zeta_shape", "f1_member_shape",
+             "f2_member_shape", "f1_outside_f2"])
     def test_invalid_config_exits_before_compute(self, tmp_path, capsys,
                                                  suite, bad, why):
         # a config file, or (a string) command-line overrides
@@ -490,8 +492,15 @@ class TestCheckRecords:
 
 
 class TestGeometryJobs:
-    """With --jobs >= 2 the geometry suite runs its inclusion half in one
-    forked child: the report, errors and process table must not show it."""
+    """--jobs is accepted and has no effect: every suite runs in this
+    process, so no value of it starts a process or moves a byte."""
+
+    @staticmethod
+    def _forbid_fork(monkeypatch):
+        def fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", fork)
 
     @staticmethod
     def _no_child_left():
@@ -499,35 +508,35 @@ class TestGeometryJobs:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("seed", [3, 11, 20240])
-    def test_jobs_do_not_change_the_report(self, seed):
-        serial = suites.run_geometry(ExperimentConfig(seed=seed))
-        forked = suites.run_geometry(ExperimentConfig(seed=seed, jobs=2))
-        assert forked == serial
+    def test_jobs_do_not_change_the_report(self, seed, tmp_path,
+                                           monkeypatch):
+        self._forbid_fork(monkeypatch)
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["geometry", "--seed", str(seed), "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            reports.append((out / "geometry.json").read_bytes())
+        assert reports[0] == reports[1]
+        self._no_child_left()
+
+    def test_all_with_two_jobs_starts_no_process(self, tmp_path,
+                                                  monkeypatch):
+        self._forbid_fork(monkeypatch)
+        outs = [tmp_path / jobs for jobs in ("1", "2")]
+        for out in outs:
+            assert main(["all", "--jobs", out.name, "--out", str(out)]) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        for f in files:
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
         self._no_child_left()
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_child_half_error_reaches_the_caller(self, jobs, monkeypatch):
-        def fail(*args):
-            raise OverflowError("in the inclusion half")
-
-        monkeypatch.setattr(suites, "in_ellipsoid", fail)
-        with pytest.raises(OverflowError, match="inclusion half"):
-            suites.run_geometry(ExperimentConfig(jobs=jobs))
-        self._no_child_left()
-
-    def test_child_exit_without_result_raises(self, monkeypatch):
-        monkeypatch.setattr(suites, "in_ellipsoid",
-                            lambda *args: os._exit(3))
-        with pytest.raises(RuntimeError, match="code 3 "):
-            suites.run_geometry(ExperimentConfig(jobs=2))
-        self._no_child_left()
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_disjointness_radii_checked_without_assert(self, jobs,
+    def test_disjointness_radii_checked_without_assert(self, jobs, tmp_path,
                                                        monkeypatch):
-        # an explicit error, kept under python -O; with jobs = 2 it is
-        # raised by the parent's half and the child is still reaped
+        # an explicit error, kept under python -O, whatever --jobs says
         monkeypatch.setattr(suites, "disjoint_threshold", lambda r1, r2: 2.0)
         with pytest.raises(ValueError, match="disjoint_threshold"):
-            suites.run_geometry(ExperimentConfig(jobs=jobs))
+            main(["geometry", "--jobs", str(jobs), "--out", str(tmp_path)])
         self._no_child_left()
