@@ -32,9 +32,11 @@ it.  The "moebius" route multiplies each such band by two blocks of V;
 the "cutoff" route has its own block per off-axis degree.  Only
 quadrature is one block over the whole basis.  ``toeplitz.apply_blocks``
 applies triples to a block of vectors, which is all Proposition 1's
-decay curves need, and ``toeplitz._scatter`` makes a dense matrix: the
-fast paths' and the two-route probe's, which takes U_c and
-T_{h o phi_c} from one set of blocks of U_c (``moebius_pair``).
+decay curves need, and ``toeplitz._scatter`` makes the fast paths' dense
+matrices.  The two-route probe takes P U_c P and T_{h o phi_c} as
+triples from one set of blocks of U_c (``moebius_pair``) and works on
+them ray class by ray class, with no B x B matrix
+(``witness.witness_operator``).
 
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
@@ -52,8 +54,7 @@ from .basis import TruncatedBasis, kernel, kernel_expansion
 from .geometry import _gap, _norm2, as_point, inner, moebius
 from .quadrature import (QuadratureRule, _gauss_legendre, panel_gauss_legendre,
                          rule_for_basis)
-from .toeplitz import (OperatorMatrix, Symbol, _scatter, ray_bands,
-                       toeplitz_matrix)
+from .toeplitz import OperatorMatrix, Symbol, ray_bands, toeplitz_matrix
 
 __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
            "unitary_matrix_exact", "core_degree", "toeplitz_blocks",
@@ -80,9 +81,11 @@ def unitary_matrix_quadrature(z, basis: TruncatedBasis,
     return OperatorMatrix(basis, mat)
 
 
-def _diagonals(zeta: complex, beta: np.ndarray, size: int) -> np.ndarray:
-    """Exact entries D[a, i, delta] = <V e_a, e_{a+delta}>, a, delta < size,
-    of V f = (1 - |zeta|^2)^((b+1)/2) (f o phi_zeta) (1 - conj(zeta) w)^(-b-1)
+def _diagonals(zeta: complex, beta: np.ndarray, rows: int,
+               offsets: int) -> np.ndarray:
+    """Exact entries D[a, i, delta] = <V e_a, e_{a+delta}>, a < rows,
+    delta < offsets and a + delta < offsets, of
+    V f = (1 - |zeta|^2)^((b+1)/2) (f o phi_zeta) (1 - conj(zeta) w)^(-b-1)
     on the weighted space with orthonormal basis e_j = w^j sqrt(C(j+b, j)),
     for each b = beta[i] >= 1 (b = 1 is U_zeta on the disk).
 
@@ -98,24 +101,35 @@ def _diagonals(zeta: complex, beta: np.ndarray, size: int) -> np.ndarray:
     loses a^2 eps as |zeta| -> 0, and building column a+1 from column a
     (multiplying by the Blaschke factor phi_zeta) loses
     sqrt(C(a+b, a)) eps at moderate |zeta|.  Each step of a is one vector
-    operation over all b and delta.
+    operation over all b and the offsets still inside the triangle.
+
+    Every quantity is elementwise in b and delta and runs down a, so an
+    entry does not depend on ``rows`` or ``offsets``.  Past the triangle
+    (a + delta >= offsets) no N_a is formed and y is not run, so that
+    nothing there can overflow (N_a passes 1e308 near offsets ~ 600 at
+    |zeta| = 0.9375); those entries are placeholders that
+    ``_ray_blocks`` never reads.
     """
     t = abs(zeta)
-    a = np.arange(size)[:, None, None]
-    delta = np.arange(size)
+    a = np.arange(rows)[:, None, None]
+    delta = np.arange(offsets)
     beta = np.asarray(beta, dtype=float)[:, None]
     db = delta + beta
     s = 2 * a + db
     keep = a * (a + beta) * (s + 2) / (s * (a + 1 + delta) * (a + 1 + db))
     pull = t * t * (s + 1) * (s + 2) / ((a + 1 + delta) * (a + 1 + db))
-    y, h = np.ones(s.shape), 0.0
-    for i in range(size - 1):
-        h = keep[i] * h - pull[i] * y[i]
-        y[i + 1] = y[i] + h
+    y, h = np.ones(s.shape), np.zeros(s.shape[1:])
+    for i in range(rows - 1):
+        m = offsets - i - 1  # the offsets of row i + 1 inside the triangle
+        h = keep[i, :, :m] * h[:, :m] - pull[i, :, :m] * y[i, :, :m]
+        y[i + 1, :, :m] = y[i, :, :m] + h
     amp = np.ones(s.shape, dtype=complex)
     amp[0, :, 1:] = np.cumprod(np.sqrt((beta + delta[1:]) / delta[1:]), axis=1)
     amp[0] *= ((1.0 - t) * (1.0 + t)) ** (0.5 * (beta + 1)) * np.conj(zeta) ** delta
-    amp[1:] = np.sqrt((a[1:] + db) * (a[1:] + delta) / (a[1:] * (a[1:] + beta)))
+    amp[1:] = np.where(
+        a[1:] + delta < offsets,
+        np.sqrt((a[1:] + db) * (a[1:] + delta) / (a[1:] * (a[1:] + beta))),
+        1.0)
     return (-1.0) ** a * np.cumprod(amp, axis=0) * y
 
 
@@ -149,10 +163,14 @@ def _ray_blocks(zeta: complex, n: int, rows: int, cols: int) -> list:
     entry at (beta, alpha) vanishes unless beta' = alpha', and every
     alpha' of degree s shares block s: rows a = 0..rows - s, columns
     a = 0..cols - s, from ``_diagonals`` at b = s + n (its basis carries
-    the norm ratios), conjugated above the diagonal.
+    the norm ratios), conjugated above the diagonal.  Entry (a_r, a_c)
+    reads D[min(a_r, a_c), s, |a_r - a_c|], so the recurrence runs to
+    row min(rows, cols) and the offsets to max(rows, cols), inside the
+    triangle a + delta <= max(rows, cols).
     """
     top = min(rows, cols) if n > 1 else 0
-    diag = _diagonals(zeta, np.arange(top + 1) + n, max(rows, cols) + 1)
+    diag = _diagonals(zeta, np.arange(top + 1) + n, min(rows, cols) + 1,
+                      max(rows, cols) + 1)
     blocks = []
     for s in range(top + 1):
         ar = np.arange(rows - s + 1)[:, None]
@@ -169,43 +187,50 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     multi-index alpha', one block per off-axis degree (``_ray_blocks``;
     n = 1 is the single block s = 0); any other z raises ValueError.
 
-    Raises ValueError when the result breaks an invariant every
-    compression of U_z keeps (``_ray_unitary``).
+    Raises ValueError when a block breaks an invariant every compression
+    of U_z keeps (``_ray_unitary``).
     """
     z = as_point(z, name="z")
     if z.ndim != 1 or z.shape[0] != basis.n:
         raise ValueError("z must be a single point of the basis dimension")
     axis, c = _axis_point(z) or _off_axis(z)
-    return _ray_unitary(z, basis, axis, _ray_blocks(
-        c, basis.n, basis.degree, basis.degree))
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for pos, _, block in _ray_unitary(z, basis, axis, _ray_blocks(
+            c, basis.n, basis.degree, basis.degree)):
+        mat[pos[:, :, None], pos[:, None, :]] = block
+    return OperatorMatrix(basis, mat)
 
 
 def _ray_unitary(z: np.ndarray, basis: TruncatedBasis, axis: int,
-                 blocks: list) -> OperatorMatrix:
-    """P U_z P from its blocks per off-axis degree, for z on the ray of
-    ``axis``.
+                 blocks: list) -> list:
+    """P U_z P for z on the ray of ``axis`` as (rays, rays, block)
+    triples: block s of ``blocks`` at every ray of off-axis degree s
+    (``TruncatedBasis.rays``).
 
-    Raises ValueError when the result breaks an invariant every
-    compression of U_z keeps: finite entries, self-adjointness, column
-    norms <= 1 (each column is P of a unit vector) and column e_0 equal
-    to the kernel expansion of k_z.
+    Raises ValueError when a block breaks an invariant every compression
+    of U_z keeps: finite entries, self-adjointness, column norms <= 1
+    (each column is P of a unit vector) and column e_0 equal to the
+    kernel expansion of k_z.  Each is read from the blocks, which hold
+    every nonzero entry: column e_0 is column 0 of block 0, on the ray
+    of alpha' = 0, and zero elsewhere.
     """
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for pos, block in zip(basis.rays(axis), blocks):
-        mat[pos[:, :, None], pos[:, None, :]] = block
-
     where = f"exact U_z at z={z.tolist()} (n={basis.n}, degree {basis.degree})"
-    if not np.all(np.isfinite(mat)):
+    if not all(np.all(np.isfinite(b)) for b in blocks):
         raise ValueError(f"{where}: entries are not finite")
+    rays = basis.rays(axis)
+    column = np.zeros(len(basis), dtype=complex)
+    column[rays[0][0]] = blocks[0][:, 0]
     kexp = kernel_expansion(z, basis).coeffs
     for name, value in (
-            ("self-adjointness defect", np.max(np.abs(mat - mat.conj().T))),
-            ("column norm excess", np.max(np.linalg.norm(mat, axis=0)) - 1.0),
-            ("kernel column error", np.max(np.abs(mat[:, 0] - kexp)))):
+            ("self-adjointness defect",
+             max(np.max(np.abs(b - b.conj().T)) for b in blocks)),
+            ("column norm excess",
+             max(np.max(np.linalg.norm(b, axis=0)) for b in blocks) - 1.0),
+            ("kernel column error", np.max(np.abs(column - kexp)))):
         if value > _GUARD_TOL:
             raise ValueError(
                 f"{where}: {name} {value:.3g} exceeds {_GUARD_TOL:g}")
-    return OperatorMatrix(basis, mat)
+    return [(pos, pos, b) for pos, b in zip(rays, blocks)]
 
 
 # the one production route
@@ -435,11 +460,12 @@ def _compress_moebius(f: Symbol, basis: TruncatedBasis, core: int,
 
 
 def moebius_pair(f: Symbol, basis: TruncatedBasis) -> tuple[
-        dict, OperatorMatrix, OperatorMatrix]:
+        dict, list, list]:
     """The route record of f = h o phi_c (``_moebius_route``, as
-    ``toeplitz_blocks`` gives it), P U_c P (``unitary_matrix_exact``) and
-    T_f (the scatter of ``toeplitz_blocks``), from one ``_ray_blocks``
-    call.
+    ``toeplitz_blocks`` gives it), P U_c P as the (rays, rays, block)
+    triples of ``_ray_unitary``, guarded as ``unitary_matrix_exact``
+    guards it, and the triples of T_f (``toeplitz_blocks``), from one
+    ``_ray_blocks`` call and with no B x B array.
 
     P_d U_c P_d and V = P_K U_c P_d at the core degree K are the first
     d - s + 1 and K - s + 1 rows of the blocks of P_max(K,d) U_c P_d:
@@ -456,7 +482,7 @@ def moebius_pair(f: Symbol, basis: TruncatedBasis) -> tuple[
                      [b[:d - s + 1] for s, b in enumerate(blocks)])
     t = _compress_moebius(f, basis, core, axis, [
         b[:core - s + 1] for s, b in enumerate(blocks[:core + 1])])
-    return route, u, _scatter(t, basis)
+    return route, u, t
 
 
 def weak_pairing_exact(zm, z, w) -> tuple[np.ndarray, np.ndarray]:

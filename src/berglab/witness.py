@@ -38,8 +38,8 @@ from .geometry import (_norm2, as_point, inner, pseudo_metric,
                        random_sphere_points, sample_ball)
 from .sequences import SeparatedSequence, build_sequence, pairwise_rho
 # toeplitz_matrix is unused here, but the benchmark tracer patches it here
-from .toeplitz import (Symbol, _profile_integrals, apply_blocks, commutator,
-                       op_norm, toeplitz_matrix, toeplitz_monomial_radial)
+from .toeplitz import (Symbol, _profile_integrals, apply_blocks, ray_bands,
+                       toeplitz_matrix)
 from .unitaries import core_degree, moebius_pair, toeplitz_blocks
 
 __all__ = ["SphereSet", "in_region_W", "region_infimum",
@@ -202,25 +202,59 @@ def witness_operator(zeta, r: float, M: int,
     """Assemble S = [T_f, T_conj(f)]^2 and probe, per sequence term, the
     identity U_z [T_f, T_conj(f)] U_z* = [T_{f o phi_z}, T_{conj(f) o phi_z}].
 
-    The Toeplitz factor uses the banded fast path (exact for the witness
-    profile), and U_{z_m} has exact entries, so zeta must be a point
-    c e_j of a coordinate axis, |c| = 1, when n >= 2.
+    T_f (the banded fast path, exact for the witness profile) is a
+    shift, so its commutator and S = C^2 are exactly diagonal: S at
+    alpha is (|a(alpha - e_1)|^2 - |a(alpha)|^2)^2 with a(alpha) the band
+    value that takes e_alpha to e_{alpha + e_1} (``ray_bands``).
+    U_{z_m} has exact entries, so zeta must be a point c e_j of a
+    coordinate axis, |c| = 1, when n >= 2.
     The left side is a product of compressions, (P U_z P) S (P U_z P),
     and the right side the compression of a product, [B, B*]^2 with
     B = P U_z T_f U_z P, the exact compression of the composed symbol.
     Both come from one set of blocks of U_z
     (``unitaries.moebius_pair``), so the defect measures truncation
-    alone, and shrinks with the degree.  T_f is a shift, so its
-    commutator C and S = C^2 are exactly diagonal.
+    alone, and shrinks with the degree.
+
+    U_z keeps each ray of axis j (positions (alpha', a), a = 0..d - |alpha'|)
+    and B maps the ray of alpha' into itself (j = 0) or into the ray of
+    alpha' + e_1, so the difference keeps each ray and its block is the
+    same on every ray of one class: s = |alpha'| on axis 0, and
+    (s, alpha'_1) off it.  The defect, its operator norm, is the largest
+    norm of U_s diag(S) U_s* - C^2 over the classes, with
+    C = B B* - B* B on the ray from the triple of B that enters it and the
+    one that leaves it; no B x B array is formed.
     """
     f = witness_symbol(r)
-    a = toeplitz_monomial_radial(0, f.profile, basis, support=r)
-    s = np.diag(commutator(a, a.adjoint()).mat).real ** 2
+    size = len(basis)
+    into, out = np.zeros(size), np.zeros(size)
+    for rows, cols, (offset, vals) in ray_bands(f.profile, 0, basis, 0, r):
+        sq = np.abs(vals) ** 2
+        into[rows[:, offset:offset + len(sq)]] = sq
+        out[cols[:, :len(sq)]] = sq
+    s = (into - out) ** 2
     defects, routes = [], []
     for p in build_sequence(zeta, r, M).points():
         route, u, b = moebius_pair(f.compose_moebius(p), basis)
-        cc = commutator(b, b.adjoint())
-        defects.append(op_norm((u.mat * s) @ u.mat.conj().T - (cc @ cc).mat))
+        # the triple of B that enters and that leaves each ray, by its
+        # first position, and their parts B B* and B* B on that ray
+        enter, leave = np.full(size, -1), np.full(size, -1)
+        for i, (rows, cols, _) in enumerate(b):
+            enter[rows[:, 0]], leave[cols[:, 0]] = i, i
+        grams_in = [blk @ blk.conj().T for _, _, blk in b]
+        grams_out = [blk.conj().T @ blk for _, _, blk in b]
+        norms = []
+        for pos, _, v in u:
+            # one ray per class: the first ray of each alpha_1
+            _, first = np.unique(basis.indices[pos[:, 0], 0],
+                                 return_index=True)
+            for ray in pos[first]:
+                zero = np.zeros((len(ray), len(ray)))
+                i, o = enter[ray[0]], leave[ray[0]]
+                c = ((grams_in[i] if i >= 0 else zero)
+                     - (grams_out[o] if o >= 0 else zero))
+                norms.append(np.linalg.norm(
+                    (v * s[ray]) @ v.conj().T - c @ c, 2))
+        defects.append(float(max(norms)))
         routes.append(route)
     return WitnessOperator(S=s, two_route_defects=tuple(defects),
                            two_route_routes=tuple(routes))

@@ -36,6 +36,21 @@ def compress_moebius(g, basis, core):
         unitaries._ray_blocks(c, basis.n, core, basis.degree))
 
 
+def assert_pair_matches(g, basis):
+    """``moebius_pair`` gives, bit for bit, the route, U and T_g that
+    ``unitary_matrix`` and ``toeplitz_blocks`` build apart: its triples
+    of U placed as ``unitary_matrix_exact`` places its blocks, and those
+    of T_g scattered as ``toeplitz_dense`` scatters them."""
+    route, u, t = unitaries.moebius_pair(g, basis)
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for rows, cols, block in u:
+        mat[rows[:, :, None], cols[:, None, :]] = block
+    assert route == toeplitz_blocks(g, basis)[0]
+    assert mat.tobytes() == unitary_matrix(g.center, basis).mat.tobytes()
+    assert (_scatter(t, basis).mat.tobytes()
+            == toeplitz_dense(g, basis).mat.tobytes())
+
+
 def window(mat, basis, probe):
     keep = basis.degrees <= probe
     return float(np.linalg.norm(mat[np.ix_(keep, keep)], 2))
@@ -118,7 +133,7 @@ class TestMatrixRoutes:
             unitary_matrix_exact(z, b)
             g = witness_symbol(0.5).compose_moebius(z)
             assert toeplitz_blocks(g, b)[0]["route"] == "moebius"
-            unitaries.moebius_pair(g, b)
+            assert_pair_matches(g, b)
         route = toeplitz_blocks(eta([[0.0, -1j]]), b)[0]["route"]
         assert route == "cutoff"
         # off the axes U_z raises, and V* T_h V is not tried
@@ -241,6 +256,15 @@ class TestExactGuards:
                             perturb_where(select, change))
         with pytest.raises(ValueError, match=f"n=1, degree 8.*{defect}"):
             unitary_matrix_exact([z], b)
+
+    @pytest.mark.parametrize("degree", [600, 800])
+    def test_unread_entries_do_not_overflow(self, degree):
+        # N_a passes 1e308 past the triangle a + delta <= d near d = 600
+        # at |z| = 0.9375; it is not formed there, so no overflow warning
+        # (an error under this suite's warning filter) is raised
+        b = TruncatedBasis.create(1, degree)
+        u = unitary_matrix_exact([0.9375], b)
+        assert np.all(np.isfinite(u.mat))
 
     def test_perturbed_kernel_raises_in_moebius_route(self, monkeypatch):
         g = bump(BUMP_R).compose_moebius([0.0])
@@ -496,6 +520,8 @@ class TestRouteRecord:
         assert route["route"] == "moebius"
         assert [name for name, _ in log] == [
             "_axis_point", "_core_degree", "_ray_blocks"]
+        if pair:
+            assert_pair_matches(g, b)
 
 
 def cutoff_mean(n, eps):
@@ -892,11 +918,14 @@ class TestMoebiusPair:
         b = TruncatedBasis.create(n, degree)
         zeta = on_ray(n, axis, 1.0)
         for p in build_sequence(zeta, 0.5, 5).points():
-            g = witness_symbol(0.5).compose_moebius(p)
-            route, u, t = unitaries.moebius_pair(g, b)
-            assert route == toeplitz_blocks(g, b)[0]
-            assert u.mat.tobytes() == unitary_matrix(p, b).mat.tobytes()
-            assert t.mat.tobytes() == toeplitz_dense(g, b).mat.tobytes()
+            assert_pair_matches(witness_symbol(0.5).compose_moebius(p), b)
+
+    @pytest.mark.parametrize("n, degree", [(2, 10), (3, 8)])
+    def test_phased_centre(self, n, degree):
+        # c = 0.5i e_2: a centre off axis 0 with a phase, whose blocks
+        # of T_f map the ray of alpha' into that of alpha' + e_1
+        g = witness_symbol(0.5).compose_moebius(on_ray(n, 1, 0.5j))
+        assert_pair_matches(g, TruncatedBasis.create(n, degree))
 
     def test_off_ray_centre_rejected(self):
         g = witness_symbol(0.5).compose_moebius([0.3, 0.3])

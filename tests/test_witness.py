@@ -260,13 +260,19 @@ class TestWitnessOperator:
                 "pairing_matrix_converges"} <= set(run_unitary(cfg)["failures"])
         assert "two_route_defect_shrinks_m1" in run_witness(cfg)["failures"]
 
-    @pytest.mark.parametrize("n, degree, axis", [(1, 64, 0), (2, 10, 0),
-                                                  (2, 8, 1), (3, 6, 0)])
-    def test_two_route_defects_match_separate_routes(self, n, degree, axis):
+    @pytest.mark.parametrize("n, degree, axis, phase", [
+        (1, 64, 0, 1), (2, 10, 0, 1), (2, 8, 1, 1), (2, 8, 1, 1j),
+        (3, 6, 0, 1), (3, 6, 2, 1)], ids=[
+        "1-64-0", "2-10-0", "2-8-1", "2-8-1-phased", "3-6-0", "3-6-2"])
+    def test_two_route_defects_match_separate_routes(self, n, degree, axis,
+                                                     phase):
         # U_z and T_{f o phi_z} built apart, by ``unitary_matrix`` and
-        # ``toeplitz_blocks``: the same defects, bit for bit
+        # ``toeplitz_blocks``, and the defect taken as one full SVD: the
+        # same defects, bit for bit at n = 1, where the probe's one ray
+        # class is the whole matrix, and within 1e-14 max S above it,
+        # where a block SVD rounds apart from the full one
         basis = TruncatedBasis.create(n, degree)
-        zeta = np.eye(n, dtype=complex)[axis]
+        zeta = phase * np.eye(n, dtype=complex)[axis]
         w = witness_operator(zeta, R, 5, basis)
         f = witness_symbol(R)
         for p, defect, route in zip(build_sequence(zeta, R, 5).points(),
@@ -275,10 +281,50 @@ class TestWitnessOperator:
             u = unitary_matrix(p, basis)
             b = toeplitz_dense(f.compose_moebius(p), basis)
             cc = commutator(b, b.adjoint())
-            assert defect == op_norm((u.mat * w.S) @ u.mat.conj().T
-                                     - (cc @ cc).mat)
+            dense = op_norm((u.mat * w.S) @ u.mat.conj().T - (cc @ cc).mat)
+            if n == 1:
+                assert defect == dense
+            else:
+                assert abs(defect - dense) <= 1e-14 * w.S.max()
             assert route == unitaries.toeplitz_blocks(
                 f.compose_moebius(p), basis)[0]
+
+    def test_probe_memory_without_dense_matrices(self):
+        # B = 2925 at n = 3, d = 24: one dense complex B x B array is
+        # 137 MB, and the probe works on blocks of at most 25 x 25
+        basis = TruncatedBasis.create(3, 24)
+        tracemalloc.start()
+        try:
+            witness_operator(e1(3), R, 5, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("fault", ["nan", "column"])
+    def test_probe_guards_match_dense_route(self, monkeypatch, fault):
+        # a bad block of U_z, injected where the probe and the dense
+        # route both read it, raises the same error from either
+        original = unitaries._ray_blocks
+
+        def injected(*args):
+            blocks = original(*args)
+            if fault == "nan":
+                blocks[1][2, 1] = np.nan
+            else:
+                blocks[1] *= 2.0  # still self-adjoint
+            return blocks
+
+        basis = TruncatedBasis.create(2, 10)
+        point = build_sequence(e1(2), R, 1).points()[0]
+        monkeypatch.setattr(unitaries, "_ray_blocks", injected)
+        with pytest.raises(ValueError) as dense:
+            unitary_matrix(point, basis)
+        with pytest.raises(ValueError) as probe:
+            witness_operator(e1(2), R, 1, basis)
+        expect = "not finite" if fault == "nan" else "column norm excess"
+        assert expect in str(dense.value)
+        assert str(probe.value) == str(dense.value)
 
     def test_conditioning_warning(self):
         rep = lemma3_lower_bound(build_sequence(e1(1), R, 6))
