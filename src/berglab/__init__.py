@@ -10,9 +10,8 @@ from .geometry import (EllipsoidParams, delta_for, disjoint_threshold,
                        metric_combined_bound, moebius, pseudo_metric)
 from .quadrature import QuadratureRule, build_rule, integrate, rule_for_basis
 from .sequences import SeparatedSequence, SequenceUnderflowError, build_sequence
-from .toeplitz import (OperatorMatrix, Symbol, commutator, op_norm,
-                       toeplitz_matrix, toeplitz_monomial_radial,
-                       toeplitz_radial)
+from .toeplitz import (OperatorMatrix, Symbol, op_norm, toeplitz_matrix,
+                       toeplitz_monomial_radial, toeplitz_radial)
 from .unitaries import unitary_matrix, weak_pairing_exact
 from .witness import (Prop1Config, SphereSet, boundary_trace_check,
                       build_prop1_config, in_region_W, lemma3_lower_bound,

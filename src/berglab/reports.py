@@ -2,8 +2,8 @@
 lists, CSV for curves.
 
 Reports carry no timestamps or absolute paths; identical configurations
-produce byte-identical files regardless of worker count.  Floats are
-rendered with shortest round-trip repr.
+produce byte-identical files.  Floats are rendered with shortest
+round-trip repr.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from .geometry import (_ellipsoid, _norm2, delta_for, disjoint_threshold,
                        sample_ball)
 from .quadrature import build_rule, integrate, rule_for_basis
 from .sequences import build_sequence, pairwise_rho
-from .toeplitz import (Symbol, commutator, op_norm, toeplitz_matrix,
+from .toeplitz import (Symbol, op_norm, toeplitz_matrix,
                        toeplitz_monomial_radial, toeplitz_radial)
 from .unitaries import (unitary_matrix_exact, unitary_matrix_quadrature,
                         weak_pairing_exact)
@@ -397,7 +397,7 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     worst_excess = -np.inf
     for sym in _symbol_panel(r):
         tm = toeplitz_matrix(sym, basis, rule)
-        excess = op_norm(tm) - sym.sup_norm_bound
+        excess = op_norm(tm.mat) - sym.sup_norm_bound
         worst_excess = max(worst_excess, excess)
     checks.append(_within("norm_contraction", worst_excess, 1e-8))
 
@@ -409,16 +409,18 @@ def run_toeplitz(cfg: ExperimentConfig) -> dict:
     adj_err = float(np.max(np.abs(t_conj.mat - t_ns.mat.conj().T)))
     checks.append(_within("adjoint_symmetry", adj_err, 1e-12))
 
-    self_comm = commutator(t_r2, t_r2)
-    radial_comm = commutator(t_r2, toeplitz_radial(
-        lambda u: np.exp(-3.0 * np.asarray(u) ** 2), basis))
-    checks.append(_within("self_commutator_zero", op_norm(self_comm), 1e-14))
-    checks.append(_within("radial_symbols_commute", op_norm(radial_comm),
+    # commutators [A, B] = AB - BA
+    a = t_r2.mat
+    b = toeplitz_radial(lambda u: np.exp(-3.0 * np.asarray(u) ** 2),
+                        basis).mat
+    checks.append(_within("self_commutator_zero", op_norm(a @ a - a @ a),
+                          1e-14))
+    checks.append(_within("radial_symbols_commute", op_norm(a @ b - b @ a),
                           1e-12))
 
-    cmat = commutator(band_fast, band_fast.adjoint())
-    smat = cmat @ cmat
-    eigs = np.linalg.eigvalsh(smat.mat)
+    band, adj = band_fast.mat, band_fast.mat.conj().T
+    cmat = band @ adj - adj @ band
+    eigs = np.linalg.eigvalsh(cmat @ cmat)
     min_eig = float(eigs.min())
     comm_norm = op_norm(cmat)
     checks.append(check("witness_commutator_nonzero", comm_norm > 0.0,
@@ -459,18 +461,29 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
     z_half = np.array([0.5 + 0.0j])
     f_sq = Symbol.radial(lambda u: u ** 2, 1.0, label="|z|^2")
 
+    # the matrix pairing <P U_zm P k_zp, k_wp> against its closed form
+    zm = np.array([0.6 + 0.0j])
+    zp = np.array([0.3 + 0.0j])
+    wp = np.array([0.0 + 0.2j])
+    target = complex(weak_pairing_exact(zm, zp, wp)[0])
+
     rule = build_rule(1, 40, angular=192)
     unit_defects = []
     conj_defects = []
+    pair_errs = []
     for d in sweep:
         basis = TruncatedBasis.create(1, d)
-        u = unitary_matrix_exact(z_half, basis)
-        vmat = u.mat.conj().T @ u.mat - np.eye(len(basis))
+        u = unitary_matrix_exact(z_half, basis).mat
+        vmat = u.conj().T @ u - np.eye(len(basis))
         unit_defects.append(_window_norm(vmat, basis, probe))
-        tf = toeplitz_matrix(f_sq, basis, rule)
-        lhs = (u @ tf @ u.adjoint()).mat
+        tf = toeplitz_matrix(f_sq, basis, rule).mat
+        lhs = u @ tf @ u.conj().T
         rhs = toeplitz_matrix(f_sq.compose_moebius(z_half), basis, rule).mat
         conj_defects.append(_window_norm(lhs - rhs, basis, probe))
+        ud = unitary_matrix_exact(zm, basis).mat
+        kz = kernel_expansion(zp, basis).coeffs
+        kw = kernel_expansion(wp, basis).coeffs
+        pair_errs.append(abs(complex(np.vdot(kw, ud @ kz)) - target))
     checks.append(check("unitarity_defect_decreasing",
                         _decreasing(unit_defects), unit_defects))
     checks.append(check("conjugation_defect_decreasing",
@@ -478,15 +491,15 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
 
     # d_sweep is increasing: the loop left u, basis at max(sweep)
     u_q = unitary_matrix_quadrature(z_half, basis, rule)
-    route_err = float(np.max(np.abs(u.mat - u_q.mat)))
+    route_err = float(np.max(np.abs(u - u_q.mat)))
     checks.append(_within("exact_matches_quadrature", route_err, 1e-10))
 
     kexp = kernel_expansion(z_half, basis)
-    col_err = float(np.max(np.abs(u.mat[:, 0] - kexp.coeffs)))
+    col_err = float(np.max(np.abs(u[:, 0] - kexp.coeffs)))
     checks.append(_within("u_e0_is_kernel", col_err, 1e-13))
     # ||P_d k_z||^2 = 1 - x^(d+1) ((d+2) - (d+1) x), x = |z|^2, at n = 1
     d, x = basis.degree, float(abs(z_half[0]) ** 2)
-    e0_norm = float(np.linalg.norm(u.mat[:, 0]))
+    e0_norm = float(np.linalg.norm(u[:, 0]))
     e0_exact = (1.0 - x ** (d + 1) * ((d + 2) - (d + 1) * x)) ** 0.5
     checks.append(_within("u_e0_norm_one", abs(e0_norm - e0_exact), 1e-6))
 
@@ -506,18 +519,7 @@ def run_unitary(cfg: ExperimentConfig) -> dict:
         worst_gap = max(worst_gap, float(np.max(np.abs(v) - b)))
     checks.append(_within("pairing_bound_dominates", worst_gap, 1e-14))
 
-    # matrix pairing converges to the closed form across the sweep
-    zm = np.array([0.6 + 0.0j])
-    zp = np.array([0.3 + 0.0j])
-    wp = np.array([0.0 + 0.2j])
-    target = complex(weak_pairing_exact(zm, zp, wp)[0])
-    pair_errs = []
-    for d in sweep:
-        bd = TruncatedBasis.create(1, d)
-        ud = unitary_matrix_exact(zm, bd)
-        kz = kernel_expansion(zp, bd).coeffs
-        kw = kernel_expansion(wp, bd).coeffs
-        pair_errs.append(abs(complex(np.vdot(kw, ud.mat @ kz)) - target))
+    # the matrix pairing converges to the closed form across the sweep
     checks.append(check("pairing_matrix_converges", _decreasing(pair_errs),
                         pair_errs))
 

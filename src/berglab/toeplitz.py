@@ -1,4 +1,4 @@
-"""Toeplitz matrices on the truncated basis, commutators and operator norms.
+"""Toeplitz matrices on the truncated basis, and the operator norm.
 
 A Toeplitz operator with bounded symbol f acts by multiply-then-project;
 its compression to the truncated basis has entries <f e_alpha, e_beta>,
@@ -46,7 +46,7 @@ from .quadrature import QuadratureRule, panel_gauss_legendre
 
 __all__ = ["Symbol", "OperatorMatrix", "toeplitz_matrix", "ray_bands",
            "apply_blocks", "toeplitz_radial", "toeplitz_monomial_radial",
-           "commutator", "op_norm"]
+           "op_norm"]
 
 _PROFILE_POINTS = 120  # per-panel Gauss-Legendre size for profile integrals
 
@@ -152,7 +152,9 @@ class Symbol:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix of an operator compressed to a truncated basis."""
+    """Dense complex matrix of an operator compressed to a truncated basis:
+    the record the dense builders return.  Products, sums and adjoints
+    are numpy operations on ``mat``."""
 
     basis: TruncatedBasis
     mat: np.ndarray
@@ -162,30 +164,6 @@ class OperatorMatrix:
         if self.mat.shape != (b, b):
             raise ValueError(
                 f"matrix shape {self.mat.shape} does not match basis size {b}")
-
-    def _check(self, other: "OperatorMatrix") -> None:
-        if self.basis != other.basis:
-            raise ValueError("operator matrices live on different bases")
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            self._check(other)
-            return OperatorMatrix(self.basis, self.mat @ other.mat)
-        return self.mat @ other
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        return OperatorMatrix(self.basis, self.mat + other.mat)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        return OperatorMatrix(self.basis, self.mat - other.mat)
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, self.mat.conj().T)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.mat @ vec
 
 
 def toeplitz_matrix(f: Symbol, basis: TruncatedBasis,
@@ -332,14 +310,8 @@ def toeplitz_monomial_radial(coordinate: int, profile, basis: TruncatedBasis,
                               support), basis)
 
 
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """[A, B] = AB - BA."""
-    return a @ b - b @ a
-
-
-def op_norm(a: OperatorMatrix | np.ndarray) -> float:
+def op_norm(mat: np.ndarray) -> float:
     """Operator norm: largest singular value (full decomposition)."""
-    mat = a.mat if isinstance(a, OperatorMatrix) else np.asarray(a)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     if mat.size == 0:

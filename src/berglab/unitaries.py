@@ -32,11 +32,11 @@ it.  The "moebius" route multiplies each such band by two blocks of V;
 the "cutoff" route has its own block per off-axis degree.  Only
 quadrature is one block over the whole basis.  ``toeplitz.apply_blocks``
 applies triples to a block of vectors, which is all Proposition 1's
-decay curves need, and ``toeplitz._scatter`` makes the fast paths' dense
-matrices.  The two-route probe takes P U_c P and T_{h o phi_c} as
-triples from one set of blocks of U_c (``moebius_pair``) and works on
-them ray class by ray class, with no B x B matrix
-(``witness.witness_operator``).
+decay curves need, and ``toeplitz._scatter`` makes every dense matrix
+of triples: the fast paths' and the exact U_z's.  The two-route probe
+takes P U_c P and T_{h o phi_c} as triples from one set of blocks of
+U_c (``moebius_pair``) and works on them ray class by ray class, with
+no B x B matrix (``witness.witness_operator``).
 
 The compression of a unitary has norm <= 1, and P U_z P -> U_z entrywise
 as the truncation degree grows; identities involving products of
@@ -50,11 +50,12 @@ import math
 
 import numpy as np
 
-from .basis import TruncatedBasis, kernel, kernel_expansion
-from .geometry import _gap, _norm2, as_point, inner, moebius
+from .basis import TruncatedBasis, kernel
+from .geometry import _gap, _norm2, _point, as_point, inner, moebius
 from .quadrature import (QuadratureRule, _gauss_legendre, panel_gauss_legendre,
                          rule_for_basis)
-from .toeplitz import OperatorMatrix, Symbol, ray_bands, toeplitz_matrix
+from .toeplitz import (OperatorMatrix, Symbol, _scatter, ray_bands,
+                       toeplitz_matrix)
 
 __all__ = ["unitary_matrix", "unitary_matrix_quadrature",
            "unitary_matrix_exact", "core_degree", "toeplitz_blocks",
@@ -194,11 +195,8 @@ def unitary_matrix_exact(z, basis: TruncatedBasis) -> OperatorMatrix:
     if z.ndim != 1 or z.shape[0] != basis.n:
         raise ValueError("z must be a single point of the basis dimension")
     axis, c = _axis_point(z) or _off_axis(z)
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for pos, _, block in _ray_unitary(z, basis, axis, _ray_blocks(
-            c, basis.n, basis.degree, basis.degree)):
-        mat[pos[:, :, None], pos[:, None, :]] = block
-    return OperatorMatrix(basis, mat)
+    return _scatter(_ray_unitary(z, basis, axis, _ray_blocks(
+        c, basis.n, basis.degree, basis.degree)), basis)
 
 
 def _ray_unitary(z: np.ndarray, basis: TruncatedBasis, axis: int,
@@ -212,21 +210,25 @@ def _ray_unitary(z: np.ndarray, basis: TruncatedBasis, axis: int,
     (each column is P of a unit vector) and column e_0 equal to the
     kernel expansion of k_z.  Each is read from the blocks, which hold
     every nonzero entry: column e_0 is column 0 of block 0, on the ray
-    of alpha' = 0, and zero elsewhere.
+    of alpha' = 0, and zero elsewhere, as is P k_z.  On that ray, at
+    alpha = a e_j with c = z_j, the coefficient of k_z is
+    (1 - |c|^2)^((n+1)/2) conj(c^a / ||z^alpha||), rounded as
+    ``kernel_expansion`` rounds it.
     """
     where = f"exact U_z at z={z.tolist()} (n={basis.n}, degree {basis.degree})"
     if not all(np.all(np.isfinite(b)) for b in blocks):
         raise ValueError(f"{where}: entries are not finite")
     rays = basis.rays(axis)
-    column = np.zeros(len(basis), dtype=complex)
-    column[rays[0][0]] = blocks[0][:, 0]
-    kexp = kernel_expansion(z, basis).coeffs
+    _, zz = _point(z, "z")
+    kexp = float(_gap(zz)) ** (0.5 * (basis.n + 1)) * np.conj(
+        z[axis] ** np.arange(basis.degree + 1) / basis.norms[rays[0][0]])
     for name, value in (
             ("self-adjointness defect",
              max(np.max(np.abs(b - b.conj().T)) for b in blocks)),
             ("column norm excess",
              max(np.max(np.linalg.norm(b, axis=0)) for b in blocks) - 1.0),
-            ("kernel column error", np.max(np.abs(column - kexp)))):
+            ("kernel column error",
+             np.max(np.abs(blocks[0][:, 0] - kexp)))):
         if value > _GUARD_TOL:
             raise ValueError(
                 f"{where}: {name} {value:.3g} exceeds {_GUARD_TOL:g}")

@@ -38,15 +38,13 @@ def compress_moebius(g, basis, core):
 
 def assert_pair_matches(g, basis):
     """``moebius_pair`` gives, bit for bit, the route, U and T_g that
-    ``unitary_matrix`` and ``toeplitz_blocks`` build apart: its triples
-    of U placed as ``unitary_matrix_exact`` places its blocks, and those
-    of T_g scattered as ``toeplitz_dense`` scatters them."""
+    ``unitary_matrix`` and ``toeplitz_blocks`` build apart: both sets of
+    triples scattered as ``unitary_matrix_exact`` and ``toeplitz_dense``
+    scatter them."""
     route, u, t = unitaries.moebius_pair(g, basis)
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for rows, cols, block in u:
-        mat[rows[:, :, None], cols[:, None, :]] = block
     assert route == toeplitz_blocks(g, basis)[0]
-    assert mat.tobytes() == unitary_matrix(g.center, basis).mat.tobytes()
+    assert (_scatter(u, basis).mat.tobytes()
+            == unitary_matrix(g.center, basis).mat.tobytes())
     assert (_scatter(t, basis).mat.tobytes()
             == toeplitz_dense(g, basis).mat.tobytes())
 
@@ -265,6 +263,18 @@ class TestExactGuards:
         b = TruncatedBasis.create(1, degree)
         u = unitary_matrix_exact([0.9375], b)
         assert np.all(np.isfinite(u.mat))
+
+    def test_kernel_column_guard_evaluates_no_basis(self, monkeypatch):
+        # the guard reads P k_z in closed form on the ray alpha' = 0, so
+        # neither route evaluates the B basis elements at z
+        def refuse(self, points):
+            raise AssertionError("TruncatedBasis.eval called")
+
+        b = TruncatedBasis.create(3, 8)
+        monkeypatch.setattr(TruncatedBasis, "eval", refuse)
+        for axis in (0, 2):
+            z = 0.5j * np.eye(3, dtype=complex)[axis]
+            assert_pair_matches(bump(BUMP_R).compose_moebius(z), b)
 
     def test_perturbed_kernel_raises_in_moebius_route(self, monkeypatch):
         g = bump(BUMP_R).compose_moebius([0.0])

@@ -17,9 +17,8 @@ from berglab.sequences import build_sequence
 from berglab.suites import (DECAY_FRACTION, SLOPE_REL, _panel_checks,
                             _separation_checks, run_prop1, run_separate,
                             run_unitary, run_witness)
-from berglab.toeplitz import (Symbol, _scatter, apply_blocks, commutator,
-                              op_norm, toeplitz_matrix,
-                              toeplitz_monomial_radial)
+from berglab.toeplitz import (Symbol, _scatter, apply_blocks, op_norm,
+                              toeplitz_matrix, toeplitz_monomial_radial)
 from berglab.unitaries import toeplitz_blocks, unitary_matrix
 from berglab.witness import (SphereSet, boundary_trace_check,
                              build_prop1_config, default_panel,
@@ -39,6 +38,12 @@ def failed(checks):
 def toeplitz_dense(f, basis):
     """T_f as one dense matrix: the scatter of its triples."""
     return _scatter(toeplitz_blocks(f, basis)[1], basis)
+
+
+def self_commutator(a):
+    """[A, A*] = AA* - A*A of an array A."""
+    adj = a.conj().T
+    return a @ adj - adj @ a
 
 
 def e1(n):
@@ -202,9 +207,8 @@ class TestWitnessSymbol:
     def test_commutator_nonzero_with_frozen_norm(self):
         basis = TruncatedBasis.create(1, 12)
         f = witness_symbol(R)
-        a = toeplitz_monomial_radial(0, f.profile, basis, support=R)
-        c = commutator(a, a.adjoint())
-        assert abs(op_norm(c) - R ** 8 / 18.0) < 1e-15
+        a = toeplitz_monomial_radial(0, f.profile, basis, support=R).mat
+        assert abs(op_norm(self_commutator(a)) - R ** 8 / 18.0) < 1e-15
 
 
 @pytest.fixture(scope="module")
@@ -225,12 +229,12 @@ class TestWitnessOperator:
         basis = flagship
         w = witness_operator(e1(1), R, 3, basis)
         a = toeplitz_monomial_radial(0, witness_symbol(R).profile, basis,
-                                     support=R)
-        c = commutator(a, a.adjoint())
+                                     support=R).mat
+        c = self_commutator(a)
         # S is the diagonal of C^2, all of it, and its smallest eigenvalue
-        assert np.array_equal(np.diag(w.S), (c @ c).mat)
+        assert np.array_equal(np.diag(w.S), c @ c)
         assert float(w.S.min()) == float(
-            np.linalg.eigvalsh((c @ c).mat).min()) >= -1e-10
+            np.linalg.eigvalsh(c @ c).min()) >= -1e-10
 
     def test_two_route_agreement_tightens(self, flagship):
         defects = {}
@@ -278,10 +282,10 @@ class TestWitnessOperator:
         for p, defect, route in zip(build_sequence(zeta, R, 5).points(),
                                     w.two_route_defects,
                                     w.two_route_routes):
-            u = unitary_matrix(p, basis)
-            b = toeplitz_dense(f.compose_moebius(p), basis)
-            cc = commutator(b, b.adjoint())
-            dense = op_norm((u.mat * w.S) @ u.mat.conj().T - (cc @ cc).mat)
+            u = unitary_matrix(p, basis).mat
+            cc = self_commutator(toeplitz_dense(f.compose_moebius(p),
+                                                basis).mat)
+            dense = op_norm((u * w.S) @ u.conj().T - cc @ cc)
             if n == 1:
                 assert defect == dense
             else:
@@ -361,9 +365,9 @@ class TestLemma3:
         core = lemma3_lower_bound(build_sequence(e1(n), R, 1))["core_degree"]
         basis = TruncatedBasis.create(n, core + 1)
         a = toeplitz_monomial_radial(0, witness_symbol(R).profile, basis,
-                                     support=R)
-        c = commutator(a, a.adjoint())
-        dense = (c @ c).mat[basis.degrees <= core][:, basis.degrees <= core]
+                                     support=R).mat
+        c = self_commutator(a)
+        dense = (c @ c)[basis.degrees <= core][:, basis.degrees <= core]
         diag = witness._s_diagonal(R, TruncatedBasis.create(n, core))
         assert np.all(dense - np.diag(np.diag(dense)) == 0.0)
         assert np.allclose(np.diag(dense).real, diag, rtol=1e-12, atol=0.0)
@@ -555,10 +559,10 @@ class TestCutoffVolume:
         # cutoff route slowly as the rule is refined past the basis degree
         basis = TruncatedBasis.create(2, 4)
         eta = build_prop1_config(SphereSet.create([e2(2)]), 0.5).eta
-        exact = toeplitz_dense(eta, basis)
+        exact = toeplitz_dense(eta, basis).mat
         errs = [op_norm(toeplitz_matrix(
                     eta, basis,
-                    rule_for_basis(2, 4 + extra, radial_breaks=(R * R,)))
+                    rule_for_basis(2, 4 + extra, radial_breaks=(R * R,))).mat
                     - exact) for extra in (0, 10, 20)]
         assert errs[0] > 10 * errs[1] > 100 * errs[2]
         assert errs[0] > 1e-2 and errs[2] < 2e-4
@@ -591,13 +595,13 @@ def dense_prop1(panel, seq, cfg, basis):
     kz = [x ** (0.5 * (basis.n + 1)) * np.conj(e) for x, e in
           zip(one_minus.tolist(), basis.eval(seq.points()))]
     curves, prod = [], None
-    for tmat in [toeplitz_dense(g, basis) for g in panel[:3]]:
+    for tmat in [toeplitz_dense(g, basis).mat for g in panel[:3]]:
         prod = tmat if prod is None else prod @ tmat
-        curves.append([float(np.linalg.norm(prod.apply(v))) for v in kz])
+        curves.append([float(np.linalg.norm(prod @ v)) for v in kz])
     lhs = [0.0] * len(kz)
     if len(cfg.f_set):
-        t_eta = toeplitz_dense(cfg.eta, basis)
-        lhs = [float(np.linalg.norm(t_eta.apply(v))) for v in kz]
+        t_eta = toeplitz_dense(cfg.eta, basis).mat
+        lhs = [float(np.linalg.norm(t_eta @ v)) for v in kz]
     return curves, lhs
 
 
